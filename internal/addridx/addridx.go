@@ -117,6 +117,21 @@ func (t *Table[T]) Clone() Table[T] {
 	return Table[T]{slots: n}
 }
 
+// CopyFrom makes t an independent flat copy of src, reusing t's backing
+// array when it is large enough: a recycled table absorbs a copy without
+// allocating. Slots past the copy that t had grown are cleared, keeping
+// spare capacity zero.
+func (t *Table[T]) CopyFrom(src *Table[T]) {
+	n := len(src.slots)
+	if n > cap(t.slots) {
+		t.slots = make([]T, n)
+	} else if n < len(t.slots) {
+		clear(t.slots[n:])
+	}
+	t.slots = t.slots[:n]
+	copy(t.slots, src.slots)
+}
+
 // CloneCap is Clone with capacity for at least n slots: a caller about to
 // grow the copy to a known bound (a journal replay) allocates once instead
 // of cloning and then reallocating.
@@ -138,15 +153,18 @@ func (t *Table[T]) CloneCap(n int) Table[T] {
 // Len returns one past the highest slot ever grown to.
 func (t *Table[T]) Len() int { return len(t.slots) }
 
-// Reset empties the table for reuse, keeping the backing array: every slot
-// up to the full capacity is zeroed (growth re-exposes spare capacity,
-// which must read as the zero value) and the length drops to zero. A
-// memset over an existing array is far cheaper than the allocation a fresh
-// table of the same bound would pay.
-func (t *Table[T]) Reset() {
-	s := t.slots[:cap(t.slots)]
-	clear(s)
-	t.slots = s[:0]
+// Reset empties the table for reuse, keeping the backing array. Growth
+// re-exposes spare capacity, which must read as the zero value; spare
+// capacity is never written (see growSlots), so clearing the grown range
+// [0, Len) restores that invariant and the length drops to zero. A memset
+// of the used range is far cheaper than the allocation a fresh table of the
+// same bound would pay.
+func (t *Table[T]) Reset() { t.slots = resetSlots(t.slots) }
+
+// resetSlots zeroes the grown range of slots and truncates it to empty.
+func resetSlots[T any](slots []T) []T {
+	clear(slots)
+	return slots[:0]
 }
 
 // ForEach calls f for every grown slot in ascending address order, including
@@ -226,6 +244,10 @@ func (t *LineTable[T]) CloneCap(n int) LineTable[T] {
 
 // Len returns one past the highest slot ever grown to.
 func (t *LineTable[T]) Len() int { return len(t.slots) }
+
+// Reset empties the table for reuse, keeping the backing array; see
+// Table.Reset. Reference-typed slot values are dropped, not recycled.
+func (t *LineTable[T]) Reset() { t.slots = resetSlots(t.slots) }
 
 // ForEach calls f for every grown slot in ascending line order, including
 // zero-valued ones; f returns false to stop early.

@@ -99,3 +99,66 @@ func TestLineTable(t *testing.T) {
 		t.Fatalf("ForEach visited %d slots, want %d", n, int(l)+1)
 	}
 }
+
+// Reset clears only the grown range, so it relies on spare capacity never
+// having been written: regrowing past the old length into the kept array
+// must still read zero, and must not reallocate.
+func TestResetRegrowReadsZero(t *testing.T) {
+	var tab Table[int]
+	tab.Reserve(256)
+	for a := pmm.Addr(0); a < 100; a++ {
+		tab.Set(a, int(a)+1)
+	}
+	tab.Reset()
+	if tab.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", tab.Len())
+	}
+	if allocs := testing.AllocsPerRun(10, func() { tab.Set(200, 1); tab.Reset() }); allocs != 0 {
+		t.Fatalf("regrow into kept capacity allocated %v times", allocs)
+	}
+	tab.Set(200, 7)
+	for a := pmm.Addr(0); a < 200; a++ {
+		if got := tab.At(a); got != 0 {
+			t.Fatalf("slot %d = %d after Reset and regrow, want 0", a, got)
+		}
+	}
+
+	var lines LineTable[[]pmm.Addr]
+	lines.Reserve(64)
+	for l := pmm.Line(0); l < 10; l++ {
+		lines.Set(l, []pmm.Addr{pmm.Addr(l)})
+	}
+	lines.Reset()
+	lines.Set(40, nil)
+	for l := pmm.Line(0); l < 40; l++ {
+		if got := lines.At(l); got != nil {
+			t.Fatalf("line %d = %v after Reset and regrow, want nil", l, got)
+		}
+	}
+}
+
+// CopyFrom into a table grown further than the source must leave no stale
+// slot behind the copy, and must reuse the array when it fits.
+func TestTableCopyFromReusesAndClears(t *testing.T) {
+	var src, dst Table[int]
+	src.Set(3, 30)
+	for a := pmm.Addr(0); a < 50; a++ {
+		dst.Set(a, 99)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { dst.CopyFrom(&src) }); allocs != 0 {
+		t.Fatalf("CopyFrom into a larger table allocated %v times", allocs)
+	}
+	if dst.Len() != src.Len() || dst.At(3) != 30 {
+		t.Fatalf("copy: Len %d, slot 3 = %d", dst.Len(), dst.At(3))
+	}
+	dst.Set(49, 1)
+	for a := pmm.Addr(4); a < 49; a++ {
+		if got := dst.At(a); got != 0 {
+			t.Fatalf("slot %d = %d after CopyFrom and regrow, want 0", a, got)
+		}
+	}
+	src.Set(3, 31)
+	if dst.At(3) != 30 {
+		t.Fatal("CopyFrom aliased the source")
+	}
+}

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"sync"
 
 	"yashme/internal/pmm"
 )
@@ -21,7 +22,9 @@ type LoweredProgram struct {
 	// FlushEvery inserts a clflush after every store/call (modelling a
 	// straightforwardly-written PM program that flushes each update).
 	FlushEvery bool
-	// observed collects the post-crash values per IR offset.
+	// observed collects the post-crash values per IR offset. Crash
+	// scenarios run on concurrent workers, so mu guards it.
+	mu       sync.Mutex
 	observed map[int][]uint64
 }
 
@@ -31,8 +34,12 @@ func Lower(ir Program, flushEvery bool) *LoweredProgram {
 }
 
 // Observed returns the post-crash values seen at an IR offset across all
-// explored executions.
-func (lp *LoweredProgram) Observed(offset int) []uint64 { return lp.observed[offset] }
+// explored executions, in no particular order.
+func (lp *LoweredProgram) Observed(offset int) []uint64 {
+	lp.mu.Lock()
+	defer lp.mu.Unlock()
+	return append([]uint64(nil), lp.observed[offset]...)
+}
 
 // irSpan returns the byte span [lo, hi) touched by the program.
 func (lp *LoweredProgram) irSpan() (int, int) {
@@ -122,7 +129,9 @@ func (lp *LoweredProgram) MakeProgram() func() pmm.Program {
 			PostCrash: func(t *pmm.Thread) {
 				for _, off := range readOffsets {
 					v := t.Load(addr(off), reads[off])
+					lp.mu.Lock()
 					lp.observed[off] = append(lp.observed[off], v)
+					lp.mu.Unlock()
 				}
 			},
 		}

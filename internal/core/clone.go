@@ -16,7 +16,9 @@ import (
 // capped capacity forces either side's later appends onto a private backing
 // array. Everything mutable — the meta slice, the flush arena, per-address
 // tables, per-line state — is copied, so the clone and the original may be
-// mutated independently afterwards.
+// mutated independently afterwards. The clone's executions are born shared
+// (Retire never recycles them); the source is read, never written, so a
+// live source must be marked by its owner (MarkShared) before cloning.
 func (d *Detector) Clone() *Detector {
 	nd := &Detector{cfg: d.cfg, report: d.report.Clone(), arena: d.arena.Clone()}
 	nd.execs = make([]*Execution, len(d.execs))
@@ -57,6 +59,7 @@ func (e *Execution) cloneSized(stores, flushes int, maxAddr pmm.Addr) *Execution
 		cvpre:      e.cvpre,
 		persistTab: e.persistTab.CloneCap(addrCap),
 		crashSeq:   e.crashSeq,
+		shared:     true,
 	}
 	// The table clones are flat; detach the one reference-typed slot value
 	// both sides may mutate: per-line address lists (appended to on first

@@ -35,6 +35,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"yashme/internal/addridx"
 	"yashme/internal/pmm"
@@ -147,10 +148,40 @@ type Execution struct {
 	persistTab addridx.Table[StoreRef]
 	// crashSeq: σ at the crash ending this execution (0 while running).
 	crashSeq vclock.Seq
+	// shared marks an execution whose store arena another holder may still
+	// read: every clone (its arena is a capped view of the source's), a
+	// live execution a clone was taken from (MarkShared), and one a journal
+	// froze (SetJournal). Retire drops shared executions instead of
+	// recycling them.
+	shared bool
 }
 
+// execPool holds retired, emptied executions. The engine runs one
+// short-lived detector per crash scenario across a pool of workers;
+// drawing executions from here lets a scenario reuse the arenas and
+// tables an earlier one grew instead of regrowing them from empty.
+var execPool sync.Pool
+
 func newExecution(id int) *Execution {
+	if e, _ := execPool.Get().(*Execution); e != nil {
+		e.ID = id
+		return e
+	}
 	return &Execution{ID: id}
+}
+
+// reset empties the execution for reuse, keeping every backing array. The
+// records, metadata and flush nodes hold no pointers, so truncation is
+// enough; the tables clear what was used.
+func (e *Execution) reset() {
+	e.arena = e.arena[:0]
+	e.meta = e.meta[:0]
+	e.flushArena = e.flushArena[:0]
+	e.storeTab.Reset()
+	e.persistTab.Reset()
+	e.lineAddrs.Reset()
+	e.lastflush.Reset()
+	e.cvpre, e.crashSeq = 0, 0
 }
 
 // ByRef resolves a StoreRef to its record, nil for the zero ref.
@@ -305,6 +336,32 @@ func (d *Detector) Current() *Execution { return d.execs[len(d.execs)-1] }
 
 // Executions returns the execution stack, oldest first.
 func (d *Detector) Executions() []*Execution { return d.execs }
+
+// MarkShared marks every execution of the detector as shared, so Retire
+// will never recycle their store arenas. Call it on a live detector before
+// cloning it: the clone's arenas are views of the live ones. Clone does not
+// mark its source itself — workers clone read-only snapshot detectors
+// concurrently, and those are clones, already marked from birth.
+func (d *Detector) MarkShared() {
+	for _, e := range d.execs {
+		e.shared = true
+	}
+}
+
+// Retire hands the detector's unshared executions back to the pool later
+// detectors draw from. The detector must never be used again; its report
+// and clock arena are not recycled, so results merged from it stay valid.
+// Shared executions are dropped: a clone or a journal may still read their
+// store arenas.
+func (d *Detector) Retire() {
+	for _, e := range d.execs {
+		if !e.shared {
+			e.reset()
+			execPool.Put(e)
+		}
+	}
+	d.execs = nil
+}
 
 // EndExecution marks the current execution crashed at crashSeq and pushes a
 // fresh execution for the post-crash run.

@@ -79,7 +79,12 @@ func (j *Journal) Len() int { return len(j.ops) }
 // the current execution's mutations are recorded; clones never inherit the
 // attachment (Clone builds a fresh Detector). Detaching freezes the
 // attached journal's arena view; replay is only valid after that.
+// Attaching marks the current execution shared: the frozen view outlives
+// the detector, so Retire must never recycle that arena.
 func (d *Detector) SetJournal(j *Journal) {
+	if j != nil {
+		d.Current().shared = true
+	}
 	if j == nil && d.journal != nil {
 		e := d.Current()
 		d.journal.arena = e.arena[:len(e.arena):len(e.arena)]

@@ -1,0 +1,148 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"yashme/internal/pmm"
+	"yashme/internal/tso"
+)
+
+// commitFlushed commits n flushed stores of val, val+1, ... to consecutive
+// words from base on thread 0.
+func (r *rig) commitFlushed(base pmm.Addr, n int, val uint64) {
+	for i := 0; i < n; i++ {
+		a := base + pmm.Addr(8*i)
+		r.m.EnqueueStore(0, a, 8, val+uint64(i), false, false)
+		r.m.EnqueueCLFlush(0, a)
+		r.m.DrainSB(0)
+	}
+}
+
+// stateOf renders everything a scenario resumed from d can read: per
+// execution the state signature (stores, flush chains, persist bounds) and
+// every store record's contents.
+func stateOf(d *Detector) []byte {
+	var buf []byte
+	for _, e := range d.Executions() {
+		buf = fmt.Appendf(buf, "%x\n", e.AppendStateSignature(nil))
+		for _, a := range e.StoredAddrs() {
+			for _, s := range e.History(a) {
+				buf = fmt.Appendf(buf, "%d:%+v;", e.ID, *s)
+			}
+		}
+	}
+	return buf
+}
+
+// dirtyPools runs fresh detectors that draw whatever Retire recycled and
+// overwrite it with different records, then retire them again.
+func dirtyPools() {
+	for i := 0; i < 8; i++ {
+		r := newRig(true)
+		r.commitFlushed(addrX, 16, 1000*uint64(i+1))
+		r.commitFlushed(addrZ, 16, 5000*uint64(i+1))
+		r.d.EndExecution(r.m.CurSeq())
+		r.m = tso.NewMachine(r.d)
+		r.commitFlushed(addrX, 4, 9000)
+		r.d.Retire()
+	}
+}
+
+// TestRetireKeepsSnapshotsIntact: retiring a probe whose store arena a
+// journal and clones share must leave every snapshot taken from it intact.
+// The snapshots are materialized before the probe retires and again after
+// other detectors have reused the pools; both must read the same.
+func TestRetireKeepsSnapshotsIntact(t *testing.T) {
+	probe := newRig(true)
+	j := &Journal{}
+	probe.d.SetJournal(j)
+	probe.commitFlushed(addrX, 4, 1)
+	probe.d.MarkShared()
+	key := probe.d.Clone()
+	lo := j.Mark()
+	probe.commitFlushed(addrZ, 6, 100)
+	hi := j.Mark()
+	probe.d.SetJournal(nil)
+	probe.d.MarkShared()
+	full := probe.d.Clone()
+	// A recovery execution nothing shares: the one part of the probe that
+	// Retire may recycle.
+	probe.d.EndExecution(probe.m.CurSeq())
+	probe.m = tso.NewMachine(probe.d)
+	probe.commitFlushed(addrX, 2, 200)
+
+	wantKey, wantFull := stateOf(key), stateOf(full)
+	wantDelta := stateOf(key.CloneReplay(j, lo, hi))
+	if !bytes.Equal(wantDelta, wantFull) {
+		t.Fatal("journal replay does not reproduce the full clone")
+	}
+
+	probe.d.Retire()
+	dirtyPools()
+
+	if got := stateOf(key); !bytes.Equal(got, wantKey) {
+		t.Errorf("keyframe clone changed after the probe retired:\n%s\nwant\n%s", got, wantKey)
+	}
+	if got := stateOf(full); !bytes.Equal(got, wantFull) {
+		t.Errorf("full clone changed after the probe retired:\n%s\nwant\n%s", got, wantFull)
+	}
+	if got := stateOf(key.CloneReplay(j, lo, hi)); !bytes.Equal(got, wantDelta) {
+		t.Errorf("delta materialization changed after the probe retired:\n%s\nwant\n%s", got, wantDelta)
+	}
+
+	// Retiring a clone must not disturb its source or its siblings either.
+	sib := key.Clone()
+	key.Retire()
+	dirtyPools()
+	if got := stateOf(sib); !bytes.Equal(got, wantKey) {
+		t.Errorf("sibling clone changed after a clone retired:\n%s\nwant\n%s", got, wantKey)
+	}
+}
+
+// TestRetiredExecutionsComeBackEmpty: a detector built after others retired
+// must start from empty state whatever it draws from the pool.
+func TestRetiredExecutionsComeBackEmpty(t *testing.T) {
+	dirtyPools()
+	r := newRig(true)
+	for _, e := range r.d.Executions() {
+		if n := len(e.StoredAddrs()); n != 0 {
+			t.Fatalf("fresh execution %d holds %d stored addresses", e.ID, n)
+		}
+		if e.CrashSeq() != 0 || e.PersistLB(addrX) != nil || e.Latest(addrZ) != nil {
+			t.Fatalf("fresh execution %d carries state from a retired one", e.ID)
+		}
+	}
+	// A race check on a fresh store sees no inherited flushes or bounds.
+	r.m.EnqueueStore(0, addrX, 8, 1, false, false)
+	r.m.DrainSB(0)
+	e := r.crash()
+	if got := len(e.FlushesOf(e.Latest(addrX))); got != 0 {
+		t.Fatalf("fresh store has %d flushes", got)
+	}
+	if race := r.d.CheckCandidate(e, e.Latest(addrX), false); race == nil {
+		t.Fatal("unflushed store on a recycled execution must race")
+	}
+}
+
+// TestRetireKeepsJournalIntact: a journal pins the watched execution's
+// store arena on its own. The keyframe is cloned before the first store,
+// so it shares no records and only the journal's frozen view does.
+func TestRetireKeepsJournalIntact(t *testing.T) {
+	probe := newRig(true)
+	key := probe.d.Clone()
+	j := &Journal{}
+	probe.d.SetJournal(j)
+	probe.commitFlushed(addrX, 4, 1)
+	probe.commitFlushed(addrZ, 4, 50)
+	hi := j.Mark()
+	probe.d.SetJournal(nil)
+	want := stateOf(key.CloneReplay(j, 0, hi))
+
+	probe.d.Retire()
+	dirtyPools()
+	if got := stateOf(key.CloneReplay(j, 0, hi)); !bytes.Equal(got, want) {
+		t.Errorf("journal replay changed after the probe retired:\n%s\nwant\n%s", got, want)
+	}
+}

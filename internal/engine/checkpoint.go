@@ -105,18 +105,28 @@ type countingSource struct {
 }
 
 func newCountingSource(seed int64) *countingSource {
-	src := rand.NewSource(seed)
-	cs := &countingSource{}
-	st := new(rngState)
-	if extractRngState(src, st) {
-		cs.state, cs.mirrored = st, true
-		return cs
+	if rngMirrorOK {
+		st := getRngState()
+		seedRngState(seed, st)
+		return &countingSource{state: st, mirrored: true}
 	}
-	cs.src = src
+	src := rand.NewSource(seed)
+	cs := &countingSource{src: src}
 	if s64, ok := src.(rand.Source64); ok {
 		cs.s64 = s64
 	}
 	return cs
+}
+
+// release hands a dying scenario's private register to the pool
+// getRngState draws from. A copy-on-write source still points at a
+// snapshot's frozen register and is never recycled; nor are forks, which
+// snapshots own and never release. The source must not draw again.
+func (c *countingSource) release() {
+	if c.mirrored && !c.cow && c.state != nil {
+		rngStatePool.Put(c.state)
+	}
+	c.state = nil
 }
 
 // fork returns an independent eager copy positioned at the current stream
@@ -126,7 +136,7 @@ func (c *countingSource) fork() *countingSource {
 	if c == nil || !c.mirrored {
 		return nil
 	}
-	st := new(rngState)
+	st := getRngState()
 	*st = *c.state
 	return &countingSource{state: st, mirrored: true, n: c.n}
 }
@@ -145,7 +155,7 @@ func (c *countingSource) forkShared() *countingSource {
 // materialize resolves a copy-on-write fork before its first mutation.
 func (c *countingSource) materialize() {
 	if c.cow {
-		st := new(rngState)
+		st := getRngState()
 		*st = *c.state
 		c.state, c.cow = st, false
 	}
@@ -179,9 +189,9 @@ func (c *countingSource) Uint64() uint64 {
 func (c *countingSource) Seed(seed int64) {
 	if c.mirrored {
 		if c.cow {
-			c.state, c.cow = new(rngState), false
+			c.state, c.cow = getRngState(), false
 		}
-		extractRngState(rand.NewSource(seed), c.state)
+		seedRngState(seed, c.state)
 	} else {
 		c.src.Seed(seed)
 	}
@@ -252,9 +262,9 @@ type snapshot struct {
 	// the point, nil for a yashme-only stack. Unlike the model they are
 	// cloned at every snapshot — the journal records only core.Detector
 	// mutations — and resume clones them again.
-	extras  []analysis.Pass
-	rec     *trace.Recorder // nil unless tracing
-	image   imageTable
+	extras []analysis.Pass
+	rec    *trace.Recorder // nil unless tracing
+	image  imageTable
 	// setupAllocs/setupNext fingerprint the heap right after Setup.
 	setupAllocs int
 	setupNext   pmm.Addr
@@ -414,6 +424,7 @@ func (k *snapshotSink) capture(sc *scenario, point int) *snapshot {
 		snap.jMark = k.journal.Mark()
 	}
 	if k.journal == nil || k.lastKey == nil || k.sinceKey >= k.keyframe {
+		sc.det.MarkShared() // the clone's arenas are views of the live ones
 		snap.det = sc.det.Clone()
 		k.lastKey, k.sinceKey = snap, 1
 		sc.stats.SnapshotBytes += snap.det.FootprintBytes() + snapshotOverheadBytes
@@ -480,6 +491,7 @@ func newSnapshotShell(sc *scenario, point int) *snapshot {
 func captureSnapshot(sc *scenario, point int) *snapshot {
 	snap := newSnapshotShell(sc, point)
 	snap.rng = sc.rngSrc.fork()
+	sc.det.MarkShared()
 	snap.det = sc.det.Clone()
 	snap.image = sc.image.clone()
 	return snap

@@ -27,7 +27,6 @@ import (
 	"yashme/internal/analysis"
 	"yashme/internal/pmm"
 	"yashme/internal/report"
-	"yashme/internal/tso"
 )
 
 // Mode selects how executions and crash points are explored (paper §4:
@@ -483,28 +482,13 @@ func RunOne(makeProg func() pmm.Program, opts Options, crashPoint int, pp Persis
 	res := newResult(opts)
 	sc := newScenario(makeProg, opts, plan{0: crashPoint}, pp, seed)
 	sc.run()
-	res.absorb(sc)
 	res.CrashPoints = sc.crashPoints[0]
+	r := newSpecResult(scenarioSpec{}, opts)
+	r.absorb(sc)
+	res.mergeSpec(r)
 	return res
 }
 
 // DefaultReadChoiceCap is the Options.ReadChoiceCap applied when the field
 // is zero: the bound on extra read-exploration scenarios per crash point.
 const DefaultReadChoiceCap = 24
-
-func (res *Result) absorb(sc *scenario) {
-	for i, r := range sc.stack.Reports() {
-		res.Passes[i].Report.Merge(r)
-	}
-	res.ExecutionsRun++
-	// Same harvest as specResult.absorb: fold the scenario's clock-arena
-	// counters into its stats before aggregating (TakeCounters resets, so
-	// the work is never double-counted).
-	ci, eh, em := sc.det.ClockArena().TakeCounters()
-	sc.stats.ClockInterned += ci
-	sc.stats.EpochHits += eh
-	sc.stats.EpochMisses += em
-	res.Stats.add(sc.stats)
-	tso.Retire(sc.machine)
-	sc.machine = nil
-}

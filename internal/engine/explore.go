@@ -27,7 +27,6 @@ import (
 
 	"yashme/internal/pmm"
 	"yashme/internal/report"
-	"yashme/internal/tso"
 	"yashme/internal/vclock"
 )
 
@@ -111,23 +110,12 @@ type planSummary struct {
 	// crashPoints is Result.CrashPoints: the probed point count of the
 	// first schedule (ModelCheck) or the sum over executions (RandomMode).
 	crashPoints int
-	// simulatedOps counts the operations the probe runs simulated; folded
-	// into Result.Stats.SimulatedOps (specs count their own). handoffs and
-	// directOps carry its scheduler-path split the same way.
-	simulatedOps int64
-	handoffs     int64
-	directOps    int64
-	// snapshotBytes/journalOps carry the probes' checkpoint-capture costs
-	// (the probe is where snapshots are taken); folded into Result.Stats
-	// the same way.
-	snapshotBytes int64
-	journalOps    int64
-	// clockInterned/epochHits/epochMisses carry the probes' clock-arena
-	// activity (the probe simulates the full pre-crash prefix); folded into
-	// Result.Stats the same way.
-	clockInterned int64
-	epochHits     int64
-	epochMisses   int64
+	// cost is the probe runs' own work, folded into Result.Stats: the
+	// operations they simulated with its scheduler-path split, their
+	// checkpoint-capture costs (the probe is where snapshots are taken) and
+	// their clock-arena activity. The per-kind operation counts stay zero —
+	// every spec counts its own.
+	cost Stats
 	// panicked carries a probe-run panic.
 	panicked any
 }
@@ -174,14 +162,7 @@ func runExplore(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 			res.mergeSpec(r)
 		})
 		res.CrashPoints = sum.crashPoints
-		res.Stats.SimulatedOps += sum.simulatedOps
-		res.Stats.Handoffs += sum.handoffs
-		res.Stats.DirectOps += sum.directOps
-		res.Stats.SnapshotBytes += sum.snapshotBytes
-		res.Stats.JournalOps += sum.journalOps
-		res.Stats.ClockInterned += sum.clockInterned
-		res.Stats.EpochHits += sum.epochHits
-		res.Stats.EpochMisses += sum.epochMisses
+		res.Stats.add(sum.cost)
 		return
 	}
 	specCh := make(chan scenarioSpec, workers)
@@ -296,14 +277,7 @@ func runExplore(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 		panic(sum.panicked)
 	}
 	res.CrashPoints = sum.crashPoints
-	res.Stats.SimulatedOps += sum.simulatedOps
-	res.Stats.Handoffs += sum.handoffs
-	res.Stats.DirectOps += sum.directOps
-	res.Stats.SnapshotBytes += sum.snapshotBytes
-	res.Stats.JournalOps += sum.journalOps
-	res.Stats.ClockInterned += sum.clockInterned
-	res.Stats.EpochHits += sum.epochHits
-	res.Stats.EpochMisses += sum.epochMisses
+	res.Stats.add(sum.cost)
 }
 
 // synthesizeDedup builds the result a duplicate spec would have produced,
@@ -406,18 +380,7 @@ func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Optio
 		}
 		probe.run()
 		opts.Budget.Release()
-		sum.simulatedOps += probe.stats.SimulatedOps
-		sum.handoffs += probe.stats.Handoffs
-		sum.directOps += probe.stats.DirectOps
-		sum.snapshotBytes += probe.stats.SnapshotBytes
-		sum.journalOps += probe.stats.JournalOps
-		ci, eh, em := probe.det.ClockArena().TakeCounters()
-		sum.clockInterned += ci
-		sum.epochHits += eh
-		sum.epochMisses += em
-		tso.Retire(probe.machine)
-		probe.machine = nil
-		n := probe.crashPoints[0]
+		n := sum.absorbProbe(probe)
 		if sched == 0 {
 			sum.crashPoints = n
 		}
@@ -499,16 +462,7 @@ func planRandom(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 		}
 		probe.run()
 		opts.Budget.Release()
-		sum.simulatedOps += probe.stats.SimulatedOps
-		sum.handoffs += probe.stats.Handoffs
-		sum.directOps += probe.stats.DirectOps
-		ci, eh, em := probe.det.ClockArena().TakeCounters()
-		sum.clockInterned += ci
-		sum.epochHits += eh
-		sum.epochMisses += em
-		tso.Retire(probe.machine)
-		probe.machine = nil
-		n := probe.crashPoints[0]
+		n := sum.absorbProbe(probe)
 		sum.crashPoints += n
 		c := 0
 		if n > 0 {
@@ -547,10 +501,7 @@ func planRandom(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 // follow-up stops the group there, leaving the already-absorbed scenarios as
 // the spec's partial contribution.
 func runSpec(ctx context.Context, makeProg func() pmm.Program, opts Options, spec scenarioSpec) (out *specResult) {
-	out = &specResult{spec: spec, reports: make([]*report.Set, len(opts.Analyses))}
-	for i := range out.reports {
-		out.reports[i] = report.NewSet()
-	}
+	out = newSpecResult(spec, opts)
 	defer func() {
 		if p := recover(); p != nil {
 			out.panicked = p
@@ -624,23 +575,58 @@ func runReadChoices(ctx context.Context, makeProg func() pmm.Program, opts Optio
 	}
 }
 
+// newSpecResult returns an empty outcome for spec, with one report set per
+// selected analysis pass.
+func newSpecResult(spec scenarioSpec, opts Options) *specResult {
+	out := &specResult{spec: spec, reports: make([]*report.Set, len(opts.Analyses))}
+	for i := range out.reports {
+		out.reports[i] = report.NewSet()
+	}
+	return out
+}
+
+// absorb is the one harvest path of a finished crash scenario: it merges the
+// scenario's reports, counts the execution, folds its stats (clock-arena
+// activity included) and retires it.
 func (r *specResult) absorb(sc *scenario) {
 	for i, rep := range sc.stack.Reports() {
 		r.reports[i].Merge(rep)
 	}
 	r.executions++
-	// Harvest the scenario's clock-arena activity. TakeCounters resets on
-	// read, and a resumed scenario's cloned arena starts its counters at
-	// zero, so each scenario contributes exactly its own interns and epoch
-	// compares (the machine shares the detector's arena — one harvest point
-	// covers both).
+	sc.harvestClocks()
+	r.stats.add(sc.stats)
+	sc.retire()
+}
+
+// absorbProbe folds a finished probe run's costs into the summary, retires
+// the probe and returns its probed crash-point count. Only the cost
+// counters carry over: the specs the probe plans count their own
+// operations.
+func (sum *planSummary) absorbProbe(probe *scenario) int {
+	probe.harvestClocks()
+	st := probe.stats
+	sum.cost.add(Stats{
+		SimulatedOps:  st.SimulatedOps,
+		Handoffs:      st.Handoffs,
+		DirectOps:     st.DirectOps,
+		SnapshotBytes: st.SnapshotBytes,
+		JournalOps:    st.JournalOps,
+		ClockInterned: st.ClockInterned,
+		EpochHits:     st.EpochHits,
+		EpochMisses:   st.EpochMisses,
+	})
+	probe.retire()
+	return probe.crashPoints[0]
+}
+
+// harvestClocks folds the scenario's clock-arena activity into its stats.
+// TakeCounters resets on read, and a resumed scenario's cloned arena starts
+// its counters at zero, so each scenario contributes exactly its own
+// interns and epoch compares (the machine shares the detector's arena — one
+// harvest point covers both).
+func (sc *scenario) harvestClocks() {
 	ci, eh, em := sc.det.ClockArena().TakeCounters()
 	sc.stats.ClockInterned += ci
 	sc.stats.EpochHits += eh
 	sc.stats.EpochMisses += em
-	r.stats.add(sc.stats)
-	// The scenario's last machine is dead with the scenario; retire its
-	// backings for the next scenario on any worker.
-	tso.Retire(sc.machine)
-	sc.machine = nil
 }

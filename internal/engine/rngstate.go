@@ -22,6 +22,7 @@ package engine
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"unsafe"
 )
 
@@ -93,16 +94,29 @@ func validateRngMirror() bool {
 	return true
 }
 
-// extractRngState copies the generator state out of a freshly created
-// rand.Source into out; false if mirroring is unavailable.
-func extractRngState(src rand.Source, out *rngState) bool {
-	if !rngMirrorOK {
-		return false
+// rngStatePool holds the registers of dead scenarios' sources
+// (countingSource.release); seedSources holds stdlib sources kept only to
+// be re-seeded and copied out, since Seed does not allocate and
+// rand.NewSource does.
+var (
+	rngStatePool sync.Pool
+	seedSources  = sync.Pool{New: func() any { return rand.NewSource(1) }}
+)
+
+// getRngState returns a register to overwrite, recycled when one is free.
+func getRngState() *rngState {
+	if st, _ := rngStatePool.Get().(*rngState); st != nil {
+		return st
 	}
-	v := reflect.ValueOf(src)
-	if v.Kind() != reflect.Pointer {
-		return false
-	}
-	*out = *(*rngState)(unsafe.Pointer(v.Pointer()))
-	return true
+	return new(rngState)
+}
+
+// seedRngState sets out to the state rand.NewSource(seed) starts in. Only
+// valid when rngMirrorOK: validation proved the stdlib source is a pointer
+// to a struct laid out as rngState.
+func seedRngState(seed int64, out *rngState) {
+	src := seedSources.Get().(rand.Source)
+	src.Seed(seed)
+	*out = *(*rngState)(unsafe.Pointer(reflect.ValueOf(src).Pointer()))
+	seedSources.Put(src)
 }

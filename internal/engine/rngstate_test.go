@@ -59,3 +59,58 @@ func TestCountingSourceFork(t *testing.T) {
 		t.Fatalf("original advanced by fork draws: got %#x, want %#x", got, want)
 	}
 }
+
+// A pooled countingSource must produce the stdlib stream exactly however
+// often its register and seeding source are recycled, and reseeding a live
+// source must restart the stream.
+func TestPooledCountingSourceMatchesStdlib(t *testing.T) {
+	for round := 0; round < 3; round++ {
+		for _, seed := range []int64{1, 7, 20220326, -5} {
+			cs := newCountingSource(seed)
+			ref := rand.NewSource(seed).(rand.Source64)
+			for i := 0; i < 2*rngLen; i++ {
+				if got, want := cs.Uint64(), ref.Uint64(); got != want {
+					t.Fatalf("round %d seed %d draw %d: got %#x, want %#x", round, seed, i, got, want)
+				}
+			}
+			cs.Seed(seed + 1)
+			ref = rand.NewSource(seed + 1).(rand.Source64)
+			if got, want := cs.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("round %d reseed %d: got %#x, want %#x", round, seed+1, got, want)
+			}
+			cs.release()
+		}
+	}
+}
+
+// A copy-on-write fork shares its donor's frozen register until it draws;
+// releasing it must never hand that register to the pool, where a later
+// source would overwrite a snapshot's rng. A fork that drew owns a private
+// copy, and the donor stays frozen either way.
+func TestCopyOnWriteSourceNeverRecycled(t *testing.T) {
+	donor := newCountingSource(42)
+	donor.skip(700)
+	frozen := *donor.state
+	donor.forkShared().release()
+	drawn := donor.forkShared()
+	drawn.Uint64()
+	drawn.release()
+	for i := 0; i < 8; i++ {
+		cs := newCountingSource(int64(100 + i))
+		cs.Uint64()
+		cs.release()
+	}
+	if *donor.state != frozen {
+		t.Fatal("a released copy-on-write fork recycled its donor's register")
+	}
+	fk := donor.forkShared()
+	ref := rand.NewSource(42).(rand.Source64)
+	for i := 0; i < 700; i++ {
+		ref.Uint64()
+	}
+	for i := 0; i < 10; i++ {
+		if got, want := fk.Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("fork of the donor drifted at draw %d: got %#x, want %#x", i, got, want)
+		}
+	}
+}

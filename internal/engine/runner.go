@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"yashme/internal/addridx"
 	"yashme/internal/analysis"
@@ -105,14 +106,38 @@ func (t *imageTable) set(a pmm.Addr, e imageEntry) {
 	t.idx.Set(a, int32(len(t.entries)))
 }
 
-// clone returns an independent flat copy; candidate slices are shared (they
-// are immutable once stored).
+// clone returns an independent flat copy, on a recycled backing when one is
+// free (a resumed scenario's image usually fits in arrays an earlier
+// scenario grew); candidate slices are shared (they are immutable once
+// stored).
 func (t *imageTable) clone() imageTable {
-	c := imageTable{idx: t.idx.Clone()}
-	if len(t.entries) > 0 {
-		c.entries = append(make([]imageEntry, 0, len(t.entries)), t.entries...)
-	}
+	c := newImageTable()
+	c.idx.CopyFrom(&t.idx)
+	c.entries = append(c.entries, t.entries...)
 	return c
+}
+
+// imagePool holds the emptied backings of dead scenarios' image tables.
+var imagePool sync.Pool
+
+// newImageTable returns an empty table, on a recycled backing when one is
+// free.
+func newImageTable() imageTable {
+	if t, _ := imagePool.Get().(*imageTable); t != nil {
+		return *t
+	}
+	return imageTable{}
+}
+
+// release empties the table and hands its backing to the pool. Only a
+// scenario's own table passes through here: snapshot tables are clones the
+// scenario never owned. The entries are cleared so the pooled array does not
+// keep the dead scenario's candidate slab alive.
+func (t *imageTable) release() {
+	t.idx.Reset()
+	clear(t.entries)
+	imagePool.Put(&imageTable{idx: t.idx, entries: t.entries[:0]})
+	*t = imageTable{}
 }
 
 // forEach visits every present entry in ascending address order.
@@ -184,8 +209,8 @@ type scenario struct {
 	yashmeChecks bool
 	crashChecks  bool
 	machine      *tso.Machine
-	recorder *trace.Recorder // nil unless Options.Trace
-	rng      *rand.Rand
+	recorder     *trace.Recorder // nil unless Options.Trace
+	rng          *rand.Rand
 	// rngSrc is rng's underlying source, wrapped to count raw draws so a
 	// snapshot can record the stream position (checkpoint.go).
 	rngSrc *countingSource
@@ -278,6 +303,7 @@ func newScenario(makeProg func() pmm.Program, opts Options, p plan, persist Pers
 		persist:     persist,
 		crashPlan:   p,
 		crashPoints: make(map[int]int),
+		image:       newImageTable(),
 		setupAllocs: heap.AllocCount(),
 		setupNext:   heap.NextFree(),
 	}
@@ -290,6 +316,22 @@ func newScenario(makeProg func() pmm.Program, opts Options, p plan, persist Pers
 		stack.SeedPersisted(w.Addr)
 	}
 	return sc
+}
+
+// retire hands the dead scenario's private state to the pools the next
+// scenario on any worker draws from: its last machine, the detector's
+// unshared executions, the scheduler rng register and the image table. It
+// is the one death point of every scenario, called once its reports and
+// stats have been harvested (specResult.absorb) or its probe summary taken;
+// the scenario must not run again. Snapshot state the scenario captured is
+// never released here: snapshots hold clones and forks, and the live state
+// they were taken from is marked shared.
+func (sc *scenario) retire() {
+	tso.Retire(sc.machine)
+	sc.machine = nil
+	sc.det.Retire()
+	sc.rngSrc.release()
+	sc.image.release()
 }
 
 // setGates precomputes the per-load analysis gates from the stack and the
@@ -777,12 +819,17 @@ func (t *threadOps) TID() int { return int(t.tid) }
 // sync yields to the scheduler and blocks until granted. At a crash the
 // grant returns with sc.crashed set and the thread unwinds. Under a
 // direct-run lease the thread already holds the grant and no other thread is
-// runnable, so sync proceeds inline — no handoff, no goroutine switch (a
-// crash mid-lease can only originate from this thread, via crashNow, which
-// unwinds directly).
+// runnable, so sync proceeds inline — no handoff, no goroutine switch. A
+// crash mid-lease can only originate from this thread, via crashNow; an
+// operation the unwinding thread still issues (a deferred unlock, say)
+// must not take effect after the power loss, so it unwinds here exactly
+// as a handoff would.
 func (t *threadOps) sync() {
 	sc := t.sc
 	if sc.sched.leased {
+		if sc.crashed {
+			panic(errCrash)
+		}
 		sc.stats.DirectOps++
 	} else {
 		sc.sched.events <- threadEvent{tid: int(t.tid)}

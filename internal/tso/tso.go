@@ -142,7 +142,7 @@ type Machine struct {
 	// machine grows on demand.
 	declared int
 
-	sb [][]SBEntry // indexed by TID
+	sb []sbQueue   // indexed by TID
 	fb [][]FBEntry // indexed by TID
 
 	// Per-thread clocks in interned form: the thread's logical clock is
@@ -171,33 +171,58 @@ type Machine struct {
 	recSlab []CommittedStore
 }
 
-// recycled carries the reusable backings of a retired machine between
-// Retire and NewMachine.
-type recycled struct {
-	mem  addridx.Table[*CommittedStore]
-	slab []CommittedStore
+// sbQueue is one thread's store buffer: a FIFO whose pending entries are
+// buf[head:]. Popping advances head instead of re-slicing, so the array is
+// never lost from the front; a push into a full array first slides the
+// pending entries down when at least half of it is consumed, so a buffer
+// that never fully drains (random mode keeps up to 8 entries) stays within
+// twice its peak occupancy and stops allocating once warm.
+type sbQueue struct {
+	buf  []SBEntry
+	head int
 }
 
-// retiredPool holds backings of retired machines. The engine runs one
-// short-lived machine per crash scenario across a pool of workers; routing
-// the dense memory table and the spare record slots through a sync.Pool
-// means steady-state scenarios reuse an existing zeroed table instead of
-// reallocating one each.
+func (q *sbQueue) pending() []SBEntry { return q.buf[q.head:] }
+
+func (q *sbQueue) push(e SBEntry) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, e)
+}
+
+func (q *sbQueue) pop() (SBEntry, bool) {
+	if q.head == len(q.buf) {
+		return SBEntry{}, false
+	}
+	e := q.buf[q.head]
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return e, true
+}
+
+// retiredPool holds retired machines. The engine runs one short-lived
+// machine per execution across a pool of workers; routing machines
+// through a sync.Pool means steady-state executions reuse an existing
+// zeroed memory table, spare record slots and per-thread buffers instead
+// of reallocating them each.
 var retiredPool sync.Pool
 
-// Retire hands m's memory-table backing and spare record slots to the pool
-// NewMachine draws from. The machine must never be used again. Records it
-// already handed out stay valid: they are immutable, referenced
-// individually rather than through the table, and only the never-handed-out
-// slab tail is reused.
+// Retire hands m to the pool NewMachine draws from. The machine must never
+// be used again. Records it already handed out stay valid: they are
+// immutable, referenced individually rather than through the table, and
+// only the never-handed-out slab tail is reused. The per-thread buffers
+// keep their arrays; their entries hold no pointers.
 func Retire(m *Machine) {
 	if m == nil {
 		return
 	}
 	m.mem.Reset()
-	retiredPool.Put(&recycled{mem: m.mem, slab: m.recSlab})
-	m.mem = addridx.Table[*CommittedStore]{}
-	m.recSlab = nil
+	m.listener, m.clocks = nil, nil
+	retiredPool.Put(m)
 }
 
 // newRecord hands out one record slot from the slab chunk.
@@ -223,11 +248,15 @@ func NewMachine(listener Listener) *Machine {
 	if listener == nil {
 		listener = NopListener{}
 	}
-	m := &Machine{listener: listener}
-	if r, _ := retiredPool.Get().(*recycled); r != nil {
-		m.mem = r.mem
-		m.recSlab = r.slab
+	m, _ := retiredPool.Get().(*Machine)
+	if m == nil {
+		m = &Machine{}
+	} else {
+		m.seq, m.declared = 0, 0
+		m.sb, m.fb = m.sb[:0], m.fb[:0]
+		m.base, m.self = m.base[:0], m.self[:0]
 	}
+	m.listener = listener
 	if p, ok := listener.(arenaProvider); ok {
 		m.clocks = p.ClockArena()
 	} else {
@@ -265,11 +294,23 @@ func (m *Machine) SpawnThreads(n int) {
 	m.declared = n
 }
 
-// growThreads extends the per-thread slices to cover n threads.
+// growThreads extends the per-thread slices to cover n threads. A recycled
+// machine re-exposes its earlier threads' buffers, emptied, so their
+// arrays are reused.
 func (m *Machine) growThreads(n int) {
 	for len(m.sb) < n {
-		m.sb = append(m.sb, nil)
-		m.fb = append(m.fb, nil)
+		if i := len(m.sb); i < cap(m.sb) {
+			m.sb = m.sb[:i+1]
+			m.sb[i].buf, m.sb[i].head = m.sb[i].buf[:0], 0
+		} else {
+			m.sb = append(m.sb, sbQueue{})
+		}
+		if i := len(m.fb); i < cap(m.fb) {
+			m.fb = m.fb[:i+1]
+			m.fb[i] = m.fb[i][:0]
+		} else {
+			m.fb = append(m.fb, nil)
+		}
 		m.base = append(m.base, 0)
 		m.self = append(m.self, 0)
 	}
@@ -310,7 +351,7 @@ func (m *Machine) Clone(listener Listener) *Machine {
 		listener: listener,
 		seq:      m.seq,
 		declared: m.declared,
-		sb:       make([][]SBEntry, len(m.sb)),
+		sb:       make([]sbQueue, len(m.sb)),
 		fb:       make([][]FBEntry, len(m.fb)),
 		base:     append([]vclock.Ref(nil), m.base...),
 		self:     append([]vclock.Seq(nil), m.self...),
@@ -323,9 +364,9 @@ func (m *Machine) Clone(listener Listener) *Machine {
 	if p, ok := listener.(arenaProvider); ok {
 		c.clocks = p.ClockArena()
 	}
-	for t, buf := range m.sb {
-		if len(buf) > 0 {
-			c.sb[t] = append([]SBEntry(nil), buf...)
+	for t := range m.sb {
+		if buf := m.sb[t].pending(); len(buf) > 0 {
+			c.sb[t].buf = append([]SBEntry(nil), buf...)
 		}
 	}
 	for t, buf := range m.fb {
@@ -388,14 +429,14 @@ func (m *Machine) joinThread(tid vclock.TID, st vclock.Stamp) {
 // EnqueueStore appends a store to the thread's store buffer.
 func (m *Machine) EnqueueStore(tid vclock.TID, addr pmm.Addr, size int, val uint64, atomic, release bool) {
 	m.checkTID(tid)
-	m.sb[tid] = append(m.sb[tid], SBEntry{Kind: OpStore, Addr: addr, Size: size, Val: val, Atomic: atomic, Release: release})
+	m.sb[tid].push(SBEntry{Kind: OpStore, Addr: addr, Size: size, Val: val, Atomic: atomic, Release: release})
 }
 
 // EnqueueCLFlush appends a clflush; it commits in store-buffer order like a
 // store (Px86sim Table 1: clflush is ordered with respect to writes).
 func (m *Machine) EnqueueCLFlush(tid vclock.TID, addr pmm.Addr) {
 	m.checkTID(tid)
-	m.sb[tid] = append(m.sb[tid], SBEntry{Kind: OpCLFlush, Addr: addr})
+	m.sb[tid].push(SBEntry{Kind: OpCLFlush, Addr: addr})
 }
 
 // EnqueueCLWB appends a clwb; on eviction it moves to the flush buffer and
@@ -403,14 +444,14 @@ func (m *Machine) EnqueueCLFlush(tid vclock.TID, addr pmm.Addr) {
 // clflushopt reordering freedom.
 func (m *Machine) EnqueueCLWB(tid vclock.TID, addr pmm.Addr) {
 	m.checkTID(tid)
-	m.sb[tid] = append(m.sb[tid], SBEntry{Kind: OpCLWB, Addr: addr})
+	m.sb[tid].push(SBEntry{Kind: OpCLWB, Addr: addr})
 }
 
 // EnqueueSFence appends an sfence; on eviction it flushes the thread's flush
 // buffer.
 func (m *Machine) EnqueueSFence(tid vclock.TID) {
 	m.checkTID(tid)
-	m.sb[tid] = append(m.sb[tid], SBEntry{Kind: OpSFence})
+	m.sb[tid].push(SBEntry{Kind: OpSFence})
 }
 
 // SBLen returns the number of buffered operations for the thread.
@@ -418,7 +459,7 @@ func (m *Machine) SBLen(tid vclock.TID) int {
 	if int(tid) >= len(m.sb) || tid < 0 {
 		return 0
 	}
-	return len(m.sb[tid])
+	return len(m.sb[tid].pending())
 }
 
 // FBLen returns the number of pending clwb operations for the thread.
@@ -433,14 +474,11 @@ func (m *Machine) FBLen(tid vclock.TID) int {
 // It reports whether an entry was evicted.
 func (m *Machine) EvictOne(tid vclock.TID) bool {
 	m.checkTID(tid)
-	buf := m.sb[tid]
-	if len(buf) == 0 {
-		return false
+	e, ok := m.sb[tid].pop()
+	if ok {
+		m.commit(tid, e)
 	}
-	e := buf[0]
-	m.sb[tid] = buf[1:]
-	m.commit(tid, e)
-	return true
+	return ok
 }
 
 // DrainSB commits every buffered entry of the thread in order.
@@ -483,7 +521,7 @@ func (m *Machine) flushFB(tid vclock.TID, fenceSeq vclock.Seq, fenceCV vclock.St
 	for _, fbe := range m.fb[tid] {
 		m.listener.CLWBPersisted(fbe, tid, fenceSeq, fenceCV)
 	}
-	m.fb[tid] = nil
+	m.fb[tid] = m.fb[tid][:0]
 }
 
 // MFence drains the thread's store buffer, persists its flush buffer, and
@@ -511,7 +549,7 @@ func (m *Machine) Load(tid vclock.TID, addr pmm.Addr, size int, acquire bool) (u
 func (m *Machine) LoadDetail(tid vclock.TID, addr pmm.Addr, size int, acquire bool) (uint64, *CommittedStore, bool) {
 	// Bypass: most recent same-address store in the thread's own buffer.
 	m.checkTID(tid)
-	buf := m.sb[tid]
+	buf := m.sb[tid].pending()
 	for i := len(buf) - 1; i >= 0; i-- {
 		if buf[i].Kind == OpStore && buf[i].Addr == addr {
 			return truncate(buf[i].Val, size), nil, true

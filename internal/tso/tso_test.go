@@ -366,3 +366,45 @@ func TestPerThreadProgramOrderProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A store buffer that keeps a backlog (random mode leaves up to 8 entries
+// pending and rarely drains fully) and a flush buffer emptied by every fence
+// must reuse their arrays: once warm, a steady store/clwb/sfence/evict loop
+// on a machine drawn from the retirement pool allocates nothing per
+// iteration. Records come from 64-slot slab chunks, which the integer
+// average AllocsPerRun reports rounds to zero; a buffer that lost its array
+// on pops would allocate on every enqueue.
+func TestSteadyBufferLoopDoesNotAllocate(t *testing.T) {
+	m := NewMachine(nil)
+	m.SpawnThreads(2)
+	for i := 0; i < 16; i++ {
+		m.EnqueueStore(1, pmm.Addr(8*i), 8, uint64(i), false, false)
+	}
+	Retire(m)
+	m = NewMachine(nil)
+	m.SpawnThreads(2)
+	m.ReserveMemory(4096)
+	var a pmm.Addr
+	for tid := vclock.TID(0); tid < 2; tid++ {
+		for i := 0; i < 4; i++ { // backlog that never drains
+			m.EnqueueStore(tid, 8, 8, 0, false, false)
+		}
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		for tid := vclock.TID(0); tid < 2; tid++ {
+			a = (a + 8) % 4096
+			m.EnqueueStore(tid, a, 8, uint64(a), false, false)
+			m.EnqueueCLWB(tid, a)
+			m.EnqueueSFence(tid)
+			for k := 0; k < 3; k++ {
+				m.EvictOne(tid)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady buffer loop allocates %v times per iteration", allocs)
+	}
+	if n := m.SBLen(0); n != 4 {
+		t.Fatalf("backlog = %d entries, want 4", n)
+	}
+}

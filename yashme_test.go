@@ -1,6 +1,7 @@
 package yashme_test
 
 import (
+	"runtime"
 	"testing"
 
 	"yashme"
@@ -57,5 +58,29 @@ func TestHeadline24Races(t *testing.T) {
 		if r.Benchmark == "P-CLHT" {
 			t.Fatalf("P-CLHT must be the race-free control, found %v", r)
 		}
+	}
+}
+
+// TestTable4AllocationGate: dead scenarios' detector executions, machines,
+// rng registers and image tables are recycled (DESIGN.md, "Scenario state
+// ownership and recycling"), so a warm Table 4 sweep must stay under
+// table4AllocBound (alloc_norace_test.go, alloc_race_test.go). Benchguard's byte gates cover only the Table 3 suite
+// modes; this one keeps random mode from silently regressing.
+func TestTable4AllocationGate(t *testing.T) {
+	cfg := suite.Config{Tags: []string{workload.TagTable4}, Variants: []string{suite.VariantRaces}}
+	suite.Run(cfg) // warm the pools
+	const sweeps = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < sweeps; i++ {
+		if races := suite.Run(cfg).TotalRaces(suite.RunRaces); races != 5 {
+			t.Fatalf("Table 4 sweep found %d races, paper reports 5", races)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6 / sweeps
+	t.Logf("Table 4 sweep allocates %.2f MB", mb)
+	if mb > table4AllocBound {
+		t.Fatalf("warm Table 4 sweep allocates %.2f MB, gate is %d MB: scenario-state recycling regressed", mb, table4AllocBound)
 	}
 }
