@@ -123,18 +123,17 @@ func BenchmarkTable3Parallel(b *testing.B) {
 	}
 }
 
-// BenchmarkSuiteTable3 (E18/E20/E21): the Table 3 model-checking sweep,
-// run through the concurrent suite layer, across the engine's two fast
-// paths — checkpointed pre-crash execution (on/off) and the solo-thread
-// direct-run lease (default / "-nodirect"). Race counts are identical in
-// all four modes (the equivalence contracts); the simops metric is the
-// checkpoint layer's win (snapshots remove the O(C·n) pre-crash
-// re-simulation) and the handoffs/direct_ops split is the lease's win
-// (leased operations skip the two-channel scheduler handshake). The parent
-// benchmark writes the unified BENCH_suite.json artifact — aggregate plus
-// per-benchmark breakdown per mode — so the perf trajectory is tracked
-// across changes; cmd/benchguard compares a fresh run against the
-// committed artifact in CI.
+// BenchmarkSuiteTable3 (E18/E20/E21/E22/E24): the Table 3 model-checking
+// sweep, run through the concurrent suite layer, in the default
+// configuration ("on"), in the reference configuration with every fast
+// path off ("reference") and with the yashme,xfd analysis stack
+// ("stacked"). Race counts are identical in all three modes (the
+// equivalence contracts); the simops, handoffs/direct_ops, snapshot,
+// dedup and clock-arena counters show what the fast paths save against
+// the reference. The parent benchmark writes the unified BENCH_suite.json
+// artifact — aggregate plus per-benchmark breakdown per mode — so the perf
+// trajectory is tracked across changes; cmd/benchguard compares a fresh
+// run against the committed artifact in CI.
 func BenchmarkSuiteTable3(b *testing.B) {
 	type benchStat struct {
 		Races            int    `json:"races"`
@@ -153,7 +152,6 @@ func BenchmarkSuiteTable3(b *testing.B) {
 	}
 	type measurement struct {
 		NsPerOp          int64                 `json:"ns_per_op"`
-		ClockIntern      bool                  `json:"clock_intern"`
 		SimulatedOps     int64                 `json:"simulated_ops"`
 		Handoffs         int64                 `json:"handoffs"`
 		DirectOps        int64                 `json:"direct_ops"`
@@ -171,30 +169,25 @@ func BenchmarkSuiteTable3(b *testing.B) {
 	}
 	results := map[string]*measurement{}
 	for _, mode := range []struct {
-		name     string
-		ck       engine.CheckpointMode
-		direct   engine.DirectRunMode
-		analyses []string
-		intern   engine.ClockInternMode
+		name      string
+		reference bool
+		analyses  []string
 	}{
-		{"on", engine.CheckpointOn, engine.DirectRunOn, nil, engine.ClockInternOn},
-		{"off", engine.CheckpointOff, engine.DirectRunOn, nil, engine.ClockInternOn},
-		{"on-nodirect", engine.CheckpointOn, engine.DirectRunOff, nil, engine.ClockInternOn},
-		{"off-nodirect", engine.CheckpointOff, engine.DirectRunOff, nil, engine.ClockInternOn},
+		{"on", false, nil},
+		// The reference mode turns every fast path off together: no
+		// snapshots, no memoization, no direct-run lease, owned clocks.
+		// Identical results; the delta against "on" is the fast paths' win.
+		{"reference", true, nil},
 		// The stacked mode runs both detectors over the one simulation
 		// (E23): the yashme race count must not move, the xfd count is the
 		// cross-failure baseline's, and the ns/op delta is the marginal cost
 		// of the second pass.
-		{"stacked", engine.CheckpointOn, engine.DirectRunOn, []string{"yashme", "xfd"}, engine.ClockInternOn},
-		// The owned mode is the -clockintern=false escape hatch (E24): one
-		// private clock snapshot per commit, epoch fast path off. Identical
-		// results; the allocs/bytes delta against "on" is the interning win.
-		{"owned", engine.CheckpointOn, engine.DirectRunOn, nil, engine.ClockInternOff},
+		{"stacked", false, []string{"yashme", "xfd"}},
 	} {
 		mode := mode
 		m := &measurement{Benchmarks: map[string]*benchStat{}}
 		results[mode.name] = m
-		b.Run("checkpoint-"+mode.name, func(b *testing.B) {
+		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var res *suite.Result
 			// The testing package's alloc counters aren't readable from inside
@@ -204,12 +197,10 @@ func BenchmarkSuiteTable3(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
 				res = suite.Run(suite.Config{
-					Tags:        []string{workload.TagTable3},
-					Variants:    []string{suite.VariantRaces},
-					Checkpoint:  mode.ck,
-					DirectRun:   mode.direct,
-					Analyses:    mode.analyses,
-					ClockIntern: mode.intern,
+					Tags:      []string{workload.TagTable3},
+					Variants:  []string{suite.VariantRaces},
+					Reference: mode.reference,
+					Analyses:  mode.analyses,
 				})
 			}
 			runtime.ReadMemStats(&after)
@@ -219,7 +210,6 @@ func BenchmarkSuiteTable3(b *testing.B) {
 			b.ReportMetric(float64(stats.SimulatedOps), "simops")
 			b.ReportMetric(float64(stats.Handoffs), "handoffs")
 			m.NsPerOp = b.Elapsed().Nanoseconds() / int64(b.N)
-			m.ClockIntern = mode.intern == engine.ClockInternOn
 			m.SimulatedOps = stats.SimulatedOps
 			m.Handoffs = stats.Handoffs
 			m.DirectOps = stats.DirectOps
@@ -267,13 +257,11 @@ func BenchmarkSuiteTable3(b *testing.B) {
 				var bb, ba runtime.MemStats
 				runtime.ReadMemStats(&bb)
 				suite.Run(suite.Config{
-					Names:       []string{name},
-					Variants:    []string{suite.VariantRaces},
-					Checkpoint:  mode.ck,
-					DirectRun:   mode.direct,
-					Analyses:    mode.analyses,
-					ClockIntern: mode.intern,
-					Sequential:  true,
+					Names:      []string{name},
+					Variants:   []string{suite.VariantRaces},
+					Reference:  mode.reference,
+					Analyses:   mode.analyses,
+					Sequential: true,
 				})
 				runtime.ReadMemStats(&ba)
 				m.Benchmarks[name].AllocsPerOp = ba.Mallocs - bb.Mallocs
@@ -286,10 +274,10 @@ func BenchmarkSuiteTable3(b *testing.B) {
 		Experiment string                  `json:"experiment"`
 		Benchmark  string                  `json:"benchmark"`
 		Modes      map[string]*measurement `json:"modes"`
-		SimOpsWin  float64                 `json:"simops_ratio_off_over_on"`
+		SimOpsWin  float64                 `json:"simops_ratio_reference_over_on"`
 	}{Experiment: "E24", Benchmark: "suite-table3", Modes: results}
 	if on := results["on"].SimulatedOps; on > 0 {
-		artifact.SimOpsWin = float64(results["off"].SimulatedOps) / float64(on)
+		artifact.SimOpsWin = float64(results["reference"].SimulatedOps) / float64(on)
 	}
 	data, err := json.MarshalIndent(artifact, "", "  ")
 	if err != nil {
@@ -302,9 +290,11 @@ func BenchmarkSuiteTable3(b *testing.B) {
 
 // BenchmarkSchedulerHandoff (E20): the per-operation scheduler cost in
 // isolation — a Yield-heavy workload where every operation is a scheduling
-// point and nothing else happens. With one thread the direct-run lease
-// eliminates the handshake entirely; with four threads it can only cover
-// the tail after three finish, so the pair brackets the lease's reach.
+// point and nothing else happens — by default and in the reference
+// configuration, which pays the handshake on every operation. With one
+// thread the direct-run lease eliminates the handshake entirely; with four
+// threads it can only cover the tail after three finish, so the pair
+// brackets the lease's reach.
 func BenchmarkSchedulerHandoff(b *testing.B) {
 	mkProg := func(threads int) func() yashme.Program {
 		return func() yashme.Program {
@@ -328,21 +318,15 @@ func BenchmarkSchedulerHandoff(b *testing.B) {
 		}
 	}
 	for _, threads := range []int{1, 4} {
-		for _, direct := range []struct {
-			name string
-			mode engine.DirectRunMode
-		}{
-			{"direct", engine.DirectRunOn},
-			{"handshake", engine.DirectRunOff},
-		} {
-			threads, direct := threads, direct
-			b.Run("threads-"+itoa(threads)+"/"+direct.name, func(b *testing.B) {
+		for _, mode := range referenceModes {
+			threads, mode := threads, mode
+			b.Run("threads-"+itoa(threads)+"/"+mode.name, func(b *testing.B) {
 				b.ReportAllocs()
 				mk := mkProg(threads)
 				var handoffs, directOps int64
 				for i := 0; i < b.N; i++ {
 					res := yashme.RunOnce(mk, yashme.Options{
-						Prefix: true, DirectRun: direct.mode}, 0, yashme.PersistLatest, 1)
+						Prefix: true, Reference: mode.reference}, 0, yashme.PersistLatest, 1)
 					handoffs, directOps = res.Stats.Handoffs, res.Stats.DirectOps
 				}
 				b.ReportMetric(float64(handoffs), "handoffs")
@@ -352,9 +336,17 @@ func BenchmarkSchedulerHandoff(b *testing.B) {
 	}
 }
 
+// referenceModes are the two configurations the fast-path benches compare:
+// the default and the reference one, with every fast path off.
+var referenceModes = []struct {
+	name      string
+	reference bool
+}{{"default", false}, {"reference", true}}
+
 // BenchmarkSoloRecovery (E20): a full single-threaded model-checking sweep —
 // the shape the lease targets end to end, since the pre-crash workload, every
-// checkpointed resume, and every recovery execution all run solo.
+// checkpointed resume, and every recovery execution all run solo — by
+// default and in the reference configuration.
 func BenchmarkSoloRecovery(b *testing.B) {
 	mk := func() yashme.Program {
 		var base yashme.Addr
@@ -380,20 +372,14 @@ func BenchmarkSoloRecovery(b *testing.B) {
 			},
 		}
 	}
-	for _, direct := range []struct {
-		name string
-		mode engine.DirectRunMode
-	}{
-		{"direct", engine.DirectRunOn},
-		{"handshake", engine.DirectRunOff},
-	} {
-		direct := direct
-		b.Run(direct.name, func(b *testing.B) {
+	for _, mode := range referenceModes {
+		mode := mode
+		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var directOps int64
 			for i := 0; i < b.N; i++ {
 				res := yashme.Run(mk, yashme.Options{
-					Mode: yashme.ModelCheck, Prefix: true, DirectRun: direct.mode})
+					Mode: yashme.ModelCheck, Prefix: true, Reference: mode.reference})
 				directOps = res.Stats.DirectOps
 			}
 			b.ReportMetric(float64(directOps), "directops")

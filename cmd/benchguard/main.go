@@ -5,7 +5,9 @@
 //	go test -run xxx -bench BenchmarkSuiteTable3 .
 //	go run ./cmd/benchguard -baseline <committed>.json -fresh BENCH_suite.json
 //
-// Five checks:
+// The artifact has three modes: "on" (the default configuration),
+// "reference" (every engine fast path off) and "stacked" (the default
+// configuration with the yashme,xfd analysis stack). The checks:
 //
 //   - every mode of the fresh artifact must report exactly 19 races — the
 //     paper's Table 3 row count. A drift in either direction means a
@@ -16,9 +18,16 @@
 //     must additionally report exactly -xfd-races cross-failure races: the
 //     19-race gate proves the extra pass didn't perturb the primary
 //     detector, this one pins the extra pass's own output;
-//   - checkpoint-on modes must report deduped_scenarios > 0: crash-image
-//     memoization going inert is a silent perf regression the wall-clock
-//     bar would not catch (-require-dedup=false to waive);
+//   - every mode but the reference must report deduped_scenarios > 0:
+//     crash-image memoization going inert is a silent perf regression the
+//     wall-clock bar would not catch (-require-dedup=false to waive);
+//   - every mode but the reference must report epoch_hits > 0: the
+//     detector's O(1) epoch fast path going inert silently degrades every
+//     happens-before check to a vector walk (-require-epoch=false to
+//     waive);
+//   - the reference mode must report deduped_scenarios, epoch_hits and
+//     direct_ops of exactly 0: an oracle that takes a fast path validates
+//     nothing;
 //   - for every mode present in both artifacts, fresh ns_per_op must not
 //     exceed the baseline by more than -tolerance (default 25%). CI runners
 //     are noisy, so the bar is deliberately loose; a real regression from a
@@ -30,10 +39,6 @@
 //     mode-level number can hide one workload regressing while another
 //     improves, and allocation counts are stable enough per benchmark to
 //     gate individually;
-//   - modes running with clock interning (clock_intern in the artifact) must
-//     report epoch_hits > 0: the detector's O(1) epoch fast path going inert
-//     silently degrades every happens-before check to a vector walk
-//     (-require-epoch=false to waive);
 //   - every mode of the baseline must still exist in the fresh artifact: a
 //     mode vanishing from the sweep is a coverage regression, not something
 //     to skip silently.
@@ -67,7 +72,6 @@ type benchStat struct {
 // artifact growth.
 type measurement struct {
 	NsPerOp          int64                 `json:"ns_per_op"`
-	ClockIntern      bool                  `json:"clock_intern"`
 	ClockInterned    int64                 `json:"clock_interned"`
 	EpochHits        int64                 `json:"epoch_hits"`
 	EpochMisses      int64                 `json:"epoch_misses"`
@@ -83,6 +87,10 @@ type measurement struct {
 	BytesPerOp       uint64                `json:"bytes_per_op"`
 	Benchmarks       map[string]*benchStat `json:"benchmarks"`
 }
+
+// referenceMode names the artifact mode that runs with every engine fast
+// path off.
+const referenceMode = "reference"
 
 type artifact struct {
 	Benchmark string                  `json:"benchmark"`
@@ -132,8 +140,8 @@ func run() error {
 	wantRaces := flag.Float64("races", 19, "exact race count every mode must report (Table 3)")
 	wantXFD := flag.Float64("xfd-races", 33, "exact cross-failure race count the stacked mode must report (0 = don't check)")
 	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional ns_per_op / allocs_per_op / bytes_per_op regression vs baseline")
-	requireDedup := flag.Bool("require-dedup", true, "checkpoint-on modes must report deduped_scenarios > 0")
-	requireEpoch := flag.Bool("require-epoch", true, "clock-interning modes must report epoch_hits > 0")
+	requireDedup := flag.Bool("require-dedup", true, "every mode but the reference must report deduped_scenarios > 0")
+	requireEpoch := flag.Bool("require-epoch", true, "every mode but the reference must report epoch_hits > 0")
 	flag.Parse()
 	if *baselinePath == "" {
 		return fmt.Errorf("-baseline is required")
@@ -170,18 +178,27 @@ func run() error {
 			failures = append(failures, fmt.Sprintf(
 				"mode %q: xfd_races = %v, want exactly %v", name, m.XFDRaces, *wantXFD))
 		}
-		// Crash-image memoization must actually fire on the checkpoint-on
-		// sweeps; zero skips means the signature layer went inert.
-		if *requireDedup && strings.HasPrefix(name, "on") && m.DedupedScenarios == 0 {
-			failures = append(failures, fmt.Sprintf(
-				"mode %q: deduped_scenarios = 0; crash-image memoization is inert", name))
-		}
-		// The epoch fast path must actually fire wherever clock interning is
-		// on; zero hits means every happens-before check fell back to the
-		// component-wise vector walk.
-		if *requireEpoch && m.ClockIntern && m.EpochHits == 0 {
-			failures = append(failures, fmt.Sprintf(
-				"mode %q: epoch_hits = 0; the clock-arena epoch fast path is inert", name))
+		if name == referenceMode {
+			// The oracle must bypass every fast path it validates.
+			if m.DedupedScenarios != 0 || m.EpochHits != 0 || m.DirectOps != 0 {
+				failures = append(failures, fmt.Sprintf(
+					"mode %q: deduped_scenarios = %d, epoch_hits = %d, direct_ops = %d; want all 0",
+					name, m.DedupedScenarios, m.EpochHits, m.DirectOps))
+			}
+		} else {
+			// Crash-image memoization must actually fire; zero skips means
+			// the signature layer went inert.
+			if *requireDedup && m.DedupedScenarios == 0 {
+				failures = append(failures, fmt.Sprintf(
+					"mode %q: deduped_scenarios = 0; crash-image memoization is inert", name))
+			}
+			// The epoch fast path must actually fire; zero hits means every
+			// happens-before check fell back to the component-wise vector
+			// walk.
+			if *requireEpoch && m.EpochHits == 0 {
+				failures = append(failures, fmt.Sprintf(
+					"mode %q: epoch_hits = 0; the clock-arena epoch fast path is inert", name))
+			}
 		}
 		base, ok := baseline.Modes[name]
 		if !ok || base.NsPerOp <= 0 {

@@ -58,7 +58,7 @@ type Config struct {
 	// Suppress lists normalized field labels whose races are annotated away.
 	Suppress []string
 	// OwnedClocks disables the core detector's clock interning (the
-	// engine's ClockInternOff escape hatch); see core.Config.OwnedClocks.
+	// engine's reference configuration); see core.Config.OwnedClocks.
 	OwnedClocks bool
 }
 

@@ -1,7 +1,7 @@
 // Package cliutil holds the run-configuration flags and pprof plumbing
 // shared by cmd/yashme and cmd/yashme-tables, so the two CLIs define the
-// workers/checkpoint/directrun/keyframe/dedup/shard/json/tags/profile
-// surface exactly once and cannot drift.
+// workers/timeout/shard/json/tags/analyses/profile surface exactly once
+// and cannot drift.
 package cliutil
 
 import (
@@ -23,12 +23,7 @@ import (
 // Flags is the shared flag set, populated by Register and read after
 // flag.Parse.
 type Flags struct {
-	Workers     int
-	Checkpoint  bool
-	DirectRun   bool
-	Keyframe    int
-	Dedup       bool
-	ClockIntern bool
+	Workers    int
 	Timeout    time.Duration
 	Shard      string
 	JSON       bool
@@ -43,11 +38,6 @@ type Flags struct {
 func Register() *Flags {
 	f := &Flags{}
 	flag.IntVar(&f.Workers, "workers", 0, "shared scenario-worker budget (0 = GOMAXPROCS, 1 = sequential; results identical)")
-	flag.BoolVar(&f.Checkpoint, "checkpoint", true, "model-check: resume crash scenarios from pre-crash snapshots (results identical; =false re-simulates every prefix)")
-	flag.BoolVar(&f.DirectRun, "directrun", true, "run a solo runnable thread inline without scheduler handoffs (results identical; =false pays the handshake on every op)")
-	flag.IntVar(&f.Keyframe, "keyframe", 0, "full-clone interval for delta checkpoints (0 = engine default, 1 = every snapshot a full clone; results identical)")
-	flag.BoolVar(&f.Dedup, "dedup", true, "model-check: reuse recovery verdicts of byte-identical crash images (results identical; =false re-simulates every point)")
-	flag.BoolVar(&f.ClockIntern, "clockintern", true, "share deduplicated clock snapshots through an interned arena with an epoch fast path (results identical; =false gives every record an owned clock copy)")
 	flag.DurationVar(&f.Timeout, "timeout", 0, "wall-clock bound for the whole run (0 = none); on expiry the run stops at the next scenario boundary, prints partial results and exits non-zero")
 	flag.StringVar(&f.Shard, "shard", "", "run shard i/n of the suite (deterministic by benchmark name; union of shards == full run)")
 	flag.BoolVar(&f.JSON, "json", false, "emit the unified suite result as JSON instead of rendered output")
@@ -59,7 +49,7 @@ func Register() *Flags {
 }
 
 // SuiteConfig converts the parsed flags into a suite.Config (selection,
-// shard, worker budget and engine fast-path modes).
+// shard, worker budget and analyses).
 func (f *Flags) SuiteConfig() (suite.Config, error) {
 	shard, count, err := suite.ParseShard(f.Shard)
 	if err != nil {
@@ -69,13 +59,11 @@ func (f *Flags) SuiteConfig() (suite.Config, error) {
 		Shard:      shard,
 		ShardCount: count,
 		Workers:    f.Workers,
-		Keyframe:   f.Keyframe,
 	}
 	if f.Tags != "" {
 		cfg.Tags = strings.Split(f.Tags, ",")
 	}
 	cfg.Analyses = f.AnalysisList()
-	f.applyModes(&cfg.Checkpoint, &cfg.DirectRun, &cfg.Dedup, &cfg.ClockIntern)
 	return cfg, nil
 }
 
@@ -88,28 +76,11 @@ func (f *Flags) AnalysisList() []string {
 	return strings.Split(f.Analyses, ",")
 }
 
-// EngineOptions applies the shared worker/fast-path flags to a single
+// EngineOptions applies the shared worker/analysis flags to a single
 // engine run's options (cmd/yashme's single-benchmark path).
 func (f *Flags) EngineOptions(opts *engine.Options) {
 	opts.Workers = f.Workers
-	opts.Keyframe = f.Keyframe
 	opts.Analyses = f.AnalysisList()
-	f.applyModes(&opts.Checkpoint, &opts.DirectRun, &opts.Dedup, &opts.ClockIntern)
-}
-
-func (f *Flags) applyModes(ck *engine.CheckpointMode, dr *engine.DirectRunMode, dd *engine.DedupMode, ci *engine.ClockInternMode) {
-	if !f.Checkpoint {
-		*ck = engine.CheckpointOff
-	}
-	if !f.DirectRun {
-		*dr = engine.DirectRunOff
-	}
-	if !f.Dedup {
-		*dd = engine.DedupOff
-	}
-	if !f.ClockIntern {
-		*ci = engine.ClockInternOff
-	}
 }
 
 // RunContext returns the context a CLI run should execute under: cancelled

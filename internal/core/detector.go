@@ -281,11 +281,11 @@ type Config struct {
 	// consumed by checksum validation (§7.5, "a future implementation of
 	// Yashme could use annotations to suppress race warnings").
 	Suppress []string
-	// OwnedClocks disables clock interning (the -clockintern=false escape
-	// hatch): the arena appends a private materialized clock per record
-	// instead of deduplicating snapshots, and the epoch join fast path is
-	// off. Observable results are identical either way; only cost counters
-	// move.
+	// OwnedClocks disables clock interning (the engine's reference
+	// configuration): the arena appends a private materialized clock per
+	// record instead of deduplicating snapshots, and the epoch join fast
+	// path is off. Observable results are identical either way; only cost
+	// counters move.
 	OwnedClocks bool
 }
 

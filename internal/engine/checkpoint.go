@@ -12,7 +12,7 @@
 //
 // Capture itself is O(changes), not O(state): consecutive crash points of one
 // schedule differ by a handful of detector mutations, so only every K-th
-// snapshot (Options.Keyframe) is a full detector clone — a keyframe — and the
+// snapshot (keyframeInterval) is a full detector clone — a keyframe — and the
 // snapshots between are delta checkpoints: a reference to the previous
 // keyframe plus the boundaries of the probe's mutation-journal segment
 // (core.Journal) recorded since it. Resume materializes a delta by cloning
@@ -26,8 +26,8 @@
 // scheduler rng copy is shared between consecutive points with no draws in
 // between (solo-threaded probes never draw, so one copy usually serves all).
 //
-// On top of the snapshots sits crash-image memoization (Options.Dedup): at
-// each probed point the sink serializes the image-determining state — heap
+// On top of the snapshots sits crash-image memoization: at each probed
+// point the sink serializes the image-determining state — heap
 // shape, persisted image, live threads, rng position, and the detector's
 // stores/flush-chains/persist-bounds (core.Execution.AppendStateSignature) —
 // and content-hashes it. A point whose serialized state is byte-identical to
@@ -241,11 +241,10 @@ type snapshot struct {
 	rng      *countingSource
 	rngDraws uint64
 	unwind   int
-	// stats is the scenario's operation counts at the point, with the
-	// mode-dependent cost counters (SimulatedOps and its Handoffs/DirectOps
-	// split, SnapshotBytes, JournalOps, DedupedScenarios) zeroed: a resumed
-	// scenario inherits the prefix's per-kind counts but only counts the
-	// work it actually performs.
+	// stats is the scenario's operation counts at the point, with the cost
+	// counters zeroed (Stats.ZeroCost): a resumed scenario inherits the
+	// prefix's per-kind counts but only counts the work it actually
+	// performs.
 	stats       Stats
 	crashPoints map[int]int
 	heap        *pmm.Heap
@@ -335,15 +334,14 @@ func newSnapshotSink(execIdx, max int) *snapshotSink {
 }
 
 // dedupEnabled reports whether crash-image memoization is sound and active
-// for the run: the expansions that consume live per-scenario state
-// (read-choice frontiers, recovery-crash probing) and the trace recorder
-// (whose event log legitimately differs between equivalent points) disable
-// it; every plain ModelCheck sweep — any persist policy, EADR, torn values,
-// suppression — keeps it.
+// for the run: the Reference configuration, the expansions that consume
+// live per-scenario state (read-choice frontiers, recovery-crash probing)
+// and the trace recorder (whose event log legitimately differs between
+// equivalent points) disable it; every plain ModelCheck sweep — any
+// persist policy, EADR, torn values, suppression — keeps it.
 func dedupEnabled(opts Options) bool {
 	return opts.Mode == ModelCheck &&
-		opts.Checkpoint == CheckpointOn &&
-		opts.Dedup == DedupOn &&
+		!opts.Reference &&
 		!opts.Trace &&
 		!opts.ExploreReads &&
 		opts.RecoveryCrashes == 0
@@ -354,8 +352,8 @@ func dedupEnabled(opts Options) bool {
 // capture: their window spans post-crash mutations (lastflush/CVpre joins,
 // report adds) the journal does not record.
 func (k *snapshotSink) configureProbe(opts Options, det *core.Detector) {
-	if opts.Keyframe > 1 {
-		k.keyframe = opts.Keyframe
+	if opts.keyframe > 1 {
+		k.keyframe = opts.keyframe
 		k.journal = &core.Journal{}
 		det.SetJournal(k.journal)
 	}
@@ -460,15 +458,7 @@ func newSnapshotShell(sc *scenario, point int) *snapshot {
 		setupAllocs: sc.setupAllocs,
 		setupNext:   sc.setupNext,
 	}
-	snap.stats.SimulatedOps = 0
-	snap.stats.Handoffs = 0
-	snap.stats.DirectOps = 0
-	snap.stats.SnapshotBytes = 0
-	snap.stats.JournalOps = 0
-	snap.stats.ClockInterned = 0
-	snap.stats.EpochHits = 0
-	snap.stats.EpochMisses = 0
-	snap.stats.DedupedScenarios = 0
+	snap.stats.ZeroCost()
 	for k, v := range sc.crashPoints {
 		snap.crashPoints[k] = v
 	}
@@ -629,10 +619,10 @@ func resumeScenario(makeProg func() pmm.Program, opts Options, snap *snapshot, p
 }
 
 // runPlanned runs one crash scenario, resuming from snap when possible and
-// falling back to a from-scratch run otherwise (snap == nil, checkpointing
-// off, or a fingerprint mismatch). configure, when non-nil, is applied to
-// the scenario before any execution — both paths — so read-choice overrides
-// and recovery sinks attach uniformly.
+// falling back to a from-scratch run otherwise (snap == nil, as in the
+// Reference configuration, or a fingerprint mismatch). configure, when
+// non-nil, is applied to the scenario before any execution — both paths —
+// so read-choice overrides and recovery sinks attach uniformly.
 func runPlanned(makeProg func() pmm.Program, opts Options, snap *snapshot, p plan, persist PersistPolicy, seed int64, configure func(*scenario)) *scenario {
 	if snap != nil {
 		if sc, ok := resumeScenario(makeProg, opts, snap, p, persist); ok {

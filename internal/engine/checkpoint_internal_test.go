@@ -1,15 +1,21 @@
 package engine
 
-// Internal benchmarks for the checkpoint layer: the cost of one snapshot
-// capture (the per-crash-point overhead the O(n) + C·clone bound pays).
+// Internal tests and benchmarks for the checkpoint layer: delta snapshots
+// against full clones, and the cost of one snapshot capture (the
+// per-crash-point overhead the O(n) + C·clone bound pays).
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"yashme/internal/fuzzprog"
+	"yashme/internal/pmm"
+	"yashme/internal/progs/cceh"
+	"yashme/internal/progs/part"
 )
 
 // BenchmarkSnapshotClone measures captureSnapshot on a scenario that has run
@@ -28,7 +34,7 @@ func BenchmarkSnapshotClone(b *testing.B) {
 }
 
 // BenchmarkSnapshotDelta measures a full probe run capturing at every crash
-// point, full-clone keyframes (Keyframe=1) against the default delta
+// point, full-clone keyframes (keyframe 1) against the default delta
 // journal, and writes the BENCH_delta.json artifact: per-mode wall-clock,
 // allocation and capture-accounting numbers. The delta mode's
 // snapshot_bytes is the headline — a journal segment replaces a detector
@@ -55,8 +61,7 @@ func BenchmarkSnapshotDelta(b *testing.B) {
 		results[mode.name] = m
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
-			opts := Options{Mode: ModelCheck, Prefix: true,
-				Checkpoint: CheckpointOn, Keyframe: mode.keyframe}.withDefaults()
+			opts := Options{Mode: ModelCheck, Prefix: true, keyframe: mode.keyframe}.withDefaults()
 			var stats Stats
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -94,5 +99,56 @@ func BenchmarkSnapshotDelta(b *testing.B) {
 	}
 	if err := os.WriteFile("BENCH_delta.json", append(data, '\n'), 0o644); err != nil {
 		b.Fatalf("write BENCH_delta.json: %v", err)
+	}
+}
+
+// TestDeltaMatchesFullClone: delta checkpoints are pure mechanism. A
+// model-check sweep that keyframes every snapshot (keyframe 1, full clones
+// with no journal) must match the default delta run on every Result field
+// and every work counter; only the capture and clock-arena counters may
+// differ (a journal replay re-runs its segment's joins, a keyframe resume
+// does not). The runs follow each other, so later ones resume from pools
+// the earlier ones dirtied: a full-clone snapshot pins the probe's arenas
+// by clone alone, which recycling must respect.
+func TestDeltaMatchesFullClone(t *testing.T) {
+	capture := func(s Stats) Stats {
+		s.SnapshotBytes, s.JournalOps = 0, 0
+		s.ClockInterned, s.EpochHits, s.EpochMisses = 0, 0, 0
+		return s
+	}
+	type prog struct {
+		name string
+		mk   func() pmm.Program
+	}
+	progs := []prog{{"cceh", cceh.New(4, nil)}, {"part", part.New(4, nil)}}
+	for seed := int64(1); seed <= 6; seed++ {
+		mk, _ := fuzzprog.Generate(fuzzprog.Default(), seed)
+		progs = append(progs, prog{fmt.Sprintf("fuzz seed %d", seed), mk})
+	}
+	var journaled int64
+	for _, p := range progs {
+		name, mk := p.name, p.mk
+		for _, workers := range []int{1, 4} {
+			opts := Options{Mode: ModelCheck, Prefix: true, Workers: workers}
+			delta := Run(mk, opts)
+			opts.keyframe = 1
+			full := Run(mk, opts)
+			if d, f := delta.Report.String(), full.Report.String(); d != f {
+				t.Fatalf("%s at %d workers: reports diverge:\ndelta:\n%s\nfull clone:\n%s", name, workers, d, f)
+			}
+			if d, f := capture(delta.Stats), capture(full.Stats); d != f {
+				t.Fatalf("%s at %d workers: stats diverge:\ndelta:      %+v\nfull clone: %+v", name, workers, d, f)
+			}
+			if !reflect.DeepEqual(delta.Window, full.Window) || delta.ExecutionsRun != full.ExecutionsRun {
+				t.Fatalf("%s at %d workers: window or executions diverge", name, workers)
+			}
+			if full.Stats.JournalOps != 0 {
+				t.Fatalf("%s at %d workers: the full-clone run journaled %d ops", name, workers, full.Stats.JournalOps)
+			}
+			journaled += delta.Stats.JournalOps
+		}
+	}
+	if journaled == 0 {
+		t.Fatal("no delta run journaled anything; the comparison is vacuous")
 	}
 }

@@ -1,23 +1,75 @@
 package engine_test
 
-// Property tests for the checkpoint layer (checkpoint.go): resuming crash
-// scenarios from pre-crash snapshots must be observationally invisible —
-// every Result field except Stats.SimulatedOps is byte-identical to the
-// from-scratch exploration, across random programs, both modes, and every
+// Property tests for the fast paths against the reference configuration
+// (Options.Reference): checkpoint resume, crash-image memoization, the
+// direct-run lease and interned clocks must be observationally invisible —
+// every Result field except the Stats cost counters is byte-identical to
+// the reference exploration, across random programs, both modes, and every
 // option that interacts with the snapshot machinery.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"yashme/internal/engine"
 	"yashme/internal/fuzzprog"
+	"yashme/internal/pmm"
 )
 
-// TestCheckpointMatchesScratch: for random programs, checkpointed and
-// from-scratch runs produce identical Report, Window and Stats (modulo
-// SimulatedOps, whose reduction is the point), and model checking actually
-// simulates fewer operations with checkpointing on.
+// sameResult fails the test unless got and ref agree on every Result field
+// once the Stats cost counters are zeroed.
+func sameResult(t *testing.T, name string, got, ref *engine.Result) {
+	t.Helper()
+	if g, r := got.Report.String(), ref.Report.String(); g != r {
+		t.Fatalf("%s: reports diverge:\ndefault:\n%s\nreference:\n%s", name, g, r)
+	}
+	if !reflect.DeepEqual(got.Window, ref.Window) {
+		t.Fatalf("%s: windows diverge:\ndefault:   %v\nreference: %v", name, got.Window, ref.Window)
+	}
+	if got.ExecutionsRun != ref.ExecutionsRun {
+		t.Fatalf("%s: executions diverge: %d vs %d", name, got.ExecutionsRun, ref.ExecutionsRun)
+	}
+	if got.CrashPoints != ref.CrashPoints {
+		t.Fatalf("%s: crash points diverge: %d vs %d", name, got.CrashPoints, ref.CrashPoints)
+	}
+	if got.Report.RawCount != ref.Report.RawCount {
+		t.Fatalf("%s: raw race counts diverge: %d vs %d", name, got.Report.RawCount, ref.Report.RawCount)
+	}
+	g, r := got.Stats, ref.Stats
+	g.ZeroCost()
+	r.ZeroCost()
+	if g != r {
+		t.Fatalf("%s: stats diverge:\ndefault:   %+v\nreference: %+v", name, g, r)
+	}
+}
+
+// runReference runs mk under opts and under opts with Reference set, fails
+// the test unless the two Results match (sameResult) and the reference run
+// took none of the fast paths, and returns both.
+func runReference(t *testing.T, name string, mk func() pmm.Program, opts engine.Options) (def, ref *engine.Result) {
+	t.Helper()
+	refOpts := opts
+	refOpts.Reference = true
+	def, ref = engine.Run(mk, opts), engine.Run(mk, refOpts)
+	sameResult(t, name, def, ref)
+	st := ref.Stats
+	if st.DirectOps != 0 || st.DedupedScenarios != 0 || st.EpochHits != 0 || st.SnapshotBytes != 0 || st.JournalOps != 0 {
+		t.Fatalf("%s: the reference run took a fast path: %+v", name, st)
+	}
+	for _, r := range []*engine.Result{def, ref} {
+		if s := r.Stats; s.Handoffs+s.DirectOps != s.SimulatedOps {
+			t.Fatalf("%s: Handoffs (%d) + DirectOps (%d) != SimulatedOps (%d)",
+				name, s.Handoffs, s.DirectOps, s.SimulatedOps)
+		}
+	}
+	return def, ref
+}
+
+// TestCheckpointMatchesScratch: for random programs, the default run and
+// the reference run, which re-simulates every scenario from scratch,
+// produce identical Results modulo the cost counters, and model checking
+// actually simulates fewer operations in the default configuration.
 func TestCheckpointMatchesScratch(t *testing.T) {
 	variants := []struct {
 		name string
@@ -36,51 +88,14 @@ func TestCheckpointMatchesScratch(t *testing.T) {
 			t.Parallel()
 			for seed := int64(1); seed <= 12; seed++ {
 				mk, _ := fuzzprog.Generate(fuzzprog.Default(), seed)
-				onOpts, offOpts := v.opts, v.opts
-				onOpts.Checkpoint = engine.CheckpointOn
-				offOpts.Checkpoint = engine.CheckpointOff
-				onOpts.Seed, offOpts.Seed = seed, seed
-				on := engine.Run(mk, onOpts)
-				off := engine.Run(mk, offOpts)
-
-				if s, o := on.Report.String(), off.Report.String(); s != o {
-					t.Fatalf("seed %d: reports diverge:\ncheckpoint on:\n%s\ncheckpoint off:\n%s", seed, s, o)
-				}
-				if !reflect.DeepEqual(on.Window, off.Window) {
-					t.Fatalf("seed %d: windows diverge:\non:  %v\noff: %v", seed, on.Window, off.Window)
-				}
-				onStats, offStats := on.Stats, off.Stats
-				onSim, offSim := onStats.SimulatedOps, offStats.SimulatedOps
-				// SimulatedOps — and its Handoffs/DirectOps split — counts
-				// work done, which checkpointing exists to reduce, and the
-				// capture/memoization counters only exist with snapshots
-				// on; everything else must match exactly.
-				onStats.SimulatedOps, offStats.SimulatedOps = 0, 0
-				onStats.Handoffs, offStats.Handoffs = 0, 0
-				onStats.DirectOps, offStats.DirectOps = 0, 0
-				onStats.SnapshotBytes, offStats.SnapshotBytes = 0, 0
-				onStats.JournalOps, offStats.JournalOps = 0, 0
-				onStats.ClockInterned, offStats.ClockInterned = 0, 0
-				onStats.EpochHits, offStats.EpochHits = 0, 0
-				onStats.EpochMisses, offStats.EpochMisses = 0, 0
-				onStats.DedupedScenarios, offStats.DedupedScenarios = 0, 0
-				if onStats != offStats {
-					t.Fatalf("seed %d: stats diverge:\non:  %+v\noff: %+v", seed, onStats, offStats)
-				}
-				if on.ExecutionsRun != off.ExecutionsRun {
-					t.Fatalf("seed %d: executions diverge: %d vs %d", seed, on.ExecutionsRun, off.ExecutionsRun)
-				}
-				if on.CrashPoints != off.CrashPoints {
-					t.Fatalf("seed %d: crash points diverge: %d vs %d", seed, on.CrashPoints, off.CrashPoints)
-				}
-				if on.Report.RawCount != off.Report.RawCount {
-					t.Fatalf("seed %d: raw race counts diverge: %d vs %d", seed, on.Report.RawCount, off.Report.RawCount)
-				}
+				opts := v.opts
+				opts.Seed = seed
+				def, ref := runReference(t, fmt.Sprintf("seed %d", seed), mk, opts)
 				// The perf claim itself: model checking with more than one
 				// crash point must simulate strictly fewer operations.
-				if v.opts.Mode == engine.ModelCheck && on.CrashPoints > 1 && onSim >= offSim {
-					t.Fatalf("seed %d: checkpointing saved nothing: %d simulated ops on, %d off (%d crash points)",
-						seed, onSim, offSim, on.CrashPoints)
+				if v.opts.Mode == engine.ModelCheck && def.CrashPoints > 1 && def.Stats.SimulatedOps >= ref.Stats.SimulatedOps {
+					t.Fatalf("seed %d: the fast paths saved nothing: %d simulated ops by default, %d reference (%d crash points)",
+						seed, def.Stats.SimulatedOps, ref.Stats.SimulatedOps, def.CrashPoints)
 				}
 			}
 		})

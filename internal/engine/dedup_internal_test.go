@@ -65,7 +65,7 @@ func TestDedupPairsEquivalent(t *testing.T) {
 	dupsSeen := 0
 	for seed := int64(1); seed <= 30; seed++ {
 		mk, _ := fuzzprog.Generate(fuzzprog.Default(), seed)
-		opts := Options{Mode: ModelCheck, Prefix: true, Checkpoint: CheckpointOn, Seed: seed}.withDefaults()
+		opts := Options{Mode: ModelCheck, Prefix: true, Seed: seed}.withDefaults()
 		probe := newScenario(mk, opts, plan{}, PersistLatest, seed)
 		sink := newSnapshotSink(0, opts.MaxCrashPoints)
 		sink.configureProbe(opts, probe.det)

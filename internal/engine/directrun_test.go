@@ -2,16 +2,16 @@ package engine_test
 
 // Property tests for the solo-thread direct-run lease (runner.go
 // schedState): running a thread inline without the scheduler handshake must
-// be observationally invisible. Every Result field except the
-// Handoffs/DirectOps split — whose shift is the point — is byte-identical
-// with the lease on and off, across random programs, real benchmarks, both
-// checkpoint modes and every worker count. The suite runs under -race in
-// CI, which proves the lease protocol itself is data-race free: the leased
-// thread touches scenario state the scheduler normally owns.
+// be observationally invisible. The reference configuration pays the
+// handshake on every operation, so every Result field except the cost
+// counters is byte-identical between the default and the reference run,
+// across random programs, a real benchmark and every worker count. The
+// suite runs under -race in CI, which proves the lease protocol itself is
+// data-race free: the leased thread touches scenario state the scheduler
+// normally owns.
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"yashme/internal/engine"
@@ -20,89 +20,31 @@ import (
 	"yashme/internal/progs/cceh"
 )
 
-// runPair runs mk under opts with the direct-run lease on and off and fails
-// the test unless the Results are identical modulo the Handoffs/DirectOps
-// split. Returns the two Stats for mode-specific assertions.
-func runPair(t *testing.T, name string, mk func() pmm.Program, opts engine.Options) (on, off engine.Stats) {
-	t.Helper()
-	onOpts, offOpts := opts, opts
-	onOpts.DirectRun = engine.DirectRunOn
-	offOpts.DirectRun = engine.DirectRunOff
-	onRes := engine.Run(mk, onOpts)
-	offRes := engine.Run(mk, offOpts)
-
-	if s, o := onRes.Report.String(), offRes.Report.String(); s != o {
-		t.Fatalf("%s: reports diverge:\ndirect-run on:\n%s\ndirect-run off:\n%s", name, s, o)
-	}
-	if !reflect.DeepEqual(onRes.Window, offRes.Window) {
-		t.Fatalf("%s: windows diverge:\non:  %v\noff: %v", name, onRes.Window, offRes.Window)
-	}
-	if onRes.ExecutionsRun != offRes.ExecutionsRun {
-		t.Fatalf("%s: executions diverge: %d vs %d", name, onRes.ExecutionsRun, offRes.ExecutionsRun)
-	}
-	if onRes.CrashPoints != offRes.CrashPoints {
-		t.Fatalf("%s: crash points diverge: %d vs %d", name, onRes.CrashPoints, offRes.CrashPoints)
-	}
-	if onRes.Report.RawCount != offRes.Report.RawCount {
-		t.Fatalf("%s: raw race counts diverge: %d vs %d", name, onRes.Report.RawCount, offRes.Report.RawCount)
-	}
-	on, off = onRes.Stats, offRes.Stats
-	for _, s := range []struct {
-		mode string
-		st   engine.Stats
-	}{{"on", on}, {"off", off}} {
-		if s.st.Handoffs+s.st.DirectOps != s.st.SimulatedOps {
-			t.Fatalf("%s: direct-run %s: Handoffs (%d) + DirectOps (%d) != SimulatedOps (%d)",
-				name, s.mode, s.st.Handoffs, s.st.DirectOps, s.st.SimulatedOps)
-		}
-	}
-	if off.DirectOps != 0 {
-		t.Fatalf("%s: direct-run off counted %d DirectOps, want 0", name, off.DirectOps)
-	}
-	onCmp, offCmp := on, off
-	onCmp.Handoffs, offCmp.Handoffs = 0, 0
-	onCmp.DirectOps, offCmp.DirectOps = 0, 0
-	if onCmp != offCmp {
-		t.Fatalf("%s: stats diverge beyond the handoff split:\non:  %+v\noff: %+v", name, on, off)
-	}
-	return on, off
-}
-
 // TestDirectRunMatchesHandoff: for random programs and a real benchmark,
-// the lease changes nothing but which side of the Handoffs/DirectOps split
-// each operation lands on — across worker counts and checkpoint modes. The
-// lease must actually fire: every case has solo phases (single-threaded
-// recovery at minimum), so DirectOps must be positive with the lease on.
+// the default run matches the all-handshake reference run at every worker
+// count. The lease must actually fire: every case has solo phases
+// (single-threaded recovery at minimum), so DirectOps must be positive by
+// default. (The subtests keep their checkpoint-on suffix: the default side
+// runs with checkpoints on.)
 func TestDirectRunMatchesHandoff(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		for _, ck := range []struct {
-			name string
-			mode engine.CheckpointMode
-		}{
-			{"checkpoint-on", engine.CheckpointOn},
-			{"checkpoint-off", engine.CheckpointOff},
-		} {
-			workers, ck := workers, ck
-			t.Run(fmt.Sprintf("workers-%d/%s", workers, ck.name), func(t *testing.T) {
-				t.Parallel()
-				opts := engine.Options{Mode: engine.ModelCheck, Prefix: true,
-					Workers: workers, Checkpoint: ck.mode}
-				for seed := int64(1); seed <= 8; seed++ {
-					mk, _ := fuzzprog.Generate(fuzzprog.Default(), seed)
-					name := fmt.Sprintf("fuzz seed %d", seed)
-					on, _ := runPair(t, name, mk, opts)
-					if on.DirectOps == 0 {
-						t.Fatalf("%s: lease never fired (DirectOps = 0)", name)
-					}
+		workers := workers
+		t.Run(fmt.Sprintf("workers-%d/checkpoint-on", workers), func(t *testing.T) {
+			t.Parallel()
+			opts := engine.Options{Mode: engine.ModelCheck, Prefix: true, Workers: workers}
+			for seed := int64(1); seed <= 8; seed++ {
+				mk, _ := fuzzprog.Generate(fuzzprog.Default(), seed)
+				name := fmt.Sprintf("fuzz seed %d", seed)
+				if def, _ := runReference(t, name, mk, opts); def.Stats.DirectOps == 0 {
+					t.Fatalf("%s: lease never fired (DirectOps = 0)", name)
 				}
-				benchOpts := opts
-				benchOpts.MaxCrashPoints = 30
-				on, _ := runPair(t, "cceh", cceh.New(3, nil), benchOpts)
-				if on.DirectOps == 0 {
-					t.Fatal("cceh: lease never fired (DirectOps = 0)")
-				}
-			})
-		}
+			}
+			benchOpts := opts
+			benchOpts.MaxCrashPoints = 30
+			if def, _ := runReference(t, "cceh", cceh.New(3, nil), benchOpts); def.Stats.DirectOps == 0 {
+				t.Fatal("cceh: lease never fired (DirectOps = 0)")
+			}
+		})
 	}
 }
 
@@ -135,17 +77,17 @@ func spawnProg() pmm.Program {
 	}
 }
 
-// TestDirectRunLeaseRevocation: a spawn mid-lease revokes it. With the lease
-// on, the run must count both DirectOps (the solo phases before the spawn
-// and during recovery) and Handoffs (the two-thread phase after it), and
-// still match the all-handshake run exactly.
+// TestDirectRunLeaseRevocation: a spawn mid-lease revokes it. By default
+// the run must count both DirectOps (the solo phases before the spawn and
+// during recovery) and Handoffs (the two-thread phase after it), and still
+// match the all-handshake reference run exactly.
 func TestDirectRunLeaseRevocation(t *testing.T) {
 	opts := engine.Options{Mode: engine.ModelCheck, Prefix: true, Workers: 1}
-	on, _ := runPair(t, "spawn", spawnProg, opts)
-	if on.DirectOps == 0 {
+	def, _ := runReference(t, "spawn", spawnProg, opts)
+	if def.Stats.DirectOps == 0 {
 		t.Error("lease never fired before the spawn (DirectOps = 0)")
 	}
-	if on.Handoffs == 0 {
+	if def.Stats.Handoffs == 0 {
 		t.Error("lease was not revoked at the spawn (Handoffs = 0)")
 	}
 }

@@ -67,97 +67,14 @@ const (
 	PersistRandom
 )
 
-// CheckpointMode selects whether ModelCheck exploration reuses the pre-crash
-// execution via snapshots (checkpoint.go): the planner's probe run captures a
-// deep-cloned snapshot at every flush/fence point, and each crash scenario
-// resumes from its point's snapshot instead of re-simulating the whole
-// pre-crash prefix — O(n) + C·clone instead of O(C·n) simulated operations.
-// The zero value is on; CheckpointOff forces every scenario to run from
-// scratch (the escape hatch, and the baseline the equivalence tests compare
-// against). RandomMode is unaffected either way: each random execution
-// already simulates its pre-crash prefix exactly once (the crash point is
-// drawn after the probe), so there is no quadratic term to remove.
-type CheckpointMode int
-
-const (
-	// CheckpointOn resumes crash scenarios from pre-crash snapshots
-	// (default).
-	CheckpointOn CheckpointMode = iota
-	// CheckpointOff re-simulates every scenario from scratch.
-	CheckpointOff
-)
-
-// DirectRunMode selects whether the controlled scheduler grants a
-// solo-thread direct-run lease (runner.go): when exactly one thread is
-// runnable — single-threaded workloads, post-crash recovery executions, the
-// tail of an execution after the other threads finished — the thread runs
-// inline with no channel handoff and no goroutine switch until a second
-// thread becomes runnable or it ends. The lease cannot change results: the
-// scheduler only draws from the rng when more than one thread is runnable,
-// so a solo phase makes no scheduling decisions either way. The zero value
-// is on; DirectRunOff forces the handshake for every operation (the escape
-// hatch, and the baseline the equivalence tests compare against).
-type DirectRunMode int
-
-const (
-	// DirectRunOn grants solo-thread leases (default).
-	DirectRunOn DirectRunMode = iota
-	// DirectRunOff pays the scheduler handshake on every operation.
-	DirectRunOff
-)
-
-// DedupMode selects whether ModelCheck exploration memoizes equivalent
-// crash scenarios (checkpoint.go): during the probe, every crash point's
-// image-determining state — heap shape, detector stores/flushes/persist
-// bounds, scheduler rng position, live threads — is content-hashed, and a
-// point whose state is byte-identical (hash equality is always confirmed
-// by a full byte compare; a collision can never change results) to an
-// earlier point of the same schedule reuses that point's recorded recovery
-// verdict and races instead of re-simulating. Adjacent points with no
-// stores between them — the pre-clwb/pre-sfence pairs every flush idiom
-// produces — collapse this way. The zero value is on; DedupOff re-simulates
-// every scenario (the escape hatch, and the baseline the equivalence tests
-// compare against). Results are byte-identical either way; only
-// Stats.SimulatedOps/Handoffs/DirectOps (work not done) and the new
-// DedupedScenarios counter differ.
-type DedupMode int
-
-const (
-	// DedupOn reuses recovery verdicts of byte-identical crash points
-	// (default).
-	DedupOn DedupMode = iota
-	// DedupOff re-simulates every crash scenario.
-	DedupOff
-)
-
-// ClockInternMode selects the happens-before clock representation. The
-// default (interning on) stores deduplicated immutable clock snapshots in a
-// per-detector arena shared with the simulating machine: committing a
-// store allocates nothing (the record's stamp reuses the thread's shared
-// snapshot plus a packed (τ, σ) self epoch), and the detector's join-heavy
-// observation path answers "already covered?" with an O(1) epoch compare
-// before touching any vector (Stats.EpochHits/EpochMisses). ClockInternOff
-// is the escape hatch reproducing the previous one-owned-clock-per-record
-// cost model. Results are byte-identical in both modes; only the
-// ClockInterned/EpochHits/EpochMisses cost counters differ.
-type ClockInternMode int
-
-const (
-	// ClockInternOn shares deduplicated clock snapshots (default).
-	ClockInternOn ClockInternMode = iota
-	// ClockInternOff gives every record a private materialized clock.
-	ClockInternOff
-)
-
-// DefaultKeyframe is the Options.Keyframe applied when the field is zero:
-// with checkpointing on, every K-th snapshot is a full detector clone (a
+// keyframeInterval is the full-clone interval of the checkpoint layer's
+// delta snapshots: every K-th snapshot is a full detector clone (a
 // keyframe) and the snapshots between are delta checkpoints — a reference
 // to the previous keyframe plus the probe's mutation-journal segment,
 // materialized on resume by replaying the segment onto a keyframe clone.
 // Capture cost drops from O(state) to O(changes) per crash point; resume
-// pays at most K-1 extra segment replays. Keyframe=1 makes every snapshot
-// a full clone (the pre-delta behavior).
-const DefaultKeyframe = 8
+// pays at most K-1 extra segment replays.
+const keyframeInterval = 8
 
 // DefaultMaxOps is the Options.MaxOps applied when the field is zero: the
 // per-execution simulated-operation bound that turns a runaway workload
@@ -231,25 +148,16 @@ type Options struct {
 	// race witness (the race-revealing pre-crash prefix plus the post-crash
 	// observation, §5.1) to each report.
 	Trace bool
-	// Checkpoint controls snapshot reuse of the pre-crash execution in
-	// ModelCheck (default CheckpointOn; see CheckpointMode). Results are
-	// byte-identical in both modes.
-	Checkpoint CheckpointMode
-	// DirectRun controls the solo-thread direct-run scheduler lease (default
-	// DirectRunOn; see DirectRunMode). Results are byte-identical in both
-	// modes.
-	DirectRun DirectRunMode
-	// Keyframe is the full-clone interval of the checkpoint layer's delta
-	// snapshots (0 = DefaultKeyframe; 1 = every snapshot a full clone).
-	// Results are byte-identical for every value.
-	Keyframe int
-	// Dedup controls crash-scenario memoization in ModelCheck (default
-	// DedupOn; see DedupMode). Results are byte-identical in both modes.
-	Dedup DedupMode
-	// ClockIntern controls the interned copy-on-write clock representation
-	// (default ClockInternOn; see ClockInternMode). Results are
-	// byte-identical in both modes.
-	ClockIntern ClockInternMode
+	// Reference runs the reference configuration every fast path is
+	// validated against: no pre-crash snapshots (every crash scenario
+	// re-simulates its prefix from scratch), no crash-image memoization, no
+	// solo-thread direct-run lease (every operation pays the scheduler
+	// handshake) and owned clocks (one private clock copy per committed
+	// store, no epoch fast path). Results are byte-identical to the default
+	// configuration; only the Stats cost counters differ (see
+	// Stats.ZeroCost). Slow by design: tests and the "reference" bench mode
+	// use it.
+	Reference bool
 	// MaxOps bounds the simulated operations of one execution (0 =
 	// DefaultMaxOps); exceeding it panics with a diagnostic.
 	MaxOps int
@@ -272,6 +180,11 @@ type Options struct {
 	// Result.Passes. Empty selects the default, {"yashme"}. The first
 	// selected pass is the primary: Result.Report aliases its report.
 	Analyses []string
+
+	// keyframe overrides keyframeInterval (0 = the default; 1 = every
+	// snapshot a full clone). Results are byte-identical for every value;
+	// only package tests set it.
+	keyframe int
 }
 
 func (o Options) withDefaults() Options {
@@ -296,8 +209,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxOps <= 0 {
 		o.MaxOps = DefaultMaxOps
 	}
-	if o.Keyframe <= 0 {
-		o.Keyframe = DefaultKeyframe
+	if o.keyframe <= 0 {
+		o.keyframe = keyframeInterval
 	}
 	if len(o.Analyses) == 0 {
 		o.Analyses = []string{analysis.Yashme}
@@ -309,18 +222,17 @@ func (o Options) withDefaults() Options {
 //
 // The per-kind counters (Stores..RMWs) count the operations each crash
 // scenario's executions performed, whether those operations were simulated or
-// inherited from a snapshot — they are identical for CheckpointOn and
-// CheckpointOff. SimulatedOps counts only the operations the engine actually
-// stepped through the scheduler (including probe runs and Yields), so it
-// shrinks when scenarios resume from snapshots: the ratio between the two
-// modes is the checkpoint layer's measured win.
+// inherited from a snapshot. They describe the workload, so they are
+// identical in the default and the Reference configuration. The remaining
+// counters are cost counters: they measure how the work was done (how many
+// operations were stepped, how they reached the scheduler, what the
+// checkpoint, memoization and clock layers did) and differ between the two
+// configurations. ZeroCost clears them.
 //
 // Handoffs and DirectOps split SimulatedOps by how each operation reached
 // the scheduler: Handoffs paid the full handshake (two channel round trips
 // plus a goroutine switch), DirectOps ran inline under a solo-thread
-// direct-run lease (Options.DirectRun). Handoffs + DirectOps ==
-// SimulatedOps always; like SimulatedOps, both counters vary with the
-// DirectRun and Checkpoint modes while every other counter does not.
+// direct-run lease. Handoffs + DirectOps == SimulatedOps always.
 type Stats struct {
 	Stores  int64 `json:"stores"`
 	Loads   int64 `json:"loads"`
@@ -338,32 +250,41 @@ type Stats struct {
 	DirectOps int64 `json:"direct_ops"`
 	// SnapshotBytes estimates the bytes retained by checkpoint captures
 	// (keyframe clones, journal segments, the per-schedule shared image and
-	// rng copies). Like SimulatedOps it measures cost, not workload
-	// behavior, so it varies with Checkpoint/Keyframe while the per-kind
-	// counters do not.
+	// rng copies).
 	SnapshotBytes int64 `json:"snapshot_bytes"`
 	// JournalOps counts the detector mutations recorded into delta-
 	// checkpoint journals across probe runs.
 	JournalOps int64 `json:"journal_ops"`
 	// DedupedScenarios counts crash scenarios whose recovery verdict was
 	// reused from a byte-identical earlier crash point instead of being
-	// re-simulated (DedupMode).
+	// re-simulated.
 	DedupedScenarios int64 `json:"deduped_scenarios"`
 	// ClockInterned counts clock snapshots appended to detector clock
-	// arenas: distinct deduplicated snapshots with interning on, one per
-	// materialized clock copy with it off (ClockInternMode). A cost
-	// counter, like SnapshotBytes.
+	// arenas: distinct deduplicated snapshots by default, one per
+	// materialized clock copy with owned clocks (Reference).
 	ClockInterned int64 `json:"clock_interned"`
 	// EpochHits counts clock joins answered entirely by the packed-epoch
 	// containment compare — the joins the interned representation skips.
-	// Zero with interning off (the fast path is disabled there).
+	// Zero in the Reference configuration (owned clocks have no epoch
+	// fast path).
 	EpochHits int64 `json:"epoch_hits"`
 	// EpochMisses counts clock joins that fell through the epoch compare
 	// to a component-wise merge and re-intern.
 	EpochMisses int64 `json:"epoch_misses"`
 }
 
-func (s *Stats) add(o Stats) {
+// ZeroCost clears the cost counters, leaving the per-kind operation
+// counts: what remains is equal between the default and the Reference
+// configuration, and between any two runs that explored the same
+// scenarios however they got there.
+func (s *Stats) ZeroCost() {
+	s.SimulatedOps, s.Handoffs, s.DirectOps = 0, 0, 0
+	s.SnapshotBytes, s.JournalOps, s.DedupedScenarios = 0, 0, 0
+	s.ClockInterned, s.EpochHits, s.EpochMisses = 0, 0, 0
+}
+
+// Add accumulates o's counters into s.
+func (s *Stats) Add(o Stats) {
 	s.Stores += o.Stores
 	s.Loads += o.Loads
 	s.Flushes += o.Flushes

@@ -162,7 +162,7 @@ func runExplore(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 			res.mergeSpec(r)
 		})
 		res.CrashPoints = sum.crashPoints
-		res.Stats.add(sum.cost)
+		res.Stats.Add(sum.cost)
 		return
 	}
 	specCh := make(chan scenarioSpec, workers)
@@ -277,7 +277,7 @@ func runExplore(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 		panic(sum.panicked)
 	}
 	res.CrashPoints = sum.crashPoints
-	res.Stats.add(sum.cost)
+	res.Stats.Add(sum.cost)
 }
 
 // synthesizeDedup builds the result a duplicate spec would have produced,
@@ -308,14 +308,7 @@ func synthesizeDedup(rep *specResult, spec scenarioSpec) *specResult {
 	out.stats.Flushes += rep.stats.Flushes - p.Flushes
 	out.stats.Fences += rep.stats.Fences - p.Fences
 	out.stats.RMWs += rep.stats.RMWs - p.RMWs
-	out.stats.SimulatedOps = 0
-	out.stats.Handoffs = 0
-	out.stats.DirectOps = 0
-	out.stats.SnapshotBytes = 0
-	out.stats.JournalOps = 0
-	out.stats.ClockInterned = 0
-	out.stats.EpochHits = 0
-	out.stats.EpochMisses = 0
+	out.stats.ZeroCost()
 	out.stats.DedupedScenarios = 1
 	return out
 }
@@ -327,7 +320,7 @@ func (res *Result) mergeSpec(r *specResult) {
 		res.Passes[i].Report.Merge(rep)
 	}
 	res.ExecutionsRun += r.executions
-	res.Stats.add(r.stats)
+	res.Stats.Add(r.stats)
 	if !r.spec.window {
 		return
 	}
@@ -358,11 +351,11 @@ func planSpecs(ctx context.Context, makeProg func() pmm.Program, opts Options, e
 // spec is emitted per (crash point, persist policy) — crash point 0 is the
 // power loss at completion.
 //
-// With checkpointing on, the probe doubles as the one full pre-crash
-// simulation of the schedule: it captures a snapshot at every crash point,
-// and each emitted spec carries its point's snapshot. Snapshots are captured
-// before the crash's persist policy matters, so one probe (run under
-// PersistLatest, like always) serves every policy fan-out.
+// Outside the Reference configuration, the probe doubles as the one full
+// pre-crash simulation of the schedule: it captures a snapshot at every
+// crash point, and each emitted spec carries its point's snapshot.
+// Snapshots are captured before the crash's persist policy matters, so one
+// probe (run under PersistLatest, like always) serves every policy fan-out.
 func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Options, emit func(scenarioSpec)) planSummary {
 	var sum planSummary
 	idx := 0
@@ -370,7 +363,7 @@ func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Optio
 		seed := opts.Seed + int64(sched)
 		probe := newScenario(makeProg, opts, plan{}, PersistLatest, seed)
 		var sink *snapshotSink
-		if opts.Checkpoint == CheckpointOn {
+		if !opts.Reference {
 			sink = newSnapshotSink(0, opts.MaxCrashPoints)
 			sink.configureProbe(opts, probe.det)
 			probe.capture = sink
@@ -509,7 +502,7 @@ func runSpec(ctx context.Context, makeProg func() pmm.Program, opts Options, spe
 	}()
 
 	var recSink *snapshotSink
-	if spec.expandRecovery && opts.Checkpoint == CheckpointOn {
+	if spec.expandRecovery && !opts.Reference {
 		recSink = newSnapshotSink(1, opts.RecoveryCrashes)
 	}
 	sc := runPlanned(makeProg, opts, spec.snap, spec.plan, spec.persist, spec.seed, func(sc *scenario) {
@@ -594,7 +587,7 @@ func (r *specResult) absorb(sc *scenario) {
 	}
 	r.executions++
 	sc.harvestClocks()
-	r.stats.add(sc.stats)
+	r.stats.Add(sc.stats)
 	sc.retire()
 }
 
@@ -605,7 +598,7 @@ func (r *specResult) absorb(sc *scenario) {
 func (sum *planSummary) absorbProbe(probe *scenario) int {
 	probe.harvestClocks()
 	st := probe.stats
-	sum.cost.add(Stats{
+	sum.cost.Add(Stats{
 		SimulatedOps:  st.SimulatedOps,
 		Handoffs:      st.Handoffs,
 		DirectOps:     st.DirectOps,

@@ -17,8 +17,9 @@ import (
 
 // The determinism contract: Run's Result is byte-identical for every
 // worker count. Each case runs with Workers=1 (fully sequential) and
-// Workers=8, with checkpointing both on and off, and compares every
-// observable field per checkpoint mode. The suite runs under -race in CI,
+// Workers=8, in the default and in the reference configuration, and
+// compares every observable field, cost counters included, per
+// configuration. The suite runs under -race in CI,
 // so it also proves the pool shares no scenario state — including the
 // snapshot templates every worker of a schedule resumes from.
 func TestParallelRunMatchesSequential(t *testing.T) {
@@ -44,12 +45,15 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 		{"pmdk/random", pmdk.NewPMDKProg(3, nil),
 			engine.Options{Mode: engine.RandomMode, Prefix: true, Seed: 1, Executions: 10}},
 	}
+	// The subtests name the two configurations by their checkpoint layer:
+	// the reference configuration has checkpoints off, along with every
+	// other fast path.
 	checkpoints := []struct {
-		name string
-		mode engine.CheckpointMode
+		name      string
+		reference bool
 	}{
-		{"checkpoint-on", engine.CheckpointOn},
-		{"checkpoint-off", engine.CheckpointOff},
+		{"checkpoint-on", false},
+		{"checkpoint-off", true},
 	}
 	for _, tc := range cases {
 		for _, ck := range checkpoints {
@@ -57,8 +61,8 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 			t.Run(tc.name+"/"+ck.name, func(t *testing.T) {
 				t.Parallel()
 				seqOpts, parOpts := tc.opts, tc.opts
-				seqOpts.Workers, seqOpts.Checkpoint = 1, ck.mode
-				parOpts.Workers, parOpts.Checkpoint = 8, ck.mode
+				seqOpts.Workers, seqOpts.Reference = 1, ck.reference
+				parOpts.Workers, parOpts.Reference = 8, ck.reference
 				seq := engine.Run(tc.mk, seqOpts)
 				par := engine.Run(tc.mk, parOpts)
 

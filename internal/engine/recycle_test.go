@@ -55,8 +55,9 @@ func recoveryWriter() pmm.Program {
 // TestRecoveryCrashesSurviveWarmPools: retiring a scenario whose recovery
 // execution a snapshot cloned must leave the snapshot intact. The
 // recovery-crash sweep runs once with empty pools, then again after other
-// runs filled them, and once from scratch with no snapshots at all; all
-// three must agree on every race and every non-cost counter.
+// runs filled them, and once in the reference configuration with no
+// snapshots at all; all three must agree on every race and every non-cost
+// counter.
 func TestRecoveryCrashesSurviveWarmPools(t *testing.T) {
 	opts := engine.Options{Mode: engine.ModelCheck, Prefix: true, RecoveryCrashes: 3, Workers: 1}
 	runtime.GC()
@@ -66,20 +67,18 @@ func TestRecoveryCrashesSurviveWarmPools(t *testing.T) {
 		engine.Run(recoveryWriter, engine.Options{Mode: engine.RandomMode, Prefix: true, Seed: int64(i + 5), RecoveryCrashes: 3})
 	}
 	warm := engine.Run(recoveryWriter, opts)
-	scratchOpts := opts
-	scratchOpts.Checkpoint = engine.CheckpointOff
-	scratch := engine.Run(recoveryWriter, scratchOpts)
+	refOpts := opts
+	refOpts.Reference = true
+	ref := engine.Run(recoveryWriter, refOpts)
 
 	work := func(s engine.Stats) engine.Stats {
-		s.SimulatedOps, s.Handoffs, s.DirectOps = 0, 0, 0
-		s.SnapshotBytes, s.JournalOps, s.DedupedScenarios = 0, 0, 0
-		s.ClockInterned, s.EpochHits, s.EpochMisses = 0, 0, 0
+		s.ZeroCost()
 		return s
 	}
 	if cold.Report.Count() == 0 {
 		t.Fatal("recovery-crash sweep found no races")
 	}
-	for name, r := range map[string]*engine.Result{"warm": warm, "checkpoint off": scratch} {
+	for name, r := range map[string]*engine.Result{"warm": warm, "reference": ref} {
 		if got, want := r.Report.String(), cold.Report.String(); got != want {
 			t.Errorf("%s run reports diverge from the cold run:\n%s\nvs\n%s", name, got, want)
 		}

@@ -285,7 +285,7 @@ func newScenario(makeProg func() pmm.Program, opts Options, p plan, persist Pers
 		Benchmark:   benchmark,
 		Labeler:     func(a pmm.Addr) string { return heap.LabelFor(a) },
 		Suppress:    opts.Suppress,
-		OwnedClocks: opts.ClockIntern == ClockInternOff,
+		OwnedClocks: opts.Reference,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("engine: %v", err))
@@ -564,7 +564,7 @@ func (sc *scenario) runExecution(fns []func(*pmm.Thread)) bool {
 		pick := s.ready[0]
 		if len(s.ready) > 1 {
 			pick = s.ready[sc.rng.Intn(len(s.ready))]
-		} else if sc.opts.DirectRun == DirectRunOn {
+		} else if !sc.opts.Reference {
 			// Solo-run fast path: exactly one runnable thread means the
 			// scheduler has no decision to make (and, crucially, no rng
 			// draw), so grant a direct-run lease — the thread's sync()

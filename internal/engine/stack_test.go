@@ -6,8 +6,8 @@ package engine_test
 // consumes no randomness and the extra passes never influence scheduling,
 // image derivation or the model detector, so a stacked run's per-pass
 // reports — and every workload-behavior counter — must be byte-identical to
-// the single-pass runs, across random programs and the checkpoint ×
-// directrun × dedup option matrix. (The cost counters legitimately differ:
+// the single-pass runs, across random programs, in the default and the
+// reference configuration. (The cost counters legitimately differ:
 // extra passes participate in the crash-image memoization signature, so a
 // stacked run may dedup fewer scenarios.)
 
@@ -37,37 +37,19 @@ func passJSON(t *testing.T, s *report.Set) string {
 	return string(b)
 }
 
-// zeroCostCounters clears the counters that measure work done rather than
-// workload behavior (they vary with checkpoint/dedup interactions, which the
-// extra passes' signatures legitimately change).
-func zeroCostCounters(s *engine.Stats) {
-	s.SimulatedOps = 0
-	s.Handoffs = 0
-	s.DirectOps = 0
-	s.SnapshotBytes = 0
-	s.JournalOps = 0
-	s.ClockInterned = 0
-	s.EpochHits = 0
-	s.EpochMisses = 0
-	s.DedupedScenarios = 0
-}
-
 // TestStackedPassesMatchSolo: for random programs, running
 // Analyses={yashme,xfd} produces, per pass, byte-identical reports to
 // running that pass alone — and identical workload-behavior stats, window
 // and execution counts to the yashme-only run (the primary pass drives
-// those) — across the checkpoint × directrun × dedup matrix.
+// those) — in the default configuration and in the reference one, which
+// turns every fast path off ("allescape").
 func TestStackedPassesMatchSolo(t *testing.T) {
 	variants := []struct {
 		name string
 		opts engine.Options
 	}{
 		{"ckpt/direct/dedup", engine.Options{}},
-		{"nockpt", engine.Options{Checkpoint: engine.CheckpointOff}},
-		{"nodirect", engine.Options{DirectRun: engine.DirectRunOff}},
-		{"nodedup", engine.Options{Dedup: engine.DedupOff}},
-		{"allescape", engine.Options{Checkpoint: engine.CheckpointOff,
-			DirectRun: engine.DirectRunOff, Dedup: engine.DedupOff}},
+		{"allescape", engine.Options{Reference: true}},
 	}
 	for _, v := range variants {
 		v := v
@@ -103,8 +85,8 @@ func TestStackedPassesMatchSolo(t *testing.T) {
 				// The extra pass must not perturb the simulation: every
 				// workload-behavior observable matches the yashme-only run.
 				sStats, yStats := stacked.Stats, yashme.Stats
-				zeroCostCounters(&sStats)
-				zeroCostCounters(&yStats)
+				sStats.ZeroCost()
+				yStats.ZeroCost()
 				if sStats != yStats {
 					t.Fatalf("seed %d: stats diverge:\nstacked: %+v\nyashme:  %+v", seed, sStats, yStats)
 				}

@@ -84,6 +84,13 @@ func (p *Pool) ValidateHeader(t *pmm.Thread) error {
 // Heap exposes the underlying heap for structure allocation.
 func (p *Pool) Heap() *pmm.Heap { return p.h }
 
+// node resolves a persistent pointer loaded from the pool back to the
+// struct allocated there, the way recovery code casts a pointer read from
+// PM. It goes through the heap (pmm.Heap.StructAt), never a Go-side
+// registry filled by pre-crash code: a scenario resumed from a checkpoint
+// never ran the closures that allocated the nodes of the skipped prefix.
+func (p *Pool) node(addr uint64) (pmm.Struct, bool) { return p.h.StructAt(pmm.Addr(addr)) }
+
 // Tx is an in-flight undo-log transaction. PMDK transactions snapshot
 // ranges before modifying them; on an unclean shutdown the recovery path
 // rolls the snapshots back.

@@ -15,20 +15,6 @@ import (
 // exactly the paper's Table 4 row and the per-structure "1" entries in
 // Table 5.
 
-// nodeRegistry resolves persistent "pointers" (addresses) back to struct
-// handles after a crash, playing the role of the fixed PM mapping.
-type nodeRegistry map[uint64]pmm.Struct
-
-func (r nodeRegistry) put(s pmm.Struct) uint64 {
-	r[uint64(s.Base())] = s
-	return uint64(s.Base())
-}
-
-func (r nodeRegistry) get(addr uint64) (pmm.Struct, bool) {
-	s, ok := r[addr]
-	return s, ok
-}
-
 // --- BTree (order-4, tx-logged) ---
 
 // BTreeOrder is the number of keys per node in the mini BTree.
@@ -54,17 +40,15 @@ func bChild(i int) string { return "child" + string(rune('0'+i)) }
 // BTree is the PMDK btree example: a single-root order-4 tree where every
 // reachable mutation is transaction-logged.
 type BTree struct {
-	pool  *Pool
-	meta  pmm.Struct // "btree_meta" {root}
-	nodes nodeRegistry
+	pool *Pool
+	meta pmm.Struct // "btree_meta" {root}
 }
 
 // NewBTree allocates the tree metadata and an empty leaf root during Setup.
 func NewBTree(p *Pool) *BTree {
-	bt := &BTree{pool: p, meta: p.h.AllocStruct("btree_meta", pmm.Layout{{Name: "root", Size: 8}}), nodes: nodeRegistry{}}
+	bt := &BTree{pool: p, meta: p.h.AllocStruct("btree_meta", pmm.Layout{{Name: "root", Size: 8}})}
 	root := p.h.AllocStruct("btree_node", btreeNodeLayout)
 	p.h.Init(root.F("leaf"), 8, 1)
-	bt.nodes.put(root)
 	p.h.Init(bt.meta.F("root"), 8, uint64(root.Base()))
 	return bt
 }
@@ -79,7 +63,6 @@ func (bt *BTree) newNode(t *pmm.Thread, leaf bool) pmm.Struct {
 	t.Store64(n.F("leaf"), lv)
 	t.Store64(n.F("n"), 0)
 	t.Persist(n.Base(), n.Size())
-	bt.nodes.put(n)
 	return n
 }
 
@@ -87,7 +70,7 @@ func (bt *BTree) newNode(t *pmm.Thread, leaf bool) pmm.Struct {
 // leaves hanging off a one-level root, which is all the small drivers need.
 func (bt *BTree) Insert(t *pmm.Thread, key, val uint64) {
 	rootAddr := t.Load64(bt.meta.F("root"))
-	root, _ := bt.nodes.get(rootAddr)
+	root, _ := bt.pool.node(rootAddr)
 	if t.Load64(root.F("leaf")) == 1 {
 		if int(t.Load64(root.F("n"))) < BTreeOrder {
 			bt.leafInsert(t, root, key, val)
@@ -114,7 +97,7 @@ func (bt *BTree) routeChild(t *pmm.Thread, root pmm.Struct, key uint64) (int, pm
 		}
 	}
 	childAddr := t.Load64(root.F(bChild(idx)))
-	c, _ := bt.nodes.get(childAddr)
+	c, _ := bt.pool.node(childAddr)
 	return idx, c
 }
 
@@ -205,7 +188,7 @@ func (bt *BTree) splitRoot(t *pmm.Thread, old pmm.Struct, key, val uint64) {
 // Get looks a key up.
 func (bt *BTree) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	rootAddr := t.Load64(bt.meta.F("root"))
-	n, ok := bt.nodes.get(rootAddr)
+	n, ok := bt.pool.node(rootAddr)
 	if !ok {
 		return 0, false
 	}
@@ -234,14 +217,13 @@ var ctreeNodeLayout = pmm.Layout{
 // CTree is the PMDK ctree example: a binary tree keyed by comparison, with
 // tx-logged link updates.
 type CTree struct {
-	pool  *Pool
-	meta  pmm.Struct // "ctree_meta" {root}
-	nodes nodeRegistry
+	pool *Pool
+	meta pmm.Struct // "ctree_meta" {root}
 }
 
 // NewCTree allocates the tree metadata during Setup.
 func NewCTree(p *Pool) *CTree {
-	return &CTree{pool: p, meta: p.h.AllocStruct("ctree_meta", pmm.Layout{{Name: "root", Size: 8}}), nodes: nodeRegistry{}}
+	return &CTree{pool: p, meta: p.h.AllocStruct("ctree_meta", pmm.Layout{{Name: "root", Size: 8}})}
 }
 
 func (ct *CTree) newNode(t *pmm.Thread, key, val uint64) uint64 {
@@ -249,7 +231,7 @@ func (ct *CTree) newNode(t *pmm.Thread, key, val uint64) uint64 {
 	t.Store64(n.F("key"), key)
 	t.Store64(n.F("value"), val)
 	t.Persist(n.Base(), n.Size())
-	return ct.nodes.put(n)
+	return uint64(n.Base())
 }
 
 // Insert adds or updates a key.
@@ -263,7 +245,7 @@ func (ct *CTree) Insert(t *pmm.Thread, key, val uint64) {
 		return
 	}
 	for {
-		n, _ := ct.nodes.get(cur)
+		n, _ := ct.pool.node(cur)
 		k := t.Load64(n.F("key"))
 		if k == key {
 			tx := ct.pool.TxBegin(t)
@@ -291,7 +273,7 @@ func (ct *CTree) Insert(t *pmm.Thread, key, val uint64) {
 func (ct *CTree) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	cur := t.Load64(ct.meta.F("root"))
 	for cur != 0 {
-		n, ok := ct.nodes.get(cur)
+		n, ok := ct.pool.node(cur)
 		if !ok {
 			return 0, false
 		}
@@ -325,14 +307,13 @@ var rbNodeLayout = pmm.Layout{
 // color maintenance (full rotation rebalancing is omitted; the persistence
 // protocol — which is what races — is the same).
 type RBTree struct {
-	pool  *Pool
-	meta  pmm.Struct // "rbtree_meta" {root}
-	nodes nodeRegistry
+	pool *Pool
+	meta pmm.Struct // "rbtree_meta" {root}
 }
 
 // NewRBTree allocates the tree metadata during Setup.
 func NewRBTree(p *Pool) *RBTree {
-	return &RBTree{pool: p, meta: p.h.AllocStruct("rbtree_meta", pmm.Layout{{Name: "root", Size: 8}}), nodes: nodeRegistry{}}
+	return &RBTree{pool: p, meta: p.h.AllocStruct("rbtree_meta", pmm.Layout{{Name: "root", Size: 8}})}
 }
 
 func (rb *RBTree) newNode(t *pmm.Thread, key, val, parent uint64) uint64 {
@@ -342,7 +323,7 @@ func (rb *RBTree) newNode(t *pmm.Thread, key, val, parent uint64) uint64 {
 	t.Store64(n.F("parent"), parent)
 	t.Store64(n.F("color"), colorRed)
 	t.Persist(n.Base(), n.Size())
-	return rb.nodes.put(n)
+	return uint64(n.Base())
 }
 
 // Insert adds or updates a key, then recolors the insertion path.
@@ -352,13 +333,13 @@ func (rb *RBTree) Insert(t *pmm.Thread, key, val uint64) {
 		addr := rb.newNode(t, key, val, 0)
 		tx := rb.pool.TxBegin(t)
 		tx.Set(rb.meta.F("root"), addr)
-		n, _ := rb.nodes.get(addr)
+		n, _ := rb.pool.node(addr)
 		tx.Set(n.F("color"), colorBlack) // root is black
 		tx.Commit()
 		return
 	}
 	for {
-		n, _ := rb.nodes.get(cur)
+		n, _ := rb.pool.node(cur)
 		k := t.Load64(n.F("key"))
 		if k == key {
 			tx := rb.pool.TxBegin(t)
@@ -391,7 +372,7 @@ func (rb *RBTree) Insert(t *pmm.Thread, key, val uint64) {
 func (rb *RBTree) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	cur := t.Load64(rb.meta.F("root"))
 	for cur != 0 {
-		n, ok := rb.nodes.get(cur)
+		n, ok := rb.pool.node(cur)
 		if !ok {
 			return 0, false
 		}
@@ -422,7 +403,6 @@ var hashEntryLayout = pmm.Layout{
 type HashmapTX struct {
 	pool    *Pool
 	buckets pmm.Array // "hashmap_tx_bucket" {head}
-	nodes   nodeRegistry
 }
 
 // NewHashmapTX allocates the bucket array during Setup.
@@ -430,7 +410,6 @@ func NewHashmapTX(p *Pool) *HashmapTX {
 	return &HashmapTX{
 		pool:    p,
 		buckets: p.h.AllocArray("hashmap_tx_bucket", pmm.Layout{{Name: "head", Size: 8}}, HashBuckets),
-		nodes:   nodeRegistry{},
 	}
 }
 
@@ -441,7 +420,7 @@ func (hm *HashmapTX) Put(t *pmm.Thread, key, val uint64) {
 	b := hm.buckets.At(hashBucket(key))
 	cur := t.Load64(b.F("head"))
 	for addr := cur; addr != 0; {
-		n, _ := hm.nodes.get(addr)
+		n, _ := hm.pool.node(addr)
 		if t.Load64(n.F("key")) == key {
 			tx := hm.pool.TxBegin(t)
 			tx.Set(n.F("value"), val)
@@ -455,7 +434,7 @@ func (hm *HashmapTX) Put(t *pmm.Thread, key, val uint64) {
 	t.Store64(n.F("value"), val)
 	t.Store64(n.F("next"), cur)
 	t.Persist(n.Base(), n.Size())
-	addr := hm.nodes.put(n)
+	addr := uint64(n.Base())
 	tx := hm.pool.TxBegin(t)
 	tx.Set(b.F("head"), addr)
 	tx.Commit()
@@ -465,7 +444,7 @@ func (hm *HashmapTX) Put(t *pmm.Thread, key, val uint64) {
 func (hm *HashmapTX) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	b := hm.buckets.At(hashBucket(key))
 	for addr := t.Load64(b.F("head")); addr != 0; {
-		n, ok := hm.nodes.get(addr)
+		n, ok := hm.pool.node(addr)
 		if !ok {
 			return 0, false
 		}
@@ -488,7 +467,6 @@ type HashmapAtomic struct {
 	pool    *Pool
 	buckets pmm.Array  // "hashmap_atomic_bucket" {head}
 	count   pmm.Struct // "hashmap_atomic_meta" {count}
-	nodes   nodeRegistry
 }
 
 // NewHashmapAtomic allocates the bucket array and counter during Setup.
@@ -497,7 +475,6 @@ func NewHashmapAtomic(p *Pool) *HashmapAtomic {
 		pool:    p,
 		buckets: p.h.AllocArray("hashmap_atomic_bucket", pmm.Layout{{Name: "head", Size: 8}}, HashBuckets),
 		count:   p.h.AllocStruct("hashmap_atomic_meta", pmm.Layout{{Name: "count", Size: 8}}),
-		nodes:   nodeRegistry{},
 	}
 }
 
@@ -506,7 +483,7 @@ func (hm *HashmapAtomic) Put(t *pmm.Thread, key, val uint64) {
 	b := hm.buckets.At(hashBucket(key))
 	cur := t.LoadAcquire64(b.F("head"))
 	for addr := cur; addr != 0; {
-		n, _ := hm.nodes.get(addr)
+		n, _ := hm.pool.node(addr)
 		if t.Load64(n.F("key")) == key {
 			t.StoreRelease64(n.F("value"), val)
 			t.Persist(n.F("value"), 8)
@@ -519,7 +496,7 @@ func (hm *HashmapAtomic) Put(t *pmm.Thread, key, val uint64) {
 	t.Store64(n.F("value"), val)
 	t.Store64(n.F("next"), cur)
 	t.Persist(n.Base(), n.Size())
-	addr := hm.nodes.put(n)
+	addr := uint64(n.Base())
 	// Atomic publication: release store + persist.
 	t.StoreRelease64(b.F("head"), addr)
 	t.Persist(b.F("head"), 8)
@@ -533,7 +510,7 @@ func (hm *HashmapAtomic) Put(t *pmm.Thread, key, val uint64) {
 func (hm *HashmapAtomic) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	b := hm.buckets.At(hashBucket(key))
 	for addr := t.LoadAcquire64(b.F("head")); addr != 0; {
-		n, ok := hm.nodes.get(addr)
+		n, ok := hm.pool.node(addr)
 		if !ok {
 			return 0, false
 		}

@@ -68,6 +68,9 @@ func TestHandlerEndpoints(t *testing.T) {
 		{"submit async", "POST", "/v1/jobs", `{"names":["svc-probe"],"variants":["races"]}`, http.StatusOK, `"state"`},
 		{"submit bad json", "POST", "/v1/jobs", `{"names":`, http.StatusBadRequest, "error"},
 		{"submit unknown field", "POST", "/v1/jobs", `{"bogus":1}`, http.StatusBadRequest, "error"},
+		// The engine fast-path toggles are gone from the request; a client
+		// still sending one gets an error, not a silently default run.
+		{"submit removed toggle", "POST", "/v1/jobs", `{"names":["svc-probe"],"no_checkpoint":true}`, http.StatusBadRequest, "no_checkpoint"},
 		{"submit unknown tag", "POST", "/v1/jobs", `{"tags":["nope"]}`, http.StatusBadRequest, "unknown tag"},
 		{"submit unknown workload", "POST", "/v1/jobs", `{"names":["nope"]}`, http.StatusBadRequest, "unknown workload"},
 		{"get job", "GET", "/v1/jobs/" + st.ID, "", http.StatusOK, `"state": "done"`},

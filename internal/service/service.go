@@ -68,13 +68,6 @@ type Request struct {
 	// Seed, when non-zero, overrides every run's seed (the random-mode
 	// reproducibility knob; see suite.Config.Seed).
 	Seed int64 `json:"seed,omitempty"`
-	// Engine escape hatches, mirroring the CLI flags (results are
-	// byte-identical either way; stats differ, so they fingerprint).
-	NoCheckpoint  bool `json:"no_checkpoint,omitempty"`
-	NoDirectRun   bool `json:"no_directrun,omitempty"`
-	NoDedup       bool `json:"no_dedup,omitempty"`
-	NoClockIntern bool `json:"no_clockintern,omitempty"`
-	Keyframe      int  `json:"keyframe,omitempty"`
 	// TimeoutMs bounds the job's wall-clock run (0 = the manager's
 	// default). Excluded from the fingerprint: a timeout changes when a
 	// result arrives, never what it is.
@@ -123,10 +116,10 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 
 // JobStatus is the JSON snapshot of a job the API serves.
 type JobStatus struct {
-	ID       string  `json:"id"`
-	State    State   `json:"state"`
-	CacheHit bool    `json:"cache_hit,omitempty"`
-	Error    string  `json:"error,omitempty"`
+	ID       string `json:"id"`
+	State    State  `json:"state"`
+	CacheHit bool   `json:"cache_hit,omitempty"`
+	Error    string `json:"error,omitempty"`
 	// ElapsedNs is the job's run time (0 until it finishes running).
 	ElapsedNs int64   `json:"elapsed_ns,omitempty"`
 	Request   Request `json:"request"`
@@ -357,7 +350,7 @@ func (m *Manager) runJob(job *Job) {
 	var body []byte
 	if res != nil {
 		m.statsMu.Lock()
-		addStats(&m.agg, res.TotalStats())
+		m.agg.Add(res.TotalStats())
 		m.statsMu.Unlock()
 		var err error
 		if body, err = res.Canonical().JSON(); err != nil && panicErr == nil {
@@ -468,28 +461,14 @@ func (m *Manager) Metrics() Metrics {
 // suiteConfig maps a normalized request onto the suite runner, wiring the
 // manager's shared budget through so concurrent jobs split the machine.
 func suiteConfig(req Request, budget *engine.Budget) suite.Config {
-	cfg := suite.Config{
+	return suite.Config{
 		Tags:     req.Tags,
 		Names:    req.Names,
 		Variants: req.Variants,
 		Analyses: req.Analyses,
 		Seed:     req.Seed,
-		Keyframe: req.Keyframe,
 		Budget:   budget,
 	}
-	if req.NoCheckpoint {
-		cfg.Checkpoint = engine.CheckpointOff
-	}
-	if req.NoDirectRun {
-		cfg.DirectRun = engine.DirectRunOff
-	}
-	if req.NoDedup {
-		cfg.Dedup = engine.DedupOff
-	}
-	if req.NoClockIntern {
-		cfg.ClockIntern = engine.ClockInternOff
-	}
-	return cfg
 }
 
 // normalize canonicalizes a request (sorted unique tags and names,
@@ -571,9 +550,6 @@ func normalize(req Request) (Request, error) {
 	if req.Seed < 0 {
 		return req, fmt.Errorf("%w: negative seed", ErrBadRequest)
 	}
-	if req.Keyframe < 0 {
-		return req, fmt.Errorf("%w: negative keyframe", ErrBadRequest)
-	}
 	if req.TimeoutMs < 0 {
 		return req, fmt.Errorf("%w: negative timeout_ms", ErrBadRequest)
 	}
@@ -607,22 +583,4 @@ func sortUnique(in []string) []string {
 		}
 	}
 	return out[:n]
-}
-
-// addStats accumulates one run's counters into the service-wide ledger.
-func addStats(dst *engine.Stats, s engine.Stats) {
-	dst.Stores += s.Stores
-	dst.Loads += s.Loads
-	dst.Flushes += s.Flushes
-	dst.Fences += s.Fences
-	dst.RMWs += s.RMWs
-	dst.SimulatedOps += s.SimulatedOps
-	dst.Handoffs += s.Handoffs
-	dst.DirectOps += s.DirectOps
-	dst.SnapshotBytes += s.SnapshotBytes
-	dst.JournalOps += s.JournalOps
-	dst.ClockInterned += s.ClockInterned
-	dst.EpochHits += s.EpochHits
-	dst.EpochMisses += s.EpochMisses
-	dst.DedupedScenarios += s.DedupedScenarios
 }

@@ -2,11 +2,9 @@ package suite
 
 import (
 	"bytes"
-	"encoding/json"
 	"runtime"
 	"testing"
 
-	"yashme/internal/engine"
 	"yashme/internal/workload"
 
 	// Link the xfd pass for the stacked run that dirties the pools.
@@ -22,9 +20,8 @@ import (
 // with empty pools. Then the pools are dirtied with differently shaped
 // workloads, the selections run again at one and four workers, and every
 // rerun must match the cold run's Canonical JSON byte for byte. The
-// checkpoint-off and direct-run-off configurations must match it too, once
-// their cost counters are set aside, and so must full-clone checkpoints
-// (keyframe 1), which pin the probe's arena by clone alone, with no journal.
+// reference configuration, run on the same warm pools, must match it too
+// once the cost counters are set aside.
 func TestWarmPoolsByteIdentical(t *testing.T) {
 	sel := Config{
 		Tags:     []string{workload.TagTable3, workload.TagTable4, workload.TagTable5},
@@ -56,21 +53,12 @@ func TestWarmPoolsByteIdentical(t *testing.T) {
 	}
 
 	want := workOnly(t, cold)
-	for _, ref := range []struct {
-		name string
-		mod  func(*Config)
-	}{
-		{"checkpoint=false", func(c *Config) { c.Checkpoint = engine.CheckpointOff }},
-		{"directrun=false", func(c *Config) { c.DirectRun = engine.DirectRunOff }},
-		{"keyframe=1", func(c *Config) { c.Keyframe = 1 }},
-	} {
-		for _, workers := range []int{1, 4} {
-			cfg := sel
-			cfg.Workers = workers
-			ref.mod(&cfg)
-			if got := workOnly(t, Run(cfg)); !bytes.Equal(got, want) {
-				t.Fatalf("%s at %d workers != cold run:\n%s\nvs\n%s", ref.name, workers, got, want)
-			}
+	for _, workers := range []int{1, 4} {
+		cfg := sel
+		cfg.Workers = workers
+		cfg.Reference = true
+		if got := workOnly(t, Run(cfg)); !bytes.Equal(got, want) {
+			t.Fatalf("reference at %d workers != cold run:\n%s\nvs\n%s", workers, got, want)
 		}
 	}
 }
@@ -88,22 +76,19 @@ func anyWorkers(t *testing.T, r *Result) []byte {
 	return data
 }
 
-// workOnly renders a result's benchmarks with the counters that measure how
-// the work was done (simulation path, snapshot capture, memoization, clock
-// interning) zeroed, leaving races, windows, executions and per-kind
-// operation counts. The config summary is left out: it names the fast paths.
+// workOnly is anyWorkers with the cost counters, which measure how the
+// work was done, zeroed too (engine.Stats.ZeroCost), leaving races,
+// windows, executions and per-kind operation counts.
 func workOnly(t *testing.T, r *Result) []byte {
 	t.Helper()
 	c := r.Canonical()
+	c.Config.Workers = 0
 	for i := range c.Benchmarks {
 		for j := range c.Benchmarks[i].Runs {
-			s := &c.Benchmarks[i].Runs[j].Stats
-			s.SimulatedOps, s.Handoffs, s.DirectOps = 0, 0, 0
-			s.SnapshotBytes, s.JournalOps, s.DedupedScenarios = 0, 0, 0
-			s.ClockInterned, s.EpochHits, s.EpochMisses = 0, 0, 0
+			c.Benchmarks[i].Runs[j].Stats.ZeroCost()
 		}
 	}
-	data, err := json.Marshal(c.Benchmarks)
+	data, err := c.JSON()
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}

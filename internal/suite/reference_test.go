@@ -1,0 +1,33 @@
+package suite
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+)
+
+// TestReferenceMatchesDefault is the whole-registry oracle: every
+// registered workload, through every variant group, at one and four
+// workers, must give the same Canonical JSON in the default configuration
+// and in the reference one (every fast path off) once the cost counters
+// are zeroed. The reference run must also really bypass the fast paths —
+// no memoized scenario, no epoch hit, no direct-run op — while the default
+// run takes all three.
+func TestReferenceMatchesDefault(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		def := Run(Config{Workers: workers})
+		ref := Run(Config{Workers: workers, Reference: true})
+		name := fmt.Sprintf("workers %d", workers)
+		if dj, rj := workOnly(t, def), workOnly(t, ref); !bytes.Equal(dj, rj) {
+			t.Fatalf("%s: default != reference canonical JSON:\n%s\nvs\n%s", name, dj, rj)
+		}
+		if s := ref.TotalStats(); s.DedupedScenarios != 0 || s.EpochHits != 0 || s.DirectOps != 0 {
+			t.Errorf("%s: the reference run took a fast path: %d deduped scenarios, %d epoch hits, %d direct ops",
+				name, s.DedupedScenarios, s.EpochHits, s.DirectOps)
+		}
+		if s := def.TotalStats(); s.DedupedScenarios == 0 || s.EpochHits == 0 || s.DirectOps == 0 {
+			t.Errorf("%s: the default run skipped a fast path: %d deduped scenarios, %d epoch hits, %d direct ops",
+				name, s.DedupedScenarios, s.EpochHits, s.DirectOps)
+		}
+	}
+}

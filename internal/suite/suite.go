@@ -108,20 +108,10 @@ type Config struct {
 	// the random-mode reproducibility knob — and part of a detection job's
 	// cache identity in internal/service.
 	Seed int64
-	// Checkpoint and DirectRun select the engine fast-path modes for every
-	// run (defaults on; results identical either way).
-	Checkpoint engine.CheckpointMode
-	DirectRun  engine.DirectRunMode
-	// Keyframe is the full-clone interval for delta checkpoints (0 = the
-	// engine default; 1 = every snapshot a full clone) and Dedup toggles
-	// crash-image memoization — both forwarded to every engine run
-	// (results identical at any setting).
-	Keyframe int
-	Dedup    engine.DedupMode
-	// ClockIntern toggles the interned clock arena + epoch fast path —
-	// forwarded to every engine run (results identical at either setting,
-	// the owned representation is the debugging escape hatch).
-	ClockIntern engine.ClockInternMode
+	// Reference runs every engine run in the reference configuration, with
+	// every fast path off (see engine.Options.Reference). Results are
+	// identical; only the cost counters differ.
+	Reference bool
 	// Analyses selects the analysis passes every engine run executes (nil =
 	// the engine default, yashme alone). The first selected pass is primary:
 	// each RunResult's top-level Races/RaceCount are its report, and when
@@ -138,15 +128,13 @@ type Config struct {
 
 // Summary echoes the configuration a Result was produced under.
 type Summary struct {
-	Workers    int      `json:"workers"`
-	Checkpoint bool     `json:"checkpoint"`
-	DirectRun  bool     `json:"directrun"`
-	Shard      string   `json:"shard,omitempty"`
-	Tags       []string `json:"tags,omitempty"`
-	Names      []string `json:"names,omitempty"`
-	Variants   []string `json:"variants"`
-	Analyses   []string `json:"analyses,omitempty"`
-	Seed       int64    `json:"seed,omitempty"`
+	Workers  int      `json:"workers"`
+	Shard    string   `json:"shard,omitempty"`
+	Tags     []string `json:"tags,omitempty"`
+	Names    []string `json:"names,omitempty"`
+	Variants []string `json:"variants"`
+	Analyses []string `json:"analyses,omitempty"`
+	Seed     int64    `json:"seed,omitempty"`
 }
 
 // AnalysisResult is one analysis pass's deduplicated report within a run
@@ -269,20 +257,7 @@ func (r *Result) TotalStats() engine.Stats {
 	var s engine.Stats
 	for _, b := range r.Benchmarks {
 		for _, run := range b.Runs {
-			s.Stores += run.Stats.Stores
-			s.Loads += run.Stats.Loads
-			s.Flushes += run.Stats.Flushes
-			s.Fences += run.Stats.Fences
-			s.RMWs += run.Stats.RMWs
-			s.SimulatedOps += run.Stats.SimulatedOps
-			s.Handoffs += run.Stats.Handoffs
-			s.DirectOps += run.Stats.DirectOps
-			s.SnapshotBytes += run.Stats.SnapshotBytes
-			s.JournalOps += run.Stats.JournalOps
-			s.ClockInterned += run.Stats.ClockInterned
-			s.EpochHits += run.Stats.EpochHits
-			s.EpochMisses += run.Stats.EpochMisses
-			s.DedupedScenarios += run.Stats.DedupedScenarios
+			s.Add(run.Stats)
 		}
 	}
 	return s
@@ -487,14 +462,12 @@ func RunContext(ctx context.Context, cfg Config) *Result {
 
 	res := &Result{
 		Config: Summary{
-			Workers:    budget.Size(),
-			Checkpoint: cfg.Checkpoint == engine.CheckpointOn,
-			DirectRun:  cfg.DirectRun == engine.DirectRunOn,
-			Tags:       cfg.Tags,
-			Names:      cfg.Names,
-			Variants:   groups,
-			Analyses:   cfg.Analyses,
-			Seed:       cfg.Seed,
+			Workers:  budget.Size(),
+			Tags:     cfg.Tags,
+			Names:    cfg.Names,
+			Variants: groups,
+			Analyses: cfg.Analyses,
+			Seed:     cfg.Seed,
 		},
 		Benchmarks: make([]Bench, len(specs)),
 	}
@@ -511,11 +484,7 @@ func RunContext(ctx context.Context, cfg Config) *Result {
 			}
 			opts := j.opts
 			opts.Workers = budget.Size()
-			opts.Checkpoint = cfg.Checkpoint
-			opts.DirectRun = cfg.DirectRun
-			opts.Keyframe = cfg.Keyframe
-			opts.Dedup = cfg.Dedup
-			opts.ClockIntern = cfg.ClockIntern
+			opts.Reference = cfg.Reference
 			opts.Analyses = cfg.Analyses
 			opts.Budget = budget
 			if cfg.Seed != 0 {

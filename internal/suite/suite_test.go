@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"yashme/internal/engine"
 	"yashme/internal/workload"
 )
 
@@ -138,74 +137,5 @@ func TestEmptySelection(t *testing.T) {
 	}
 	if merged := Merge(res); len(merged.Benchmarks) != 0 {
 		t.Fatalf("merged benchmarks = %d, want 0", len(merged.Benchmarks))
-	}
-}
-
-// Delta checkpoints and crash-image memoization are pure mechanism: on a
-// model-check sweep, keyframing every snapshot (Keyframe=1, the full-clone
-// escape hatch) must be byte-identical to the default delta run modulo the
-// capture-accounting fields, and turning memoization off must be identical
-// modulo those plus the work counters its skipped scenarios no longer
-// accrue. Races, windows, executions and per-kind operation counts can
-// never differ.
-func TestDeltaMatchesFullClone(t *testing.T) {
-	cfg := Config{
-		Names:      []string{"CCEH", "P-ART"},
-		Variants:   []string{VariantRaces},
-		Checkpoint: engine.CheckpointOn,
-	}
-	deltas := Run(cfg)
-
-	kf1 := cfg
-	kf1.Keyframe = 1
-	fullClones := Run(kf1)
-
-	nodedup := cfg
-	nodedup.Dedup = engine.DedupOff
-	scratch := Run(nodedup)
-
-	if d := deltas.TotalStats().DedupedScenarios; d == 0 {
-		t.Error("default run deduplicated no scenarios; memoization is inert on the sweep")
-	}
-	if d := scratch.TotalStats().DedupedScenarios; d != 0 {
-		t.Errorf("dedup-off run reports %d deduplicated scenarios", d)
-	}
-
-	// The capture-accounting fields measure how state was captured, not
-	// what was explored; work counters measure how much simulation ran.
-	capture := func(s *engine.Stats) {
-		s.SnapshotBytes, s.JournalOps, s.DedupedScenarios = 0, 0, 0
-		// Clock-arena counters follow the capture mechanics too: a journal
-		// replay re-runs its segment's joins, a keyframe resume does not.
-		s.ClockInterned, s.EpochHits, s.EpochMisses = 0, 0, 0
-	}
-	work := func(s *engine.Stats) {
-		s.SimulatedOps, s.Handoffs, s.DirectOps = 0, 0, 0
-	}
-	canon := func(r *Result, norm ...func(*engine.Stats)) []byte {
-		c := r.Canonical()
-		for i := range c.Benchmarks {
-			for j := range c.Benchmarks[i].Runs {
-				for _, f := range norm {
-					f(&c.Benchmarks[i].Runs[j].Stats)
-				}
-			}
-		}
-		data, err := c.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-
-	if dj, fj := canon(deltas, capture), canon(fullClones, capture); !bytes.Equal(dj, fj) {
-		t.Fatalf("delta run != keyframe-1 run canonical JSON:\n%s\nvs\n%s", dj, fj)
-	}
-	if dj, sj := canon(deltas, capture, work), canon(scratch, capture, work); !bytes.Equal(dj, sj) {
-		t.Fatalf("memoized run != dedup-off run canonical JSON:\n%s\nvs\n%s", dj, sj)
-	}
-	// And memoization must actually save simulation work.
-	if on, off := deltas.TotalStats().SimulatedOps, scratch.TotalStats().SimulatedOps; on >= off {
-		t.Errorf("memoization saved nothing: %d simulated ops with dedup, %d without", on, off)
 	}
 }

@@ -131,7 +131,7 @@ func TestRecorderForwardsToInner(t *testing.T) {
 
 type countingListener struct{ stores *int }
 
-func (c countingListener) StoreCommitted(*tso.CommittedStore)                           { *c.stores++ }
+func (c countingListener) StoreCommitted(*tso.CommittedStore)                              { *c.stores++ }
 func (c countingListener) CLFlushCommitted(vclock.TID, pmm.Addr, vclock.Seq, vclock.Stamp) {}
 func (c countingListener) CLWBBuffered(vclock.TID, pmm.Addr, vclock.Stamp)                 {}
 func (c countingListener) CLWBPersisted(tso.FBEntry, vclock.TID, vclock.Seq, vclock.Stamp) {}

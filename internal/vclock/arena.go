@@ -84,11 +84,12 @@ type Stamp struct {
 // append-only and never mutated after interning, so Clone is a capped
 // slice view and clones share backing storage until either side appends.
 //
-// An owned Arena (the -clockintern=false escape hatch) appends a private
-// materialized copy on every Intern instead of deduplicating, reproducing
-// the one-clock-per-record cost model of the previous representation; the
-// epoch join fast path is disabled there so the two modes differ only in
-// cost counters, never in observable results.
+// An owned Arena (the engine's reference configuration,
+// engine.Options.Reference) appends a private materialized copy on every
+// Intern instead of deduplicating, reproducing the one-clock-per-record
+// cost model of the previous representation; the epoch join fast path is
+// disabled there so the two modes differ only in cost counters, never in
+// observable results. It is the slow side the fast path is tested against.
 type Arena struct {
 	entries []VC // entries[0] is the canonical empty clock (nil)
 	// lookup maps canonical clock bytes to their Ref. It is rebuilt lazily
@@ -108,8 +109,8 @@ type Arena struct {
 	epochMisses int64
 }
 
-// NewArena returns an empty arena. owned selects the always-append escape
-// hatch over interning.
+// NewArena returns an empty arena. owned selects the always-append
+// reference representation over interning.
 func NewArena(owned bool) *Arena {
 	return &Arena{entries: make([]VC, 1, 16), lookupN: 1, owned: owned}
 }
