@@ -37,6 +37,13 @@ import (
 	"yashme/internal/service"
 )
 
+// Connection bounds. There is no read or write timeout on whole requests:
+// a ?wait=1 submission legitimately holds its connection for the job's run.
+const (
+	readHeaderTimeout = 10 * time.Second // a client that never finishes its headers
+	idleTimeout       = 2 * time.Minute  // a kept-alive connection with no request
+)
+
 func main() { os.Exit(run()) }
 
 func run() int {
@@ -68,7 +75,11 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "yashme-serve: %v\n", err)
 		return 2
 	}
-	srv := &http.Server{Handler: service.NewHandler(mgr)}
+	srv := &http.Server{
+		Handler:           service.NewHandler(mgr),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Printf("yashme-serve: listening on %s (%d job workers, budget %d, cache %d MiB)\n",

@@ -104,12 +104,20 @@ type countingSource struct {
 	n        uint64
 }
 
+// newCountingSource is the engine's one way to seed a scheduler stream: a
+// mirrored register when the mirror validated, the stdlib source otherwise.
 func newCountingSource(seed int64) *countingSource {
-	if rngMirrorOK {
-		st := getRngState()
-		seedRngState(seed, st)
-		return &countingSource{state: st, mirrored: true}
+	if !rngMirrorOK {
+		return newStdlibSource(seed)
 	}
+	st := getRngState()
+	seedRngState(seed, st)
+	return &countingSource{state: st, mirrored: true}
+}
+
+// newStdlibSource is the fallback behind newCountingSource: it keeps the
+// math/rand source itself, so fork returns nil and resumes seed-and-skip.
+func newStdlibSource(seed int64) *countingSource {
 	src := rand.NewSource(seed)
 	cs := &countingSource{src: src}
 	if s64, ok := src.(rand.Source64); ok {

@@ -444,7 +444,9 @@ func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Optio
 // fan out across the workers.
 func planRandom(ctx context.Context, makeProg func() pmm.Program, opts Options, emit func(scenarioSpec)) planSummary {
 	var sum planSummary
-	rng := rand.New(rand.NewSource(opts.Seed))
+	src := newCountingSource(opts.Seed)
+	defer src.release()
+	rng := rand.New(src)
 	for i := 0; i < opts.Executions; i++ {
 		schedSeed := rng.Int63()
 		// Probe with this schedule to count its crash points, then emit

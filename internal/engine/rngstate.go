@@ -1,25 +1,34 @@
 // Copyable scheduler-rng state.
 //
 // Every crash scenario owns a rand.Rand, and a checkpointed resume must hand
-// it the exact stream position a from-scratch run would hold — historically
-// by re-seeding a fresh source (math/rand's seed loop walks an LCG ~1900
-// steps to fill the 607-word register) and replaying every draw the prefix
-// made. Profiling showed that re-seeding alone was ~25% of a model-checking
-// sweep. math/rand does not expose its generator state, but the package is
-// frozen under the Go 1 compatibility promise, so this file mirrors it: the
-// state struct layout and the step function of its additive lagged-Fibonacci
-// generator (math/rand/rng.go). A snapshot then carries a plain copy of the
-// seeded state, and a resume is a 4.9KB memcpy — no seed loop, no replay.
+// it the exact stream position a from-scratch run would hold. math/rand does
+// not expose its generator state, but the package is frozen under the Go 1
+// compatibility promise, so this file mirrors it: the state struct layout and
+// the step function of its additive lagged-Fibonacci generator
+// (math/rand/rng.go). A snapshot then carries a plain copy of the register,
+// and a resume is a 4.9KB memcpy — no re-seeding, no replay.
+//
+// Seeding is mirrored too, because random mode seeds a fresh register for
+// every scenario. The stdlib fills the 607-word register from 1,841 serial
+// steps of the LCG x <- 48271*x mod (2^31-1), XORed with a table of "cooked"
+// constants. The k-th LCG value is 48271^k * x0 mod (2^31-1), so
+// seedRngState takes the powers from a table built once and fills every word
+// from three independent multiplications, reduced with the Mersenne-prime
+// fold instead of a division. The cooked table is unexported; init recovers
+// it by XORing the LCG part out of one rand.NewSource(1) register.
 //
 // The mirror is validated at init: the layout check compares field names,
-// types, offsets and total size by reflection, and the behavior check steps
-// a mirrored copy alongside the real source across the register's wrap
-// point. If either fails (a future Go release changing internals), mirroring
-// is disabled and countingSource falls back to seed-and-skip — slower,
-// byte-identical results.
+// types, offsets and total size by reflection, the fill check compares whole
+// registers against rand.NewSource for seeds other than the one the cooked
+// table came from, and the behavior check steps a mirrored copy alongside the
+// real source across the register's wrap point. If any fails (a future Go
+// release changing internals), mirroring is disabled and countingSource keeps
+// a stdlib source and resumes by seed-and-skip — slower, byte-identical
+// results.
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -28,7 +37,16 @@ import (
 
 const (
 	rngLen  = 607
+	rngTap  = 273
 	rngMask = 1<<63 - 1
+
+	// The seeding LCG: x <- lcgMul*x mod lcgMod, started lcgWarmup steps
+	// before the first register word and stepped three times per word.
+	lcgMod    = 1<<31 - 1
+	lcgMul    = 48271
+	lcgWarmup = 20
+	// rngZeroSeed stands in for a seed that is 0 mod lcgMod, as in the stdlib.
+	rngZeroSeed = 89482311
 )
 
 // rngState mirrors math/rand's rngSource: an additive lagged-Fibonacci
@@ -59,12 +77,45 @@ func (r *rngState) Uint64() uint64 {
 
 func (r *rngState) Int63() int64 { return int64(r.Uint64() & rngMask) }
 
+// lcgPow[i][j] is lcgMul^(lcgWarmup+1+3i+j) mod lcgMod: the multiplier
+// taking the normalized seed to the LCG value that feeds bits 40, 20 and 0
+// (j = 0, 1, 2) of register word i. rngCooked is the stdlib's constant the
+// word is XORed with, recovered by validateRngMirror.
+var (
+	lcgPow    = lcgPowers()
+	rngCooked [rngLen]int64
+)
+
+func lcgPowers() (pow [rngLen][3]uint32) {
+	x := uint64(1)
+	for k := 0; k < lcgWarmup; k++ {
+		x = lcgMod31(x * lcgMul)
+	}
+	for i := range pow {
+		for j := range pow[i] {
+			x = lcgMod31(x * lcgMul)
+			pow[i][j] = uint32(x)
+		}
+	}
+	return pow
+}
+
+// lcgMod31 reduces a product of two nonzero residues mod 2^31-1 by folding
+// the high bits onto the low ones (2^31 = 1 mod 2^31-1) twice. The first
+// fold leaves at most 2^32-2, the second at most 2^31-1, which it cannot
+// reach: the modulus is prime, so the product is never 0 mod it. The result
+// is therefore already in [1, 2^31-2], with no final subtraction.
+func lcgMod31(p uint64) uint64 {
+	p = p&lcgMod + p>>31
+	return p&lcgMod + p>>31
+}
+
 // rngMirrorOK reports whether the running math/rand implementation matches
 // the mirror; computed once at init.
 var rngMirrorOK = validateRngMirror()
 
 func validateRngMirror() bool {
-	src := rand.NewSource(20220326)
+	src := rand.NewSource(1)
 	v := reflect.ValueOf(src)
 	if v.Kind() != reflect.Pointer {
 		return false
@@ -80,12 +131,26 @@ func validateRngMirror() bool {
 			return false
 		}
 	}
-	s64, ok := src.(rand.Source64)
+	// With rngCooked still zero, seedRngState(1) fills in the bare LCG
+	// part; XORing it out of the stdlib's register leaves the constants.
+	var st rngState
+	seedRngState(1, &st)
+	one := mirrorOf(src)
+	for i := range rngCooked {
+		rngCooked[i] = one.vec[i] ^ st.vec[i]
+	}
+	for _, seed := range []int64{0, -1, math.MinInt64, 20220326} {
+		seedRngState(seed, &st)
+		if st != *mirrorOf(rand.NewSource(seed)) {
+			return false
+		}
+	}
+	s64, ok := rand.NewSource(20220326).(rand.Source64)
 	if !ok {
 		return false
 	}
-	st := *(*rngState)(unsafe.Pointer(v.Pointer()))
-	// Step far enough to wrap both register indices at least twice.
+	// st holds seed 20220326's register. Step far enough to wrap both
+	// register indices at least twice.
 	for i := 0; i < 2*rngLen; i++ {
 		if st.Uint64() != s64.Uint64() {
 			return false
@@ -94,14 +159,15 @@ func validateRngMirror() bool {
 	return true
 }
 
+// mirrorOf views a stdlib source's state as an rngState. Only valid once
+// the layout check has passed.
+func mirrorOf(src rand.Source) *rngState {
+	return (*rngState)(unsafe.Pointer(reflect.ValueOf(src).Pointer()))
+}
+
 // rngStatePool holds the registers of dead scenarios' sources
-// (countingSource.release); seedSources holds stdlib sources kept only to
-// be re-seeded and copied out, since Seed does not allocate and
-// rand.NewSource does.
-var (
-	rngStatePool sync.Pool
-	seedSources  = sync.Pool{New: func() any { return rand.NewSource(1) }}
-)
+// (countingSource.release).
+var rngStatePool sync.Pool
 
 // getRngState returns a register to overwrite, recycled when one is free.
 func getRngState() *rngState {
@@ -112,11 +178,24 @@ func getRngState() *rngState {
 }
 
 // seedRngState sets out to the state rand.NewSource(seed) starts in. Only
-// valid when rngMirrorOK: validation proved the stdlib source is a pointer
-// to a struct laid out as rngState.
+// valid when rngMirrorOK: validation proved the fill equals the stdlib's.
 func seedRngState(seed int64, out *rngState) {
-	src := seedSources.Get().(rand.Source)
-	src.Seed(seed)
-	*out = *(*rngState)(unsafe.Pointer(reflect.ValueOf(src).Pointer()))
-	seedSources.Put(src)
+	// Normalize exactly as rngSource.Seed does.
+	seed %= lcgMod
+	if seed < 0 {
+		seed += lcgMod
+	}
+	if seed == 0 {
+		seed = rngZeroSeed
+	}
+	x0 := uint64(seed)
+	out.tap = 0
+	out.feed = rngLen - rngTap
+	// Word i XORs three consecutive LCG values at bits 40, 20 and 0; the
+	// top one overflows the word exactly as the stdlib's int64 shift does.
+	for i := range out.vec {
+		p := &lcgPow[i]
+		u := lcgMod31(x0*uint64(p[0]))<<40 ^ lcgMod31(x0*uint64(p[1]))<<20 ^ lcgMod31(x0*uint64(p[2]))
+		out.vec[i] = int64(u) ^ rngCooked[i]
+	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -61,8 +62,8 @@ func TestCountingSourceFork(t *testing.T) {
 }
 
 // A pooled countingSource must produce the stdlib stream exactly however
-// often its register and seeding source are recycled, and reseeding a live
-// source must restart the stream.
+// often its register is recycled, and reseeding a live source must restart
+// the stream.
 func TestPooledCountingSourceMatchesStdlib(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, seed := range []int64{1, 7, 20220326, -5} {
@@ -112,5 +113,93 @@ func TestCopyOnWriteSourceNeverRecycled(t *testing.T) {
 		if got, want := fk.Uint64(), ref.Uint64(); got != want {
 			t.Fatalf("fork of the donor drifted at draw %d: got %#x, want %#x", i, got, want)
 		}
+	}
+}
+
+// checkSeedRngState compares the closed-form fill for seed against the
+// stdlib's seed loop: the whole register, then 2x607 draws so both indices
+// wrap.
+func checkSeedRngState(t *testing.T, seed int64) {
+	t.Helper()
+	var st rngState
+	seedRngState(seed, &st)
+	src := rand.NewSource(seed)
+	want := mirrorOf(src)
+	if st.tap != want.tap || st.feed != want.feed {
+		t.Fatalf("seed %d: tap/feed = %d/%d, want %d/%d", seed, st.tap, st.feed, want.tap, want.feed)
+	}
+	for i := range st.vec {
+		if st.vec[i] != want.vec[i] {
+			t.Fatalf("seed %d: vec[%d] = %#x, want %#x", seed, i, st.vec[i], want.vec[i])
+		}
+	}
+	ref := src.(rand.Source64)
+	for i := 0; i < 2*rngLen; i++ {
+		if got, want := st.Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("seed %d draw %d: got %#x, want %#x", seed, i, got, want)
+		}
+	}
+}
+
+// The closed-form fill must produce the stdlib's register for every seed:
+// the normalization edges (0, multiples of 2^31-1, negatives, the int64
+// extremes, the stand-in for zero) and a spread of arbitrary seeds.
+func TestSeedRngStateMatchesStdlib(t *testing.T) {
+	if !rngMirrorOK {
+		t.Skip("mirror unavailable on this Go release")
+	}
+	for _, seed := range []int64{
+		0, 1, -1, lcgMod, -lcgMod, 1 << 31, rngZeroSeed, 20220326,
+		math.MinInt64, math.MaxInt64,
+	} {
+		checkSeedRngState(t, seed)
+	}
+	gen := rand.New(rand.NewSource(18))
+	for i := 0; i < 10000; i++ {
+		checkSeedRngState(t, int64(gen.Uint64()))
+	}
+}
+
+func FuzzSeedRngState(f *testing.F) {
+	if !rngMirrorOK {
+		f.Skip("mirror unavailable on this Go release")
+	}
+	f.Fuzz(checkSeedRngState)
+}
+
+// The stdlib-backed fallback must give the mirrored source's stream draw
+// for draw, count draws the same way, and skip and reseed alike; it can
+// never fork.
+func TestStdlibSourceMatchesMirrored(t *testing.T) {
+	if !rngMirrorOK {
+		t.Skip("mirror unavailable on this Go release")
+	}
+	for _, seed := range []int64{0, 7, -5, 20220326} {
+		fb, cs := newStdlibSource(seed), newCountingSource(seed)
+		if fb.mirrored || fb.fork() != nil || fb.forkShared() != nil {
+			t.Fatalf("seed %d: fallback source claims a copyable register", seed)
+		}
+		same := func(step string) {
+			t.Helper()
+			for i := 0; i < 50; i++ {
+				if got, want := fb.Int63(), cs.Int63(); got != want {
+					t.Fatalf("seed %d %s Int63 %d: got %#x, want %#x", seed, step, i, got, want)
+				}
+				if got, want := fb.Uint64(), cs.Uint64(); got != want {
+					t.Fatalf("seed %d %s Uint64 %d: got %#x, want %#x", seed, step, i, got, want)
+				}
+			}
+			if fb.n != cs.n {
+				t.Fatalf("seed %d %s: fallback counted %d draws, mirrored %d", seed, step, fb.n, cs.n)
+			}
+		}
+		same("start")
+		fb.skip(rngLen)
+		cs.skip(rngLen) // 100 draws + 607: past the register wrap
+		same("after skip")
+		fb.Seed(seed + 1)
+		cs.Seed(seed + 1)
+		same("after reseed")
+		cs.release()
 	}
 }

@@ -23,6 +23,10 @@ type WorkloadInfo struct {
 	BenignCrashPoints int `json:"benign_crash_points,omitempty"`
 }
 
+// maxRequestBytes bounds a POST /v1/jobs body. A request is a selection of
+// names, tags and variants, a few hundred bytes in practice.
+const maxRequestBytes = 1 << 20
+
 // NewHandler builds the service's HTTP API over a manager:
 //
 //	POST   /v1/jobs             submit a Request (?wait=1 blocks until terminal)
@@ -34,16 +38,21 @@ type WorkloadInfo struct {
 //	GET    /metrics             jobs by state, cache, budget, engine counters
 //
 // Errors are {"error": "..."} JSON: 400 for invalid requests, 404 for
-// unknown jobs, 429 when the queue is full, 503 while shutting down.
+// unknown jobs, 413 for a submission body over maxRequestBytes, 429 when
+// the queue is full, 503 while shutting down.
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req Request
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			code := http.StatusBadRequest
+			if errors.As(err, new(*http.MaxBytesError)) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, code, err)
 			return
 		}
 		job, err := m.Submit(req)

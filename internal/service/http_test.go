@@ -95,6 +95,35 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 }
 
+// A submission body may be at most maxRequestBytes long: one byte more gets
+// 413 with the usual error body, while a body at the limit still reaches
+// the decoder's 400 for an unknown field.
+func TestHandlerBodyLimit(t *testing.T) {
+	m := newTestManager(t, Config{Jobs: 1, Budget: engine.NewBudget(1)})
+	h := NewHandler(m)
+	const req = `{"bogus":1}`
+	for _, tc := range []struct {
+		name     string
+		size     int
+		wantCode int
+		wantIn   string
+	}{
+		{"at limit", maxRequestBytes, http.StatusBadRequest, "unknown field"},
+		{"over limit", maxRequestBytes + 1, http.StatusRequestEntityTooLarge, "too large"},
+	} {
+		body := strings.Repeat(" ", tc.size-len(req)) + req
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(body)))
+		var e map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%s: body is not an error object: %v (%.200s)", tc.name, err, rec.Body.Bytes())
+		}
+		if rec.Code != tc.wantCode || !strings.Contains(e["error"], tc.wantIn) {
+			t.Errorf("%s: code %d error %q, want %d containing %q", tc.name, rec.Code, e["error"], tc.wantCode, tc.wantIn)
+		}
+	}
+}
+
 // The /result endpoint serves the stored body verbatim: a cache-hit job's
 // bytes equal the fresh job's, over HTTP.
 func TestHandlerResultByteIdentity(t *testing.T) {
