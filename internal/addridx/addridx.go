@@ -153,6 +153,21 @@ func (t *Table[T]) CloneCap(n int) Table[T] {
 // Len returns one past the highest slot ever grown to.
 func (t *Table[T]) Len() int { return len(t.slots) }
 
+// Truncate shrinks the grown range to [0, n), zeroing the slots it drops so
+// spare capacity keeps reading as the zero value; n >= Len is a no-op. It
+// is the inverse of growth for a caller undoing Sets (the detector's
+// Rewind).
+func (t *Table[T]) Truncate(n int) { t.slots = truncateSlots(t.slots, n) }
+
+// truncateSlots zeroes slots[n:] and reslices to n.
+func truncateSlots[T any](slots []T, n int) []T {
+	if n >= len(slots) {
+		return slots
+	}
+	clear(slots[n:])
+	return slots[:n]
+}
+
 // Reset empties the table for reuse, keeping the backing array. Growth
 // re-exposes spare capacity, which must read as the zero value; spare
 // capacity is never written (see growSlots), so clearing the grown range
@@ -244,6 +259,9 @@ func (t *LineTable[T]) CloneCap(n int) LineTable[T] {
 
 // Len returns one past the highest slot ever grown to.
 func (t *LineTable[T]) Len() int { return len(t.slots) }
+
+// Truncate shrinks the grown range to [0, n); see Table.Truncate.
+func (t *LineTable[T]) Truncate(n int) { t.slots = truncateSlots(t.slots, n) }
 
 // Reset empties the table for reuse, keeping the backing array; see
 // Table.Reset. Reference-typed slot values are dropped, not recycled.

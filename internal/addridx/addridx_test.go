@@ -162,3 +162,41 @@ func TestTableCopyFromReusesAndClears(t *testing.T) {
 		t.Fatal("CopyFrom aliased the source")
 	}
 }
+
+// Truncate drops the slots past n and zeroes them: regrowing into the kept
+// array must read zero there, and a bound at or past Len changes nothing.
+func TestTableTruncateRegrowReadsZero(t *testing.T) {
+	var tab Table[int]
+	for a := pmm.Addr(0); a < 20; a++ {
+		tab.Set(a, int(a)+1)
+	}
+	tab.Truncate(30)
+	if tab.Len() != 20 {
+		t.Fatalf("Truncate past Len changed Len to %d", tab.Len())
+	}
+	tab.Truncate(5)
+	if tab.Len() != 5 || tab.At(4) != 5 {
+		t.Fatalf("after Truncate(5): Len %d, slot 4 = %d", tab.Len(), tab.At(4))
+	}
+	tab.Set(19, 1)
+	for a := pmm.Addr(5); a < 19; a++ {
+		if got := tab.At(a); got != 0 {
+			t.Fatalf("slot %d = %d after Truncate and regrow, want 0", a, got)
+		}
+	}
+
+	var lines LineTable[[]pmm.Addr]
+	for l := pmm.Line(0); l < 8; l++ {
+		lines.Set(l, []pmm.Addr{pmm.Addr(l)})
+	}
+	lines.Truncate(3)
+	lines.Set(7, nil)
+	if lines.Len() != 8 || lines.At(2) == nil {
+		t.Fatalf("line table after Truncate(3) and regrow: Len %d, line 2 = %v", lines.Len(), lines.At(2))
+	}
+	for l := pmm.Line(3); l < 8; l++ {
+		if got := lines.At(l); got != nil {
+			t.Fatalf("line %d = %v after Truncate and regrow, want nil", l, got)
+		}
+	}
+}

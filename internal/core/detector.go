@@ -311,9 +311,10 @@ type Detector struct {
 	// The engine points the simulating tso.Machine at the same arena
 	// (Machine.UseArena) so stamps cross the listener boundary by value.
 	arena *vclock.Arena
-	// journal, when attached (SetJournal), records every mutation of the
-	// current execution so the engine's delta checkpoints can replay them
-	// (journal.go). Never inherited by clones.
+	// journal, when attached (SetJournal or AttachUndo), records every
+	// mutation of the current execution so the engine's delta checkpoints
+	// can replay them, or random mode's probe can rewind them (journal.go).
+	// Never inherited by clones.
 	journal *Journal
 }
 
@@ -441,15 +442,16 @@ func (d *Detector) applyFlush(line pmm.Line, coverCV vclock.Stamp, flushTID vclo
 		}
 		if !already {
 			fr := FlushRef{TID: flushTID, Seq: flushSeq}
+			tail := e.meta[ref-1].flushTail
 			e.addFlush(s, fr)
 			if d.journal != nil {
-				d.journal.ops = append(d.journal.ops, JournalOp{Kind: JournalFlush, Target: ref, Flush: fr})
+				d.journal.ops = append(d.journal.ops, JournalOp{Kind: JournalFlush, Target: ref, Prev: tail, Flush: fr})
 			}
 		}
-		if lb := e.ByRef(e.persistTab.At(a)); lb == nil || s.Seq > lb.Seq {
+		if lbRef := e.persistTab.At(a); lbRef == 0 || s.Seq > e.ByRef(lbRef).Seq {
 			e.persistTab.Set(a, ref)
 			if d.journal != nil {
-				d.journal.ops = append(d.journal.ops, JournalOp{Kind: JournalPersist, Target: ref, Addr: a})
+				d.journal.ops = append(d.journal.ops, JournalOp{Kind: JournalPersist, Target: ref, Prev: int32(lbRef)})
 			}
 		}
 	}

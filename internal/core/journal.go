@@ -1,6 +1,9 @@
 // Delta-checkpoint support: a mutation journal over the detector's
 // pre-crash state, plus the state signature that backs crash-image
-// memoization (both consumed by internal/engine's checkpoint layer).
+// memoization (both consumed by internal/engine's checkpoint layer). The
+// same journal, read backwards, rewinds a live detector to an earlier
+// point (Rewind): random mode's probe hands its own detector, rewound to
+// the drawn crash point, to the one scenario that crashes there.
 //
 // During a probe run the only detector state that changes between two
 // crash points of the pre-crash execution is appended or derived from
@@ -36,16 +39,20 @@ const (
 	// covered store, Flush the recorded flush identity.
 	JournalFlush
 	// JournalPersist is an applyFlush persist-lower-bound raise: Target
-	// becomes Addr's persistTab entry.
+	// becomes the persistTab entry of its own address.
 	JournalPersist
 )
 
-// JournalOp is one recorded detector mutation.
+// JournalOp is one recorded detector mutation. Prev is the value the op
+// overwrote, which is what Rewind restores: the covered store's old
+// flushTail for JournalFlush, the address's old persistTab ref for
+// JournalPersist. A JournalStore needs none — the storemap entry it
+// replaced is the record's own prevSameAddr.
 type JournalOp struct {
 	Kind   JournalOpKind
 	Target StoreRef // the appended (JournalStore) or covered store
+	Prev   int32    // JournalFlush/JournalPersist: the overwritten value
 	Flush  FlushRef // JournalFlush: the flush identity
-	Addr   pmm.Addr // JournalPersist: the address whose bound rises
 }
 
 // JournalOpBytes is the estimated retained size of one journal op (the
@@ -75,7 +82,7 @@ func (j *Journal) Mark() int { return len(j.ops) }
 // Len returns the total ops recorded.
 func (j *Journal) Len() int { return len(j.ops) }
 
-// SetJournal attaches (or, with nil, detaches) the mutation journal. Only
+// SetJournal attaches (or, with nil, detaches) the replay journal. Only
 // the current execution's mutations are recorded; clones never inherit the
 // attachment (Clone builds a fresh Detector). Detaching freezes the
 // attached journal's arena view; replay is only valid after that.
@@ -122,9 +129,79 @@ func (d *Detector) ReplayJournal(j *Journal, lo, hi int) {
 		case JournalFlush:
 			e.addFlush(e.ByRef(op.Target), op.Flush)
 		case JournalPersist:
-			e.persistTab.Set(op.Addr, op.Target)
+			e.persistTab.Set(e.ByRef(op.Target).Addr, op.Target)
 		}
 	}
+}
+
+// AttachUndo empties j and attaches it to record the current execution's
+// mutations for a later Rewind. Unlike SetJournal it neither marks the
+// execution shared nor freezes an arena view: a rewound execution stays
+// the detector's own, and Retire recycles it as usual.
+func (d *Detector) AttachUndo(j *Journal) {
+	j.ops, j.arena, j.clocks = j.ops[:0], nil, nil
+	d.journal = j
+}
+
+// Rewind undoes ops [mark, Len) of the attached undo journal j on the
+// current execution, newest first, then truncates j to mark and detaches
+// it. Afterwards the execution is equivalent to a Clone taken when j stood
+// at mark: the store, meta and flush arenas are truncated, every storemap,
+// persist-bound and flush-chain entry an undone op overwrote is restored,
+// and the address-indexed tables shrink back to the length they had then
+// (pre-crash, a table only grows by a nonzero Set at its new top, so that
+// length is one past its highest nonzero slot). The clock arena is left
+// as is: clocks interned after the mark are unreferenced, never wrong.
+func (d *Detector) Rewind(j *Journal, mark int) {
+	e := d.Current()
+	for i := len(j.ops) - 1; i >= mark; i-- {
+		op := &j.ops[i]
+		switch op.Kind {
+		case JournalStore:
+			rec := &e.arena[op.Target-1]
+			e.storeTab.Set(rec.Addr, rec.prevSameAddr)
+			if rec.prevSameAddr == 0 {
+				// The address's first store registered it last on its
+				// line: every later registration was undone before this.
+				la := e.lineAddrs.Ptr(pmm.LineOf(rec.Addr))
+				if len(*la) == 1 {
+					*la = nil // no shared capacity for a later clone to alias
+				} else {
+					*la = (*la)[:len(*la)-1]
+				}
+			}
+			e.arena = e.arena[:op.Target-1]
+			e.meta = e.meta[:op.Target-1]
+		case JournalFlush:
+			m := &e.meta[op.Target-1]
+			if op.Prev != 0 {
+				e.flushArena[op.Prev-1].next = 0
+			} else {
+				m.flushHead = 0
+			}
+			m.flushTail = op.Prev
+			e.flushArena = e.flushArena[:len(e.flushArena)-1]
+		case JournalPersist:
+			e.persistTab.Set(e.ByRef(op.Target).Addr, StoreRef(op.Prev))
+		}
+	}
+	n := e.storeTab.Len()
+	for n > 0 && e.storeTab.At(pmm.Addr(n-1)) == 0 {
+		n--
+	}
+	e.storeTab.Truncate(n)
+	n = e.persistTab.Len()
+	for n > 0 && e.persistTab.At(pmm.Addr(n-1)) == 0 {
+		n--
+	}
+	e.persistTab.Truncate(n)
+	n = e.lineAddrs.Len()
+	for n > 0 && len(e.lineAddrs.At(pmm.Line(n-1))) == 0 {
+		n--
+	}
+	e.lineAddrs.Truncate(n)
+	j.ops = j.ops[:mark]
+	d.journal = nil
 }
 
 // CloneReplay clones the detector and replays journal ops [lo, hi) onto the
@@ -140,13 +217,15 @@ func (d *Detector) CloneReplay(j *Journal, lo, hi int) *Detector {
 	var maxAddr pmm.Addr
 	for i := lo; i < hi; i++ {
 		op := &j.ops[i]
-		a := op.Addr
+		var a pmm.Addr
 		switch op.Kind {
 		case JournalStore:
 			stores++
 			a = j.arena[op.Target-1].Addr
 		case JournalFlush:
 			flushes++
+		case JournalPersist:
+			a = j.arena[op.Target-1].Addr
 		}
 		if a > maxAddr {
 			maxAddr = a

@@ -272,6 +272,10 @@ type snapshot struct {
 	extras []analysis.Pass
 	rec    *trace.Recorder // nil unless tracing
 	image  imageTable
+	// owned marks a random-mode handover (handover.go): det and image are
+	// the probe's own, not templates, and the snapshot's one resume takes
+	// them instead of cloning.
+	owned bool
 	// setupAllocs/setupNext fingerprint the heap right after Setup.
 	setupAllocs int
 	setupNext   pmm.Addr
@@ -583,7 +587,14 @@ func resumeScenario(makeProg func() pmm.Program, opts Options, snap *snapshot, p
 	if opts.EADR {
 		persist = PersistLatest
 	}
-	det := snap.materializeDetector()
+	var det *core.Detector
+	var image imageTable
+	if snap.owned {
+		det, image = snap.det, snap.image
+		snap.det, snap.image = nil, imageTable{}
+	} else {
+		det, image = snap.materializeDetector(), snap.image.clone()
+	}
 	stack := analysis.Rebuild(opts.Analyses, det, analysis.CloneExtras(snap.extras))
 	stack.SetLabeler(heap.LabelFor)
 	src := snap.rng.forkShared()
@@ -604,7 +615,7 @@ func resumeScenario(makeProg func() pmm.Program, opts Options, snap *snapshot, p
 		crashPlan:   p,
 		crashPoints: make(map[int]int, len(snap.crashPoints)),
 		execIdx:     snap.execIdx,
-		image:       snap.image.clone(),
+		image:       image,
 		stats:       snap.stats,
 		setupAllocs: snap.setupAllocs,
 		setupNext:   snap.setupNext,

@@ -68,8 +68,8 @@ func runReference(t *testing.T, name string, mk func() pmm.Program, opts engine.
 
 // TestCheckpointMatchesScratch: for random programs, the default run and
 // the reference run, which re-simulates every scenario from scratch,
-// produce identical Results modulo the cost counters, and model checking
-// actually simulates fewer operations in the default configuration.
+// produce identical Results modulo the cost counters, and both modes
+// actually simulate fewer operations in the default configuration.
 func TestCheckpointMatchesScratch(t *testing.T) {
 	variants := []struct {
 		name string
@@ -81,6 +81,8 @@ func TestCheckpointMatchesScratch(t *testing.T) {
 		{"model-check/expansions", engine.Options{Mode: engine.ModelCheck, Prefix: true,
 			ExploreReads: true, RecoveryCrashes: 2, MaxCrashPoints: 15}},
 		{"random", engine.Options{Mode: engine.RandomMode, Prefix: true, Executions: 6}},
+		{"random/recovery-crashes", engine.Options{Mode: engine.RandomMode, Prefix: true, Executions: 6, RecoveryCrashes: 2}},
+		{"random/eadr", engine.Options{Mode: engine.RandomMode, Prefix: true, Executions: 6, EADR: true}},
 	}
 	for _, v := range variants {
 		v := v
@@ -92,8 +94,10 @@ func TestCheckpointMatchesScratch(t *testing.T) {
 				opts.Seed = seed
 				def, ref := runReference(t, fmt.Sprintf("seed %d", seed), mk, opts)
 				// The perf claim itself: model checking with more than one
-				// crash point must simulate strictly fewer operations.
-				if v.opts.Mode == engine.ModelCheck && def.CrashPoints > 1 && def.Stats.SimulatedOps >= ref.Stats.SimulatedOps {
+				// crash point must simulate strictly fewer operations, and
+				// so must random mode, whose probes hand their pre-crash
+				// state to the crash scenario.
+				if (v.opts.Mode == engine.RandomMode || def.CrashPoints > 1) && def.Stats.SimulatedOps >= ref.Stats.SimulatedOps {
 					t.Fatalf("seed %d: the fast paths saved nothing: %d simulated ops by default, %d reference (%d crash points)",
 						seed, def.Stats.SimulatedOps, ref.Stats.SimulatedOps, def.CrashPoints)
 				}

@@ -250,10 +250,14 @@ type Stats struct {
 	DirectOps int64 `json:"direct_ops"`
 	// SnapshotBytes estimates the bytes retained by checkpoint captures
 	// (keyframe clones, journal segments, the per-schedule shared image and
-	// rng copies).
+	// rng copies). A random-mode handover retains nothing beyond what the
+	// probe already held (it moves the probe's own detector and image), so
+	// it adds nothing here.
 	SnapshotBytes int64 `json:"snapshot_bytes"`
 	// JournalOps counts the detector mutations recorded into delta-
-	// checkpoint journals across probe runs.
+	// checkpoint journals across model-check probe runs. Random mode's
+	// undo journal, which exists only to rewind the probe to its drawn
+	// crash point and is reused from probe to probe, is not counted.
 	JournalOps int64 `json:"journal_ops"`
 	// DedupedScenarios counts crash scenarios whose recovery verdict was
 	// reused from a byte-identical earlier crash point instead of being

@@ -57,8 +57,10 @@ type scenarioSpec struct {
 	seed int64
 	// snap, when non-nil, is the checkpoint the primary scenario resumes
 	// from instead of re-simulating the pre-crash prefix (checkpoint.go).
-	// It is a read-only template, shared with every other spec of the same
-	// schedule; resuming clones it.
+	// In ModelCheck it is a read-only template, shared with every other
+	// spec of the same schedule; resuming clones it. In RandomMode it is
+	// the probe's own state (handover.go), owned by this spec and consumed
+	// by its one resume — random specs have no expansions to reuse it.
 	snap *snapshot
 	// exploreReads runs the Jaaru-style read-choice expansions after the
 	// primary scenario (set on the first persist policy only, mirroring
@@ -371,9 +373,10 @@ func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Optio
 		if !opts.Budget.AcquireCtx(ctx) {
 			return sum // cancelled before this schedule's probe
 		}
-		probe.run()
+		probe.runPreCrash()
 		opts.Budget.Release()
 		n := sum.absorbProbe(probe)
+		probe.retire()
 		if sched == 0 {
 			sum.crashPoints = n
 		}
@@ -442,20 +445,33 @@ func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Optio
 // i's probed point count — so the probes run here, on the plan goroutine,
 // while the pool executes earlier specs; the crash scenarios themselves
 // fan out across the workers.
+//
+// Outside the configurations handoverEnabled excludes, the probe is the
+// execution's one pre-crash simulation: it logs its position at every
+// crash point, and once c is drawn it is rewound to c and handed to the
+// spec as a single-use snapshot (handover.go).
 func planRandom(ctx context.Context, makeProg func() pmm.Program, opts Options, emit func(scenarioSpec)) planSummary {
 	var sum planSummary
 	src := newCountingSource(opts.Seed)
 	defer src.release()
 	rng := rand.New(src)
+	var log *positionLog
+	if handoverEnabled(opts) {
+		log = positionLogPool.Get().(*positionLog)
+		defer positionLogPool.Put(log)
+	}
 	for i := 0; i < opts.Executions; i++ {
 		schedSeed := rng.Int63()
 		// Probe with this schedule to count its crash points, then emit
 		// the identical schedule crashing before a random one of them.
 		probe := newScenario(makeProg, opts, plan{}, PersistRandom, schedSeed)
+		if log != nil {
+			log.watch(probe)
+		}
 		if !opts.Budget.AcquireCtx(ctx) {
 			return sum // cancelled before this execution's probe
 		}
-		probe.run()
+		probe.runPreCrash()
 		opts.Budget.Release()
 		n := sum.absorbProbe(probe)
 		sum.crashPoints += n
@@ -467,6 +483,11 @@ func planRandom(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 		if opts.RecoveryCrashes > 0 && rng.Intn(2) == 0 {
 			p[1] = 1 + rng.Intn(opts.RecoveryCrashes)
 		}
+		var snap *snapshot
+		if log != nil {
+			snap = log.handover(probe, c)
+		}
+		probe.retire()
 		emit(scenarioSpec{
 			idx:         i,
 			scheduleIdx: i,
@@ -474,6 +495,7 @@ func planRandom(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 			plan:        p,
 			persist:     PersistRandom,
 			seed:        schedSeed,
+			snap:        snap,
 		})
 	}
 	return sum
@@ -593,9 +615,9 @@ func (r *specResult) absorb(sc *scenario) {
 	sc.retire()
 }
 
-// absorbProbe folds a finished probe run's costs into the summary, retires
-// the probe and returns its probed crash-point count. Only the cost
-// counters carry over: the specs the probe plans count their own
+// absorbProbe folds a finished probe run's costs into the summary and
+// returns its probed crash-point count; the caller retires the probe. Only
+// the cost counters carry over: the specs the probe plans count their own
 // operations.
 func (sum *planSummary) absorbProbe(probe *scenario) int {
 	probe.harvestClocks()
@@ -610,7 +632,6 @@ func (sum *planSummary) absorbProbe(probe *scenario) int {
 		EpochHits:     st.EpochHits,
 		EpochMisses:   st.EpochMisses,
 	})
-	probe.retire()
 	return probe.crashPoints[0]
 }
 

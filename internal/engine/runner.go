@@ -254,6 +254,11 @@ type scenario struct {
 	// runs (execution 0); runSpec sets it on primary scenarios to checkpoint
 	// the recovery execution for multi-crash follow-ups.
 	capture *snapshotSink
+	// positions, when set, logs the position of every crash point of the
+	// pre-crash execution: planRandom sets it on its probes, which run only
+	// that execution and hand their state to their one crash scenario
+	// (handover.go).
+	positions *positionLog
 	// liveThreads mirrors the scheduler's live-thread count; a snapshot
 	// records it to replay the crash-unwind rng draws on resume.
 	liveThreads int
@@ -325,12 +330,16 @@ func newScenario(makeProg func() pmm.Program, opts Options, p plan, persist Pers
 // stats have been harvested (specResult.absorb) or its probe summary taken;
 // the scenario must not run again. Snapshot state the scenario captured is
 // never released here: snapshots hold clones and forks, and the live state
-// they were taken from is marked shared.
+// they were taken from is marked shared. A random-mode probe that handed
+// its detector and image over (handover.go) no longer holds them.
 func (sc *scenario) retire() {
 	tso.Retire(sc.machine)
 	sc.machine = nil
-	sc.det.Retire()
 	sc.rngSrc.release()
+	if sc.det == nil {
+		return // handed over
+	}
+	sc.det.Retire()
 	sc.image.release()
 }
 
@@ -345,8 +354,21 @@ func (sc *scenario) setGates() {
 // run executes the full scenario: pre-crash workload, then recovery runs
 // until one completes without crashing.
 func (sc *scenario) run() {
+	sc.runPreCrash()
+	sc.finish(sc.machine.CurSeq())
+}
+
+// runPreCrash runs the pre-crash execution only — all a planner's probe
+// needs: its crash-point count, and the snapshots or positions taken along
+// the way. Capturing probes also take the completion point and seal the
+// capture window here, so a probe's journal is frozen before anyone
+// replays it.
+func (sc *scenario) runPreCrash() {
 	sc.startMachine()
 	sc.runExecution(sc.prog.Workers)
+	if sc.positions != nil {
+		sc.positions.record(sc, 0)
+	}
 	if sc.capture != nil && sc.capture.execIdx == 0 && sc.execIdx == 0 {
 		if !sc.crashed {
 			// Completion snapshot (crash point 0): the pre-crash execution
@@ -358,7 +380,6 @@ func (sc *scenario) run() {
 		// never pollute the recorded delta segments.
 		sc.capture.seal(sc)
 	}
-	sc.finish(sc.machine.CurSeq())
 }
 
 // finish runs the post-crash half of the scenario: the image derivation and
@@ -607,11 +628,15 @@ func (sc *scenario) crashNow() {
 // to crash before it. When a snapshot sink watches this execution, the point
 // is captured here — after the count, before the operation takes effect —
 // which is exactly the state a from-scratch scenario holds when its plan
-// fires the crash at this point.
+// fires the crash at this point. A random-mode probe logs its position at
+// the same instant.
 func (sc *scenario) atCrashPoint() bool {
 	sc.crashPoints[sc.execIdx]++
 	if sc.capture != nil && sc.capture.execIdx == sc.execIdx {
 		sc.capture.observe(sc)
+	}
+	if sc.positions != nil {
+		sc.positions.record(sc, sc.crashPoints[0])
 	}
 	return sc.crashPlan[sc.execIdx] == sc.crashPoints[sc.execIdx]
 }

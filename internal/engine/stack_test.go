@@ -125,3 +125,43 @@ func TestStackedWorkerCountsAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestRandomFallbacksResimulate: random-mode runs whose state the probe
+// cannot hand over — stacks with an extra pass (its state is not
+// journaled) and traced runs — re-simulate every prefix, exactly as the
+// reference does, and still agree with the handover run of the same
+// program on everything but the cost counters.
+func TestRandomFallbacksResimulate(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		mk, _ := fuzzprog.Generate(fuzzprog.Default(), seed)
+		base := engine.Options{Mode: engine.RandomMode, Prefix: true, Seed: seed, Executions: 5}
+		handover := engine.Run(mk, base)
+		for _, v := range []struct {
+			name string
+			opts func(*engine.Options)
+		}{
+			{"stacked", func(o *engine.Options) { o.Analyses = []string{"yashme", "xfd"} }},
+			{"traced", func(o *engine.Options) { o.Trace = true }},
+		} {
+			opts := base
+			v.opts(&opts)
+			got := engine.Run(mk, opts)
+			opts.Reference = true
+			ref := engine.Run(mk, opts)
+			if got.Stats.SimulatedOps != ref.Stats.SimulatedOps {
+				t.Fatalf("seed %d %s: %d simulated ops, reference %d: the fallback did not re-simulate",
+					seed, v.name, got.Stats.SimulatedOps, ref.Stats.SimulatedOps)
+			}
+			if g, h := passJSON(t, got.Report), passJSON(t, handover.Report); v.name == "stacked" && g != h {
+				t.Fatalf("seed %d %s: yashme pass diverges from the handover run:\n%s\nvs\n%s", seed, v.name, g, h)
+			}
+			gs, hs := got.Stats, handover.Stats
+			gs.ZeroCost()
+			hs.ZeroCost()
+			if gs != hs || got.ExecutionsRun != handover.ExecutionsRun || got.CrashPoints != handover.CrashPoints {
+				t.Fatalf("seed %d %s: run diverges from the handover run:\n%+v (%d executions, %d points)\nvs\n%+v (%d executions, %d points)",
+					seed, v.name, gs, got.ExecutionsRun, got.CrashPoints, hs, handover.ExecutionsRun, handover.CrashPoints)
+			}
+		}
+	}
+}

@@ -54,3 +54,31 @@ func TestCloneIndependence(t *testing.T) {
 		t.Errorf("restore source InitWrites = %d after the target wrote, want %d", got, want)
 	}
 }
+
+// SnapshotAt views the heap as it stood at a recorded shape: restoring the
+// view reproduces exactly what a Snapshot taken then would have restored,
+// whatever was allocated or initialized since.
+func TestSnapshotAtMatchesEarlierSnapshot(t *testing.T) {
+	h := NewHeap()
+	s := h.AllocStruct("obj", Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}})
+	h.Init(s.F("a"), 8, 11)
+	then := h.Snapshot()
+	next, allocs, inits := h.NextFree(), h.AllocCount(), len(h.InitWrites())
+
+	h.AllocArray("arr", Layout{{Name: "y", Size: 8}}, 3)
+	h.Init(s.F("b"), 8, 22)
+
+	a, b := NewHeap(), NewHeap()
+	a.Restore(then)
+	b.Restore(h.SnapshotAt(next, allocs, inits))
+	if a.NextFree() != b.NextFree() || a.AllocCount() != b.AllocCount() || len(a.InitWrites()) != len(b.InitWrites()) {
+		t.Fatalf("SnapshotAt restored shape (%d, %d, %d), Snapshot then (%d, %d, %d)",
+			b.NextFree(), b.AllocCount(), len(b.InitWrites()), a.NextFree(), a.AllocCount(), len(a.InitWrites()))
+	}
+	if got, want := b.LabelFor(s.F("a")), a.LabelFor(s.F("a")); got != want {
+		t.Fatalf("label %q, want %q", got, want)
+	}
+	if b.InitWrites()[0] != a.InitWrites()[0] {
+		t.Fatalf("init write %+v, want %+v", b.InitWrites()[0], a.InitWrites()[0])
+	}
+}

@@ -238,6 +238,18 @@ func (h *Heap) Snapshot() *Heap {
 	}
 }
 
+// SnapshotAt is Snapshot of an earlier state of h: the one it had when it
+// held allocs allocations and inits init writes, with next the next free
+// address (AllocCount, len(InitWrites) and NextFree read then). The slices
+// are append-only, so their prefixes are exactly that state.
+func (h *Heap) SnapshotAt(next Addr, allocs, inits int) *Heap {
+	return &Heap{
+		next:   next,
+		allocs: h.allocs[:allocs:allocs],
+		inits:  h.inits[:inits:inits],
+	}
+}
+
 // Restore overwrites h's allocation state with a copy of src's. Handles
 // pointing at h stay valid and resolve against the restored state; src is
 // not aliased and may be restored into any number of heaps.

@@ -12,7 +12,10 @@ import (
 // and in the reference one (every fast path off) once the cost counters
 // are zeroed. The reference run must also really bypass the fast paths —
 // no memoized scenario, no epoch hit, no direct-run op — while the default
-// run takes all three.
+// run takes all three. Every random-mode run (the PMDK, Memcached and
+// Redis workloads) must simulate fewer operations by default: the probe
+// hands its pre-crash state to the crash scenario, which the reference
+// re-simulates.
 func TestReferenceMatchesDefault(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		def := Run(Config{Workers: workers})
@@ -28,6 +31,24 @@ func TestReferenceMatchesDefault(t *testing.T) {
 		if s := def.TotalStats(); s.DedupedScenarios == 0 || s.EpochHits == 0 || s.DirectOps == 0 {
 			t.Errorf("%s: the default run skipped a fast path: %d deduped scenarios, %d epoch hits, %d direct ops",
 				name, s.DedupedScenarios, s.EpochHits, s.DirectOps)
+		}
+		random := 0
+		for i := range def.Benchmarks {
+			db, rb := &def.Benchmarks[i], &ref.Benchmarks[i]
+			if db.ModelCheck {
+				continue
+			}
+			for j := range db.Runs {
+				random++
+				d, r := db.Runs[j].Stats.SimulatedOps, rb.Runs[j].Stats.SimulatedOps
+				if d >= r {
+					t.Errorf("%s: %s %s re-simulated its pre-crash prefixes: %d simulated ops by default, %d reference",
+						name, db.Name, db.Runs[j].Variant, d, r)
+				}
+			}
+		}
+		if random == 0 {
+			t.Fatalf("%s: no random-mode run in the registry", name)
 		}
 	}
 }
