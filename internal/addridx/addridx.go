@@ -132,24 +132,6 @@ func (t *Table[T]) CopyFrom(src *Table[T]) {
 	copy(t.slots, src.slots)
 }
 
-// CloneCap is Clone with capacity for at least n slots: a caller about to
-// grow the copy to a known bound (a journal replay) allocates once instead
-// of cloning and then reallocating.
-func (t *Table[T]) CloneCap(n int) Table[T] {
-	if n < len(t.slots) {
-		n = len(t.slots)
-	}
-	if n > maxSlots {
-		n = maxSlots
-	}
-	if n == 0 {
-		return Table[T]{}
-	}
-	s := make([]T, len(t.slots), n)
-	copy(s, t.slots)
-	return Table[T]{slots: s}
-}
-
 // Len returns one past the highest slot ever grown to.
 func (t *Table[T]) Len() int { return len(t.slots) }
 
@@ -241,20 +223,17 @@ func (t *LineTable[T]) Clone() LineTable[T] {
 	return LineTable[T]{slots: n}
 }
 
-// CloneCap is Clone with capacity for at least n lines; see Table.CloneCap.
-func (t *LineTable[T]) CloneCap(n int) LineTable[T] {
-	if n < len(t.slots) {
-		n = len(t.slots)
+// CopyFrom makes t a flat copy of src on t's backing array when it is
+// large enough; see Table.CopyFrom. Slot values are copied shallowly.
+func (t *LineTable[T]) CopyFrom(src *LineTable[T]) {
+	n := len(src.slots)
+	if n > cap(t.slots) {
+		t.slots = make([]T, n)
+	} else if n < len(t.slots) {
+		clear(t.slots[n:])
 	}
-	if n > maxSlots {
-		n = maxSlots
-	}
-	if n == 0 {
-		return LineTable[T]{}
-	}
-	s := make([]T, len(t.slots), n)
-	copy(s, t.slots)
-	return LineTable[T]{slots: s}
+	t.slots = t.slots[:n]
+	copy(t.slots, src.slots)
 }
 
 // Len returns one past the highest slot ever grown to.

@@ -16,9 +16,10 @@ import (
 // capped capacity forces either side's later appends onto a private backing
 // array. Everything mutable — the meta slice, the flush arena, per-address
 // tables, per-line state — is copied, so the clone and the original may be
-// mutated independently afterwards. The clone's executions are born shared
-// (Retire never recycles them); the source is read, never written, so a
-// live source must be marked by its owner (MarkShared) before cloning.
+// mutated independently afterwards. The clone is private to its holder: its
+// executions are drawn from the pool and Retire recycles them again, all but
+// the borrowed arena view (see Retire). The source is read, never written,
+// so a live source must be marked by its owner (MarkShared) before cloning.
 func (d *Detector) Clone() *Detector {
 	nd := &Detector{cfg: d.cfg, report: d.report.Clone(), arena: d.arena.Clone()}
 	nd.execs = make([]*Execution, len(d.execs))
@@ -39,38 +40,55 @@ func (e *Execution) clone() *Execution { return e.cloneSized(0, 0, 0) }
 // the meta and flush arenas get capacity for the segment's appends and the
 // address-indexed tables get capacity up to its high-water address, so the
 // replay performs no reallocation (see Detector.CloneReplay). The store
-// arena needs no headroom — it is shared, and a replay extends the view
+// arena needs no headroom — it is borrowed, and a replay extends the view
 // over the journal's frozen arena rather than appending. Zero sizes degrade
-// to a plain clone.
+// to a plain clone. The copy fills a pooled execution, so a warm clone
+// reuses the arrays a retired one grew instead of allocating its own.
 func (e *Execution) cloneSized(stores, flushes int, maxAddr pmm.Addr) *Execution {
 	addrCap, lineCap := 0, 0
 	if maxAddr > 0 {
 		addrCap = int(maxAddr) + 1
 		lineCap = int(pmm.LineOf(maxAddr)) + 1
 	}
-	ne := &Execution{
-		ID:         e.ID,
-		arena:      e.arena[:len(e.arena):len(e.arena)],
-		meta:       append(make([]recMeta, 0, len(e.meta)+stores), e.meta...),
-		flushArena: append(make([]flushNode, 0, len(e.flushArena)+flushes), e.flushArena...),
-		storeTab:   e.storeTab.CloneCap(addrCap),
-		lineAddrs:  e.lineAddrs.CloneCap(lineCap),
-		lastflush:  e.lastflush.Clone(), // flat: slots are arena refs
-		cvpre:      e.cvpre,
-		persistTab: e.persistTab.CloneCap(addrCap),
-		crashSeq:   e.crashSeq,
-		shared:     true,
+	ne := newExecution(e.ID)
+	ne.spare = ne.arena
+	ne.arena = e.arena[:len(e.arena):len(e.arena)]
+	ne.borrowed = true
+	ne.meta = append(withCap(ne.meta, len(e.meta)+stores), e.meta...)
+	ne.flushArena = append(withCap(ne.flushArena, len(e.flushArena)+flushes), e.flushArena...)
+	ne.storeTab.Reserve(addrCap)
+	ne.storeTab.CopyFrom(&e.storeTab)
+	ne.persistTab.Reserve(addrCap)
+	ne.persistTab.CopyFrom(&e.persistTab)
+	ne.lastflush.CopyFrom(&e.lastflush) // flat: slots are arena refs
+	ne.cvpre, ne.crashSeq = e.cvpre, e.crashSeq
+	// Per-line address lists are the one reference-typed slot value both
+	// sides may append to (on a first store), so the clone gets its own:
+	// one flat backing carved into full-slice-capped runs, so an append to
+	// one line reallocates that line alone instead of overrunning the next.
+	ne.lineAddrs.Reserve(lineCap)
+	ne.lineAddrs.CopyFrom(&e.lineAddrs)
+	n := 0
+	for l, end := pmm.Line(0), pmm.Line(e.lineAddrs.Len()); l < end; l++ {
+		n += len(e.lineAddrs.At(l))
 	}
-	// The table clones are flat; detach the one reference-typed slot value
-	// both sides may mutate: per-line address lists (appended to on first
-	// store). Per-line flush clocks need no detaching anymore — a slot is a
-	// ref into the immutable clock arena, and observations replace the ref
-	// rather than joining a shared vector in place.
-	ne.lineAddrs.ForEach(func(l pmm.Line, addrs []pmm.Addr) bool {
-		if len(addrs) > 0 {
-			ne.lineAddrs.Set(l, append([]pmm.Addr(nil), addrs...))
+	buf := withCap(ne.lineBuf, n)
+	for l, end := pmm.Line(0), pmm.Line(ne.lineAddrs.Len()); l < end; l++ {
+		if la := ne.lineAddrs.Ptr(l); len(*la) > 0 {
+			lo := len(buf)
+			buf = append(buf, *la...)
+			*la = buf[lo:len(buf):len(buf)]
 		}
-		return true
-	})
+	}
+	ne.lineBuf = buf
 	return ne
+}
+
+// withCap returns s emptied when it can hold n elements, else a fresh empty
+// slice of capacity n.
+func withCap[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:0]
+	}
+	return make([]T, 0, n)
 }

@@ -148,10 +148,19 @@ type Execution struct {
 	persistTab addridx.Table[StoreRef]
 	// crashSeq: σ at the crash ending this execution (0 while running).
 	crashSeq vclock.Seq
-	// shared marks an execution whose store arena another holder may still
-	// read: every clone (its arena is a capped view of the source's), a
-	// live execution a clone was taken from (MarkShared), and one a journal
-	// froze (SetJournal). Retire drops shared executions instead of
+	// lineBuf is the flat backing a clone carves its per-line address lists
+	// from (cloneSized); kept across recycling so a warm clone reuses it.
+	lineBuf []pmm.Addr
+	// borrowed marks an execution whose store arena is a capped view of
+	// another holder's records (every clone): Retire recycles everything
+	// else but drops the view, since appending onto it would overwrite the
+	// records it was borrowed from. spare keeps the execution's own arena
+	// backing aside meanwhile, and Retire puts it back.
+	borrowed bool
+	spare    []StoreRecord
+	// shared marks an execution whose state another holder may still read:
+	// a live execution a clone was taken from (MarkShared) and one a
+	// journal froze (SetJournal). Retire drops shared executions instead of
 	// recycling them.
 	shared bool
 }
@@ -339,10 +348,12 @@ func (d *Detector) Current() *Execution { return d.execs[len(d.execs)-1] }
 func (d *Detector) Executions() []*Execution { return d.execs }
 
 // MarkShared marks every execution of the detector as shared, so Retire
-// will never recycle their store arenas. Call it on a live detector before
-// cloning it: the clone's arenas are views of the live ones. Clone does not
-// mark its source itself — workers clone read-only snapshot detectors
-// concurrently, and those are clones, already marked from birth.
+// will never recycle them. Call it on a live detector before cloning it:
+// the clone's arenas are views of the live ones. Clone does not mark its
+// source itself — workers clone read-only snapshot detectors concurrently,
+// and those templates are never retired. A scenario's private clone that
+// is about to be cloned in turn (a recovery sink under RecoveryCrashes)
+// loses its recyclability here too.
 func (d *Detector) MarkShared() {
 	for _, e := range d.execs {
 		e.shared = true
@@ -353,13 +364,19 @@ func (d *Detector) MarkShared() {
 // detectors draw from. The detector must never be used again; its report
 // and clock arena are not recycled, so results merged from it stay valid.
 // Shared executions are dropped: a clone or a journal may still read their
-// store arenas.
+// store arenas. A borrowed execution goes back without its arena view,
+// which belongs to the records' owner (a snapshot template or a journal).
+// Snapshot templates themselves are never retired.
 func (d *Detector) Retire() {
 	for _, e := range d.execs {
-		if !e.shared {
-			e.reset()
-			execPool.Put(e)
+		if e.shared {
+			continue
 		}
+		if e.borrowed {
+			e.arena, e.spare, e.borrowed = e.spare, nil, false
+		}
+		e.reset()
+		execPool.Put(e)
 	}
 	d.execs = nil
 }

@@ -146,3 +146,65 @@ func TestRetireKeepsJournalIntact(t *testing.T) {
 		t.Errorf("journal replay changed after the probe retired:\n%s\nwant\n%s", got, want)
 	}
 }
+
+// TestMarkSharedResumedDetectorNeverRecycled: a detector materialized from
+// a snapshot template is private to its scenario, but under
+// RecoveryCrashes a recovery sink clones it again once its recovery
+// execution has run. MarkShared must revoke the privacy: retiring the
+// resumed detector may then recycle none of its executions, whose own
+// store arena (the recovery's) the sink's snapshot borrows.
+func TestMarkSharedResumedDetectorNeverRecycled(t *testing.T) {
+	probe := newRig(true)
+	probe.commitFlushed(addrX, 4, 1)
+	probe.d.MarkShared()
+	template := probe.d.Clone()
+	wantTemplate := stateOf(template)
+
+	resumed := template.Clone()
+	resumed.EndExecution(probe.m.CurSeq())
+	rec := &rig{d: resumed, m: tso.NewMachine(resumed)}
+	rec.commitFlushed(addrZ, 6, 300)
+	resumed.MarkShared()
+	sinkSnap := resumed.Clone()
+	want := stateOf(sinkSnap)
+	execs := append([]*Execution(nil), resumed.Executions()...)
+
+	resumed.Retire()
+	for i := 0; i < 64; i++ {
+		e, _ := execPool.Get().(*Execution)
+		if e == nil {
+			break
+		}
+		for _, x := range execs {
+			if e == x {
+				t.Fatalf("execution %d of a resumed detector marked shared was recycled", x.ID)
+			}
+		}
+	}
+	dirtyPools()
+	if got := stateOf(sinkSnap); !bytes.Equal(got, want) {
+		t.Errorf("recovery snapshot changed after the resumed detector retired:\n%s\nwant\n%s", got, want)
+	}
+	if got := stateOf(template); !bytes.Equal(got, wantTemplate) {
+		t.Errorf("template changed after a detector resumed from it retired:\n%s\nwant\n%s", got, wantTemplate)
+	}
+}
+
+// TestPrivateCloneRecyclesAllButItsArena: a clone nobody else reads is
+// recycled on Retire, without the store arena it borrowed from its
+// source. Reusing that view would write later records over the source's.
+func TestPrivateCloneRecyclesAllButItsArena(t *testing.T) {
+	probe := newRig(true)
+	probe.commitFlushed(addrX, 8, 1)
+	probe.d.MarkShared()
+	template := probe.d.Clone()
+	want := stateOf(template)
+	for i := 0; i < 4; i++ {
+		c := template.Clone()
+		c.Retire()
+		dirtyPools()
+	}
+	if got := stateOf(template); !bytes.Equal(got, want) {
+		t.Errorf("template changed after its private clones retired:\n%s\nwant\n%s", got, want)
+	}
+}

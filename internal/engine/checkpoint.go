@@ -73,6 +73,7 @@ package engine
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 
 	"yashme/internal/analysis"
 	"yashme/internal/core"
@@ -104,15 +105,25 @@ type countingSource struct {
 	n        uint64
 }
 
-// newCountingSource is the engine's one way to seed a scheduler stream: a
-// mirrored register when the mirror validated, the stdlib source otherwise.
+// newCountingSource returns a source seeded at seed (see reset).
 func newCountingSource(seed int64) *countingSource {
+	c := new(countingSource)
+	c.reset(seed)
+	return c
+}
+
+// reset is the engine's one way to seed a scheduler stream: it restarts c
+// at seed on a mirrored register when the mirror validated, on the stdlib
+// source otherwise. A recycled scenario shell resets its own source, so
+// the rand.Rand wrapping it stays valid.
+func (c *countingSource) reset(seed int64) {
 	if !rngMirrorOK {
-		return newStdlibSource(seed)
+		*c = *newStdlibSource(seed)
+		return
 	}
 	st := getRngState()
 	seedRngState(seed, st)
-	return &countingSource{state: st, mirrored: true}
+	*c = countingSource{state: st, mirrored: true}
 }
 
 // newStdlibSource is the fallback behind newCountingSource: it keeps the
@@ -149,15 +160,17 @@ func (c *countingSource) fork() *countingSource {
 	return &countingSource{state: st, mirrored: true, n: c.n}
 }
 
-// forkShared returns a copy-on-write fork positioned at the current stream
-// point: the register copy is deferred to the first draw. The receiver must
-// stay read-only for the fork's lifetime — it is only called on snapshot
-// rngs, which are frozen by the snapshot immutability contract.
-func (c *countingSource) forkShared() *countingSource {
-	if c == nil || !c.mirrored {
-		return nil
+// shareFrom makes c a copy-on-write fork of src positioned at src's
+// current stream point: the register copy is deferred to the first draw.
+// src must stay read-only for the fork's lifetime — it is only a snapshot
+// rng, frozen by the snapshot immutability contract. It reports false, and
+// leaves c alone, when src is nil or unmirrored.
+func (c *countingSource) shareFrom(src *countingSource) bool {
+	if src == nil || !src.mirrored {
+		return false
 	}
-	return &countingSource{state: c.state, cow: true, mirrored: true, n: c.n}
+	*c = countingSource{state: src.state, cow: true, mirrored: true, n: src.n}
+	return true
 }
 
 // materialize resolves a copy-on-write fork before its first mutation.
@@ -204,6 +217,15 @@ func (c *countingSource) Seed(seed int64) {
 		c.src.Seed(seed)
 	}
 	c.n = 0
+}
+
+// rewind steps a mirrored source back by n raw draws, the inverse of skip.
+func (c *countingSource) rewind(n uint64) {
+	c.materialize()
+	for i := uint64(0); i < n; i++ {
+		c.state.unstep()
+	}
+	c.n -= n
 }
 
 // skip advances the source by n raw draws (each Int63 call is one step for
@@ -294,11 +316,22 @@ func (snap *snapshot) materializeDetector() *core.Detector {
 
 // sigClass is one equivalence class of crash points under the state
 // signature: the first point seen with these exact bytes represents every
-// later match.
+// later match. The bytes are slab[lo:hi] of the sigIndex filing it.
 type sigClass struct {
-	point int
-	sig   []byte
+	point, lo, hi int
 }
+
+// sigIndex files one probe's crash points by state signature: classes maps
+// a signature hash to its equivalence classes, whose full bytes sit end to
+// end in slab for the mandatory collision-confirming compare. It is needed
+// only while the probe runs, so the sink returns it to sigIndexPool when
+// the capture window closes and the next probe reuses the grown slab.
+type sigIndex struct {
+	slab    []byte
+	classes map[uint64][]sigClass
+}
+
+var sigIndexPool = sync.Pool{New: func() any { return &sigIndex{classes: make(map[uint64][]sigClass)} }}
 
 // snapshotSink collects the snapshots of one watched execution, keyed by
 // crash point. All sink state is touched only by the probing scenario's
@@ -331,13 +364,12 @@ type snapshotSink struct {
 	lastRng    *countingSource
 	lastRngN   uint64
 
-	// Crash-image memoization (configureProbe): sigs maps a state-signature
-	// hash to its equivalence classes (full bytes kept for the mandatory
-	// collision-confirming compare); dups maps a duplicate point to its
-	// class representative's point.
+	// Crash-image memoization (configureProbe): sigs files the points by
+	// state signature during the capture window; dups maps a duplicate
+	// point to its class representative's point.
 	dedup  bool
 	sigBuf []byte
-	sigs   map[uint64][]*sigClass
+	sigs   *sigIndex
 	dups   map[int]int
 }
 
@@ -371,15 +403,22 @@ func (k *snapshotSink) configureProbe(opts Options, det *core.Detector) {
 	}
 	if dedupEnabled(opts) {
 		k.dedup = true
-		k.sigs = make(map[uint64][]*sigClass)
+		k.sigs = sigIndexPool.Get().(*sigIndex)
 		k.dups = make(map[int]int)
 	}
 }
 
-// seal closes the capture window: the journal is detached from the detector
-// before the recovery execution starts, so post-crash appends can never
-// pollute the recorded segments, and its length is accounted.
+// seal closes the capture window: the signature index goes back to its
+// pool, and the journal is detached from the detector before the recovery
+// execution starts, so post-crash appends can never pollute the recorded
+// segments, and its length is accounted.
 func (k *snapshotSink) seal(sc *scenario) {
+	if k.sigs != nil {
+		clear(k.sigs.classes)
+		k.sigs.slab = k.sigs.slab[:0]
+		sigIndexPool.Put(k.sigs)
+		k.sigs = nil
+	}
 	if k.journal == nil {
 		return
 	}
@@ -536,13 +575,23 @@ func (k *snapshotSink) classify(sc *scenario, point int) {
 // collision and records a distinct class, never a duplicate. The hash is a
 // parameter (rather than derived here) so tests can force collisions.
 func (k *snapshotSink) file(point int, h uint64, buf []byte) {
-	for _, c := range k.sigs[h] {
-		if bytes.Equal(c.sig, buf) {
+	x := k.sigs
+	for _, c := range x.classes[h] {
+		if bytes.Equal(x.slab[c.lo:c.hi], buf) {
 			k.dups[point] = c.point
 			return
 		}
 	}
-	k.sigs[h] = append(k.sigs[h], &sigClass{point: point, sig: append([]byte(nil), buf...)})
+	lo := len(x.slab)
+	if need := lo + len(buf); need > cap(x.slab) {
+		// Double rather than let append grow large slices by a quarter: a
+		// cold slab then copies each signature about twice, not five times.
+		grown := make([]byte, lo, max(need, 2*cap(x.slab)))
+		copy(grown, x.slab)
+		x.slab = grown
+	}
+	x.slab = append(x.slab, buf...)
+	x.classes[h] = append(x.classes[h], sigClass{point: point, lo: lo, hi: len(x.slab)})
 }
 
 // sigU64 serializes v little-endian into the signature buffer.
@@ -587,45 +636,40 @@ func resumeScenario(makeProg func() pmm.Program, opts Options, snap *snapshot, p
 	if opts.EADR {
 		persist = PersistLatest
 	}
-	var det *core.Detector
-	var image imageTable
+	sc := getScenario()
 	if snap.owned {
-		det, image = snap.det, snap.image
+		sc.det, sc.image = snap.det, snap.image
 		snap.det, snap.image = nil, imageTable{}
 	} else {
-		det, image = snap.materializeDetector(), snap.image.clone()
+		sc.det, sc.image = snap.materializeDetector(), snap.image.clone()
 	}
-	stack := analysis.Rebuild(opts.Analyses, det, analysis.CloneExtras(snap.extras))
-	stack.SetLabeler(heap.LabelFor)
-	src := snap.rng.forkShared()
-	if src == nil {
-		src = newCountingSource(snap.seed)
-		src.skip(snap.rngDraws)
+	switch {
+	case snap.owned && snap.rng != nil:
+		*sc.rngSrc = *snap.rng // the probe's own register, rewound
+		snap.rng = nil
+	case sc.rngSrc.shareFrom(snap.rng):
+	default:
+		sc.rngSrc.reset(snap.seed)
+		sc.rngSrc.skip(snap.rngDraws)
 	}
-	sc := &scenario{
-		opts:        opts,
-		prog:        prog,
-		heap:        heap,
-		stack:       stack,
-		det:         det,
-		rng:         rand.New(src),
-		rngSrc:      src,
-		seed:        snap.seed,
-		persist:     persist,
-		crashPlan:   p,
-		crashPoints: make(map[int]int, len(snap.crashPoints)),
-		execIdx:     snap.execIdx,
-		image:       image,
-		stats:       snap.stats,
-		setupAllocs: snap.setupAllocs,
-		setupNext:   snap.setupNext,
-	}
+	sc.stack = analysis.Rebuild(opts.Analyses, sc.det, analysis.CloneExtras(snap.extras))
+	sc.stack.SetLabeler(heap.LabelFor)
+	sc.opts = opts
+	sc.prog = prog
+	sc.heap = heap
+	sc.seed = snap.seed
+	sc.persist = persist
+	sc.crashPlan = p
+	sc.execIdx = snap.execIdx
+	sc.stats = snap.stats
+	sc.setupAllocs = snap.setupAllocs
+	sc.setupNext = snap.setupNext
 	sc.setGates()
 	for k, v := range snap.crashPoints {
 		sc.crashPoints[k] = v
 	}
 	if opts.Trace && snap.rec != nil {
-		sc.recorder = snap.rec.Clone(stack.Listener(), heap.LabelFor)
+		sc.recorder = snap.rec.Clone(sc.stack.Listener(), heap.LabelFor)
 	}
 	// Replay the crash-unwind draws so the rng matches a scratch scenario
 	// whose scheduler unwound the remaining threads at the crash. These must

@@ -22,7 +22,7 @@ import (
 func TestFileNeverMergesOnHashAlone(t *testing.T) {
 	prop := func(sigs [][]byte) bool {
 		k := &snapshotSink{
-			sigs: make(map[uint64][]*sigClass),
+			sigs: &sigIndex{classes: make(map[uint64][]sigClass)},
 			dups: make(map[int]int),
 		}
 		byPoint := make(map[int][]byte, len(sigs))
@@ -40,10 +40,11 @@ func TestFileNeverMergesOnHashAlone(t *testing.T) {
 			}
 		}
 		// Classes in the bucket must be pairwise distinct.
-		cs := k.sigs[0]
+		x := k.sigs
+		cs := x.classes[0]
 		for i := range cs {
 			for j := i + 1; j < len(cs); j++ {
-				if bytes.Equal(cs[i].sig, cs[j].sig) {
+				if bytes.Equal(x.slab[cs[i].lo:cs[i].hi], x.slab[cs[j].lo:cs[j].hi]) {
 					return false
 				}
 			}

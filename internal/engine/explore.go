@@ -315,25 +315,25 @@ func synthesizeDedup(rep *specResult, spec scenarioSpec) *specResult {
 	return out
 }
 
-// mergeSpec folds one spec outcome into the Result. Called in spec-index
-// order only.
+// mergeSpec folds one spec outcome into the Result, then releases it (see
+// specResult.release). Called in spec-index order only.
 func (res *Result) mergeSpec(r *specResult) {
 	for i, rep := range r.reports {
 		res.Passes[i].Report.Merge(rep)
 	}
 	res.ExecutionsRun += r.executions
 	res.Stats.Add(r.stats)
-	if !r.spec.window {
-		return
+	if r.spec.window {
+		// Window specs arrive grouped by crash point, points ascending; the
+		// persist policies of one point fold into a single PointStat.
+		if len(res.Window) == 0 || res.Window[len(res.Window)-1].Point != r.spec.crashPoint {
+			res.Window = append(res.Window, PointStat{Point: r.spec.crashPoint})
+		}
+		if last := &res.Window[len(res.Window)-1]; r.windowRaces > last.Races {
+			last.Races = r.windowRaces
+		}
 	}
-	// Window specs arrive grouped by crash point, points ascending; the
-	// persist policies of one point fold into a single PointStat.
-	if len(res.Window) == 0 || res.Window[len(res.Window)-1].Point != r.spec.crashPoint {
-		res.Window = append(res.Window, PointStat{Point: r.spec.crashPoint})
-	}
-	if last := &res.Window[len(res.Window)-1]; r.windowRaces > last.Races {
-		last.Races = r.windowRaces
-	}
+	r.release()
 }
 
 // planSpecs dispatches to the mode's enumerator. emit is called once per spec,
@@ -536,13 +536,14 @@ func runSpec(ctx context.Context, makeProg func() pmm.Program, opts Options, spe
 		sc.capture = recSink
 	})
 	out.windowRaces = sc.stack.PrimaryReport().Count()
+	// absorb retires sc; keep what the expansions read from it.
+	lineChoices, m := sc.lineChoices, sc.crashPoints[1]
 	out.absorb(sc)
 
 	if spec.exploreReads {
-		runReadChoices(ctx, makeProg, opts, spec, sc.lineChoices, out)
+		runReadChoices(ctx, makeProg, opts, spec, lineChoices, out)
 	}
 	if spec.expandRecovery {
-		m := sc.crashPoints[1]
 		if m > opts.RecoveryCrashes {
 			m = opts.RecoveryCrashes
 		}
@@ -592,14 +593,37 @@ func runReadChoices(ctx context.Context, makeProg func() pmm.Program, opts Optio
 	}
 }
 
+// specResultPool holds merged outcomes (specResult.release).
+var specResultPool sync.Pool
+
 // newSpecResult returns an empty outcome for spec, with one report set per
-// selected analysis pass.
+// selected analysis pass, on a merged outcome's shell when one is free.
 func newSpecResult(spec scenarioSpec, opts Options) *specResult {
-	out := &specResult{spec: spec, reports: make([]*report.Set, len(opts.Analyses))}
-	for i := range out.reports {
-		out.reports[i] = report.NewSet()
+	out, _ := specResultPool.Get().(*specResult)
+	if out == nil {
+		out = new(specResult)
 	}
+	reports := out.reports[:0]
+	for range opts.Analyses {
+		reports = append(reports, report.NewSet())
+	}
+	*out = specResult{spec: spec, reports: reports}
 	return out
+}
+
+// release hands a merged outcome and its report sets to the pools. A
+// retained representative keeps its sets, which the results synthesized
+// for its duplicates share, and a synthesized result owns none.
+func (r *specResult) release() {
+	if r.spec.retain || r.spec.dedupOf > 0 {
+		return
+	}
+	for _, rep := range r.reports {
+		rep.Release()
+	}
+	clear(r.reports)
+	*r = specResult{reports: r.reports[:0]}
+	specResultPool.Put(r)
 }
 
 // absorb is the one harvest path of a finished crash scenario: it merges the

@@ -11,8 +11,9 @@
 // during the pre-crash execution), an O(1) heap view at c's shape and c's
 // position into a single-use snapshot: resumeScenario takes the detector
 // and image without cloning, and the probe's retire releases neither. The
-// rng is not handed over, since the probe's generator has moved past c; the
-// resume seeds and skips to c's draw count.
+// probe's rng register, which has moved past c, is stepped back to c's draw
+// count (every draw is one invertible generator step) and handed over too;
+// only an unmirrored fallback source makes the resume seed and skip.
 package engine
 
 import (
@@ -94,9 +95,10 @@ func (pl *positionLog) record(sc *scenario, p int) {
 	pl.points = append(pl.points, pos)
 }
 
-// handover rewinds the probe to crash point c and moves its detector and
-// image into the snapshot the crash scenario resumes from. The probe keeps
-// neither: its retire releases only the machine and the rng register.
+// handover rewinds the probe to crash point c and moves its detector, image
+// and (when mirrored) rng register into the snapshot the crash scenario
+// resumes from. The probe keeps none of them: its retire releases only the
+// machine and the shell.
 func (pl *positionLog) handover(probe *scenario, c int) *snapshot {
 	pos := &pl.points[c]
 	probe.det.Rewind(&pl.journal, pos.jMark)
@@ -119,5 +121,10 @@ func (pl *positionLog) handover(probe *scenario, c int) *snapshot {
 		snap.unwind = pos.live - 1
 	}
 	probe.det, probe.image = nil, imageTable{}
+	if src := probe.rngSrc; src.mirrored {
+		src.rewind(src.n - pos.rngDraws)
+		snap.rng = &countingSource{state: src.state, mirrored: true, n: src.n}
+		src.state = nil
+	}
 	return snap
 }

@@ -6,51 +6,7 @@ import (
 	"testing"
 
 	"yashme/internal/engine"
-	"yashme/internal/pmm"
 )
-
-// recoveryWriter's recovery stores and flushes records of its own, so with
-// recovery crashes on, the checkpoint layer snapshots the live recovery
-// execution and every follow-up scenario resumes from clones that share its
-// store arena. A second recovery takes the other branch: it commits stores
-// to fresh addresses before it reads the first recovery's records, so a
-// recycled arena still shared with a snapshot would be overwritten before
-// those records are race-checked.
-func recoveryWriter() pmm.Program {
-	var data, mark, x, y pmm.Addr
-	var fresh []pmm.Addr
-	return pmm.Program{
-		Name: "recovery-writer",
-		Setup: func(h *pmm.Heap) {
-			data = h.AllocStruct("data", pmm.Layout{{Name: "a", Size: 8}}).F("a")
-			r := h.AllocStruct("rec", pmm.Layout{{Name: "mark", Size: 8}, {Name: "x", Size: 8}, {Name: "y", Size: 8}})
-			mark, x, y = r.F("mark"), r.F("x"), r.F("y")
-			f := h.AllocStruct("fresh", pmm.Layout{{Name: "p", Size: 8}, {Name: "q", Size: 8}, {Name: "r", Size: 8}})
-			fresh = []pmm.Addr{f.F("p"), f.F("q"), f.F("r")}
-		},
-		Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
-			t.Store64(data, 1)
-			t.CLFlush(data)
-		}},
-		PostCrash: func(t *pmm.Thread) {
-			t.Load64(data)
-			if t.Load64(mark) == 0 {
-				t.Store64(mark, 1)
-				t.CLFlush(mark)
-				t.Store64(x, 7)
-				t.CLFlush(x)
-				t.Store64(y, 8)
-				t.CLFlush(y)
-				return
-			}
-			for i, a := range fresh {
-				t.Store64(a, uint64(i+1))
-			}
-			t.Load64(x)
-			t.Load64(y)
-		},
-	}
-}
 
 // TestRecoveryCrashesSurviveWarmPools: retiring a scenario whose recovery
 // execution a snapshot cloned must leave the snapshot intact. The
@@ -62,14 +18,14 @@ func TestRecoveryCrashesSurviveWarmPools(t *testing.T) {
 	opts := engine.Options{Mode: engine.ModelCheck, Prefix: true, RecoveryCrashes: 3, Workers: 1}
 	runtime.GC()
 	runtime.GC()
-	cold := engine.Run(recoveryWriter, opts)
+	cold := engine.Run(engine.RecoveryWriter, opts)
 	for i := 0; i < 3; i++ {
-		engine.Run(recoveryWriter, engine.Options{Mode: engine.RandomMode, Prefix: true, Seed: int64(i + 5), RecoveryCrashes: 3})
+		engine.Run(engine.RecoveryWriter, engine.Options{Mode: engine.RandomMode, Prefix: true, Seed: int64(i + 5), RecoveryCrashes: 3})
 	}
-	warm := engine.Run(recoveryWriter, opts)
+	warm := engine.Run(engine.RecoveryWriter, opts)
 	refOpts := opts
 	refOpts.Reference = true
-	ref := engine.Run(recoveryWriter, refOpts)
+	ref := engine.Run(engine.RecoveryWriter, refOpts)
 
 	work := func(s engine.Stats) engine.Stats {
 		s.ZeroCost()

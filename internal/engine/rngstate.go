@@ -77,6 +77,20 @@ func (r *rngState) Uint64() uint64 {
 
 func (r *rngState) Int63() int64 { return int64(r.Uint64() & rngMask) }
 
+// unstep undoes one Uint64 step: the word the step overwrote was the sum of
+// its old value and the tap word, which the step left unchanged.
+func (r *rngState) unstep() {
+	r.vec[r.feed] -= r.vec[r.tap]
+	r.tap++
+	if r.tap == rngLen {
+		r.tap = 0
+	}
+	r.feed++
+	if r.feed == rngLen {
+		r.feed = 0
+	}
+}
+
 // lcgPow[i][j] is lcgMul^(lcgWarmup+1+3i+j) mod lcgMod: the multiplier
 // taking the normalized seed to the LCG value that feeds bits 40, 20 and 0
 // (j = 0, 1, 2) of register word i. rngCooked is the stdlib's constant the

@@ -92,8 +92,8 @@ func TestCopyOnWriteSourceNeverRecycled(t *testing.T) {
 	donor := newCountingSource(42)
 	donor.skip(700)
 	frozen := *donor.state
-	donor.forkShared().release()
-	drawn := donor.forkShared()
+	sharedFork(donor).release()
+	drawn := sharedFork(donor)
 	drawn.Uint64()
 	drawn.release()
 	for i := 0; i < 8; i++ {
@@ -104,7 +104,7 @@ func TestCopyOnWriteSourceNeverRecycled(t *testing.T) {
 	if *donor.state != frozen {
 		t.Fatal("a released copy-on-write fork recycled its donor's register")
 	}
-	fk := donor.forkShared()
+	fk := sharedFork(donor)
 	ref := rand.NewSource(42).(rand.Source64)
 	for i := 0; i < 700; i++ {
 		ref.Uint64()
@@ -176,7 +176,7 @@ func TestStdlibSourceMatchesMirrored(t *testing.T) {
 	}
 	for _, seed := range []int64{0, 7, -5, 20220326} {
 		fb, cs := newStdlibSource(seed), newCountingSource(seed)
-		if fb.mirrored || fb.fork() != nil || fb.forkShared() != nil {
+		if fb.mirrored || fb.fork() != nil || sharedFork(fb) != nil {
 			t.Fatalf("seed %d: fallback source claims a copyable register", seed)
 		}
 		same := func(step string) {
@@ -201,5 +201,57 @@ func TestStdlibSourceMatchesMirrored(t *testing.T) {
 		cs.Seed(seed + 1)
 		same("after reseed")
 		cs.release()
+	}
+}
+
+// sharedFork returns a copy-on-write fork of src, nil when src cannot be
+// forked.
+func sharedFork(src *countingSource) *countingSource {
+	c := new(countingSource)
+	if !c.shareFrom(src) {
+		return nil
+	}
+	return c
+}
+
+// TestRngUnstepInvertsStep: k generator steps followed by k unsteps restore
+// the register exactly, from several starting offsets and for k up to
+// past twice the register length, so both indices wrap in each direction.
+// A rewound source then continues the stream a fresh source skipped to the
+// same draw count produces.
+func TestRngUnstepInvertsStep(t *testing.T) {
+	var st rngState
+	seedRngState(20220326, &st)
+	for _, offset := range []int{0, 1, 272, 606, 900} {
+		for i := 0; i < offset; i++ {
+			st.Uint64()
+		}
+		for _, k := range []int{1, 273, 334, rngLen, rngLen + 1, 2*rngLen + 17} {
+			start := st
+			for i := 0; i < k; i++ {
+				st.Uint64()
+			}
+			for i := 0; i < k; i++ {
+				st.unstep()
+			}
+			if st != start {
+				t.Fatalf("offset %d: %d steps then %d unsteps do not restore the register", offset, k, k)
+			}
+		}
+	}
+	if !rngMirrorOK {
+		t.Skip("mirror unavailable on this Go release")
+	}
+	cs, ref := newCountingSource(7), newCountingSource(7)
+	cs.skip(1500)
+	cs.rewind(1500 - 333)
+	ref.skip(333)
+	if cs.n != ref.n {
+		t.Fatalf("rewound draw count %d, want %d", cs.n, ref.n)
+	}
+	for i := 0; i < 1000; i++ {
+		if got, want := cs.Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("rewound source drifted at draw %d: got %#x, want %#x", i, got, want)
+		}
 	}
 }

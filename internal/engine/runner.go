@@ -295,23 +295,19 @@ func newScenario(makeProg func() pmm.Program, opts Options, p plan, persist Pers
 	if err != nil {
 		panic(fmt.Sprintf("engine: %v", err))
 	}
-	src := newCountingSource(seed)
-	sc := &scenario{
-		opts:        opts,
-		prog:        prog,
-		heap:        heap,
-		stack:       stack,
-		det:         stack.Model(),
-		rng:         rand.New(src),
-		rngSrc:      src,
-		seed:        seed,
-		persist:     persist,
-		crashPlan:   p,
-		crashPoints: make(map[int]int),
-		image:       newImageTable(),
-		setupAllocs: heap.AllocCount(),
-		setupNext:   heap.NextFree(),
-	}
+	sc := getScenario()
+	sc.opts = opts
+	sc.prog = prog
+	sc.heap = heap
+	sc.stack = stack
+	sc.det = stack.Model()
+	sc.rngSrc.reset(seed)
+	sc.seed = seed
+	sc.persist = persist
+	sc.crashPlan = p
+	sc.image = newImageTable()
+	sc.setupAllocs = heap.AllocCount()
+	sc.setupNext = heap.NextFree()
 	sc.setGates()
 	if opts.Trace {
 		sc.recorder = trace.NewRecorder(stack.Listener(), heap.LabelFor)
@@ -323,24 +319,59 @@ func newScenario(makeProg func() pmm.Program, opts Options, p plan, persist Pers
 	return sc
 }
 
+// scenarioPool holds the shells of retired scenarios (scenario.retire).
+var scenarioPool sync.Pool
+
+// getScenario returns an empty scenario shell, recycled when one is free:
+// its scheduler state, crash-point map, rng wrapper and image-derivation
+// scratch keep what an earlier scenario grew. The caller fills in the rest.
+func getScenario() *scenario {
+	if sc, _ := scenarioPool.Get().(*scenario); sc != nil {
+		return sc
+	}
+	sc := &scenario{crashPoints: make(map[int]int), rngSrc: new(countingSource)}
+	sc.rng = rand.New(sc.rngSrc)
+	return sc
+}
+
 // retire hands the dead scenario's private state to the pools the next
 // scenario on any worker draws from: its last machine, the detector's
-// unshared executions, the scheduler rng register and the image table. It
-// is the one death point of every scenario, called once its reports and
-// stats have been harvested (specResult.absorb) or its probe summary taken;
-// the scenario must not run again. Snapshot state the scenario captured is
-// never released here: snapshots hold clones and forks, and the live state
-// they were taken from is marked shared. A random-mode probe that handed
-// its detector and image over (handover.go) no longer holds them.
+// unshared executions, its report sets, the scheduler rng register, the
+// image table and the scenario shell itself. It is the one death point of
+// every scenario, called once its reports and stats have been harvested
+// (specResult.absorb) or its probe summary taken; the scenario must not be
+// touched again. Snapshot state the scenario captured is never released
+// here: snapshots hold clones and forks, and the live state they were
+// taken from is marked shared. A random-mode probe that handed its
+// detector, image and rng register over (handover.go) no longer holds
+// them.
 func (sc *scenario) retire() {
 	tso.Retire(sc.machine)
-	sc.machine = nil
 	sc.rngSrc.release()
-	if sc.det == nil {
-		return // handed over
+	if sc.det != nil {
+		for _, rep := range sc.stack.Reports() {
+			rep.Release()
+		}
+		sc.det.Retire()
+		sc.image.release()
 	}
-	sc.det.Retire()
-	sc.image.release()
+	shell := scenario{
+		rng:           sc.rng,
+		rngSrc:        sc.rngSrc,
+		crashPoints:   sc.crashPoints,
+		sched:         sc.sched,
+		addrScratch:   sc.addrScratch[:0],
+		choiceScratch: sc.choiceScratch[:0],
+	}
+	// A recovery sink's snapshots share the image this scenario built after
+	// its first crash, and that image's candidate lists are carved from the
+	// slab; only a scenario that captured no such image keeps its slab.
+	if sc.capture == nil || sc.capture.execIdx == 0 {
+		shell.candSlab = sc.candSlab[:0]
+	}
+	clear(shell.crashPoints)
+	*sc = shell
+	scenarioPool.Put(sc)
 }
 
 // setGates precomputes the per-load analysis gates from the stack and the
@@ -512,6 +543,9 @@ func (sc *scenario) startThread(i int, fn func(*pmm.Thread)) {
 	if o == nil {
 		o = &threadOps{sc: sc, tid: vclock.TID(i), resume: make(chan struct{})}
 		s.ops[i] = o
+	}
+	if th := s.threads[i]; th == nil || th.Heap() != sc.heap {
+		// A recycled shell's slots still wrap an earlier scenario's heap.
 		s.threads[i] = pmm.NewThread(o, sc.heap)
 	}
 	o.guarded = false

@@ -139,8 +139,29 @@ type Set struct {
 // instead of building idx.
 const smallSetScan = 16
 
-// NewSet returns an empty report set.
-func NewSet() *Set { return &Set{} }
+// setPool holds released sets (Release) with their backing arrays: the
+// engine builds and folds a few sets per crash scenario, so a warm sweep
+// reuses their slices instead of regrowing them.
+var setPool sync.Pool
+
+// NewSet returns an empty report set, on a released set's backing when one
+// is free.
+func NewSet() *Set {
+	if s, _ := setPool.Get().(*Set); s != nil {
+		return s
+	}
+	return &Set{}
+}
+
+// Release empties the set and hands it to the pool NewSet draws from. The
+// caller must be its only holder and must not use it again; races already
+// merged elsewhere are copies and stay valid.
+func (s *Set) Release() {
+	clear(s.keys)
+	clear(s.races)
+	*s = Set{keys: s.keys[:0], races: s.races[:0]}
+	setPool.Put(s)
+}
 
 // find returns the slot of k, or -1 if the set does not contain it.
 func (s *Set) find(k raceKey) int {
@@ -275,11 +296,10 @@ func (s *Set) AttachWitnesses(build func(Race) string) {
 // engine's checkpoint layer clones the set captured at a snapshot point so
 // every resumed scenario starts from the same accumulated reports.
 func (s *Set) Clone() *Set {
-	c := &Set{RawCount: s.RawCount}
-	if len(s.keys) > 0 {
-		c.keys = append([]raceKey(nil), s.keys...)
-		c.races = append([]Race(nil), s.races...)
-	}
+	c := NewSet()
+	c.RawCount = s.RawCount
+	c.keys = append(c.keys, s.keys...)
+	c.races = append(c.races, s.races...)
 	return c
 }
 

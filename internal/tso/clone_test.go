@@ -1,6 +1,11 @@
 package tso
 
-import "testing"
+import (
+	"testing"
+
+	"yashme/internal/pmm"
+	"yashme/internal/vclock"
+)
 
 // TestCloneIndependence: a cloned machine and its original may run on
 // independently — buffered state, clocks and committed memory must not leak
@@ -71,5 +76,60 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if got := c.ThreadCV(1).Max(); got != cCV {
 		t.Errorf("clone ThreadCV(1) moved %d -> %d when only the original ran", cCV, got)
+	}
+}
+
+// TestClonedMachineNeverReusesChunks: a clone's memory view shares the
+// original's committed records, so a recycled original must not mint
+// records into its old chunks. Directly: the first record slot after
+// recycling is a fresh one. Through the pool: fresh machines commit other
+// values over the same addresses after the original retired, and the
+// clone must still read the original values.
+func TestClonedMachineNeverReusesChunks(t *testing.T) {
+	const n = 3*recChunk + 5
+	addr := func(i int) pmm.Addr { return pmm.Addr(0x1000 + 8*i) }
+	commit := func(m *Machine, base uint64) {
+		for i := 0; i < n; i++ {
+			m.EnqueueStore(0, addr(i), 8, base+uint64(i), false, false)
+		}
+		m.DrainSB(0)
+	}
+	m := NewMachine(nil)
+	commit(m, 0)
+	first, _ := m.VolatileValue(addr(0))
+	m.Clone(nil)
+	m.recycle()
+	if m.newRecord() == first {
+		t.Fatal("a recycled machine that was cloned handed out a record slot the clone shares")
+	}
+
+	m = NewMachine(nil)
+	commit(m, 0)
+	c := m.Clone(nil)
+	Retire(m)
+	for k := 0; k < 4; k++ {
+		o := NewMachine(nil)
+		commit(o, 1000*uint64(k+1))
+		Retire(o)
+	}
+	for i := 0; i < n; i++ {
+		rec, ok := c.VolatileValue(addr(i))
+		if !ok || rec.Val != uint64(i) || rec.Seq != vclock.Seq(i+1) {
+			t.Fatalf("clone's record %d was overwritten after the original retired: %+v", i, rec)
+		}
+	}
+}
+
+// TestRetiredMachineReusesChunks: a machine that was never cloned starts
+// over at its first record chunk once recycled, so a warm machine mints
+// records without allocating.
+func TestRetiredMachineReusesChunks(t *testing.T) {
+	m := NewMachine(nil)
+	m.EnqueueStore(0, 0x1000, 8, 1, false, false)
+	m.DrainSB(0)
+	first, _ := m.VolatileValue(0x1000)
+	m.recycle()
+	if m.newRecord() != first {
+		t.Fatal("a recycled machine that was never cloned did not reuse its first record chunk")
 	}
 }

@@ -167,8 +167,16 @@ type Machine struct {
 	// seeding a persisted image and committing stores both mint one record
 	// per event, so handing out slab slots turns those per-record
 	// allocations into one per chunk. Handed-out records are immutable and
-	// freely shared; the unused tail is private (Clone drops it).
+	// shared with clones; the unused tail is private (Clone drops it).
 	recSlab []CommittedStore
+	// chunks are the record chunks this machine allocated, nextChunk the
+	// first one not yet handed out since the machine was (re)started: a
+	// retired machine starts over at its first chunk (see Retire).
+	chunks    [][]CommittedStore
+	nextChunk int
+	// cloned marks a machine whose records a clone's memory view shares;
+	// Retire then drops its chunks instead of reusing them.
+	cloned bool
 }
 
 // sbQueue is one thread's store buffer: a FIFO whose pending entries are
@@ -212,23 +220,45 @@ func (q *sbQueue) pop() (SBEntry, bool) {
 var retiredPool sync.Pool
 
 // Retire hands m to the pool NewMachine draws from. The machine must never
-// be used again. Records it already handed out stay valid: they are
-// immutable, referenced individually rather than through the table, and
-// only the never-handed-out slab tail is reused. The per-thread buffers
-// keep their arrays; their entries hold no pointers.
+// be used again, and neither may any record it handed out: the next machine
+// built on m overwrites them. No listener or engine path keeps a
+// *CommittedStore past the event or load that delivered it — listeners copy
+// the fields they need, and loads read the record in place — so the only
+// long-lived holder is a clone's memory view. A machine that was ever
+// cloned therefore drops its chunks instead of reusing them. The
+// per-thread buffers keep their arrays; their entries hold no pointers.
 func Retire(m *Machine) {
 	if m == nil {
 		return
 	}
-	m.mem.Reset()
-	m.listener, m.clocks = nil, nil
+	m.recycle()
 	retiredPool.Put(m)
 }
 
-// newRecord hands out one record slot from the slab chunk.
+// recycle empties m for the next machine built on it: the memory view is
+// cleared and record minting starts over at the first chunk, unless a
+// clone shares the records, in which case the chunks are dropped.
+func (m *Machine) recycle() {
+	m.mem.Reset()
+	m.listener, m.clocks = nil, nil
+	m.recSlab, m.nextChunk = nil, 0
+	if m.cloned {
+		m.chunks, m.cloned = nil, false
+	}
+}
+
+// recChunk is the number of records one slab chunk holds.
+const recChunk = 64
+
+// newRecord hands out one record slot from the slab chunk, starting the
+// next chunk the machine owns (or a fresh one) when the current is used up.
 func (m *Machine) newRecord() *CommittedStore {
 	if len(m.recSlab) == 0 {
-		m.recSlab = make([]CommittedStore, 64)
+		if m.nextChunk == len(m.chunks) {
+			m.chunks = append(m.chunks, make([]CommittedStore, recChunk))
+		}
+		m.recSlab = m.chunks[m.nextChunk]
+		m.nextChunk++
 	}
 	rec := &m.recSlab[0]
 	m.recSlab = m.recSlab[1:]
@@ -336,7 +366,9 @@ func (m *Machine) checkTID(tid vclock.TID) {
 // Committed store records are shared with the original: a CommittedStore is
 // immutable once committed (its clock vector is snapshotted at commit time).
 // Store buffers, flush buffers and per-thread clocks are deep-copied, so the
-// two machines may run on independently.
+// two machines may run on independently. Cloning marks the original so its
+// Retire never reuses the shared records' chunks; it is the one write to
+// the source, so a machine must not be cloned concurrently.
 //
 // The engine's checkpoint layer deliberately does NOT snapshot machines: a
 // crash discards every buffered operation by definition, and each post-crash
@@ -347,6 +379,7 @@ func (m *Machine) Clone(listener Listener) *Machine {
 	if listener == nil {
 		listener = NopListener{}
 	}
+	m.cloned = true
 	c := &Machine{
 		listener: listener,
 		seq:      m.seq,

@@ -61,6 +61,30 @@ func TestHeadline24Races(t *testing.T) {
 	}
 }
 
+// TestTable3AllocationGate: a resumed model-check scenario borrows its
+// detector tables, TSO records, shell and report sets from pools and
+// returns them when it dies (DESIGN.md, "Scenario state ownership and
+// recycling"), so a warm Table 3 sweep must stay under table3AllocBound
+// (alloc_norace_test.go, alloc_race_test.go).
+func TestTable3AllocationGate(t *testing.T) {
+	cfg := suite.Config{Tags: []string{workload.TagTable3}, Variants: []string{suite.VariantRaces}}
+	suite.Run(cfg) // warm the pools
+	const sweeps = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < sweeps; i++ {
+		if races := suite.Run(cfg).TotalRaces(suite.RunRaces); races != 19 {
+			t.Fatalf("Table 3 sweep found %d races, paper reports 19", races)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6 / sweeps
+	t.Logf("Table 3 sweep allocates %.2f MB", mb)
+	if mb > table3AllocBound {
+		t.Fatalf("warm Table 3 sweep allocates %.2f MB, gate is %g MB: scenario-state recycling regressed", mb, table3AllocBound)
+	}
+}
+
 // TestTable4AllocationGate: dead scenarios' detector executions, machines,
 // rng registers and image tables are recycled (DESIGN.md, "Scenario state
 // ownership and recycling"), so a warm Table 4 sweep must stay under
