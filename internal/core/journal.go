@@ -70,9 +70,10 @@ const JournalOpBytes = 32
 type Journal struct {
 	ops   []JournalOp
 	arena []StoreRecord
-	// clocks is the clock arena's frozen snapshot view at detach time:
-	// every stamp or ref recorded by the watched run resolves in it.
-	clocks []vclock.VC
+	// clocks is the clock arena's frozen prefix at detach time: every stamp
+	// or ref recorded by the watched run resolves in it, and every replayed
+	// clone shares its lookup index.
+	clocks *vclock.Frozen
 }
 
 // Mark returns the current segment boundary: ops[lo:hi] for two
@@ -95,7 +96,7 @@ func (d *Detector) SetJournal(j *Journal) {
 	if j == nil && d.journal != nil {
 		e := d.Current()
 		d.journal.arena = e.arena[:len(e.arena):len(e.arena)]
-		d.journal.clocks = d.arena.View()
+		d.journal.clocks = d.arena.Freeze()
 	}
 	d.journal = j
 }
@@ -108,11 +109,11 @@ func (d *Detector) SetJournal(j *Journal) {
 // append) rather than copying it. Afterwards the execution is
 // bit-equivalent to a clone taken at hi.
 func (d *Detector) ReplayJournal(j *Journal, lo, hi int) {
-	// Adopt the journal's frozen clock view outright: the clone's own view
-	// is a prefix of it (both came from the watched detector's append-only
-	// arena), so every ref taken at any journal position resolves
-	// identically, including the replayed records' stamps.
-	d.arena.AdoptView(j.clocks)
+	// Adopt the journal's frozen clock prefix outright: the clone's own
+	// view is a prefix of it (both came from the watched detector's
+	// append-only arena), so every ref taken at any journal position
+	// resolves identically, including the replayed records' stamps.
+	d.arena.Adopt(j.clocks)
 	e := d.Current()
 	for i := lo; i < hi; i++ {
 		op := &j.ops[i]

@@ -72,6 +72,7 @@ package engine
 
 import (
 	"bytes"
+	"hash/maphash"
 	"math/rand"
 	"sync"
 
@@ -365,13 +366,22 @@ type snapshotSink struct {
 	lastRngN   uint64
 
 	// Crash-image memoization (configureProbe): sigs files the points by
-	// state signature during the capture window; dups maps a duplicate
-	// point to its class representative's point.
+	// state signature, hashed under seed (sigSeed unless a test swaps it),
+	// during the capture window; dups maps a duplicate point to its class
+	// representative's point.
 	dedup  bool
+	seed   maphash.Seed
 	sigBuf []byte
 	sigs   *sigIndex
 	dups   map[int]int
 }
+
+// sigSeed is the per-process seed of the signature hash. A seed that
+// differs between processes is safe: the hash only routes a signature to
+// candidate classes, file confirms every match with bytes.Equal, and
+// nothing iterates or orders sigIndex.classes (it is only indexed and
+// cleared), so no output depends on the hash values.
+var sigSeed = maphash.MakeSeed()
 
 func newSnapshotSink(execIdx, max int) *snapshotSink {
 	return &snapshotSink{execIdx: execIdx, max: max, snaps: make(map[int]*snapshot)}
@@ -403,6 +413,7 @@ func (k *snapshotSink) configureProbe(opts Options, det *core.Detector) {
 	}
 	if dedupEnabled(opts) {
 		k.dedup = true
+		k.seed = sigSeed
 		k.sigs = sigIndexPool.Get().(*sigIndex)
 		k.dups = make(map[int]int)
 	}
@@ -566,7 +577,7 @@ func (k *snapshotSink) classify(sc *scenario, point int) {
 	// indistinguishable.
 	buf = sc.stack.AppendExtrasSignature(buf)
 	k.sigBuf = buf
-	k.file(point, fnv64a(buf), buf)
+	k.file(point, maphash.Bytes(k.seed, buf), buf)
 }
 
 // file places a point's signature into the classes under hash h: an earlier
@@ -599,17 +610,6 @@ func sigU64(buf []byte, v uint64) []byte {
 	return append(buf,
 		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-// fnv64a is the FNV-1a hash of b (inlined to keep the per-point path free
-// of hash.Hash allocations).
-func fnv64a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
 }
 
 // resumeScenario builds a scenario positioned exactly where a from-scratch

@@ -8,6 +8,8 @@ package engine
 
 import (
 	"bytes"
+	"hash/maphash"
+	"maps"
 	"testing"
 	"testing/quick"
 
@@ -100,5 +102,38 @@ func TestDedupPairsEquivalent(t *testing.T) {
 	}
 	if dupsSeen == 0 {
 		t.Fatal("no duplicate crash points classified across 30 fuzz programs; memoization is inert")
+	}
+}
+
+// TestDedupIndependentOfHashSeed classifies the same probes under two
+// different signature-hash seeds and requires identical duplicate maps:
+// the seed changes which bucket a signature lands in, never which points
+// merge or which point represents them.
+func TestDedupIndependentOfHashSeed(t *testing.T) {
+	probeDups := func(seed int64, hashSeed maphash.Seed) map[int]int {
+		mk, _ := fuzzprog.Generate(fuzzprog.Default(), seed)
+		opts := Options{Mode: ModelCheck, Prefix: true, Seed: seed}.withDefaults()
+		probe := newScenario(mk, opts, plan{}, PersistLatest, seed)
+		sink := newSnapshotSink(0, opts.MaxCrashPoints)
+		sink.configureProbe(opts, probe.det)
+		sink.seed = hashSeed
+		probe.capture = sink
+		probe.run()
+		return sink.dups
+	}
+	s1, s2 := maphash.MakeSeed(), maphash.MakeSeed()
+	if maphash.String(s1, "probe") == maphash.String(s2, "probe") {
+		t.Fatal("two fresh seeds hash alike; the test would compare one routing with itself")
+	}
+	dupsSeen := 0
+	for seed := int64(1); seed <= 30; seed++ {
+		a, b := probeDups(seed, s1), probeDups(seed, s2)
+		if !maps.Equal(a, b) {
+			t.Fatalf("seed %d: duplicate maps differ between hash seeds:\n%v\nvs\n%v", seed, a, b)
+		}
+		dupsSeen += len(a)
+	}
+	if dupsSeen == 0 {
+		t.Fatal("no duplicate crash points classified across 30 fuzz programs; the comparison is vacuous")
 	}
 }

@@ -12,10 +12,8 @@ package pmm
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sort"
-	"strconv"
-	"strings"
-	"sync"
 )
 
 // Addr is a byte address in the simulated persistent memory.
@@ -54,30 +52,57 @@ type layoutInfo struct {
 	fields []fieldInfo
 	byName map[string]int
 	size   int // struct size, rounded up to max alignment
+	// labels memoizes LabelFor for every allocation of this layout (see
+	// labelKey). It grows with program shape only — the labels, element
+	// indices and offsets the detector names — never with heaps, scenarios
+	// or jobs, and it is shared by every heap of the process.
+	labels memo[labelKey, string]
 }
 
 // layoutCache memoizes buildLayout by layout contents: a checkpoint resume
 // re-runs the program's Setup against a fresh heap, so the same handful of
 // struct layouts would otherwise be rebuilt (fields, name index, size
 // computation) for every resumed scenario, concurrently across workers.
-// layoutInfo is immutable once built, so sharing one instance is safe.
-var layoutCache sync.Map // string → *layoutInfo
+// layoutInfo is immutable once built (its label memo is safe for
+// concurrent use), so sharing one instance is safe. The cache is keyed by
+// a hash of the contents, and a hit is confirmed field by field, so a
+// lookup allocates nothing; a layout whose hash collides with a different
+// cached one is simply built uncached.
+var (
+	layoutCache memo[uint64, *layoutInfo]
+	layoutSeed  = maphash.MakeSeed()
+)
 
 func buildLayout(l Layout) *layoutInfo {
-	var kb strings.Builder
+	var mh maphash.Hash
+	mh.SetSeed(layoutSeed)
 	for _, f := range l {
-		kb.WriteString(f.Name)
-		kb.WriteByte(0)
-		kb.WriteString(strconv.Itoa(f.Size))
-		kb.WriteByte(1)
+		mh.WriteString(f.Name)
+		mh.WriteByte(0)
+		mh.WriteByte(byte(f.Size))
 	}
-	key := kb.String()
-	if v, ok := layoutCache.Load(key); ok {
-		return v.(*layoutInfo)
+	key := mh.Sum64()
+	info, ok := layoutCache.load(key)
+	if !ok {
+		info = layoutCache.store(key, func() *layoutInfo { return buildLayoutUncached(l) })
 	}
-	info := buildLayoutUncached(l)
-	layoutCache.Store(key, info)
+	if !info.is(l) {
+		return buildLayoutUncached(l) // a different layout owns this hash
+	}
 	return info
+}
+
+// is reports whether info was built from exactly the fields of l.
+func (info *layoutInfo) is(l Layout) bool {
+	if len(info.fields) != len(l) {
+		return false
+	}
+	for i, f := range l {
+		if info.fields[i].name != f.Name || info.fields[i].size != f.Size {
+			return false
+		}
+	}
+	return true
 }
 
 func buildLayoutUncached(l Layout) *layoutInfo {
@@ -130,11 +155,6 @@ type Heap struct {
 	next   Addr
 	allocs []allocation // sorted by base
 	inits  []InitWrite
-	// labels memoizes LabelFor: the detector labels the same few racing
-	// addresses on every candidate check of every crash scenario, and the
-	// rendered name is a pure function of the allocation table. Any change
-	// to that table (place, Restore) drops the whole cache.
-	labels map[Addr]string
 }
 
 // InitWrite is a pre-execution write applied directly to the persistent
@@ -204,7 +224,6 @@ func (h *Heap) AllocRaw(label string, size int) Addr {
 func (h *Heap) place(size int) Addr {
 	base := Addr(align(int(h.next), CacheLineSize))
 	h.next = base + Addr(size)
-	h.labels = nil
 	return base
 }
 
@@ -257,7 +276,6 @@ func (h *Heap) Restore(src *Heap) {
 	h.next = src.next
 	h.allocs = append(h.allocs[:0:0], src.allocs...)
 	h.inits = append(h.inits[:0:0], src.inits...)
-	h.labels = nil
 }
 
 // AllocCount returns the number of allocations made so far. Together with
@@ -299,6 +317,11 @@ func (s Struct) F(name string) Addr {
 	a, _ := s.Field(name)
 	return a
 }
+
+// Nth returns the address of the i'th declared field, counting from 0 in
+// layout order: F without the name lookup, for programs that address
+// array-like runs of fields (key0, key1, …) by position.
+func (s Struct) Nth(i int) Addr { return s.base + Addr(s.layout.fields[i].offset) }
 
 // Label returns the struct's allocation label.
 func (s Struct) Label() string { return s.label }
@@ -389,49 +412,65 @@ func (h *Heap) NextAllocBase(a Addr) (Addr, bool) {
 	return h.allocs[i].base, true
 }
 
+// labelKey is what an address's label depends on besides its
+// allocation's layout: the allocation label, the element index (-1 for a
+// plain struct or a raw allocation) and the byte offset within the element.
+type labelKey struct {
+	alloc    string
+	idx, off int
+}
+
+// rawLabels memoizes the "label+off" names of raw allocations, as
+// layoutInfo.labels does for structured ones.
+var rawLabels memo[labelKey, string]
+
 // LabelFor renders a human-readable name for an address: "Obj.field",
 // "Obj[3].field", "raw+8", or "0xADDR" if the address is unknown. Race
 // reports use these names as the bug's root cause, mirroring the paper's
 // Tables 3 and 4 which identify bugs by field.
+//
+// The detector labels the same few racing addresses on every candidate
+// check of every crash scenario, so names are memoized per layout (raw
+// allocations: per process), where every heap of every scenario and worker
+// shares them: a hit allocates nothing. Unknown addresses are rendered
+// afresh; they do not name program state.
 func (h *Heap) LabelFor(addr Addr) string {
-	if s, ok := h.labels[addr]; ok {
-		return s
-	}
-	s := h.labelFor(addr)
-	if h.labels == nil {
-		h.labels = make(map[Addr]string)
-	}
-	h.labels[addr] = s
-	return s
-}
-
-func (h *Heap) labelFor(addr Addr) string {
 	a := h.findAlloc(addr)
 	if a == nil {
 		return fmt.Sprintf("0x%x", uint64(addr))
 	}
-	off := int(addr - a.base)
+	k := labelKey{alloc: a.label, idx: -1, off: int(addr - a.base)}
 	if a.layout == nil {
-		if off == 0 {
+		if k.off == 0 {
 			return a.label
 		}
-		return fmt.Sprintf("%s+%d", a.label, off)
+		if s, ok := rawLabels.load(k); ok {
+			return s
+		}
+		return rawLabels.store(k, func() string { return fmt.Sprintf("%s+%d", k.alloc, k.off) })
 	}
-	idx, rem := 0, off
 	if a.count > 1 {
-		idx, rem = off/a.stride, off%a.stride
+		k.idx, k.off = k.off/a.stride, k.off%a.stride
 	}
-	fieldName := fmt.Sprintf("+%d", rem)
-	for _, f := range a.layout.fields {
-		if rem >= f.offset && rem < f.offset+f.size {
+	if s, ok := a.layout.labels.load(k); ok {
+		return s
+	}
+	return a.layout.labels.store(k, func() string { return a.layout.label(k) })
+}
+
+// label renders the name of k's address in an allocation of this layout.
+func (info *layoutInfo) label(k labelKey) string {
+	fieldName := fmt.Sprintf("+%d", k.off)
+	for _, f := range info.fields {
+		if k.off >= f.offset && k.off < f.offset+f.size {
 			fieldName = f.name
 			break
 		}
 	}
-	if a.count > 1 {
-		return fmt.Sprintf("%s[%d].%s", a.label, idx, fieldName)
+	if k.idx >= 0 {
+		return fmt.Sprintf("%s[%d].%s", k.alloc, k.idx, fieldName)
 	}
-	return fmt.Sprintf("%s.%s", a.label, fieldName)
+	return fmt.Sprintf("%s.%s", k.alloc, fieldName)
 }
 
 // FieldAt describes one field instance within an address range; used to

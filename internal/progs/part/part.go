@@ -58,6 +58,35 @@ type node struct {
 
 func (n *node) base() uint64 { return uint64(n.s.Base()) }
 
+// A node's layout is nodeHeader header fields, then cap key bytes, then cap
+// child pointers; the accessors address each field by that position.
+const (
+	fCompactCount = iota
+	fCount
+	nodeHeader = 3
+)
+
+func (n *node) compactCount() pmm.Addr { return n.s.Nth(fCompactCount) }
+func (n *node) count() pmm.Addr        { return n.s.Nth(fCount) }
+
+func (n *node) key(i int) pmm.Addr   { return n.s.Nth(nodeHeader + i) }
+func (n *node) child(i int) pmm.Addr { return n.s.Nth(nodeHeader + n.cap + i) }
+
+// keyNames and childNames are the slot field names, keyNames[i] = "key<i>",
+// built once for the largest node.
+var keyNames, childNames = slotNames("key", N16Cap), slotNames("child", N16Cap)
+
+func slotNames(prefix string, n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("%s%d", prefix, i)
+	}
+	return names
+}
+
+// nodeLayouts holds the layout of each node capacity, built once.
+var nodeLayouts = map[int]pmm.Layout{N4Cap: nodeLayout(N4Cap), N16Cap: nodeLayout(N16Cap)}
+
 func nodeLayout(cap int) pmm.Layout {
 	l := pmm.Layout{
 		{Name: "compactCount", Size: 2},
@@ -65,10 +94,10 @@ func nodeLayout(cap int) pmm.Layout {
 		{Name: "nodeType", Size: 2},
 	}
 	for i := 0; i < cap; i++ {
-		l = append(l, pmm.FieldDef{Name: fmt.Sprintf("key%d", i), Size: 1})
+		l = append(l, pmm.FieldDef{Name: keyNames[i], Size: 1})
 	}
 	for i := 0; i < cap; i++ {
-		l = append(l, pmm.FieldDef{Name: fmt.Sprintf("child%d", i), Size: 8})
+		l = append(l, pmm.FieldDef{Name: childNames[i], Size: 8})
 	}
 	return l
 }
@@ -109,9 +138,9 @@ func NewTree(h *pmm.Heap) *Tree {
 }
 
 func (tr *Tree) allocNodeInit(cap int) *node {
-	n := &node{s: tr.h.AllocStruct("N", nodeLayout(cap)), cap: cap}
+	n := &node{s: tr.h.AllocStruct("N", nodeLayouts[cap]), cap: cap}
 	for i := 0; i < cap; i++ {
-		tr.h.Init(n.s.F(fmt.Sprintf("key%d", i)), 1, EmptyKey)
+		tr.h.Init(n.key(i), 1, EmptyKey)
 	}
 	tr.nodes[n.base()] = n
 	return n
@@ -120,9 +149,9 @@ func (tr *Tree) allocNodeInit(cap int) *node {
 // allocNodeRuntime allocates a node during execution with its slots
 // initialized and flushed before publication (persistency-safe).
 func (tr *Tree) allocNodeRuntime(t *pmm.Thread, cap int) *node {
-	n := &node{s: tr.h.AllocStruct("N", nodeLayout(cap)), cap: cap}
+	n := &node{s: tr.h.AllocStruct("N", nodeLayouts[cap]), cap: cap}
 	for i := 0; i < cap; i++ {
-		t.StoreAtomic(n.s.F(fmt.Sprintf("key%d", i)), 1, EmptyKey)
+		t.StoreAtomic(n.key(i), 1, EmptyKey)
 	}
 	t.FlushRange(n.s.Base(), n.s.Size())
 	t.SFence()
@@ -189,13 +218,13 @@ func (tr *Tree) labelAt(addr uint64) (pmm.Struct, bool) {
 
 // findSlot scans a node's compact slots for a key byte.
 func (tr *Tree) findSlot(t *pmm.Thread, n *node, kb uint8) int {
-	cc := t.Load16(n.s.F("compactCount"))
+	cc := t.Load16(n.compactCount())
 	limit := int(cc)
 	if limit > n.cap {
 		limit = n.cap // defensive clamp against torn counts
 	}
 	for i := 0; i < limit; i++ {
-		if t.LoadAcquire(n.s.F(fmt.Sprintf("key%d", i)), 1) == uint64(kb) {
+		if t.LoadAcquire(n.key(i), 1) == uint64(kb) {
 			return i
 		}
 	}
@@ -203,12 +232,12 @@ func (tr *Tree) findSlot(t *pmm.Thread, n *node, kb uint8) int {
 }
 
 func (tr *Tree) childAt(t *pmm.Thread, n *node, slot int) uint64 {
-	return t.LoadAcquire(n.s.F(fmt.Sprintf("child%d", slot)), 8)
+	return t.LoadAcquire(n.child(slot), 8)
 }
 
 // setChild publishes a child pointer atomically and persists it.
 func (tr *Tree) setChild(t *pmm.Thread, n *node, slot int, child uint64) {
-	f := n.s.F(fmt.Sprintf("child%d", slot))
+	f := n.child(slot)
 	t.StoreAtomic(f, 8, child)
 	t.Persist(f, 8)
 }
@@ -216,17 +245,17 @@ func (tr *Tree) setChild(t *pmm.Thread, n *node, slot int, child uint64) {
 // addSlot claims the next compact slot for a key byte — bugs #9/#10: the
 // occupancy counters are plain stores.
 func (tr *Tree) addSlot(t *pmm.Thread, n *node, kb uint8, child uint64) bool {
-	cc := t.Load16(n.s.F("compactCount"))
+	cc := t.Load16(n.compactCount())
 	if int(cc) >= n.cap {
 		return false
 	}
 	slot := int(cc)
-	t.StoreAtomic(n.s.F(fmt.Sprintf("key%d", slot)), 1, uint64(kb))
-	t.StoreAtomic(n.s.F(fmt.Sprintf("child%d", slot)), 8, child)
+	t.StoreAtomic(n.key(slot), 1, uint64(kb))
+	t.StoreAtomic(n.child(slot), 8, child)
 	// Bug #9: plain compactCount update commits the slot allocation.
-	t.Store16(n.s.F("compactCount"), cc+1)
+	t.Store16(n.compactCount(), cc+1)
 	// Bug #10: plain count update.
-	t.Store16(n.s.F("count"), t.Load16(n.s.F("count"))+1)
+	t.Store16(n.count(), t.Load16(n.count())+1)
 	t.FlushRange(n.s.Base(), n.s.Size())
 	t.SFence()
 	return true
@@ -237,20 +266,20 @@ func (tr *Tree) addSlot(t *pmm.Thread, n *node, kb uint8, child uint64) bool {
 // Epoche deletion list. Returns the replacement.
 func (tr *Tree) grow(t *pmm.Thread, old *node) *node {
 	big := tr.allocNodeRuntime(t, N16Cap)
-	cc := t.Load16(old.s.F("compactCount"))
+	cc := t.Load16(old.compactCount())
 	live := uint16(0)
 	for i := 0; i < int(cc) && i < old.cap; i++ {
-		k := t.LoadAcquire(old.s.F(fmt.Sprintf("key%d", i)), 1)
+		k := t.LoadAcquire(old.key(i), 1)
 		if k == EmptyKey {
 			continue
 		}
-		t.StoreAtomic(big.s.F(fmt.Sprintf("key%d", live)), 1, k)
-		t.StoreAtomic(big.s.F(fmt.Sprintf("child%d", live)), 8,
-			t.LoadAcquire(old.s.F(fmt.Sprintf("child%d", i)), 8))
+		t.StoreAtomic(big.key(int(live)), 1, k)
+		t.StoreAtomic(big.child(int(live)), 8,
+			t.LoadAcquire(old.child(i), 8))
 		live++
 	}
-	t.StoreAtomic(big.s.F("compactCount"), 2, uint64(live))
-	t.StoreAtomic(big.s.F("count"), 2, uint64(live))
+	t.StoreAtomic(big.compactCount(), 2, uint64(live))
+	t.StoreAtomic(big.count(), 2, uint64(live))
 	t.FlushRange(big.s.Base(), big.s.Size())
 	t.SFence()
 	tr.retire(t, old)
@@ -346,7 +375,7 @@ func (tr *Tree) replaceGrown(t *pmm.Thread, n, parent *node, parentSlot int) *no
 func (tr *Tree) Lookup(t *pmm.Thread, key uint64) (uint64, bool) {
 	n := tr.root
 	for level := 0; level < Depth; level++ {
-		_ = t.Load16(n.s.F("count"))
+		_ = t.Load16(n.count())
 		slot := tr.findSlot(t, n, byteAt(key, level))
 		if slot < 0 {
 			return 0, false
@@ -386,8 +415,8 @@ func (tr *Tree) Remove(t *pmm.Thread, key uint64) bool {
 	if slot < 0 {
 		return false
 	}
-	t.StoreAtomic(n.s.F(fmt.Sprintf("key%d", slot)), 1, EmptyKey)
-	t.Store16(n.s.F("count"), t.Load16(n.s.F("count"))-1)
+	t.StoreAtomic(n.key(slot), 1, EmptyKey)
+	t.Store16(n.count(), t.Load16(n.count())-1)
 	t.FlushRange(n.s.Base(), n.s.Size())
 	t.SFence()
 	return true

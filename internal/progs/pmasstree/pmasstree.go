@@ -62,14 +62,39 @@ type leaf struct {
 	s pmm.Struct
 }
 
+// A leaf's layout is the permutation and next words, then a (key, val)
+// pair per slot; the accessors address each field by that position.
+const (
+	fPermutation = iota
+	fNext
+	leafHeader
+)
+
+func (l *leaf) permutation() pmm.Addr { return l.s.Nth(fPermutation) }
+func (l *leaf) next() pmm.Addr        { return l.s.Nth(fNext) }
+func (l *leaf) key(i int) pmm.Addr    { return l.s.Nth(leafHeader + 2*i) }
+func (l *leaf) val(i int) pmm.Addr    { return l.s.Nth(leafHeader + 2*i + 1) }
+
+// keyNames and valNames are the slot field names, keyNames[i] = "key<i>",
+// built once.
+var keyNames, valNames = slotNames("key"), slotNames("val")
+
+func slotNames(prefix string) []string {
+	names := make([]string, LeafWidth)
+	for i := range names {
+		names[i] = fmt.Sprintf("%s%d", prefix, i)
+	}
+	return names
+}
+
 var leafLayout = func() pmm.Layout {
 	l := pmm.Layout{
 		{Name: "permutation", Size: 8},
 		{Name: "next", Size: 8},
 	}
 	for i := 0; i < LeafWidth; i++ {
-		l = append(l, pmm.FieldDef{Name: fmt.Sprintf("key%d", i), Size: 8})
-		l = append(l, pmm.FieldDef{Name: fmt.Sprintf("val%d", i), Size: 8})
+		l = append(l, pmm.FieldDef{Name: keyNames[i], Size: 8})
+		l = append(l, pmm.FieldDef{Name: valNames[i], Size: 8})
 	}
 	return l
 }()
@@ -120,8 +145,8 @@ func (tr *Tree) leafAt(addr uint64) *leaf {
 // stores are flushed before publication.
 func (tr *Tree) newLeafRuntime(t *pmm.Thread) *leaf {
 	l := &leaf{s: tr.h.AllocStruct("leafnode", leafLayout)}
-	t.Store64(l.s.F("permutation"), 0)
-	t.Store64(l.s.F("next"), 0)
+	t.Store64(l.permutation(), 0)
+	t.Store64(l.next(), 0)
 	t.FlushRange(l.s.Base(), l.s.Size())
 	t.SFence()
 	tr.leaves[uint64(l.s.Base())] = l
@@ -133,15 +158,15 @@ func (tr *Tree) findLeaf(t *pmm.Thread, key uint64) *leaf {
 	// Bug #17's observing load: the plain root_ read.
 	l := tr.leafAt(t.Load64(tr.mt.F("root_")))
 	for l != nil {
-		nextAddr := t.Load64(l.s.F("next")) // bug #19's observing load
+		nextAddr := t.Load64(l.next()) // bug #19's observing load
 		next := tr.leafAt(nextAddr)
 		if next == nil {
 			return l
 		}
 		// Keys migrate right on split; go right while the next leaf's
 		// smallest key is <= key.
-		np := t.Load64(next.s.F("permutation"))
-		if permCount(np) == 0 || t.Load64(next.s.F(fmt.Sprintf("key%d", permSlot(np, 0)))) > key {
+		np := t.Load64(next.permutation())
+		if permCount(np) == 0 || t.Load64(next.key(permSlot(np, 0))) > key {
 			return l
 		}
 		l = next
@@ -153,67 +178,67 @@ func (tr *Tree) findLeaf(t *pmm.Thread, key uint64) *leaf {
 // plain permutation store (bug #18), splitting full leaves (bugs #17/#19).
 func (tr *Tree) Insert(t *pmm.Thread, key, value uint64) {
 	l := tr.findLeaf(t, key)
-	p := t.Load64(l.s.F("permutation"))
+	p := t.Load64(l.permutation())
 	cnt := permCount(p)
 	if cnt >= LeafWidth {
 		l = tr.split(t, l, key)
-		p = t.Load64(l.s.F("permutation"))
+		p = t.Load64(l.permutation())
 		cnt = permCount(p)
 	}
 	slot := freeSlot(p)
-	t.Store64(l.s.F(fmt.Sprintf("key%d", slot)), key)
-	t.Store64(l.s.F(fmt.Sprintf("val%d", slot)), value)
-	t.FlushRange(l.s.F(fmt.Sprintf("key%d", slot)), 16)
+	t.Store64(l.key(slot), key)
+	t.Store64(l.val(slot), value)
+	t.FlushRange(l.key(slot), 16)
 	t.SFence()
 	// Rank of the new key in sorted order.
 	rank := 0
 	for ; rank < cnt; rank++ {
-		if t.Load64(l.s.F(fmt.Sprintf("key%d", permSlot(p, rank)))) > key {
+		if t.Load64(l.key(permSlot(p, rank))) > key {
 			break
 		}
 	}
 	// Bug #18: the plain permutation store is the commit point.
-	t.Store64(l.s.F("permutation"), permInsert(p, rank, slot, cnt))
-	t.CLFlush(l.s.F("permutation"))
+	t.Store64(l.permutation(), permInsert(p, rank, slot, cnt))
+	t.CLFlush(l.permutation())
 	t.SFence()
 }
 
 // split moves the upper half of l into a new right sibling and links it in.
 func (tr *Tree) split(t *pmm.Thread, l *leaf, key uint64) *leaf {
 	right := tr.newLeafRuntime(t)
-	p := t.Load64(l.s.F("permutation"))
+	p := t.Load64(l.permutation())
 	half := LeafWidth / 2
 	var rp uint64
 	for rank := half; rank < permCount(p); rank++ {
 		slot := permSlot(p, rank)
 		dst := rank - half
-		t.Store64(right.s.F(fmt.Sprintf("key%d", dst)), t.Load64(l.s.F(fmt.Sprintf("key%d", slot))))
-		t.Store64(right.s.F(fmt.Sprintf("val%d", dst)), t.Load64(l.s.F(fmt.Sprintf("val%d", slot))))
+		t.Store64(right.key(dst), t.Load64(l.key(slot)))
+		t.Store64(right.val(dst), t.Load64(l.val(slot)))
 		rp = permInsert(rp, dst, dst, dst)
 	}
-	t.Store64(right.s.F("permutation"), rp)
-	t.Store64(right.s.F("next"), t.Load64(l.s.F("next")))
+	t.Store64(right.permutation(), rp)
+	t.Store64(right.next(), t.Load64(l.next()))
 	t.FlushRange(right.s.Base(), right.s.Size())
 	t.SFence()
 
 	// Bug #19: plain next-pointer publication in the already-reachable leaf.
-	t.Store64(l.s.F("next"), uint64(right.s.Base()))
-	t.CLFlush(l.s.F("next"))
+	t.Store64(l.next(), uint64(right.s.Base()))
+	t.CLFlush(l.next())
 	// Shrink the left leaf: keep the low half of the permutation.
 	var lp uint64
 	for rank := 0; rank < half; rank++ {
 		slot := permSlot(p, rank)
 		lp = permInsert(lp, rank, slot, rank)
 	}
-	t.Store64(l.s.F("permutation"), lp)
-	t.CLFlush(l.s.F("permutation"))
+	t.Store64(l.permutation(), lp)
+	t.CLFlush(l.permutation())
 	t.SFence()
 
 	// Bug #17: if the split leaf was the root, replace root_ with a plain
 	// store (the original swings root_ to a new interior node; the race is
 	// on the root_ store itself, which our flat layer preserves).
 	if t.Load64(tr.mt.F("root_")) == uint64(l.s.Base()) {
-		firstKey := t.Load64(l.s.F(fmt.Sprintf("key%d", permSlot(lp, 0))))
+		firstKey := t.Load64(l.key(permSlot(lp, 0)))
 		_ = firstKey
 		t.Store64(tr.mt.F("root_"), uint64(l.s.Base())) // re-anchor (leftmost leaf stays the entry)
 		t.CLFlush(tr.mt.F("root_"))
@@ -221,7 +246,7 @@ func (tr *Tree) split(t *pmm.Thread, l *leaf, key uint64) *leaf {
 	}
 
 	// Continue the insert in whichever leaf now covers key.
-	rFirst := t.Load64(right.s.F(fmt.Sprintf("key%d", permSlot(rp, 0))))
+	rFirst := t.Load64(right.key(permSlot(rp, 0)))
 	if key >= rFirst {
 		return right
 	}
@@ -234,15 +259,15 @@ func (tr *Tree) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	if l == nil {
 		return 0, false
 	}
-	p := t.Load64(l.s.F("permutation"))
+	p := t.Load64(l.permutation())
 	cnt := permCount(p)
 	if cnt > LeafWidth {
 		cnt = LeafWidth // defensive clamp against torn permutation words
 	}
 	for rank := 0; rank < cnt; rank++ {
 		slot := permSlot(p, rank)
-		if t.Load64(l.s.F(fmt.Sprintf("key%d", slot))) == key {
-			return t.Load64(l.s.F(fmt.Sprintf("val%d", slot))), true
+		if t.Load64(l.key(slot)) == key {
+			return t.Load64(l.val(slot)), true
 		}
 	}
 	return 0, false

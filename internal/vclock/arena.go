@@ -29,6 +29,7 @@ package vclock
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 )
 
 // Epoch packs a store commit's identity (τ, σ) into one word:
@@ -92,15 +93,17 @@ type Stamp struct {
 // observable results. It is the slow side the fast path is tested against.
 type Arena struct {
 	entries []VC // entries[0] is the canonical empty clock (nil)
-	// lookup maps canonical clock bytes to their Ref. It is rebuilt lazily
-	// after Clone/AdoptView (lookupN is the high-water mark of indexed
-	// entries), so snapshot clones that never intern pay nothing.
-	lookup  map[string]Ref
-	lookupN int
-	key     []byte // scratch for canonical keys
-	buf     VC     // scratch: join left operand / materialized stamps
-	buf2    VC     // scratch: join right operand
-	owned   bool
+	// base indexes the prefix inherited through Clone or Adopt (nil for a
+	// fresh arena); it is shared read-only with every other arena that
+	// inherits the same prefix, and its index is built only when one of
+	// them first interns, so clones that never intern pay nothing. lookup
+	// maps the canonical bytes of the arena's own appends to their Ref.
+	base   *Frozen
+	lookup map[string]Ref
+	key    []byte // scratch for canonical keys
+	buf    VC     // scratch: join left operand / materialized stamps
+	buf2   VC     // scratch: join right operand
+	owned  bool
 
 	// Cost counters, harvested (and reset) via TakeCounters. Clones start
 	// at zero so resumed scenarios count only their own work.
@@ -112,7 +115,7 @@ type Arena struct {
 // NewArena returns an empty arena. owned selects the always-append
 // reference representation over interning.
 func NewArena(owned bool) *Arena {
-	return &Arena{entries: make([]VC, 1, 16), lookupN: 1, owned: owned}
+	return &Arena{entries: make([]VC, 1, 16), owned: owned}
 }
 
 // Owned reports whether the arena is in the always-append mode.
@@ -137,27 +140,52 @@ func canonical(v VC) VC {
 
 // keyOf renders the canonical form into the scratch key buffer.
 func (a *Arena) keyOf(v VC) []byte {
-	need := 8 * len(v)
-	if cap(a.key) < need {
-		a.key = make([]byte, need)
-	}
-	k := a.key[:need]
-	for i, s := range v {
-		binary.LittleEndian.PutUint64(k[8*i:], uint64(s))
-	}
-	return k
+	a.key = appendKey(a.key[:0], v)
+	return a.key
 }
 
-// index brings the lookup map up to date with entries appended since the
-// last rebuild (or since a Clone/AdoptView dropped the map).
-func (a *Arena) index() {
-	if a.lookup == nil {
-		a.lookup = make(map[string]Ref, len(a.entries))
-		a.lookupN = 1
+// appendKey appends the lookup key of canonical clock v to buf.
+func appendKey(buf []byte, v VC) []byte {
+	for _, s := range v {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(s))
 	}
-	for ; a.lookupN < len(a.entries); a.lookupN++ {
-		a.lookup[string(a.keyOf(a.entries[a.lookupN]))] = Ref(a.lookupN)
+	return buf
+}
+
+// Frozen is a read-only prefix of an arena's snapshots with a lookup index
+// over it. The index is built at most once, by the first arena to intern
+// against the prefix, and never written afterwards, so every clone of a
+// checkpoint template — concurrently, across workers — shares one index
+// instead of rebuilding its own over the inherited entries.
+type Frozen struct {
+	entries []VC
+	once    sync.Once
+	lookup  map[string]Ref
+}
+
+// index returns the prefix's lookup map, building it on first use.
+func (f *Frozen) index() map[string]Ref {
+	f.once.Do(func() {
+		f.lookup = make(map[string]Ref, len(f.entries))
+		var key []byte
+		for r := 1; r < len(f.entries); r++ {
+			key = appendKey(key[:0], f.entries[r])
+			f.lookup[string(key)] = Ref(r)
+		}
+	})
+	return f.lookup
+}
+
+// find returns the Ref of the canonical clock w if the arena holds it.
+func (a *Arena) find(w VC) (Ref, bool) {
+	k := a.keyOf(w)
+	if a.base != nil {
+		if r, ok := a.base.index()[string(k)]; ok {
+			return r, true
+		}
 	}
+	r, ok := a.lookup[string(k)]
+	return r, ok
 }
 
 // Intern returns the Ref of v's canonical form, appending a private copy
@@ -169,8 +197,7 @@ func (a *Arena) Intern(v VC) Ref {
 		return 0
 	}
 	if !a.owned {
-		a.index()
-		if r, ok := a.lookup[string(a.keyOf(w))]; ok {
+		if r, ok := a.find(w); ok {
 			return r
 		}
 	}
@@ -178,8 +205,10 @@ func (a *Arena) Intern(v VC) Ref {
 	a.entries = append(a.entries, w.Clone())
 	a.interned++
 	if !a.owned {
-		a.lookup[string(a.keyOf(w))] = r
-		a.lookupN = len(a.entries)
+		if a.lookup == nil {
+			a.lookup = make(map[string]Ref)
+		}
+		a.lookup[string(a.key)] = r // find left w's key in the scratch
 	}
 	return r
 }
@@ -295,27 +324,32 @@ func (a *Arena) joinSlow(left VC, st Stamp) Ref {
 
 // Clone returns an arena sharing this one's snapshots read-only: the entry
 // slice is capped so either side's next append reallocates privately, the
-// lookup map is rebuilt lazily on the clone's first Intern, and the cost
-// counters start at zero so a resumed scenario counts only its own work.
+// inherited prefix is looked up through a shared Frozen index (see
+// Freeze), and the cost counters start at zero so a resumed scenario
+// counts only its own work. Clone only reads a, so a template may be
+// cloned concurrently.
 func (a *Arena) Clone() *Arena {
-	return &Arena{
-		entries: a.entries[:len(a.entries):len(a.entries)],
-		lookupN: 1,
-		owned:   a.owned,
-	}
+	f := a.Freeze()
+	return &Arena{entries: f.entries, base: f, owned: a.owned}
 }
 
-// View returns the current snapshot list as a capped read-only slice, for
-// freezing into a checkpoint journal.
-func (a *Arena) View() []VC { return a.entries[:len(a.entries):len(a.entries)] }
+// Freeze returns the arena's current snapshots as a Frozen prefix, for a
+// checkpoint journal or a clone. An arena that has not appended since it
+// inherited its prefix — a checkpoint template — returns that prefix, so
+// all its clones share one index; otherwise the result is a fresh Frozen
+// over a capped view. Freeze only reads a.
+func (a *Arena) Freeze() *Frozen {
+	if a.base != nil && len(a.base.entries) == len(a.entries) {
+		return a.base
+	}
+	return &Frozen{entries: a.entries[:len(a.entries):len(a.entries)]}
+}
 
-// AdoptView replaces the arena's snapshots with a frozen View — the
+// Adopt replaces the arena's snapshots with a Frozen prefix — the
 // checkpoint-replay graft. Refs recorded by the journal's producer resolve
 // identically in the adopting arena because entries are append-only.
-func (a *Arena) AdoptView(entries []VC) {
-	a.entries = entries
-	a.lookup = nil
-	a.lookupN = 1
+func (a *Arena) Adopt(f *Frozen) {
+	a.entries, a.base, a.lookup = f.entries, f, nil
 }
 
 // FootprintBytes estimates the heap bytes the arena's snapshots retain

@@ -9,6 +9,7 @@ package vclock
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -227,5 +228,75 @@ func TestArenaCloneNoAliasing(t *testing.T) {
 	// The original's scratch buffers and counters are untouched by clone use.
 	if got, _, _ := a.TakeCounters(); got != 3 {
 		t.Errorf("original interned counter = %d, want 3", got)
+	}
+}
+
+// TestArenaClonesShareFrozenIndex: every clone of a checkpoint template
+// looks its inherited entries up through the template's one Frozen index,
+// built once by whichever clone interns first and never written again —
+// each clone's own appends go to its private map. Clones intern
+// concurrently here; under -race any write to the shared index after it
+// is built, or an unsynchronized build, is reported.
+func TestArenaClonesShareFrozenIndex(t *testing.T) {
+	probe := NewArena(false)
+	const inherited = 40
+	refs := make([]Ref, inherited)
+	for i := range refs {
+		refs[i] = probe.Intern(VC{Seq(i + 1), 7})
+	}
+	tmpl := probe.Clone()      // the snapshot template
+	probe.Intern(VC{0, 0, 99}) // the probe runs on past the capture
+	f := tmpl.Freeze()
+	if f != tmpl.Clone().base || f != tmpl.Clone().base {
+		t.Fatal("clones of one template do not share its frozen prefix")
+	}
+
+	const workers = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := tmpl.Clone()
+			for i, r := range refs {
+				if got := c.Intern(VC{Seq(i + 1), 7}); got != r {
+					errs <- fmt.Errorf("clone %d: inherited clock %d interned as %d, want %d", w, i, got, r)
+					return
+				}
+			}
+			for i := 0; i < 10; i++ {
+				want := Ref(inherited + 1 + i)
+				for pass := 0; pass < 2; pass++ {
+					if got := c.Intern(VC{Seq(1000 + w), Seq(i)}); got != want {
+						errs <- fmt.Errorf("clone %d: own clock %d (pass %d) interned as %d, want %d", w, i, pass, got, want)
+						return
+					}
+				}
+			}
+			if c.Intern(VC{0, 0, 99}) != Ref(inherited+11) {
+				errs <- fmt.Errorf("clone %d resolved the probe's post-capture clock through the template", w)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if len(f.lookup) != inherited {
+		t.Errorf("shared index holds %d keys after the clones interned, want the %d inherited", len(f.lookup), inherited)
+	}
+
+	// Replayed clones adopt the journal's frozen prefix and share it too.
+	j := probe.Freeze()
+	a, b := tmpl.Clone(), tmpl.Clone()
+	a.Adopt(j)
+	b.Adopt(j)
+	if a.base != j || b.base != j {
+		t.Fatal("adopting arenas do not share the journal's frozen prefix")
+	}
+	if got := a.Intern(VC{0, 0, 99}); got != Ref(inherited+1) {
+		t.Errorf("adopting arena interned the probe's clock as %d, want %d", got, inherited+1)
 	}
 }
