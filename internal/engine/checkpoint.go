@@ -22,9 +22,10 @@
 // core/journal.go). The other captured state is cheap without deltas: the
 // heap is an O(1) append-only view (pmm.Heap.Snapshot), the persisted image
 // is constant for the whole capture window (it is rebuilt only between
-// executions) so one clone per sink is shared by every snapshot, and the
-// scheduler rng copy is shared between consecutive points with no draws in
-// between (solo-threaded probes never draw, so one copy usually serves all).
+// executions) so one clone per sink is shared by every snapshot, and one
+// scheduler rng copy serves up to a register length of draws, each snapshot
+// recording only its draw count (solo-threaded probes never draw, so one
+// copy usually serves all).
 //
 // On top of the snapshots sits crash-image memoization: at each probed
 // point the sink serializes the image-determining state — heap
@@ -45,11 +46,12 @@
 //   - the persisted image table, shared per sink (constant per capture
 //     window); resume still clones it into scenario-private tables;
 //   - the trace recorder's event log, when tracing is on;
-//   - the scheduler rng: a copy of the generator state (or, when state
-//     mirroring is unavailable — see rngstate.go — a raw-draw count to
-//     re-skip) plus the crash-unwind draw count, so a resume reproduces the
-//     exact rand.Rand state a from-scratch scenario holds after its crash
-//     unwinds the remaining threads;
+//   - the scheduler rng: the point's raw-draw count and a shared copy of
+//     the generator at or before it, which a resume skips forward (without
+//     the copy, when state mirroring is unavailable — see rngstate.go — it
+//     re-seeds and skips), plus the crash-unwind draw count, so a resume
+//     reproduces the exact rand.Rand state a from-scratch scenario holds
+//     after its crash unwinds the remaining threads;
 //   - the crash sequence number — NOT the TSO machine. A crash discards
 //     every buffered store and flush by definition, and the post-crash
 //     machine is freshly seeded from the image, so the machine's only
@@ -230,8 +232,12 @@ func (c *countingSource) rewind(n uint64) {
 }
 
 // skip advances the source by n raw draws (each Int63 call is one step for
-// every rand.NewSource implementation, with or without Source64).
+// every rand.NewSource implementation, with or without Source64). Skipping
+// nothing leaves a copy-on-write fork unmaterialized.
 func (c *countingSource) skip(n uint64) {
+	if n == 0 {
+		return
+	}
 	if c.mirrored {
 		c.materialize()
 	}
@@ -263,12 +269,13 @@ type snapshot struct {
 	// crashSeq is the commit sequence at the point — what the crashed
 	// machine's CurSeq would report.
 	crashSeq vclock.Seq
-	// rng is a copy of the generator at the point (nil when state mirroring
-	// is unavailable); rngDraws is the stream position for the seed-and-skip
-	// fallback. unwind is the number of still-live threads minus one, each of
-	// which costs the scheduler one bounded draw while the crash unwinds them.
-	// The rng copy may be shared with neighboring snapshots (no draws between
-	// them); it is read-only — resume forks it again.
+	// rngDraws is the stream position at the point; rng is a copy of the
+	// generator at or before it (nil when state mirroring is unavailable),
+	// from which a resume skips the rngDraws−rng.n remaining draws. The
+	// copy is shared with the sink's neighboring snapshots and read-only —
+	// resume forks it again. unwind is the number of still-live threads
+	// minus one, each of which costs the scheduler one bounded draw while
+	// the crash unwinds them.
 	rng      *countingSource
 	rngDraws uint64
 	unwind   int
@@ -358,12 +365,11 @@ type snapshotSink struct {
 
 	// Per-sink shared captures: the persisted image is constant during one
 	// execution's capture window (it is rebuilt only between executions),
-	// so the first capture clones it once for every snapshot; the rng copy
-	// is shared between consecutive points with no draws in between.
+	// so the first capture clones it once for every snapshot; rng is the
+	// generator copy the snapshots since it share (capture).
 	image      imageTable
 	imageTaken bool
-	lastRng    *countingSource
-	lastRngN   uint64
+	rng        *countingSource
 
 	// Crash-image memoization (configureProbe): sigs files the points by
 	// state signature, hashed under seed (sigSeed unless a test swaps it),
@@ -471,15 +477,17 @@ func (k *snapshotSink) capture(sc *scenario, point int) *snapshot {
 	}
 	snap.image = k.image
 	// The scheduler rng is a pure function of (seed, draw count), so
-	// consecutive snapshots with no draws in between share one forked copy —
-	// a solo-threaded probe never draws, so one copy serves every point.
-	if k.lastRng != nil && k.lastRngN == sc.rngSrc.n {
-		snap.rng = k.lastRng
-	} else {
-		snap.rng = k.lastRng.forkOrNil(sc.rngSrc)
-		k.lastRng, k.lastRngN = snap.rng, sc.rngSrc.n
-		sc.stats.SnapshotBytes += rngCopyBytes
+	// snapshots share one forked copy and a resume skips forward from it to
+	// the snapshot's rngDraws. A copy is forked at the first capture and
+	// again only once the stream has moved rngLen draws past it, so no
+	// skip reaches a register length; a solo-threaded probe never draws,
+	// so one copy serves every point.
+	if k.rng == nil || sc.rngSrc.n-k.rng.n >= rngLen {
+		if k.rng = sc.rngSrc.fork(); k.rng != nil {
+			sc.stats.SnapshotBytes += rngCopyBytes
+		}
 	}
+	snap.rng = k.rng
 	if k.journal != nil {
 		snap.jMark = k.journal.Mark()
 	}
@@ -499,10 +507,6 @@ func (k *snapshotSink) capture(sc *scenario, point int) *snapshot {
 // rngCopyBytes is the accounted size of one forked countingSource (the
 // mirrored lagged-Fibonacci register dominates).
 const rngCopyBytes = 4880
-
-// forkOrNil forks src (ignoring the receiver); the method form keeps the
-// shared-copy call site above readable when lastRng is nil.
-func (*countingSource) forkOrNil(src *countingSource) *countingSource { return src.fork() }
 
 // newSnapshotShell captures the cheap per-point state every snapshot needs
 // regardless of capture mode: identity, rng position, stats prefix, crash
@@ -648,6 +652,7 @@ func resumeScenario(makeProg func() pmm.Program, opts Options, snap *snapshot, p
 		*sc.rngSrc = *snap.rng // the probe's own register, rewound
 		snap.rng = nil
 	case sc.rngSrc.shareFrom(snap.rng):
+		sc.rngSrc.skip(snap.rngDraws - sc.rngSrc.n)
 	default:
 		sc.rngSrc.reset(snap.seed)
 		sc.rngSrc.skip(snap.rngDraws)

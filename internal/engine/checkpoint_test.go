@@ -80,6 +80,12 @@ func TestCheckpointMatchesScratch(t *testing.T) {
 		{"model-check/eadr", engine.Options{Mode: engine.ModelCheck, Prefix: true, EADR: true}},
 		{"model-check/expansions", engine.Options{Mode: engine.ModelCheck, Prefix: true,
 			ExploreReads: true, RecoveryCrashes: 2, MaxCrashPoints: 15}},
+		{"model-check/torn-values", engine.Options{Mode: engine.ModelCheck, Prefix: true, TornValues: true}},
+		{"model-check/candidate-limit", engine.Options{Mode: engine.ModelCheck, Prefix: true, CandidateLimit: 1}},
+		// Minimal first marks the policy twins, Random in between is never
+		// paired, and Latest last may repeat Minimal's outcome.
+		{"model-check/policy-order", engine.Options{Mode: engine.ModelCheck, Prefix: true,
+			PersistPolicies: []engine.PersistPolicy{engine.PersistMinimal, engine.PersistRandom, engine.PersistLatest}}},
 		{"random", engine.Options{Mode: engine.RandomMode, Prefix: true, Executions: 6}},
 		{"random/recovery-crashes", engine.Options{Mode: engine.RandomMode, Prefix: true, Executions: 6, RecoveryCrashes: 2}},
 		{"random/eadr", engine.Options{Mode: engine.RandomMode, Prefix: true, Executions: 6, EADR: true}},
@@ -103,5 +109,58 @@ func TestCheckpointMatchesScratch(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// spinRecovery is a program whose recovery schedule shows in its operation
+// counts: both stores are flushed before the last crash points, so the
+// Latest and Minimal images agree there, and one recovery thread spins on
+// y until the other overwrites it — how often it loads y depends on the
+// scheduler's draws.
+func spinRecovery() pmm.Program {
+	var x, y pmm.Addr
+	return pmm.Program{
+		Name: "spin-recovery",
+		Setup: func(h *pmm.Heap) {
+			x = h.AllocStruct("a", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+			y = h.AllocStruct("b", pmm.Layout{{Name: "y", Size: 8}}).F("y")
+		},
+		Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
+			t.Store64(x, 1)
+			t.CLFlush(x)
+			t.SFence()
+			t.Store64(y, 1)
+			t.CLFlush(y)
+			t.SFence()
+		}},
+		PostCrashWorkers: []func(*pmm.Thread){
+			func(t *pmm.Thread) {
+				t.Load64(x)
+				t.Store64(y, 5)
+			},
+			func(t *pmm.Thread) {
+				for t.Load64(y) != 5 {
+					t.Yield()
+				}
+			},
+		},
+	}
+}
+
+// TestPolicyTwinsNeverPairRandom: PersistRandom draws from the scheduler's
+// rng once per line while it builds its image, so even where its image
+// equals the Minimal one its multi-threaded recovery schedules differently
+// and must run. Minimal runs first and Random sits between it and Latest,
+// which does repeat Minimal's outcome; the default run must match the
+// reference at every seed.
+func TestPolicyTwinsNeverPairRandom(t *testing.T) {
+	opts := engine.Options{Mode: engine.ModelCheck, Prefix: true,
+		PersistPolicies: []engine.PersistPolicy{engine.PersistMinimal, engine.PersistRandom, engine.PersistLatest}}
+	for seed := int64(1); seed <= 8; seed++ {
+		opts.Seed = seed
+		def, _ := runReference(t, fmt.Sprintf("seed %d", seed), spinRecovery, opts)
+		if def.Stats.DedupedScenarios == 0 {
+			t.Fatalf("seed %d: no Latest scenario repeated its Minimal twin", seed)
+		}
 	}
 }

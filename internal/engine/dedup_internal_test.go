@@ -8,12 +8,20 @@ package engine
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"hash/maphash"
 	"maps"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	_ "yashme/internal/analysis/all"
 	"yashme/internal/fuzzprog"
+	"yashme/internal/pmm"
+	"yashme/internal/workload"
+	_ "yashme/internal/workload/all"
 )
 
 // TestFileNeverMergesOnHashAlone forces every signature into a single hash
@@ -135,5 +143,163 @@ func TestDedupIndependentOfHashSeed(t *testing.T) {
 	}
 	if dupsSeen == 0 {
 		t.Fatal("no duplicate crash points classified across 30 fuzz programs; the comparison is vacuous")
+	}
+}
+
+// twinOutcome is one persist policy's scenario at one crash point, run as
+// the marking twin (markTwins set): whether its recovery read an image
+// entry where the Latest and Minimal images differ, and what it reported
+// and counted.
+type twinOutcome struct {
+	readDiffers bool
+	reports     []string
+	raw         []int
+	stats       Stats
+}
+
+// runTwin resumes snap under policy pp as runSpec's first Latest/Minimal
+// scenario would, and records its outcome.
+func runTwin(mk func() pmm.Program, opts Options, snap *snapshot, c int, pp PersistPolicy) twinOutcome {
+	sc := runPlanned(mk, opts, snap, plan{0: c}, pp, opts.Seed, func(sc *scenario) { sc.markTwins = true })
+	out := twinOutcome{readDiffers: sc.readDiffers, stats: sc.stats}
+	out.stats.ZeroCost()
+	for _, rep := range sc.stack.Reports() {
+		out.reports = append(out.reports, rep.String())
+		out.raw = append(out.raw, rep.RawCount)
+	}
+	sc.retire()
+	return out
+}
+
+// probeSnapshots runs a capturing model-check probe of mk, as planModelCheck
+// does, and returns its snapshots by crash point.
+func probeSnapshots(mk func() pmm.Program, opts Options) map[int]*snapshot {
+	probe := newScenario(mk, opts, plan{}, PersistLatest, opts.Seed)
+	sink := newSnapshotSink(0, opts.MaxCrashPoints)
+	sink.configureProbe(opts, probe.det)
+	probe.capture = sink
+	probe.runPreCrash()
+	probe.retire()
+	return sink.snaps
+}
+
+// twinProgram is one program TestPolicyTwinsEquivalent model-checks.
+type twinProgram struct {
+	name string
+	mk   func() pmm.Program
+	seed int64
+}
+
+// twinPrograms are the Table 3 programs and fuzzprog seeds 1-12.
+func twinPrograms() []twinProgram {
+	var progs []twinProgram
+	for _, spec := range workload.Tagged(workload.TagTable3) {
+		progs = append(progs, twinProgram{spec.Name, spec.Make, 0})
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		mk, _ := fuzzprog.Generate(fuzzprog.Default(), seed)
+		progs = append(progs, twinProgram{fmt.Sprintf("fuzz seed %d", seed), mk, seed})
+	}
+	return progs
+}
+
+// TestPolicyTwinsEquivalent checks the claim runSpec's policy twins rest
+// on: at a crash point whose PersistLatest recovery read no image entry
+// where the Latest and Minimal images differ, the PersistMinimal scenario —
+// run here for real — reports the same bytes and raw counts and counts the
+// same operations, and vice versa (the relation is symmetric: both
+// recoveries read the same entries with the same values). It covers every
+// crash point of the Table 3 programs and fuzz programs, in the default and
+// the stacked yashme,xfd configuration.
+func TestPolicyTwinsEquivalent(t *testing.T) {
+	if n := unsafe.Sizeof(imageEntry{}); n != 56 {
+		t.Errorf("imageEntry is %d bytes, want 56", n)
+	}
+	progs := twinPrograms()
+	for _, stack := range [][]string{nil, {"yashme", "xfd"}} {
+		collapsed, split := 0, 0
+		for _, prog := range progs {
+			opts := Options{Mode: ModelCheck, Prefix: true, Seed: prog.seed, Analyses: stack}.withDefaults()
+			for c, snap := range probeSnapshots(prog.mk, opts) {
+				latest := runTwin(prog.mk, opts, snap, c, PersistLatest)
+				minimal := runTwin(prog.mk, opts, snap, c, PersistMinimal)
+				where := fmt.Sprintf("%s %v point %d", prog.name, opts.Analyses, c)
+				if latest.readDiffers != minimal.readDiffers {
+					t.Fatalf("%s: Latest read a differing entry: %v, Minimal: %v", where, latest.readDiffers, minimal.readDiffers)
+				}
+				if latest.readDiffers {
+					split++
+					continue
+				}
+				collapsed++
+				for p := range latest.reports {
+					if latest.reports[p] != minimal.reports[p] {
+						t.Fatalf("%s: pass %d reports differ:\n%s\nvs\n%s", where, p, latest.reports[p], minimal.reports[p])
+					}
+					if latest.raw[p] != minimal.raw[p] {
+						t.Fatalf("%s: pass %d raw counts %d vs %d", where, p, latest.raw[p], minimal.raw[p])
+					}
+				}
+				if latest.stats != minimal.stats {
+					t.Fatalf("%s: stats differ:\n%+v\nvs\n%+v", where, latest.stats, minimal.stats)
+				}
+			}
+		}
+		t.Logf("%v: %d collapsed, %d split", stack, collapsed, split)
+		if collapsed == 0 || split == 0 {
+			t.Fatalf("%v: %d collapsed and %d split twins; the check is vacuous", stack, collapsed, split)
+		}
+	}
+}
+
+// unflushedFlag is a program whose recovery branches on a value left
+// unflushed at the last crash points: v is flushed at 1, then set to 2
+// without a flush, and the recovery reads w only when it sees v == 2.
+func unflushedFlag() pmm.Program {
+	var v, w pmm.Addr
+	return pmm.Program{
+		Name: "unflushed-flag",
+		Setup: func(h *pmm.Heap) {
+			v = h.AllocStruct("flag", pmm.Layout{{Name: "v", Size: 8}}).F("v")
+			w = h.AllocStruct("data", pmm.Layout{{Name: "w", Size: 8}}).F("w")
+		},
+		Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
+			t.Store64(v, 1)
+			t.CLFlush(v)
+			t.SFence()
+			t.Store64(w, 7)
+			t.Store64(v, 2)
+			t.SFence()
+		}},
+		PostCrash: func(t *pmm.Thread) {
+			if t.Load64(v) == 2 {
+				t.Load64(w)
+			}
+		},
+	}
+}
+
+// TestPolicyTwinsSplitOnDifferingRead: where the recovery reads a store
+// the crash left unflushed, the Latest and Minimal images differ at that
+// address, so runSpec must simulate both policies — and here the Minimal
+// recovery takes the other branch, so its report differs.
+func TestPolicyTwinsSplitOnDifferingRead(t *testing.T) {
+	opts := Options{Mode: ModelCheck, Prefix: true, Workers: 1}.withDefaults()
+	snaps := probeSnapshots(unflushedFlag, opts)
+	const c = 3 // before the last SFence: v == 2 is committed, not flushed
+	latest := runTwin(unflushedFlag, opts, snaps[c], c, PersistLatest)
+	minimal := runTwin(unflushedFlag, opts, snaps[c], c, PersistMinimal)
+	if !latest.readDiffers || !minimal.readDiffers {
+		t.Fatalf("the recovery read v, which differs between the images; recorded %v/%v", latest.readDiffers, minimal.readDiffers)
+	}
+	if latest.reports[0] == minimal.reports[0] || !strings.Contains(latest.reports[0], "data") || strings.Contains(minimal.reports[0], "data") {
+		t.Fatalf("only the Latest recovery reads w:\nLatest:\n%s\nMinimal:\n%s", latest.reports[0], minimal.reports[0])
+	}
+	out := runSpec(context.Background(), unflushedFlag, opts, scenarioSpec{crashPoint: c, plan: plan{0: c}, seed: opts.Seed, snap: snaps[c]})
+	if out.executions != 2 || out.stats.DedupedScenarios != 0 {
+		t.Fatalf("runSpec collapsed a split twin: %d executions, %d deduped", out.executions, out.stats.DedupedScenarios)
+	}
+	if got, want := out.reports[0].String(), latest.reports[0]; got != want {
+		t.Fatalf("the spec's report lost the Latest-only race:\n%s\nwant\n%s", got, want)
 	}
 }

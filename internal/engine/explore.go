@@ -4,8 +4,9 @@
 // on a parallel worker pool without giving up reproducibility:
 //
 //	plan    — turn Options into a stream of self-contained scenarioSpec
-//	          values (probe runs, crash-point clamping, persist-policy
-//	          fan-out, random-mode seed derivation all happen here);
+//	          values, one per (schedule, crash point) (probe runs,
+//	          crash-point clamping, random-mode seed derivation all happen
+//	          here);
 //	execute — a bounded pool of Options.Workers goroutines runs each spec
 //	          as an isolated scenario group (no state is shared between
 //	          specs: every scenario owns its program instance, heap,
@@ -34,10 +35,13 @@ import (
 // struct readable).
 type vclockSeqs = []vclock.Seq
 
-// scenarioSpec is one self-contained unit of exploration work: the primary
-// crash scenario plus the expansions (read-choice exploration, recovery
-// crashes) that depend on its runtime state. Everything a worker needs is
-// in the spec; nothing is shared between specs.
+// scenarioSpec is one self-contained unit of exploration work: one crash
+// point of one schedule, explored under every persist policy in
+// Options.PersistPolicies order (RandomMode: its one PersistRandom
+// scenario), each primary scenario followed by the expansions (read-choice
+// exploration, recovery crashes) that depend on its runtime state.
+// Everything a worker needs is in the spec; nothing is shared between
+// specs.
 type scenarioSpec struct {
 	// idx is the spec's position in plan-enumeration order; the merge
 	// layer absorbs results strictly in idx order.
@@ -51,11 +55,9 @@ type scenarioSpec struct {
 	// plan is the full crash plan (may carry a recovery crash in
 	// RandomMode).
 	plan plan
-	// persist is the persisted-image policy of the primary scenario.
-	persist PersistPolicy
 	// seed seeds the scenario's scheduler and persist randomness.
 	seed int64
-	// snap, when non-nil, is the checkpoint the primary scenario resumes
+	// snap, when non-nil, is the checkpoint the primary scenarios resume
 	// from instead of re-simulating the pre-crash prefix (checkpoint.go).
 	// In ModelCheck it is a read-only template, shared with every other
 	// spec of the same schedule; resuming clones it. In RandomMode it is
@@ -63,10 +65,9 @@ type scenarioSpec struct {
 	// by its one resume — random specs have no expansions to reuse it.
 	snap *snapshot
 	// exploreReads runs the Jaaru-style read-choice expansions after the
-	// primary scenario (set on the first persist policy only, mirroring
-	// the sequential exploration order).
+	// first persist policy's primary scenario.
 	exploreReads bool
-	// expandRecovery probes the primary scenario's recovery crash points
+	// expandRecovery probes each primary scenario's recovery crash points
 	// and runs up to Options.RecoveryCrashes follow-up scenarios.
 	expandRecovery bool
 	// window marks specs that contribute a PointStat to Result.Window
@@ -75,9 +76,9 @@ type scenarioSpec struct {
 	// dedupOf, when non-zero, marks the spec a duplicate under crash-image
 	// memoization: its captured state is byte-identical to an earlier
 	// point's (checkpoint.go), so instead of running, its result is
-	// synthesized from the spec at index dedupOf-1 (the representative with
-	// the same persist policy). The encoding reserves 0 for "not a
-	// duplicate" so the zero-value spec stays valid.
+	// synthesized from the spec at index dedupOf-1 (the representative
+	// point's). The encoding reserves 0 for "not a duplicate" so the
+	// zero-value spec stays valid.
 	dedupOf int
 	// retain marks specs whose results later duplicates synthesize from;
 	// the merge layer keeps them after folding.
@@ -94,7 +95,7 @@ type specResult struct {
 	stats      Stats
 	// windowRaces is the largest per-scenario deduplicated race count
 	// among the window-contributing scenarios of the spec (the primary
-	// run and its read-choice expansions; recovery crashes are excluded,
+	// runs and the read-choice expansions; recovery crashes are excluded,
 	// as in the sequential exploration).
 	windowRaces int
 	// panicked carries a workload panic out of the worker so the merge
@@ -291,10 +292,12 @@ func runExplore(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 // representative's, shared (Set.Merge never mutates its argument, and its
 // fold produces the same bytes a private equal copy would). The per-kind
 // operation counts differ only in the pre-crash prefix, which both specs
-// carry in their snapshots: duplicate = own prefix + (representative total
-// − representative prefix). The cost counters are zeroed — nothing was
-// simulated, captured or journaled for this spec — and DedupedScenarios
-// records the skip.
+// carry in their snapshots, once per persist-policy scenario: memoization
+// runs without expansions, so each of the representative's executions is
+// one such scenario, and duplicate = representative total + executions ×
+// (own prefix − representative prefix). The cost counters are zeroed —
+// nothing was simulated, captured or journaled for this spec — and
+// DedupedScenarios records the skipped scenarios, one per execution.
 func synthesizeDedup(rep *specResult, spec scenarioSpec) *specResult {
 	out := &specResult{
 		spec:        spec,
@@ -303,15 +306,15 @@ func synthesizeDedup(rep *specResult, spec scenarioSpec) *specResult {
 		windowRaces: rep.windowRaces,
 		panicked:    rep.panicked,
 	}
-	q, p := spec.snap.stats, rep.spec.snap.stats
-	out.stats = q
-	out.stats.Stores += rep.stats.Stores - p.Stores
-	out.stats.Loads += rep.stats.Loads - p.Loads
-	out.stats.Flushes += rep.stats.Flushes - p.Flushes
-	out.stats.Fences += rep.stats.Fences - p.Fences
-	out.stats.RMWs += rep.stats.RMWs - p.RMWs
+	q, p, n := spec.snap.stats, rep.spec.snap.stats, int64(rep.executions)
+	out.stats = rep.stats
+	out.stats.Stores += n * (q.Stores - p.Stores)
+	out.stats.Loads += n * (q.Loads - p.Loads)
+	out.stats.Flushes += n * (q.Flushes - p.Flushes)
+	out.stats.Fences += n * (q.Fences - p.Fences)
+	out.stats.RMWs += n * (q.RMWs - p.RMWs)
 	out.stats.ZeroCost()
-	out.stats.DedupedScenarios = 1
+	out.stats.DedupedScenarios = n
 	return out
 }
 
@@ -324,14 +327,8 @@ func (res *Result) mergeSpec(r *specResult) {
 	res.ExecutionsRun += r.executions
 	res.Stats.Add(r.stats)
 	if r.spec.window {
-		// Window specs arrive grouped by crash point, points ascending; the
-		// persist policies of one point fold into a single PointStat.
-		if len(res.Window) == 0 || res.Window[len(res.Window)-1].Point != r.spec.crashPoint {
-			res.Window = append(res.Window, PointStat{Point: r.spec.crashPoint})
-		}
-		if last := &res.Window[len(res.Window)-1]; r.windowRaces > last.Races {
-			last.Races = r.windowRaces
-		}
+		// Window specs arrive one per crash point, points ascending.
+		res.Window = append(res.Window, PointStat{Point: r.spec.crashPoint, Races: r.windowRaces})
 	}
 	r.release()
 }
@@ -350,14 +347,14 @@ func planSpecs(ctx context.Context, makeProg func() pmm.Program, opts Options, e
 
 // planModelCheck enumerates the model-checking specs: per schedule, a probe
 // run counts the flush/fence points of the deterministic schedule, then one
-// spec is emitted per (crash point, persist policy) — crash point 0 is the
-// power loss at completion.
+// spec is emitted per crash point — crash point 0 is the power loss at
+// completion — and runSpec explores the persist policies inside it.
 //
 // Outside the Reference configuration, the probe doubles as the one full
 // pre-crash simulation of the schedule: it captures a snapshot at every
 // crash point, and each emitted spec carries its point's snapshot.
 // Snapshots are captured before the crash's persist policy matters, so one
-// probe (run under PersistLatest, like always) serves every policy fan-out.
+// probe (run under PersistLatest, like always) serves every policy.
 func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Options, emit func(scenarioSpec)) planSummary {
 	var sum planSummary
 	idx := 0
@@ -385,56 +382,37 @@ func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Optio
 			limit = opts.MaxCrashPoints
 		}
 		// Crash-image memoization: repPoints marks the points at least one
-		// duplicate maps to (their specs are retained for synthesis),
-		// firstIdx records the first spec index of each such point as it is
-		// emitted. Points ascend, and a duplicate's representative is always
-		// an earlier point, so firstIdx is populated before it is needed.
+		// duplicate maps to (their specs are retained for synthesis). Point
+		// c's spec has index base+c, and a duplicate's representative is
+		// always an earlier point, so it is emitted first.
 		var repPoints map[int]bool
-		var firstIdx map[int]int
 		if sink != nil && len(sink.dups) > 0 {
 			repPoints = make(map[int]bool, len(sink.dups))
-			firstIdx = make(map[int]int, len(sink.dups))
 			for _, rp := range sink.dups {
 				repPoints[rp] = true
 			}
 		}
+		base := idx
 		for c := 0; c <= limit; c++ {
-			var snap *snapshot
+			spec := scenarioSpec{
+				idx:            idx,
+				scheduleIdx:    sched,
+				crashPoint:     c,
+				plan:           plan{0: c},
+				seed:           seed,
+				exploreReads:   opts.ExploreReads,
+				expandRecovery: opts.RecoveryCrashes > 0,
+				window:         sched == 0,
+				retain:         repPoints[c],
+			}
 			if sink != nil {
-				snap = sink.snaps[c]
-			}
-			dedupBase := 0
-			if repPoints != nil {
-				if repPoints[c] {
-					firstIdx[c] = idx
-				}
-				if rp, ok := sink.dups[c]; ok && snap != nil && sink.snaps[rp] != nil {
-					dedupBase = firstIdx[rp] + 1
+				spec.snap = sink.snaps[c]
+				if rp, ok := sink.dups[c]; ok && spec.snap != nil && sink.snaps[rp] != nil {
+					spec.dedupOf = base + rp + 1
 				}
 			}
-			for ppIdx, pp := range opts.PersistPolicies {
-				spec := scenarioSpec{
-					idx:            idx,
-					scheduleIdx:    sched,
-					crashPoint:     c,
-					plan:           plan{0: c},
-					persist:        pp,
-					seed:           seed,
-					snap:           snap,
-					exploreReads:   opts.ExploreReads && ppIdx == 0,
-					expandRecovery: opts.RecoveryCrashes > 0,
-					window:         sched == 0,
-					retain:         repPoints != nil && repPoints[c],
-				}
-				if dedupBase > 0 {
-					// Map to the representative spec with the same persist
-					// policy: policies fan out in the same order at every
-					// point, so the offsets line up.
-					spec.dedupOf = dedupBase + ppIdx
-				}
-				emit(spec)
-				idx++
-			}
+			emit(spec)
+			idx++
 		}
 	}
 	return sum
@@ -493,7 +471,6 @@ func planRandom(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 			scheduleIdx: i,
 			crashPoint:  c,
 			plan:        p,
-			persist:     PersistRandom,
 			seed:        schedSeed,
 			snap:        snap,
 		})
@@ -501,22 +478,34 @@ func planRandom(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 	return sum
 }
 
-// runSpec executes one spec in isolation: the primary scenario, then the
-// read-choice expansions and recovery-crash follow-ups that depend on its
-// runtime state. The internal order matches the sequential exploration
-// exactly, so the spec's private report preserves first-seen order.
+// randomPolicies is the persist-policy list of a RandomMode spec.
+var randomPolicies = []PersistPolicy{PersistRandom}
+
+// runSpec executes one spec in isolation: the crash point's primary
+// scenario under each persist policy in turn, each followed by the
+// read-choice expansions (first policy only) and recovery-crash follow-ups
+// that depend on its runtime state. The internal order matches the
+// sequential exploration exactly, so the spec's private report preserves
+// first-seen order.
 //
 // When the spec carries a checkpoint, every scenario in the group resumes
-// from it rather than re-simulating the pre-crash prefix, and the primary
-// scenario in turn checkpoints its own recovery execution so the multi-crash
-// follow-ups resume from the recovery prefix — the same mechanism one level
-// down the execution stack.
+// from it rather than re-simulating the pre-crash prefix, and each primary
+// scenario in turn checkpoints its own recovery execution so the
+// multi-crash follow-ups resume from the recovery prefix — the same
+// mechanism one level down the execution stack.
 //
-// The context gates the expansions only: the primary scenario always runs
-// (the caller acquired its budget token with the context still live), but a
-// cancellation observed between it and a read-choice or recovery-crash
-// follow-up stops the group there, leaving the already-absorbed scenarios as
-// the spec's partial contribution.
+// Policy twins (DESIGN.md §4.4): wherever crash-image memoization is on,
+// the spec's first PersistLatest/PersistMinimal scenario marks the image
+// entries on which the two policies' images differ. When its recovery
+// read none of them, a later Latest/Minimal scenario would replay it
+// exactly, so it is not resumed: the twin's outcome is folded in again
+// (specResult.repeat). PersistRandom draws per line and is never paired.
+//
+// The context gates every simulation after the first primary scenario: that
+// one always runs (the caller acquired its budget token with the context
+// still live), but a cancellation observed before a later policy's scenario
+// or an expansion stops the group there, leaving the already-absorbed
+// scenarios as the spec's partial contribution.
 func runSpec(ctx context.Context, makeProg func() pmm.Program, opts Options, spec scenarioSpec) (out *specResult) {
 	out = newSpecResult(spec, opts)
 	defer func() {
@@ -525,22 +514,62 @@ func runSpec(ctx context.Context, makeProg func() pmm.Program, opts Options, spe
 		}
 	}()
 
+	policies := opts.PersistPolicies
+	if opts.Mode == RandomMode {
+		policies = randomPolicies
+	}
+	pairing := dedupEnabled(opts)
+	var twin *scenario
+	for i, pp := range policies {
+		paired := pairing && (pp == PersistLatest || pp == PersistMinimal)
+		if paired && twin != nil {
+			out.repeat(twin)
+			continue
+		}
+		if i > 0 && ctx.Err() != nil {
+			break
+		}
+		if t := out.runPolicy(ctx, makeProg, opts, spec, pp, spec.exploreReads && i == 0, paired); t != nil {
+			twin = t
+		}
+	}
+	if twin != nil {
+		twin.retire()
+	}
+	return out
+}
+
+// runPolicy runs the spec's primary scenario under persist policy pp and
+// its expansions (the read-choice ones only with exploreReads). With mark
+// set, the scenario marks the image entries where the Latest and Minimal
+// images differ (buildLineImage); if its recovery then read none of them,
+// it is returned unretired, absorbed, for the spec's later Latest/Minimal
+// policies to repeat. Otherwise it returns nil.
+func (out *specResult) runPolicy(ctx context.Context, makeProg func() pmm.Program, opts Options, spec scenarioSpec,
+	pp PersistPolicy, exploreReads, mark bool) (twin *scenario) {
+
 	var recSink *snapshotSink
 	if spec.expandRecovery && !opts.Reference {
 		recSink = newSnapshotSink(1, opts.RecoveryCrashes)
 	}
-	sc := runPlanned(makeProg, opts, spec.snap, spec.plan, spec.persist, spec.seed, func(sc *scenario) {
-		if spec.exploreReads {
+	sc := runPlanned(makeProg, opts, spec.snap, spec.plan, pp, spec.seed, func(sc *scenario) {
+		if exploreReads {
 			sc.lineChoices = make(map[pmm.Line]vclockSeqs)
 		}
 		sc.capture = recSink
+		sc.markTwins = mark
 	})
-	out.windowRaces = sc.stack.PrimaryReport().Count()
-	// absorb retires sc; keep what the expansions read from it.
+	out.windowRaces = max(out.windowRaces, sc.stack.PrimaryReport().Count())
+	// Retiring sc ends it; keep what the expansions read from it.
 	lineChoices, m := sc.lineChoices, sc.crashPoints[1]
-	out.absorb(sc)
+	out.add(sc)
+	if mark && !sc.readDiffers {
+		twin = sc
+	} else {
+		sc.retire()
+	}
 
-	if spec.exploreReads {
+	if exploreReads {
 		runReadChoices(ctx, makeProg, opts, spec, lineChoices, out)
 	}
 	if spec.expandRecovery {
@@ -555,11 +584,11 @@ func runSpec(ctx context.Context, makeProg func() pmm.Program, opts Options, spe
 			if recSink != nil {
 				rsnap = recSink.snaps[rc]
 			}
-			rsc := runPlanned(makeProg, opts, rsnap, plan{0: spec.crashPoint, 1: rc}, spec.persist, spec.seed, nil)
+			rsc := runPlanned(makeProg, opts, rsnap, plan{0: spec.crashPoint, 1: rc}, pp, spec.seed, nil)
 			out.absorb(rsc)
 		}
 	}
-	return out
+	return twin
 }
 
 // runReadChoices re-runs a crash point once per (line, persist-point) pair,
@@ -626,17 +655,37 @@ func (r *specResult) release() {
 	specResultPool.Put(r)
 }
 
-// absorb is the one harvest path of a finished crash scenario: it merges the
-// scenario's reports, counts the execution, folds its stats (clock-arena
-// activity included) and retires it.
+// absorb is the one harvest path of a finished crash scenario: it folds the
+// scenario in (add) and retires it.
 func (r *specResult) absorb(sc *scenario) {
+	r.add(sc)
+	sc.retire()
+}
+
+// add merges a finished scenario's reports, counts the execution and folds
+// its stats, clock-arena activity included.
+func (r *specResult) add(sc *scenario) {
 	for i, rep := range sc.stack.Reports() {
 		r.reports[i].Merge(rep)
 	}
 	r.executions++
 	sc.harvestClocks()
 	r.stats.Add(sc.stats)
-	sc.retire()
+}
+
+// repeat folds an added policy twin in again, for a later policy whose
+// scenario would have replayed it: the same reports and per-kind counts,
+// one more execution. As in synthesizeDedup, the cost counters stay zero —
+// nothing was simulated — and DedupedScenarios records the skip.
+func (r *specResult) repeat(twin *scenario) {
+	for i, rep := range twin.stack.Reports() {
+		r.reports[i].Merge(rep)
+	}
+	r.executions++
+	st := twin.stats
+	st.ZeroCost()
+	st.DedupedScenarios = 1
+	r.stats.Add(st)
 }
 
 // absorbProbe folds a finished probe run's costs into the summary and

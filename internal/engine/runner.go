@@ -52,7 +52,11 @@ func (sc *scenario) storeOf(c provCand) *core.StoreRecord {
 // no candidates (they are fully persisted by definition).
 type imageEntry struct {
 	val  uint64
-	size int
+	size int32
+	// differs marks an entry whose chosen store differs between the
+	// PersistLatest and PersistMinimal images of the crash (set only by a
+	// scenario with markTwins; see runSpec).
+	differs bool
 	// candidates are the stores a post-crash load of this address could
 	// read from, oldest first.
 	candidates []provCand
@@ -233,7 +237,12 @@ type scenario struct {
 	lineChoices map[pmm.Line][]vclock.Seq
 
 	image imageTable
-	stats Stats
+	// markTwins has buildImage mark the image entries on which the
+	// PersistLatest and PersistMinimal images differ; readDiffers records
+	// that the recovery loaded one (runSpec's policy twins).
+	markTwins   bool
+	readDiffers bool
+	stats       Stats
 	// opCount is the watchdog counter for the current execution.
 	opCount int
 	// sched is the pooled controlled-scheduler state, reused across every
@@ -313,7 +322,7 @@ func newScenario(makeProg func() pmm.Program, opts Options, p plan, persist Pers
 		sc.recorder = trace.NewRecorder(stack.Listener(), heap.LabelFor)
 	}
 	for _, w := range heap.InitWrites() {
-		sc.image.set(w.Addr, imageEntry{val: w.Val, size: w.Size, prevVal: w.Val})
+		sc.image.set(w.Addr, imageEntry{val: w.Val, size: int32(w.Size), prevVal: w.Val})
 		stack.SeedPersisted(w.Addr)
 	}
 	return sc
@@ -475,7 +484,7 @@ func (sc *scenario) startMachine() {
 	// it one allocation (later stores to fresh allocations grow as usual).
 	sc.machine.ReserveMemory(sc.image.idx.Len())
 	sc.image.forEach(func(addr pmm.Addr, e *imageEntry) {
-		sc.machine.SeedMemory(addr, e.size, e.val)
+		sc.machine.SeedMemory(addr, int(e.size), e.val)
 	})
 }
 
@@ -757,6 +766,11 @@ func (sc *scenario) buildLineImage(e *core.Execution, line pmm.Line, lineAddrs [
 	if over, ok := sc.persistOverride[line]; ok {
 		point = over
 	}
+	// Policy twins: the effective Latest and Minimal points, whose chosen
+	// stores are compared per address. Under eADR both policies take the
+	// latest image, so nothing differs.
+	mark := sc.markTwins && !sc.opts.EADR
+	hi, lo := choices[len(choices)-1], choices[0]
 
 	for _, a := range lineAddrs {
 		prev, hadPrev := sc.image.at(a)
@@ -765,7 +779,7 @@ func (sc *scenario) buildLineImage(e *core.Execution, line pmm.Line, lineAddrs [
 		// could still observe a torn value from two crashes ago.
 		base := len(sc.candSlab)
 		sc.candSlab = append(sc.candSlab, prev.candidates...)
-		var chosen *core.StoreRecord
+		var chosen, atHi, atLo *core.StoreRecord
 		// Walk the per-address chain newest-first (allocation-free), then
 		// reverse the freshly appended candidates back to commit order —
 		// CandidateLimit trims from the front, so order is observable.
@@ -777,7 +791,16 @@ func (sc *scenario) buildLineImage(e *core.Execution, line pmm.Line, lineAddrs [
 			if s.Seq <= point && chosen == nil {
 				chosen = s
 			}
+			if mark {
+				if s.Seq <= hi && atHi == nil {
+					atHi = s
+				}
+				if s.Seq <= lo && atLo == nil {
+					atLo = s
+				}
+			}
 		}
+		entry.differs = atHi != atLo
 		for i, j := start, len(sc.candSlab)-1; i < j; i, j = i+1, j-1 {
 			sc.candSlab[i], sc.candSlab[j] = sc.candSlab[j], sc.candSlab[i]
 		}
@@ -787,7 +810,7 @@ func (sc *scenario) buildLineImage(e *core.Execution, line pmm.Line, lineAddrs [
 		if chosen != nil {
 			entry.chosen = provCand{exec: int32(e.ID), ref: chosen.Ref()}
 			entry.val = chosen.Val
-			entry.size = chosen.Size
+			entry.size = int32(chosen.Size)
 		} else {
 			// Nothing new persisted; the previous image value survives
 			// along with its provenance.
@@ -804,11 +827,16 @@ func (sc *scenario) buildLineImage(e *core.Execution, line pmm.Line, lineAddrs [
 
 // resolvePostCrashLoad handles a load that reads a value seeded from the
 // persisted image: it race-checks every candidate store and commits the
-// observation of the chosen one. Returns the value the load sees.
+// observation of the chosen one. Returns the value the load sees. It is the
+// recovery's one reader of image entries (an RMW's read comes through here
+// too), so it is where a read of a differing entry is recorded.
 func (sc *scenario) resolvePostCrashLoad(tid vclock.TID, addr pmm.Addr, size int, atomicLoad, guarded bool) uint64 {
 	entry := sc.image.lookup(addr)
 	if entry == nil {
 		return 0
+	}
+	if entry.differs {
+		sc.readDiffers = true
 	}
 	chosenStore := sc.storeOf(entry.chosen)
 	if len(entry.candidates) == 0 && chosenStore == nil {
