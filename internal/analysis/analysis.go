@@ -15,7 +15,7 @@
 //     hooks (so it observes the same commit-order event stream the Yashme
 //     detector reasons about), crash-time read checking, and the
 //     Clone/signature/footprint support that lets passes ride the engine's
-//     delta checkpoints and crash-image memoization;
+//     checkpoints and crash-image memoization;
 //   - Register/NewStack is the registry the engine constructs passes
 //     through ("yashme" is built in; other passes self-register from init
 //     functions, linked via yashme/internal/analysis/all);
@@ -84,8 +84,10 @@ type Pass interface {
 	// CrashRead classifies a post-crash load of addr (guarded marks
 	// checksum-validation reads); a non-nil race was added to Report.
 	CrashRead(addr pmm.Addr, guarded bool) *report.Race
-	// Clone returns an independent deep copy; snapshots store clones and
-	// every resume clones again (snapshots are shared, read-only templates).
+	// Clone returns an independent deep copy. Pass state cannot be rewound,
+	// so a probe clones its passes forward at every crash point a snapshot
+	// is taken of, and a resume clones the snapshot's again unless it is
+	// the snapshot's last.
 	Clone() Pass
 	// SetLabeler rebinds the report labeler after a resume re-runs Setup
 	// against a fresh heap.
@@ -194,10 +196,9 @@ func NewStack(names []string, cfg Config) (*Stack, error) {
 	return s, nil
 }
 
-// Rebuild reassembles a stack around already-materialized components — the
-// checkpoint layer's resume path, where the model comes from a snapshot's
-// keyframe (or keyframe + journal replay) and the extras are fresh clones
-// of the snapshot's pass templates. names must be the same selection the
+// Rebuild reassembles a stack around already-built components — the
+// checkpoint layer's resume path, where the model and the extras are a
+// snapshot's copies or clones of them. names must be the same selection the
 // snapshot was captured under.
 func Rebuild(names []string, model *core.Detector, extras []Pass) *Stack {
 	if len(names) == 0 {

@@ -18,8 +18,9 @@ import (
 // tables, per-line state — is copied, so the clone and the original may be
 // mutated independently afterwards. The clone is private to its holder: its
 // executions are drawn from the pool and Retire recycles them again, all but
-// the borrowed arena view (see Retire). The source is read, never written,
-// so a live source must be marked by its owner (MarkShared) before cloning.
+// the borrowed arena view (see Retire). The source is read, never written;
+// a source that owns its store arenas must be marked by its owner
+// (MarkShared) before cloning.
 func (d *Detector) Clone() *Detector {
 	nd := &Detector{cfg: d.cfg, report: d.report.Clone(), arena: d.arena.Clone()}
 	nd.execs = make([]*Execution, len(d.execs))
@@ -34,31 +35,17 @@ func (d *Detector) Clone() *Detector {
 // cloned detector at that heap's LabelFor.
 func (d *Detector) SetLabeler(l func(pmm.Addr) string) { d.cfg.Labeler = l }
 
-func (e *Execution) clone() *Execution { return e.cloneSized(0, 0, 0) }
-
-// cloneSized is clone with growth headroom for a pending journal replay:
-// the meta and flush arenas get capacity for the segment's appends and the
-// address-indexed tables get capacity up to its high-water address, so the
-// replay performs no reallocation (see Detector.CloneReplay). The store
-// arena needs no headroom — it is borrowed, and a replay extends the view
-// over the journal's frozen arena rather than appending. Zero sizes degrade
-// to a plain clone. The copy fills a pooled execution, so a warm clone
-// reuses the arrays a retired one grew instead of allocating its own.
-func (e *Execution) cloneSized(stores, flushes int, maxAddr pmm.Addr) *Execution {
-	addrCap, lineCap := 0, 0
-	if maxAddr > 0 {
-		addrCap = int(maxAddr) + 1
-		lineCap = int(pmm.LineOf(maxAddr)) + 1
-	}
+// clone copies the execution into a pooled one, so a warm clone reuses the
+// arrays a retired one grew instead of allocating its own; the store arena
+// is borrowed as a capped view.
+func (e *Execution) clone() *Execution {
 	ne := newExecution(e.ID)
 	ne.spare = ne.arena
 	ne.arena = e.arena[:len(e.arena):len(e.arena)]
 	ne.borrowed = true
-	ne.meta = append(withCap(ne.meta, len(e.meta)+stores), e.meta...)
-	ne.flushArena = append(withCap(ne.flushArena, len(e.flushArena)+flushes), e.flushArena...)
-	ne.storeTab.Reserve(addrCap)
+	ne.meta = append(withCap(ne.meta, len(e.meta)), e.meta...)
+	ne.flushArena = append(withCap(ne.flushArena, len(e.flushArena)), e.flushArena...)
 	ne.storeTab.CopyFrom(&e.storeTab)
-	ne.persistTab.Reserve(addrCap)
 	ne.persistTab.CopyFrom(&e.persistTab)
 	ne.lastflush.CopyFrom(&e.lastflush) // flat: slots are arena refs
 	ne.cvpre, ne.crashSeq = e.cvpre, e.crashSeq
@@ -66,7 +53,6 @@ func (e *Execution) cloneSized(stores, flushes int, maxAddr pmm.Addr) *Execution
 	// sides may append to (on a first store), so the clone gets its own:
 	// one flat backing carved into full-slice-capped runs, so an append to
 	// one line reallocates that line alone instead of overrunning the next.
-	ne.lineAddrs.Reserve(lineCap)
 	ne.lineAddrs.CopyFrom(&e.lineAddrs)
 	n := 0
 	for l, end := pmm.Line(0), pmm.Line(e.lineAddrs.Len()); l < end; l++ {

@@ -7,8 +7,8 @@ import (
 )
 
 // TestCloneIndependence: a cloned detector and its original may be mutated
-// independently. The checkpoint layer treats captured clones as read-only
-// templates shared across workers, so any mutation leaking back into the
+// independently. The checkpoint layer resumes several scenarios from
+// clones of one crash point's copy, so any mutation leaking back into the
 // original (or from it) would corrupt every later crash scenario.
 func TestCloneIndependence(t *testing.T) {
 	r := newRig(true)

@@ -149,7 +149,7 @@ type Execution struct {
 	// crashSeq: σ at the crash ending this execution (0 while running).
 	crashSeq vclock.Seq
 	// lineBuf is the flat backing a clone carves its per-line address lists
-	// from (cloneSized); kept across recycling so a warm clone reuses it.
+	// from (clone); kept across recycling so a warm clone reuses it.
 	lineBuf []pmm.Addr
 	// borrowed marks an execution whose store arena is a capped view of
 	// another holder's records (every clone): Retire recycles everything
@@ -158,10 +158,9 @@ type Execution struct {
 	// backing aside meanwhile, and Retire puts it back.
 	borrowed bool
 	spare    []StoreRecord
-	// shared marks an execution whose state another holder may still read:
-	// a live execution a clone was taken from (MarkShared) and one a
-	// journal froze (SetJournal). Retire drops shared executions instead of
-	// recycling them.
+	// shared marks an execution whose store arena another holder may still
+	// read: one a clone was taken from (MarkShared). Retire drops shared
+	// executions instead of recycling them.
 	shared bool
 }
 
@@ -320,9 +319,8 @@ type Detector struct {
 	// The engine points the simulating tso.Machine at the same arena
 	// (Machine.UseArena) so stamps cross the listener boundary by value.
 	arena *vclock.Arena
-	// journal, when attached (SetJournal or AttachUndo), records every
-	// mutation of the current execution so the engine's delta checkpoints
-	// can replay them, or random mode's probe can rewind them (journal.go).
+	// journal, when attached (AttachUndo), records every mutation of the
+	// current execution so the engine's probe can rewind them (journal.go).
 	// Never inherited by clones.
 	journal *Journal
 }
@@ -348,12 +346,12 @@ func (d *Detector) Current() *Execution { return d.execs[len(d.execs)-1] }
 func (d *Detector) Executions() []*Execution { return d.execs }
 
 // MarkShared marks every execution of the detector as shared, so Retire
-// will never recycle them. Call it on a live detector before cloning it:
-// the clone's arenas are views of the live ones. Clone does not mark its
-// source itself — workers clone read-only snapshot detectors concurrently,
-// and those templates are never retired. A scenario's private clone that
-// is about to be cloned in turn (a recovery sink under RecoveryCrashes)
-// loses its recyclability here too.
+// will never recycle them. Call it before cloning a detector whose
+// executions own their store arenas (a probe, or a scenario whose
+// recovery a recovery sink captures): the clone's arenas are views of
+// them. A detector that is itself an unappended clone (a crash point's
+// private copy) borrows every arena it has, so its clones and its own
+// Retire can never touch each other's records, and it is cloned unmarked.
 func (d *Detector) MarkShared() {
 	for _, e := range d.execs {
 		e.shared = true
@@ -363,10 +361,9 @@ func (d *Detector) MarkShared() {
 // Retire hands the detector's unshared executions back to the pool later
 // detectors draw from. The detector must never be used again; its report
 // and clock arena are not recycled, so results merged from it stay valid.
-// Shared executions are dropped: a clone or a journal may still read their
-// store arenas. A borrowed execution goes back without its arena view,
-// which belongs to the records' owner (a snapshot template or a journal).
-// Snapshot templates themselves are never retired.
+// Shared executions are dropped: a clone may still read their store
+// arenas. A borrowed execution goes back without its arena view, which
+// belongs to the records' owner.
 func (d *Detector) Retire() {
 	for _, e := range d.execs {
 		if e.shared {

@@ -1,9 +1,10 @@
-// Delta-checkpoint support: a mutation journal over the detector's
-// pre-crash state, plus the state signature that backs crash-image
-// memoization (both consumed by internal/engine's checkpoint layer). The
-// same journal, read backwards, rewinds a live detector to an earlier
-// point (Rewind): random mode's probe hands its own detector, rewound to
-// the drawn crash point, to the one scenario that crashes there.
+// The detector's mutation journal and its crash-point state signature,
+// both consumed by internal/engine's probes. A probe attaches an undo
+// journal (AttachUndo) for its pre-crash run, marks it at every crash
+// point, and afterwards walks the points backwards, rewinding its own
+// detector to each (Rewind): model checking clones the rewound detector
+// into each crash point's private copy, random mode hands it to the one
+// scenario that crashes at the drawn point.
 //
 // During a probe run the only detector state that changes between two
 // crash points of the pre-crash execution is appended or derived from
@@ -13,14 +14,12 @@
 // pre-crash no-op (CLWBBuffered, FenceCommitted), and the read-side state
 // (lastflush, cvpre, the report) mutates only in post-crash executions.
 // Journaling those three mutation kinds therefore captures the detector's
-// evolution exactly: replaying a journal segment onto a clone of an
-// earlier snapshot reproduces, bit for bit, the clone a full capture at
-// the later point would have taken.
+// evolution exactly: undoing a journal suffix restores, bit for bit, the
+// state a clone taken at the earlier mark would hold.
 package core
 
 import (
 	"yashme/internal/pmm"
-	"yashme/internal/vclock"
 )
 
 // JournalOpKind discriminates the three detector mutations a pre-crash
@@ -29,11 +28,9 @@ type JournalOpKind uint8
 
 const (
 	// JournalStore is a StoreCommitted append: Target is the ref of the
-	// appended record. The record itself is not copied into the op — store
-	// records are immutable once committed, so the journal freezes a view
-	// of the watched execution's arena at detach time and replay reads the
-	// record from there, re-deriving the storemap entry and, for a first
-	// store, the line's address list.
+	// appended record. The record itself is not copied into the op: Rewind
+	// reads it from the arena it truncates, and its prevSameAddr restores
+	// the storemap entry.
 	JournalStore JournalOpKind = iota
 	// JournalFlush is an applyFlush flushmap append: Target names the
 	// covered store, Flush the recorded flush identity.
@@ -55,92 +52,26 @@ type JournalOp struct {
 	Flush  FlushRef // JournalFlush: the flush identity
 }
 
-// JournalOpBytes is the estimated retained size of one journal op (the
-// struct above plus slice-growth overhead), used for Stats.SnapshotBytes
-// accounting. A fixed constant keeps the accounting platform-stable.
-const JournalOpBytes = 32
-
-// Journal accumulates the mutations of one watched execution. The engine
-// attaches it for the duration of a probe run (SetJournal), marks segment
-// boundaries at each crash point (Mark), and detaches it before the
-// recovery execution starts so post-crash appends never pollute it.
-// Detaching freezes a view of the watched execution's arena: replay resolves
-// JournalStore refs against it, and a replayed clone extends its shared
-// arena view over it instead of copying records.
+// Journal accumulates the mutations of one watched execution: the engine
+// attaches it to a probe's detector for the pre-crash run (AttachUndo) and
+// records a mark at each crash point; Rewind then walks it backwards.
 type Journal struct {
-	ops   []JournalOp
-	arena []StoreRecord
-	// clocks is the clock arena's frozen prefix at detach time: every stamp
-	// or ref recorded by the watched run resolves in it, and every replayed
-	// clone shares its lookup index.
-	clocks *vclock.Frozen
+	ops []JournalOp
 }
 
-// Mark returns the current segment boundary: ops[lo:hi] for two
-// consecutive marks is exactly what happened between them.
+// Mark returns the current position: ops[lo:hi] for two consecutive marks
+// is exactly what happened between them.
 func (j *Journal) Mark() int { return len(j.ops) }
 
 // Len returns the total ops recorded.
 func (j *Journal) Len() int { return len(j.ops) }
 
-// SetJournal attaches (or, with nil, detaches) the replay journal. Only
-// the current execution's mutations are recorded; clones never inherit the
-// attachment (Clone builds a fresh Detector). Detaching freezes the
-// attached journal's arena view; replay is only valid after that.
-// Attaching marks the current execution shared: the frozen view outlives
-// the detector, so Retire must never recycle that arena.
-func (d *Detector) SetJournal(j *Journal) {
-	if j != nil {
-		d.Current().shared = true
-	}
-	if j == nil && d.journal != nil {
-		e := d.Current()
-		d.journal.arena = e.arena[:len(e.arena):len(e.arena)]
-		d.journal.clocks = d.arena.Freeze()
-	}
-	d.journal = j
-}
-
-// ReplayJournal applies ops [lo, hi) of j to the current execution. The
-// receiver must be a clone of the detector as it stood at the journal
-// position lo — in particular its arena is a prefix view of the journal's
-// frozen arena, so a JournalStore op extends the view over the frozen
-// record (a ref is 1-based, so it doubles as the arena length after its
-// append) rather than copying it. Afterwards the execution is
-// bit-equivalent to a clone taken at hi.
-func (d *Detector) ReplayJournal(j *Journal, lo, hi int) {
-	// Adopt the journal's frozen clock prefix outright: the clone's own
-	// view is a prefix of it (both came from the watched detector's
-	// append-only arena), so every ref taken at any journal position
-	// resolves identically, including the replayed records' stamps.
-	d.arena.Adopt(j.clocks)
-	e := d.Current()
-	for i := lo; i < hi; i++ {
-		op := &j.ops[i]
-		switch op.Kind {
-		case JournalStore:
-			e.arena = j.arena[:op.Target:op.Target]
-			e.meta = append(e.meta, recMeta{})
-			rec := &e.arena[op.Target-1]
-			e.storeTab.Set(rec.Addr, rec.ref)
-			if rec.prevSameAddr == 0 {
-				la := e.lineAddrs.Ptr(pmm.LineOf(rec.Addr))
-				*la = append(*la, rec.Addr)
-			}
-		case JournalFlush:
-			e.addFlush(e.ByRef(op.Target), op.Flush)
-		case JournalPersist:
-			e.persistTab.Set(e.ByRef(op.Target).Addr, op.Target)
-		}
-	}
-}
-
 // AttachUndo empties j and attaches it to record the current execution's
-// mutations for a later Rewind. Unlike SetJournal it neither marks the
-// execution shared nor freezes an arena view: a rewound execution stays
-// the detector's own, and Retire recycles it as usual.
+// mutations for a later Rewind. The execution stays the detector's own:
+// rewinding it needs no other holder, and Retire recycles it as usual
+// unless clones were taken from it (MarkShared).
 func (d *Detector) AttachUndo(j *Journal) {
-	j.ops, j.arena, j.clocks = j.ops[:0], nil, nil
+	j.ops = j.ops[:0]
 	d.journal = j
 }
 
@@ -205,46 +136,6 @@ func (d *Detector) Rewind(j *Journal, mark int) {
 	d.journal = nil
 }
 
-// CloneReplay clones the detector and replays journal ops [lo, hi) onto the
-// clone's current execution in one sized pass: the segment is pre-scanned
-// for its append counts and high-water address, so the meta and flush
-// arenas and every table of the replayed execution allocate once at their
-// final sizes instead of being cloned at keyframe size and regrown during
-// replay (the store arena is shared either way). Bit-equivalent to Clone
-// followed by ReplayJournal — this is the checkpoint layer's delta
-// materialization fast path.
-func (d *Detector) CloneReplay(j *Journal, lo, hi int) *Detector {
-	var stores, flushes int
-	var maxAddr pmm.Addr
-	for i := lo; i < hi; i++ {
-		op := &j.ops[i]
-		var a pmm.Addr
-		switch op.Kind {
-		case JournalStore:
-			stores++
-			a = j.arena[op.Target-1].Addr
-		case JournalFlush:
-			flushes++
-		case JournalPersist:
-			a = j.arena[op.Target-1].Addr
-		}
-		if a > maxAddr {
-			maxAddr = a
-		}
-	}
-	nd := &Detector{cfg: d.cfg, report: d.report.Clone(), arena: d.arena.Clone()}
-	nd.execs = make([]*Execution, len(d.execs))
-	for i, e := range d.execs {
-		if i == len(d.execs)-1 {
-			nd.execs[i] = e.cloneSized(stores, flushes, maxAddr)
-		} else {
-			nd.execs[i] = e.clone()
-		}
-	}
-	nd.ReplayJournal(j, lo, hi)
-	return nd
-}
-
 // appendU64 serializes v little-endian into buf.
 func appendU64(buf []byte, v uint64) []byte {
 	return append(buf,
@@ -304,7 +195,7 @@ const (
 )
 
 // FootprintBytes estimates the retained size of a full detector clone —
-// what one full-capture snapshot costs and what a delta checkpoint avoids.
+// what one crash point's private copy or one recovery capture costs.
 func (d *Detector) FootprintBytes() int64 {
 	var n int64
 	for _, e := range d.execs {

@@ -50,23 +50,25 @@ func dirtyPools() {
 	}
 }
 
-// TestRetireKeepsSnapshotsIntact: retiring a probe whose store arena a
-// journal and clones share must leave every snapshot taken from it intact.
-// The snapshots are materialized before the probe retires and again after
-// other detectors have reused the pools; both must read the same.
+// TestRetireKeepsSnapshotsIntact: retiring a probe whose store arena its
+// clones share must leave every copy taken from it intact. The probe runs
+// with an undo journal, is cloned at its end, rewound to an earlier mark
+// and cloned again; that rewound copy must equal a clone taken at the mark
+// on the way forward. Every copy is read before the probe retires and
+// again after other detectors have reused the pools.
 func TestRetireKeepsSnapshotsIntact(t *testing.T) {
 	probe := newRig(true)
 	j := &Journal{}
-	probe.d.SetJournal(j)
+	probe.d.AttachUndo(j)
 	probe.commitFlushed(addrX, 4, 1)
-	probe.d.MarkShared()
-	key := probe.d.Clone()
 	lo := j.Mark()
+	probe.d.MarkShared()
+	fwd := probe.d.Clone()
 	probe.commitFlushed(addrZ, 6, 100)
-	hi := j.Mark()
-	probe.d.SetJournal(nil)
 	probe.d.MarkShared()
 	full := probe.d.Clone()
+	probe.d.Rewind(j, lo)
+	key := probe.d.Clone()
 	// A recovery execution nothing shares: the one part of the probe that
 	// Retire may recycle.
 	probe.d.EndExecution(probe.m.CurSeq())
@@ -74,22 +76,18 @@ func TestRetireKeepsSnapshotsIntact(t *testing.T) {
 	probe.commitFlushed(addrX, 2, 200)
 
 	wantKey, wantFull := stateOf(key), stateOf(full)
-	wantDelta := stateOf(key.CloneReplay(j, lo, hi))
-	if !bytes.Equal(wantDelta, wantFull) {
-		t.Fatal("journal replay does not reproduce the full clone")
+	if !bytes.Equal(wantKey, stateOf(fwd)) {
+		t.Fatal("rewind then clone does not reproduce the clone taken at the mark")
 	}
 
 	probe.d.Retire()
 	dirtyPools()
 
 	if got := stateOf(key); !bytes.Equal(got, wantKey) {
-		t.Errorf("keyframe clone changed after the probe retired:\n%s\nwant\n%s", got, wantKey)
+		t.Errorf("rewound copy changed after the probe retired:\n%s\nwant\n%s", got, wantKey)
 	}
 	if got := stateOf(full); !bytes.Equal(got, wantFull) {
 		t.Errorf("full clone changed after the probe retired:\n%s\nwant\n%s", got, wantFull)
-	}
-	if got := stateOf(key.CloneReplay(j, lo, hi)); !bytes.Equal(got, wantDelta) {
-		t.Errorf("delta materialization changed after the probe retired:\n%s\nwant\n%s", got, wantDelta)
 	}
 
 	// Retiring a clone must not disturb its source or its siblings either.
@@ -126,29 +124,55 @@ func TestRetiredExecutionsComeBackEmpty(t *testing.T) {
 	}
 }
 
-// TestRetireKeepsJournalIntact: a journal pins the watched execution's
-// store arena on its own. The keyframe is cloned before the first store,
-// so it shares no records and only the journal's frozen view does.
-func TestRetireKeepsJournalIntact(t *testing.T) {
+// TestRetireKeepsWalkCopiesIntact: a probe walks its marks backwards,
+// rewinding and copying at each, and each copy is resumed by clones that
+// retire before the copy does — the engine's model-check walk. Copies are
+// unmarked clones: retiring one, or a clone of one, must leave the probe's
+// records and every other copy intact, and the walk must never write a
+// record a copy still reads.
+func TestRetireKeepsWalkCopiesIntact(t *testing.T) {
 	probe := newRig(true)
-	key := probe.d.Clone()
 	j := &Journal{}
-	probe.d.SetJournal(j)
-	probe.commitFlushed(addrX, 4, 1)
-	probe.commitFlushed(addrZ, 4, 50)
-	hi := j.Mark()
-	probe.d.SetJournal(nil)
-	want := stateOf(key.CloneReplay(j, 0, hi))
-
+	probe.d.AttachUndo(j)
+	var marks []int
+	var want [][]byte
+	for i := 0; i < 4; i++ {
+		probe.commitFlushed(addrX+pmm.Addr(64*i), 3, uint64(10*i+1))
+		marks = append(marks, j.Mark())
+		probe.d.MarkShared()
+		want = append(want, stateOf(probe.d.Clone()))
+	}
+	probe.d.MarkShared()
+	copies := make([]*Detector, len(marks))
+	for i := len(marks) - 1; i >= 0; i-- {
+		probe.d.Rewind(j, marks[i])
+		copies[i] = probe.d.Clone()
+		resumed := copies[i].Clone()
+		resumed.EndExecution(probe.m.CurSeq())
+		rec := &rig{d: resumed, m: tso.NewMachine(resumed)}
+		rec.commitFlushed(addrZ, 5, 700)
+		resumed.Retire()
+		dirtyPools()
+	}
 	probe.d.Retire()
+	for i := range copies {
+		if i%2 == 0 {
+			copies[i].Retire()
+		}
+	}
 	dirtyPools()
-	if got := stateOf(key.CloneReplay(j, 0, hi)); !bytes.Equal(got, want) {
-		t.Errorf("journal replay changed after the probe retired:\n%s\nwant\n%s", got, want)
+	for i := range copies {
+		if i%2 == 0 {
+			continue
+		}
+		if got := stateOf(copies[i]); !bytes.Equal(got, want[i]) {
+			t.Errorf("copy at mark %d changed:\n%s\nwant\n%s", marks[i], got, want[i])
+		}
 	}
 }
 
-// TestMarkSharedResumedDetectorNeverRecycled: a detector materialized from
-// a snapshot template is private to its scenario, but under
+// TestMarkSharedResumedDetectorNeverRecycled: a detector cloned from a
+// crash point's copy is private to its scenario, but under
 // RecoveryCrashes a recovery sink clones it again once its recovery
 // execution has run. MarkShared must revoke the privacy: retiring the
 // resumed detector may then recycle none of its executions, whose own

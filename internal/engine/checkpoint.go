@@ -1,52 +1,44 @@
 // Checkpointed pre-crash execution.
 //
 // A ModelCheck run explores every crash point of one deterministic schedule,
-// and historically each of the C crash scenarios re-simulated the pre-crash
-// prefix from scratch — O(C·n) simulated operations for an n-operation
-// workload, the dominant cost of a sweep. The checkpoint layer removes the
-// quadratic term: the planner's probe run (which already executes the full
-// schedule once to count its flush/fence points) captures a snapshot at every
-// crash point, and each scenario resumes from its point's snapshot,
-// simulating only the crash, the image derivation and the post-crash
-// recovery — O(n) + C·capture.
+// and re-simulating the pre-crash prefix for each of the C crash scenarios
+// would cost O(C·n) simulated operations for an n-operation workload. The
+// checkpoint layer removes the quadratic term: the planner's probe run
+// (which executes the full schedule once to count its flush/fence points)
+// is the schedule's one pre-crash simulation, and each scenario resumes
+// from its crash point's snapshot, simulating only the crash, the image
+// derivation and the post-crash recovery — O(n) + C·copy.
 //
-// Capture itself is O(changes), not O(state): consecutive crash points of one
-// schedule differ by a handful of detector mutations, so only every K-th
-// snapshot (keyframeInterval) is a full detector clone — a keyframe — and the
-// snapshots between are delta checkpoints: a reference to the previous
-// keyframe plus the boundaries of the probe's mutation-journal segment
-// (core.Journal) recorded since it. Resume materializes a delta by cloning
-// the keyframe's detector and replaying the segment — bit-equivalent to the
-// full clone a capture at that point would have taken, because journaling
-// covers every detector mutation a pre-crash execution can perform (see
-// core/journal.go). The other captured state is cheap without deltas: the
-// heap is an O(1) append-only view (pmm.Heap.Snapshot), the persisted image
-// is constant for the whole capture window (it is rebuilt only between
-// executions) so one clone per sink is shared by every snapshot, and one
-// scheduler rng copy serves up to a register length of draws, each snapshot
-// recording only its draw count (solo-threaded probes never draw, so one
-// copy usually serves all).
+// The probe takes no snapshots while it runs. Its detector records an
+// undo journal, and at each crash point it logs a compact position and
+// the state that cannot be rewound (handover.go's positionLog). Once it
+// has run to completion, the planner walks the points backwards —
+// completion first, then the last explored point down to the first — and
+// at each rewinds the probe's detector there (core.Detector.Rewind) and
+// clones it into the point's snapshot. Random mode's probes work the same
+// way, with one consumer: the rewound detector itself is handed over.
 //
-// On top of the snapshots sits crash-image memoization: at each probed
-// point the sink serializes the image-determining state — heap
-// shape, persisted image, live threads, rng position, and the detector's
+// On top of the positions sits crash-image memoization: at each probed
+// point the log serializes the image-determining state — heap shape,
+// persisted image, live threads, rng position, and the detector's
 // stores/flush-chains/persist-bounds (core.Execution.AppendStateSignature) —
 // and content-hashes it. A point whose serialized state is byte-identical to
 // an earlier point's (hash equality is only a filter; a full byte compare
 // confirms every match, so a collision can never change results) must yield
 // the same persisted image, the same recovery execution and the same races,
-// so the planner marks it a duplicate and the merge layer reuses the earlier
-// point's recorded verdict instead of re-simulating (explore.go).
+// so the planner marks it a duplicate, gives it a snapshot of its operation
+// counts only, and the merge layer reuses the earlier point's recorded
+// verdict instead of re-simulating (explore.go).
 //
 // What a snapshot holds, and why:
 //
-//   - the persistent heap (an O(1) capped view; see pmm.Heap.Snapshot) and
-//     the detector with its report — a full clone on keyframes, a
-//     {keyframe, journal segment} pair on deltas;
-//   - the persisted image table, shared per sink (constant per capture
-//     window); resume still clones it into scenario-private tables;
-//   - the trace recorder's event log, when tracing is on;
-//   - the scheduler rng: the point's raw-draw count and a shared copy of
+//   - the persistent heap (an O(1) capped view; see pmm.Heap.SnapshotAt)
+//     and the detector with its report, rewound to the point and copied;
+//   - the persisted image table (constant for the whole pre-crash
+//     execution: it is rebuilt only between executions), copied;
+//   - clones of the stack's extra analysis passes and of the trace
+//     recorder, taken on the way forward, since neither can be rewound;
+//   - the scheduler rng: the point's raw-draw count and a frozen copy of
 //     the generator at or before it, which a resume skips forward (without
 //     the copy, when state mirroring is unavailable — see rngstate.go — it
 //     re-seeds and skips), plus the crash-unwind draw count, so a resume
@@ -58,18 +50,18 @@
 //     surviving observable is CurSeq (tso.Machine.Clone exists for tests and
 //     tooling, not for this layer).
 //
-// Snapshots are read-only templates shared by every scenario of a schedule
-// (including concurrent workers): a resume clones the detector again (for a
-// delta: clones the keyframe and replays the journal, both read-only after
-// the probe seals the journal), clones the image table again, and copies the
-// heap state and event log into scenario-private objects. Nothing ever
-// mutates a snapshot after capture.
+// A snapshot belongs to its spec (DESIGN.md §4.7): every scenario of the
+// spec resumes from clones of its detector and image, except the last
+// primary scenario, which takes them, and the spec releases what is left
+// when it ends. The planner hands specs to the workers through a channel
+// of Options.Workers slots, so about that many copies are alive at once,
+// not one per crash point.
 //
-// The same mechanism handles the recursive cases: a primary scenario that
-// expands recovery crashes captures snapshots of its own recovery execution
-// (execution index 1) for the multi-crash follow-ups — always full clones,
-// since the journal records only pre-crash mutations — and read-choice
-// expansions resume from the first-crash snapshot with a persist override.
+// The same mechanism, one level down, handles multiple crashes: a primary
+// scenario that expands recovery crashes captures full-clone snapshots of
+// its own recovery execution (execution index 1) for the follow-ups
+// (snapshotSink), and read-choice expansions resume from the first-crash
+// snapshot with a persist override.
 package engine
 
 import (
@@ -140,10 +132,10 @@ func newStdlibSource(seed int64) *countingSource {
 	return cs
 }
 
-// release hands a dying scenario's private register to the pool
-// getRngState draws from. A copy-on-write source still points at a
-// snapshot's frozen register and is never recycled; nor are forks, which
-// snapshots own and never release. The source must not draw again.
+// release hands a private register to the pool getRngState draws from. A
+// copy-on-write source still points at a frozen register and is never
+// recycled; nor are the frozen forks a probe's positions share. The source
+// must not draw again.
 func (c *countingSource) release() {
 	if c.mirrored && !c.cow && c.state != nil {
 		rngStatePool.Put(c.state)
@@ -165,9 +157,10 @@ func (c *countingSource) fork() *countingSource {
 
 // shareFrom makes c a copy-on-write fork of src positioned at src's
 // current stream point: the register copy is deferred to the first draw.
-// src must stay read-only for the fork's lifetime — it is only a snapshot
-// rng, frozen by the snapshot immutability contract. It reports false, and
-// leaves c alone, when src is nil or unmirrored.
+// src must stay read-only for the fork's lifetime — it is only a frozen
+// fork a probe or recovery sink took on the way forward, which nothing
+// draws from. It reports false, and leaves c alone, when src is nil or
+// unmirrored.
 func (c *countingSource) shareFrom(src *countingSource) bool {
 	if src == nil || !src.mirrored {
 		return false
@@ -255,12 +248,11 @@ var _ rand.Source64 = (*countingSource)(nil)
 
 // snapshotOverheadBytes is the accounted fixed cost of one snapshot shell
 // (the struct, the crash-point map, the heap view headers) on top of the
-// keyframe clone or journal segment it carries.
+// detector and image copies it carries.
 const snapshotOverheadBytes = 256
 
-// snapshot is the captured state of a scenario at one crash point:
-// everything a resume needs to continue as if it had simulated the prefix
-// itself. Snapshots are immutable after capture.
+// snapshot is the state of a scenario at one crash point: everything a
+// resume needs to continue as if it had simulated the prefix itself.
 type snapshot struct {
 	seed    int64
 	execIdx int
@@ -271,55 +263,52 @@ type snapshot struct {
 	crashSeq vclock.Seq
 	// rngDraws is the stream position at the point; rng is a copy of the
 	// generator at or before it (nil when state mirroring is unavailable),
-	// from which a resume skips the rngDraws−rng.n remaining draws. The
-	// copy is shared with the sink's neighboring snapshots and read-only —
-	// resume forks it again. unwind is the number of still-live threads
-	// minus one, each of which costs the scheduler one bounded draw while
-	// the crash unwinds them.
+	// from which a resume skips the rngDraws−rng.n remaining draws. Unless
+	// ownRng is set the copy is frozen and shared with the neighboring
+	// points, and resume forks it again. unwind is the number of still-live
+	// threads minus one, each of which costs the scheduler one bounded draw
+	// while the crash unwinds them.
 	rng      *countingSource
 	rngDraws uint64
 	unwind   int
+	// ownRng marks a random-mode handover: rng is the probe's own register,
+	// rewound to the point, and the one resume takes it.
+	ownRng bool
 	// stats is the scenario's operation counts at the point, with the cost
 	// counters zeroed (Stats.ZeroCost): a resumed scenario inherits the
 	// prefix's per-kind counts but only counts the work it actually
-	// performs.
+	// performs. A duplicate point's snapshot holds nothing else.
 	stats       Stats
 	crashPoints map[int]int
 	heap        *pmm.Heap
-	// det is the full detector clone — set on keyframes (and every snapshot
-	// of a non-delta sink), nil on delta snapshots.
-	det *core.Detector
-	// base/journal/jMark describe a delta snapshot: the detector state is
-	// base.det (the previous keyframe) plus journal ops [base.jMark, jMark).
-	// materializeDetector rebuilds the full clone on resume.
-	base    *snapshot
-	journal *core.Journal
-	jMark   int
-	// extras are read-only clones of the stack's extra analysis passes at
-	// the point, nil for a yashme-only stack. Unlike the model they are
-	// cloned at every snapshot — the journal records only core.Detector
-	// mutations — and resume clones them again.
-	extras []analysis.Pass
-	rec    *trace.Recorder // nil unless tracing
+	// det and image are the snapshot's own copies (a recovery capture
+	// shares its image with the sink's other captures and is never taken or
+	// released). extras are clones of the stack's extra analysis passes at
+	// the point, nil for a yashme-only stack. A resume clones all three,
+	// unless take is set: then it takes them, and the snapshot is spent.
+	det    *core.Detector
 	image  imageTable
-	// owned marks a random-mode handover (handover.go): det and image are
-	// the probe's own, not templates, and the snapshot's one resume takes
-	// them instead of cloning.
-	owned bool
+	extras []analysis.Pass
+	take   bool
+	rec    *trace.Recorder // nil unless tracing
 	// setupAllocs/setupNext fingerprint the heap right after Setup.
 	setupAllocs int
 	setupNext   pmm.Addr
 }
 
-// materializeDetector rebuilds the full detector state at the snapshot's
-// point. Safe for concurrent use by several resuming workers: the keyframe
-// detector and the sealed journal are read-only, and the replay appends
-// only into the fresh clone's detached arenas and tables.
-func (snap *snapshot) materializeDetector() *core.Detector {
-	if snap.base == nil {
-		return snap.det.Clone()
+// release hands the snapshot's copies to the pools once its spec has run:
+// nothing resumes from it again. The operation counts stay, for the merge
+// layer's duplicate synthesis.
+func (snap *snapshot) release() {
+	if snap.det != nil {
+		snap.det.Retire()
+		snap.image.release()
+		snap.det = nil
 	}
-	return snap.base.det.CloneReplay(snap.journal, snap.base.jMark, snap.jMark)
+	if snap.ownRng && snap.rng != nil {
+		snap.rng.release()
+	}
+	snap.rng, snap.heap, snap.extras, snap.rec = nil, nil, nil, nil
 }
 
 // sigClass is one equivalence class of crash points under the state
@@ -332,8 +321,9 @@ type sigClass struct {
 // sigIndex files one probe's crash points by state signature: classes maps
 // a signature hash to its equivalence classes, whose full bytes sit end to
 // end in slab for the mandatory collision-confirming compare. It is needed
-// only while the probe runs, so the sink returns it to sigIndexPool when
-// the capture window closes and the next probe reuses the grown slab.
+// only while the probe runs, so the position log returns it to
+// sigIndexPool when the pre-crash execution ends and the next probe reuses
+// the grown slab.
 type sigIndex struct {
 	slab    []byte
 	classes map[uint64][]sigClass
@@ -341,134 +331,38 @@ type sigIndex struct {
 
 var sigIndexPool = sync.Pool{New: func() any { return &sigIndex{classes: make(map[uint64][]sigClass)} }}
 
-// snapshotSink collects the snapshots of one watched execution, keyed by
-// crash point. All sink state is touched only by the probing scenario's
-// goroutine during the capture window; afterwards it is read-only and may
-// be shared across workers.
+// snapshotSink collects full-clone snapshots of a primary scenario's first
+// recovery execution (execution index 1), keyed by crash point, for the
+// recovery-crash follow-ups (Options.RecoveryCrashes). The recovery run is
+// not journaled, so each point is cloned as it passes. All sink state is
+// touched only by the primary scenario's goroutine.
 type snapshotSink struct {
-	// execIdx is the execution index the sink watches (0 = pre-crash
-	// workload, 1 = the first recovery run).
-	execIdx int
-	// max caps the points captured (0 = all); mirrors MaxCrashPoints /
-	// RecoveryCrashes so unexplored points cost nothing.
+	// max caps the points captured; mirrors RecoveryCrashes so unexplored
+	// points cost nothing.
 	max   int
 	snaps map[int]*snapshot
-
-	// Delta capture (configureProbe): keyframe is the full-clone interval
-	// (0 = deltas disabled, every capture a full clone), journal the
-	// mutation journal attached to the probed detector, lastKey the current
-	// keyframe and sinceKey the snapshots taken since it (inclusive).
-	keyframe int
-	journal  *core.Journal
-	lastKey  *snapshot
-	sinceKey int
-
-	// Per-sink shared captures: the persisted image is constant during one
-	// execution's capture window (it is rebuilt only between executions),
-	// so the first capture clones it once for every snapshot; rng is the
-	// generator copy the snapshots since it share (capture).
+	// The persisted image is constant during the recovery execution (it is
+	// rebuilt only between executions), so the first capture clones it once
+	// for every snapshot; rng is the generator copy the snapshots since it
+	// share (see positionLog.keep).
 	image      imageTable
 	imageTaken bool
 	rng        *countingSource
-
-	// Crash-image memoization (configureProbe): sigs files the points by
-	// state signature, hashed under seed (sigSeed unless a test swaps it),
-	// during the capture window; dups maps a duplicate point to its class
-	// representative's point.
-	dedup  bool
-	seed   maphash.Seed
-	sigBuf []byte
-	sigs   *sigIndex
-	dups   map[int]int
 }
 
-// sigSeed is the per-process seed of the signature hash. A seed that
-// differs between processes is safe: the hash only routes a signature to
-// candidate classes, file confirms every match with bytes.Equal, and
-// nothing iterates or orders sigIndex.classes (it is only indexed and
-// cleared), so no output depends on the hash values.
-var sigSeed = maphash.MakeSeed()
-
-func newSnapshotSink(execIdx, max int) *snapshotSink {
-	return &snapshotSink{execIdx: execIdx, max: max, snaps: make(map[int]*snapshot)}
+func newSnapshotSink(max int) *snapshotSink {
+	return &snapshotSink{max: max, snaps: make(map[int]*snapshot)}
 }
 
-// dedupEnabled reports whether crash-image memoization is sound and active
-// for the run: the Reference configuration, the expansions that consume
-// live per-scenario state (read-choice frontiers, recovery-crash probing)
-// and the trace recorder (whose event log legitimately differs between
-// equivalent points) disable it; every plain ModelCheck sweep — any
-// persist policy, EADR, torn values, suppression — keeps it.
-func dedupEnabled(opts Options) bool {
-	return opts.Mode == ModelCheck &&
-		!opts.Reference &&
-		!opts.Trace &&
-		!opts.ExploreReads &&
-		opts.RecoveryCrashes == 0
-}
-
-// configureProbe arms delta capture and memoization on an exec-0 probe
-// sink, per the options. Recovery sinks (execIdx 1) keep plain full-clone
-// capture: their window spans post-crash mutations (lastflush/CVpre joins,
-// report adds) the journal does not record.
-func (k *snapshotSink) configureProbe(opts Options, det *core.Detector) {
-	if opts.keyframe > 1 {
-		k.keyframe = opts.keyframe
-		k.journal = &core.Journal{}
-		det.SetJournal(k.journal)
-	}
-	if dedupEnabled(opts) {
-		k.dedup = true
-		k.seed = sigSeed
-		k.sigs = sigIndexPool.Get().(*sigIndex)
-		k.dups = make(map[int]int)
-	}
-}
-
-// seal closes the capture window: the signature index goes back to its
-// pool, and the journal is detached from the detector before the recovery
-// execution starts, so post-crash appends can never pollute the recorded
-// segments, and its length is accounted.
-func (k *snapshotSink) seal(sc *scenario) {
-	if k.sigs != nil {
-		clear(k.sigs.classes)
-		k.sigs.slab = k.sigs.slab[:0]
-		sigIndexPool.Put(k.sigs)
-		k.sigs = nil
-	}
-	if k.journal == nil {
-		return
-	}
-	sc.det.SetJournal(nil)
-	sc.stats.JournalOps += int64(k.journal.Len())
-}
-
-// observe captures the current flush/fence point (called from atCrashPoint).
+// observe captures the current flush/fence point (called from atCrashPoint):
+// the shell, a full detector clone, the sink's image and the rng copy.
+// Retained bytes are accounted into the capturing scenario's stats.
 func (k *snapshotSink) observe(sc *scenario) {
 	p := sc.crashPoints[sc.execIdx]
-	if k.max > 0 && p > k.max {
+	if p > k.max {
 		return
 	}
-	k.snaps[p] = k.capture(sc, p)
-	if k.dedup {
-		k.classify(sc, p)
-	}
-}
-
-// take captures an explicit point — the completion snapshot, point 0. It is
-// never classified for memoization: point 0 is captured last but explored
-// first (spec index order), so a duplicate there would precede its
-// representative in the merge.
-func (k *snapshotSink) take(sc *scenario, point int) {
-	k.snaps[point] = k.capture(sc, point)
-}
-
-// capture records one snapshot: the cheap shell plus either a keyframe
-// (full detector clone) or a delta (journal segment boundaries against the
-// previous keyframe). Retained bytes are accounted into the capturing
-// scenario's stats as they are taken.
-func (k *snapshotSink) capture(sc *scenario, point int) *snapshot {
-	snap := newSnapshotShell(sc, point)
+	snap := newSnapshotShell(sc, p)
 	sc.stats.SnapshotBytes += analysis.ExtrasFootprintBytes(snap.extras)
 	if !k.imageTaken {
 		k.image = sc.image.clone()
@@ -476,41 +370,36 @@ func (k *snapshotSink) capture(sc *scenario, point int) *snapshot {
 		sc.stats.SnapshotBytes += k.image.footprintBytes()
 	}
 	snap.image = k.image
-	// The scheduler rng is a pure function of (seed, draw count), so
-	// snapshots share one forked copy and a resume skips forward from it to
-	// the snapshot's rngDraws. A copy is forked at the first capture and
-	// again only once the stream has moved rngLen draws past it, so no
-	// skip reaches a register length; a solo-threaded probe never draws,
-	// so one copy serves every point.
-	if k.rng == nil || sc.rngSrc.n-k.rng.n >= rngLen {
-		if k.rng = sc.rngSrc.fork(); k.rng != nil {
-			sc.stats.SnapshotBytes += rngCopyBytes
-		}
-	}
+	k.rng = forkRng(sc, k.rng)
 	snap.rng = k.rng
-	if k.journal != nil {
-		snap.jMark = k.journal.Mark()
+	sc.det.MarkShared() // the clone's arenas are views of the live ones
+	snap.det = sc.det.Clone()
+	sc.stats.SnapshotBytes += snap.det.FootprintBytes() + snapshotOverheadBytes
+	k.snaps[p] = snap
+}
+
+// forkRng returns the frozen generator copy a capture at sc's current
+// point shares: last, or a fresh fork once the stream has moved rngLen
+// draws past it, so no resume's skip reaches a register length. A
+// solo-threaded execution never draws, so one copy serves every point.
+func forkRng(sc *scenario, last *countingSource) *countingSource {
+	if last != nil && sc.rngSrc.n-last.n < rngLen {
+		return last
 	}
-	if k.journal == nil || k.lastKey == nil || k.sinceKey >= k.keyframe {
-		sc.det.MarkShared() // the clone's arenas are views of the live ones
-		snap.det = sc.det.Clone()
-		k.lastKey, k.sinceKey = snap, 1
-		sc.stats.SnapshotBytes += snap.det.FootprintBytes() + snapshotOverheadBytes
-	} else {
-		snap.base, snap.journal = k.lastKey, k.journal
-		k.sinceKey++
-		sc.stats.SnapshotBytes += int64(snap.jMark-snap.base.jMark)*core.JournalOpBytes + snapshotOverheadBytes
+	f := sc.rngSrc.fork()
+	if f != nil {
+		sc.stats.SnapshotBytes += rngCopyBytes
 	}
-	return snap
+	return f
 }
 
 // rngCopyBytes is the accounted size of one forked countingSource (the
 // mirrored lagged-Fibonacci register dominates).
 const rngCopyBytes = 4880
 
-// newSnapshotShell captures the cheap per-point state every snapshot needs
-// regardless of capture mode: identity, rng position, stats prefix, crash
-// bookkeeping, the O(1) heap view, and the trace log when tracing.
+// newSnapshotShell captures the per-point state a recovery capture needs
+// beside the detector, image and rng: identity, rng position, stats prefix,
+// crash bookkeeping, the O(1) heap view, the extras and the trace log.
 func newSnapshotShell(sc *scenario, point int) *snapshot {
 	snap := &snapshot{
 		seed:        sc.seed,
@@ -528,11 +417,9 @@ func newSnapshotShell(sc *scenario, point int) *snapshot {
 	for k, v := range sc.crashPoints {
 		snap.crashPoints[k] = v
 	}
-	if point > 0 {
-		// A from-scratch crash at this point unwinds the remaining live
-		// threads; the scheduler draws Intn(j) for j = live-1 down to 2.
-		snap.unwind = sc.liveThreads - 1
-	}
+	// A from-scratch crash at this point unwinds the remaining live
+	// threads; the scheduler draws Intn(j) for j = live-1 down to 2.
+	snap.unwind = sc.liveThreads - 1
 	snap.extras = analysis.CloneExtras(sc.stack.Extras())
 	if sc.recorder != nil {
 		snap.rec = sc.recorder.Clone(nil, nil)
@@ -540,22 +427,31 @@ func newSnapshotShell(sc *scenario, point int) *snapshot {
 	return snap
 }
 
-// captureSnapshot is a standalone full capture — what a keyframe costs.
-// The sink's capture path above shares the image and rng per sink and emits
-// deltas between keyframes; this entry point remains for benchmarks and as
-// the reference capture.
-func captureSnapshot(sc *scenario, point int) *snapshot {
-	snap := newSnapshotShell(sc, point)
-	snap.rng = sc.rngSrc.fork()
-	sc.det.MarkShared()
-	snap.det = sc.det.Clone()
-	snap.image = sc.image.clone()
-	return snap
+// sigSeed is the per-process seed of the signature hash. A seed that
+// differs between processes is safe: the hash only routes a signature to
+// candidate classes, file confirms every match with bytes.Equal, and
+// nothing iterates or orders sigIndex.classes (it is only indexed and
+// cleared), so no output depends on the hash values.
+var sigSeed = maphash.MakeSeed()
+
+// dedupEnabled reports whether crash-image memoization is sound and active
+// for the run: the Reference configuration, the expansions that consume
+// live per-scenario state (read-choice frontiers, recovery-crash probing)
+// and the trace recorder (whose event log legitimately differs between
+// equivalent points) disable it; every plain ModelCheck sweep — any
+// persist policy, EADR, torn values, suppression — keeps it.
+func dedupEnabled(opts Options) bool {
+	return opts.Mode == ModelCheck &&
+		!opts.Reference &&
+		!opts.Trace &&
+		!opts.ExploreReads &&
+		opts.RecoveryCrashes == 0
 }
 
 // classify serializes the probe's image-determining state at the point and
-// files it into the signature classes: a byte-identical earlier point makes
-// this one a duplicate. The serialized state is exactly what the resumed
+// files it into the signature classes, returning the representative point
+// of a byte-identical earlier point (0 = none, the point is its own class).
+// The serialized state is exactly what the resumed
 // scenario's behavior is a function of — the heap shape (Setup fingerprint
 // plus allocations and init writes, which within one probe run are fully
 // determined by their counts: the run appends deterministically), the
@@ -566,8 +462,8 @@ func captureSnapshot(sc *scenario, point int) *snapshot {
 // identical race verdicts; the hash only routes to candidates, and
 // bytes.Equal confirms every match, so a hash collision can never merge two
 // distinct states.
-func (k *snapshotSink) classify(sc *scenario, point int) {
-	buf := k.sigBuf[:0]
+func (pl *positionLog) classify(sc *scenario, point int) int {
+	buf := pl.sigBuf[:0]
 	buf = sigU64(buf, uint64(sc.heap.AllocCount()))
 	buf = sigU64(buf, uint64(sc.heap.NextFree()))
 	buf = sigU64(buf, uint64(len(sc.heap.InitWrites())))
@@ -580,21 +476,21 @@ func (k *snapshotSink) classify(sc *scenario, point int) {
 	// two points only dedup when the WHOLE stack finds them
 	// indistinguishable.
 	buf = sc.stack.AppendExtrasSignature(buf)
-	k.sigBuf = buf
-	k.file(point, maphash.Bytes(k.seed, buf), buf)
+	pl.sigBuf = buf
+	return pl.file(point, maphash.Bytes(pl.seed, buf), buf)
 }
 
-// file places a point's signature into the classes under hash h: an earlier
-// class with byte-identical signature makes the point a duplicate of that
-// class's representative; same hash with different bytes is a genuine
-// collision and records a distinct class, never a duplicate. The hash is a
-// parameter (rather than derived here) so tests can force collisions.
-func (k *snapshotSink) file(point int, h uint64, buf []byte) {
-	x := k.sigs
+// file places a point's signature into the classes under hash h and
+// returns the representative point of an earlier class with
+// byte-identical signature (0 = none: the point starts a class). Same hash
+// with different bytes is a genuine collision and records a distinct
+// class, never a duplicate. The hash is a parameter (rather than derived
+// here) so tests can force collisions.
+func (pl *positionLog) file(point int, h uint64, buf []byte) int {
+	x := pl.sigs
 	for _, c := range x.classes[h] {
 		if bytes.Equal(x.slab[c.lo:c.hi], buf) {
-			k.dups[point] = c.point
-			return
+			return c.point
 		}
 	}
 	lo := len(x.slab)
@@ -607,6 +503,7 @@ func (k *snapshotSink) file(point int, h uint64, buf []byte) {
 	}
 	x.slab = append(x.slab, buf...)
 	x.classes[h] = append(x.classes[h], sigClass{point: point, lo: lo, hi: len(x.slab)})
+	return 0
 }
 
 // sigU64 serializes v little-endian into the signature buffer.
@@ -641,14 +538,16 @@ func resumeScenario(makeProg func() pmm.Program, opts Options, snap *snapshot, p
 		persist = PersistLatest
 	}
 	sc := getScenario()
-	if snap.owned {
+	extras := snap.extras
+	if snap.take {
 		sc.det, sc.image = snap.det, snap.image
-		snap.det, snap.image = nil, imageTable{}
+		snap.det, snap.image, snap.extras = nil, imageTable{}, nil
 	} else {
-		sc.det, sc.image = snap.materializeDetector(), snap.image.clone()
+		sc.det, sc.image = snap.det.Clone(), snap.image.clone()
+		extras = analysis.CloneExtras(extras)
 	}
 	switch {
-	case snap.owned && snap.rng != nil:
+	case snap.ownRng && snap.rng != nil:
 		*sc.rngSrc = *snap.rng // the probe's own register, rewound
 		snap.rng = nil
 	case sc.rngSrc.shareFrom(snap.rng):
@@ -657,7 +556,7 @@ func resumeScenario(makeProg func() pmm.Program, opts Options, snap *snapshot, p
 		sc.rngSrc.reset(snap.seed)
 		sc.rngSrc.skip(snap.rngDraws)
 	}
-	sc.stack = analysis.Rebuild(opts.Analyses, sc.det, analysis.CloneExtras(snap.extras))
+	sc.stack = analysis.Rebuild(opts.Analyses, sc.det, extras)
 	sc.stack.SetLabeler(heap.LabelFor)
 	sc.opts = opts
 	sc.prog = prog

@@ -90,6 +90,26 @@ func TestCheckpointMatchesScratch(t *testing.T) {
 		{"random/recovery-crashes", engine.Options{Mode: engine.RandomMode, Prefix: true, Executions: 6, RecoveryCrashes: 2}},
 		{"random/eadr", engine.Options{Mode: engine.RandomMode, Prefix: true, Executions: 6, EADR: true}},
 	}
+	// The backward walk's edges, each at one and four workers: a capped
+	// walk that starts below the last point, on every schedule; forward
+	// recorder clones (Trace turns memoization off); and forward clones of
+	// an extra pass.
+	for _, workers := range []int{1, 4} {
+		for _, v := range []struct {
+			name string
+			opts engine.Options
+		}{
+			{"schedules-capped", engine.Options{Mode: engine.ModelCheck, Prefix: true, Schedules: 3, MaxCrashPoints: 4}},
+			{"trace", engine.Options{Mode: engine.ModelCheck, Prefix: true, Trace: true}},
+			{"stacked", engine.Options{Mode: engine.ModelCheck, Prefix: true, Analyses: []string{"yashme", "xfd"}}},
+		} {
+			v.opts.Workers = workers
+			variants = append(variants, struct {
+				name string
+				opts engine.Options
+			}{fmt.Sprintf("model-check/%s/workers-%d", v.name, workers), v.opts})
+		}
+	}
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {

@@ -31,17 +31,17 @@ import (
 // memoization rests on: the hash routes, bytes decide.
 func TestFileNeverMergesOnHashAlone(t *testing.T) {
 	prop := func(sigs [][]byte) bool {
-		k := &snapshotSink{
-			sigs: &sigIndex{classes: make(map[uint64][]sigClass)},
-			dups: make(map[int]int),
-		}
+		k := &positionLog{sigs: &sigIndex{classes: make(map[uint64][]sigClass)}}
 		byPoint := make(map[int][]byte, len(sigs))
+		dups := make(map[int]int)
 		for i, s := range sigs {
 			point := i + 1
 			byPoint[point] = s
-			k.file(point, 0, s) // same bucket for everything
+			if rep := k.file(point, 0, s); rep > 0 { // same bucket for everything
+				dups[point] = rep
+			}
 		}
-		for dup, rep := range k.dups {
+		for dup, rep := range dups {
 			if !bytes.Equal(byPoint[dup], byPoint[rep]) {
 				return false
 			}
@@ -67,33 +67,27 @@ func TestFileNeverMergesOnHashAlone(t *testing.T) {
 }
 
 // TestDedupPairsEquivalent probes random programs exactly as planModelCheck
-// does and, for every duplicate the sink classified, checks the claim the
-// merge layer relies on: the duplicate's materialized detector carries the
-// same state signature as its representative's, and actually running both
+// does and, for every duplicate the log classified, checks the claim the
+// merge layer relies on: the duplicate's rewound copy carries the same
+// state signature as its representative's, and actually running both
 // scenarios (snapshot resume + post-crash execution) yields byte-identical
-// reports and race counts.
+// reports and race counts. The copies come from a second, unmemoized walk
+// of the same deterministic schedule, since a memoized walk gives a
+// duplicate only its operation counts.
 func TestDedupPairsEquivalent(t *testing.T) {
 	dupsSeen := 0
 	for seed := int64(1); seed <= 30; seed++ {
 		mk, _ := fuzzprog.Generate(fuzzprog.Default(), seed)
 		opts := Options{Mode: ModelCheck, Prefix: true, Seed: seed}.withDefaults()
-		probe := newScenario(mk, opts, plan{}, PersistLatest, seed)
-		sink := newSnapshotSink(0, opts.MaxCrashPoints)
-		sink.configureProbe(opts, probe.det)
-		probe.capture = sink
-		probe.run() // takes the completion snapshot and seals the journal itself
-
-		for dup, rep := range sink.dups {
-			ds, rs := sink.snaps[dup], sink.snaps[rep]
-			if ds == nil || rs == nil {
-				continue // beyond the capture cap
-			}
+		_, dups := probeWalk(mk, opts, true, nil)
+		snaps, _ := probeWalk(mk, opts, false, nil)
+		for dup, rep := range dups {
+			ds, rs := snaps[dup], snaps[rep]
 			dupsSeen++
-			dd, rd := ds.materializeDetector(), rs.materializeDetector()
-			dsig := dd.Current().AppendStateSignature(nil)
-			rsig := rd.Current().AppendStateSignature(nil)
+			dsig := ds.det.Current().AppendStateSignature(nil)
+			rsig := rs.det.Current().AppendStateSignature(nil)
 			if !bytes.Equal(dsig, rsig) {
-				t.Fatalf("seed %d: dup point %d and rep %d materialize different detector state", seed, dup, rep)
+				t.Fatalf("seed %d: dup point %d and rep %d rewind to different detector state", seed, dup, rep)
 			}
 			for _, pp := range opts.PersistPolicies {
 				dsc := runPlanned(mk, opts, ds, plan{0: dup}, pp, seed, nil)
@@ -121,13 +115,8 @@ func TestDedupIndependentOfHashSeed(t *testing.T) {
 	probeDups := func(seed int64, hashSeed maphash.Seed) map[int]int {
 		mk, _ := fuzzprog.Generate(fuzzprog.Default(), seed)
 		opts := Options{Mode: ModelCheck, Prefix: true, Seed: seed}.withDefaults()
-		probe := newScenario(mk, opts, plan{}, PersistLatest, seed)
-		sink := newSnapshotSink(0, opts.MaxCrashPoints)
-		sink.configureProbe(opts, probe.det)
-		sink.seed = hashSeed
-		probe.capture = sink
-		probe.run()
-		return sink.dups
+		_, dups := probeWalk(mk, opts, true, func(log *positionLog) { log.seed = hashSeed })
+		return dups
 	}
 	s1, s2 := maphash.MakeSeed(), maphash.MakeSeed()
 	if maphash.String(s1, "probe") == maphash.String(s2, "probe") {
@@ -171,16 +160,44 @@ func runTwin(mk func() pmm.Program, opts Options, snap *snapshot, c int, pp Pers
 	return out
 }
 
-// probeSnapshots runs a capturing model-check probe of mk, as planModelCheck
-// does, and returns its snapshots by crash point.
-func probeSnapshots(mk func() pmm.Program, opts Options) map[int]*snapshot {
+// probeWalk runs a model-check probe of mk under opts and walks it
+// backwards as planModelCheck does, returning every explored point's
+// snapshot and the duplicate map (point → representative). With memo off
+// every point gets a full copy, duplicates included. arm, when non-nil,
+// adjusts the armed log before the probe runs.
+func probeWalk(mk func() pmm.Program, opts Options, memo bool, arm func(*positionLog)) (map[int]*snapshot, map[int]int) {
 	probe := newScenario(mk, opts, plan{}, PersistLatest, opts.Seed)
-	sink := newSnapshotSink(0, opts.MaxCrashPoints)
-	sink.configureProbe(opts, probe.det)
-	probe.capture = sink
+	log := positionLogPool.Get().(*positionLog)
+	defer log.release()
+	log.watch(probe, opts)
+	if !memo {
+		log.seal()
+		log.dedup = false
+	}
+	if arm != nil {
+		arm(log)
+	}
 	probe.runPreCrash()
+	limit := probe.crashPoints[0]
+	if opts.MaxCrashPoints > 0 {
+		limit = min(limit, opts.MaxCrashPoints)
+	}
+	probe.det.MarkShared()
+	snaps, dups := make(map[int]*snapshot), make(map[int]int)
+	walkBackward(limit, func(c int) {
+		snaps[c] = log.copyAt(probe, c)
+		if rp := log.kept[c].dupOf; rp > 0 {
+			dups[c] = rp
+		}
+	})
 	probe.retire()
-	return sink.snaps
+	return snaps, dups
+}
+
+// probeSnapshots returns a full copy at every explored crash point of mk.
+func probeSnapshots(mk func() pmm.Program, opts Options) map[int]*snapshot {
+	snaps, _ := probeWalk(mk, opts, false, nil)
+	return snaps
 }
 
 // twinProgram is one program TestPolicyTwinsEquivalent model-checks.

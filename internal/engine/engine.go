@@ -67,15 +67,6 @@ const (
 	PersistRandom
 )
 
-// keyframeInterval is the full-clone interval of the checkpoint layer's
-// delta snapshots: every K-th snapshot is a full detector clone (a
-// keyframe) and the snapshots between are delta checkpoints — a reference
-// to the previous keyframe plus the probe's mutation-journal segment,
-// materialized on resume by replaying the segment onto a keyframe clone.
-// Capture cost drops from O(state) to O(changes) per crash point; resume
-// pays at most K-1 extra segment replays.
-const keyframeInterval = 8
-
 // DefaultMaxOps is the Options.MaxOps applied when the field is zero: the
 // per-execution simulated-operation bound that turns a runaway workload
 // (typically an unbounded spin loop) into a diagnostic panic instead of a
@@ -180,11 +171,6 @@ type Options struct {
 	// Result.Passes. Empty selects the default, {"yashme"}. The first
 	// selected pass is the primary: Result.Report aliases its report.
 	Analyses []string
-
-	// keyframe overrides keyframeInterval (0 = the default; 1 = every
-	// snapshot a full clone). Results are byte-identical for every value;
-	// only package tests set it.
-	keyframe int
 }
 
 func (o Options) withDefaults() Options {
@@ -208,9 +194,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxOps <= 0 {
 		o.MaxOps = DefaultMaxOps
-	}
-	if o.keyframe <= 0 {
-		o.keyframe = keyframeInterval
 	}
 	if len(o.Analyses) == 0 {
 		o.Analyses = []string{analysis.Yashme}
@@ -248,16 +231,18 @@ type Stats struct {
 	// DirectOps counts simulated operations that ran under a direct-run
 	// lease, with no handoff.
 	DirectOps int64 `json:"direct_ops"`
-	// SnapshotBytes estimates the bytes retained by checkpoint captures
-	// (keyframe clones, journal segments, the per-schedule shared image and
-	// rng copies). A random-mode handover retains nothing beyond what the
-	// probe already held (it moves the probe's own detector and image), so
-	// it adds nothing here.
+	// SnapshotBytes estimates the bytes copied to put scenarios at crash
+	// points: each model-check point's private detector and image copy, the
+	// clones of extra passes and trace recorders a probe keeps on the way
+	// forward (they cannot be rewound), frozen rng copies, and the full
+	// clones recovery sinks capture under RecoveryCrashes. A random-mode
+	// handover moves the probe's own detector and image, so only its
+	// forward clones count here.
 	SnapshotBytes int64 `json:"snapshot_bytes"`
-	// JournalOps counts the detector mutations recorded into delta-
-	// checkpoint journals across model-check probe runs. Random mode's
-	// undo journal, which exists only to rewind the probe to its drawn
-	// crash point and is reused from probe to probe, is not counted.
+	// JournalOps counts the detector mutations model-check probes recorded
+	// into their undo journals, which their backward walks then undo.
+	// Random mode's journal, which rewinds a probe to one drawn crash
+	// point, is not counted.
 	JournalOps int64 `json:"journal_ops"`
 	// DedupedScenarios counts crash scenarios whose recovery verdict was
 	// reused from a byte-identical earlier crash point instead of being

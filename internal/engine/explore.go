@@ -11,8 +11,9 @@
 //	          as an isolated scenario group (no state is shared between
 //	          specs: every scenario owns its program instance, heap,
 //	          detector, TSO machine and rng);
-//	merge   — results are absorbed strictly in spec-index order, so the
-//	          final Result (races, Stats, Window, ExecutionsRun) is
+//	merge   — results are absorbed strictly in spec-index order, whatever
+//	          order they were planned and finished in, so the final
+//	          Result (races, Stats, Window, ExecutionsRun) is
 //	          byte-identical between Workers=1 and Workers=N.
 //
 // The determinism contract: a spec's outcome is a pure function of
@@ -57,12 +58,11 @@ type scenarioSpec struct {
 	plan plan
 	// seed seeds the scenario's scheduler and persist randomness.
 	seed int64
-	// snap, when non-nil, is the checkpoint the primary scenarios resume
+	// snap, when non-nil, is the checkpoint the spec's scenarios resume
 	// from instead of re-simulating the pre-crash prefix (checkpoint.go).
-	// In ModelCheck it is a read-only template, shared with every other
-	// spec of the same schedule; resuming clones it. In RandomMode it is
-	// the probe's own state (handover.go), owned by this spec and consumed
-	// by its one resume — random specs have no expansions to reuse it.
+	// It is the spec's own: in ModelCheck a private copy of the probe
+	// rewound to the point, in RandomMode the probe's rewound state itself
+	// (handover.go). runSpec releases it when the spec ends.
 	snap *snapshot
 	// exploreReads runs the Jaaru-style read-choice expansions after the
 	// first persist policy's primary scenario.
@@ -115,172 +115,164 @@ type planSummary struct {
 	crashPoints int
 	// cost is the probe runs' own work, folded into Result.Stats: the
 	// operations they simulated with its scheduler-path split, their
-	// checkpoint-capture costs (the probe is where snapshots are taken) and
-	// their clock-arena activity. The per-kind operation counts stay zero —
-	// every spec counts its own.
+	// journals and the copies their walks made (the probe is where
+	// snapshots are taken) and their clock-arena activity. The per-kind
+	// operation counts stay zero — every spec counts its own.
 	cost Stats
 	// panicked carries a probe-run panic.
 	panicked any
 }
 
-// runExplore is the orchestrator behind Run: plan on one goroutine,
-// execute on the worker pool, merge in spec order on the caller.
+// runExplore is the orchestrator behind Run: plan, execute, and merge
+// through one ordered fold (merger) in spec-index order.
 //
 // Workers == 1 short-circuits the pool entirely: planning, execution and
-// merging interleave on the caller's goroutine (probe, spec, probe, spec,
-// …), so no two program instances ever run concurrently — the contract
-// that lets programs with shared observation state opt out of parallelism.
+// merging interleave on the caller's goroutine (probe, spec, spec, …,
+// probe, …), so no two program instances ever run concurrently — the
+// contract that lets programs with shared observation state opt out of
+// parallelism.
 func runExplore(ctx context.Context, makeProg func() pmm.Program, opts Options, res *Result) {
-	workers := opts.Workers
-	if workers == 1 {
-		var done map[int]*specResult
-		sum := planSpecs(ctx, makeProg, opts, func(spec scenarioSpec) {
-			if spec.dedupOf > 0 {
-				// Duplicate crash point: reuse the representative's verdict
-				// instead of simulating. The representative has a lower
-				// index, so it has already run and been retained — unless
-				// cancellation skipped it, in which case the duplicate is
-				// skipped with it.
-				rep := done[spec.dedupOf-1]
-				if rep == nil {
-					return
-				}
-				res.mergeSpec(synthesizeDedup(rep, spec))
-				return
-			}
-			if !opts.Budget.AcquireCtx(ctx) {
-				return // cancelled before this scenario's turn
-			}
-			r := runSpec(ctx, makeProg, opts, spec)
-			opts.Budget.Release()
-			if r.panicked != nil {
-				panic(r.panicked)
-			}
-			if spec.retain {
-				if done == nil {
-					done = make(map[int]*specResult)
-				}
-				done[spec.idx] = r
-			}
-			res.mergeSpec(r)
+	m := &merger{res: res, pending: make(map[int]*specResult)}
+	var sum planSummary
+	if workers := opts.Workers; workers == 1 {
+		sum = planGuarded(ctx, makeProg, opts, func(spec scenarioSpec) {
+			m.add(execSpec(ctx, makeProg, opts, spec))
 		})
-		res.CrashPoints = sum.crashPoints
-		res.Stats.Add(sum.cost)
-		return
-	}
-	specCh := make(chan scenarioSpec, workers)
-	sumCh := make(chan planSummary, 1)
+	} else {
+		specCh := make(chan scenarioSpec, workers)
+		sumCh := make(chan planSummary, 1)
 
-	// Plan layer. Probe runs execute here, overlapping with the pool.
-	go func() {
-		var sum planSummary
-		defer func() {
-			if p := recover(); p != nil {
-				sum.panicked = p
-			}
-			close(specCh)
-			sumCh <- sum
-		}()
-		sum = planSpecs(ctx, makeProg, opts, func(spec scenarioSpec) { specCh <- spec })
-	}()
-
-	// Execute layer: a bounded pool pulls specs and runs them in
-	// isolation.
-	resCh := make(chan *specResult, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		// Plan layer. Probe runs execute here, overlapping with the pool.
 		go func() {
-			defer wg.Done()
-			for spec := range specCh {
-				if spec.dedupOf > 0 {
-					// Duplicate crash point: nothing to simulate — the
-					// merge layer synthesizes the result from the retained
-					// representative (which it holds; workers do not). No
-					// budget token: the placeholder costs nothing.
-					resCh <- &specResult{spec: spec}
-					continue
-				}
-				// The token covers only the simulation, not the send:
-				// a blocked merge can never starve other Runs sharing
-				// the budget. A cancelled run stops acquiring — the
-				// remaining specs drain as skipped placeholders so the
-				// merge layer still sees every index.
-				if !opts.Budget.AcquireCtx(ctx) {
-					resCh <- &specResult{spec: spec, skipped: true}
-					continue
-				}
-				r := runSpec(ctx, makeProg, opts, spec)
-				opts.Budget.Release()
-				resCh <- r
-			}
+			defer close(specCh)
+			sumCh <- planGuarded(ctx, makeProg, opts, func(spec scenarioSpec) { specCh <- spec })
 		}()
-	}
-	go func() {
-		wg.Wait()
-		close(resCh)
-	}()
 
-	// Merge layer: absorb in spec-index order regardless of completion
-	// order.
-	var specPanic any
-	specPanicIdx := -1
-	pending := make(map[int]*specResult)
-	var done map[int]*specResult
-	next := 0
-	for r := range resCh {
-		pending[r.spec.idx] = r
-		for {
-			rr, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if rr.spec.dedupOf > 0 {
-				// The representative's index is lower, so it was folded —
-				// and retained — before this placeholder came up. A
-				// representative skipped by cancellation skips its
-				// duplicates too.
-				if rep := done[rr.spec.dedupOf-1]; rep == nil || rep.skipped {
-					rr = &specResult{spec: rr.spec, skipped: true}
-				} else {
-					rr = synthesizeDedup(rep, rr.spec)
+		// Execute layer: a bounded pool pulls specs and runs them in
+		// isolation.
+		resCh := make(chan *specResult, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for spec := range specCh {
+					resCh <- execSpec(ctx, makeProg, opts, spec)
 				}
-			}
-			if rr.spec.retain {
-				// Retained even when panicked, so a later duplicate finds
-				// it and inherits the panic instead of dereferencing nil.
-				if done == nil {
-					done = make(map[int]*specResult)
-				}
-				done[rr.spec.idx] = rr
-			}
-			if rr.panicked != nil {
-				if specPanicIdx < 0 {
-					specPanic, specPanicIdx = rr.panicked, rr.spec.idx
-				}
-				continue
-			}
-			if rr.skipped {
-				continue
-			}
-			res.mergeSpec(rr)
+			}()
 		}
-	}
-	sum := <-sumCh
+		go func() {
+			wg.Wait()
+			close(resCh)
+		}()
 
-	// Re-raise panics with the sequential engine's precedence: the
-	// lowest-index spec panic fires before a later probe panic (the
-	// planner only emits a spec after all earlier probes succeeded).
-	if specPanic != nil {
-		panic(specPanic)
+		// Merge layer: absorb in spec-index order regardless of completion
+		// order.
+		for r := range resCh {
+			m.add(r)
+		}
+		sum = <-sumCh
+	}
+
+	// Re-raise panics with one precedence for every worker count: the
+	// lowest-index spec panic fires before a probe panic (the planner only
+	// emits a spec after its probe succeeded).
+	if m.panicked != nil {
+		panic(m.panicked)
 	}
 	if sum.panicked != nil {
 		panic(sum.panicked)
 	}
 	res.CrashPoints = sum.crashPoints
 	res.Stats.Add(sum.cost)
+}
+
+// planGuarded runs the planner, carrying a probe panic out in the summary.
+func planGuarded(ctx context.Context, makeProg func() pmm.Program, opts Options, emit func(scenarioSpec)) (sum planSummary) {
+	defer func() {
+		if p := recover(); p != nil {
+			sum.panicked = p
+		}
+	}()
+	return planSpecs(ctx, makeProg, opts, emit)
+}
+
+// execSpec is the execute layer's one step: it runs a spec under a budget
+// token, or returns the placeholder the merge layer expects. A duplicate
+// crash point has nothing to simulate — the merge layer synthesizes its
+// result from the retained representative — and takes no token. The token
+// covers only the simulation, not the hand-off to the merge: a blocked
+// merge can never starve other Runs sharing the budget. A cancelled run
+// stops acquiring, and the remaining specs drain as skipped placeholders,
+// so the merge layer still sees every index.
+func execSpec(ctx context.Context, makeProg func() pmm.Program, opts Options, spec scenarioSpec) *specResult {
+	if spec.dedupOf > 0 {
+		return &specResult{spec: spec}
+	}
+	if !opts.Budget.AcquireCtx(ctx) {
+		if spec.snap != nil {
+			spec.snap.release()
+		}
+		return &specResult{spec: spec, skipped: true}
+	}
+	r := runSpec(ctx, makeProg, opts, spec)
+	opts.Budget.Release()
+	return r
+}
+
+// merger folds spec results into the Result strictly in spec-index order,
+// whatever order they arrive in: the planner emits each schedule's points
+// in descending order, and the pool finishes them in any order. A
+// duplicate is synthesized when its index comes up; its representative's
+// index is lower, so by then it has been folded and retained.
+type merger struct {
+	res     *Result
+	pending map[int]*specResult
+	// done holds the retained representatives, by spec index.
+	done map[int]*specResult
+	next int
+	// panicked is the lowest-index spec panic.
+	panicked any
+}
+
+// add buffers r and folds every result whose turn has come.
+func (m *merger) add(r *specResult) {
+	m.pending[r.spec.idx] = r
+	for {
+		rr, ok := m.pending[m.next]
+		if !ok {
+			return
+		}
+		delete(m.pending, m.next)
+		m.next++
+		if rr.spec.dedupOf > 0 {
+			// A representative skipped by cancellation skips its
+			// duplicates too.
+			if rep := m.done[rr.spec.dedupOf-1]; rep == nil || rep.skipped {
+				rr = &specResult{spec: rr.spec, skipped: true}
+			} else {
+				rr = synthesizeDedup(rep, rr.spec)
+			}
+		}
+		if rr.spec.retain {
+			// Retained even when panicked, so a later duplicate finds it and
+			// inherits the panic instead of dereferencing nil.
+			if m.done == nil {
+				m.done = make(map[int]*specResult)
+			}
+			m.done[rr.spec.idx] = rr
+		}
+		if rr.panicked != nil {
+			if m.panicked == nil {
+				m.panicked = rr.panicked
+			}
+			continue
+		}
+		if rr.skipped {
+			continue
+		}
+		m.res.mergeSpec(rr)
+	}
 }
 
 // synthesizeDedup builds the result a duplicate spec would have produced,
@@ -292,7 +284,8 @@ func runExplore(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 // representative's, shared (Set.Merge never mutates its argument, and its
 // fold produces the same bytes a private equal copy would). The per-kind
 // operation counts differ only in the pre-crash prefix, which both specs
-// carry in their snapshots, once per persist-policy scenario: memoization
+// carry in their snapshots (a representative's keeps its counts after
+// release), once per persist-policy scenario: memoization
 // runs without expansions, so each of the representative's executions is
 // one such scenario, and duplicate = representative total + executions ×
 // (own prefix − representative prefix). The cost counters are zeroed —
@@ -333,9 +326,10 @@ func (res *Result) mergeSpec(r *specResult) {
 	r.release()
 }
 
-// planSpecs dispatches to the mode's enumerator. emit is called once per spec,
-// in spec-index order; in the parallel path it feeds the pool's channel, in
-// the sequential path it runs the spec inline. Probe runs — the planner's own
+// planSpecs dispatches to the mode's enumerator. emit is called once per
+// spec — per model-check schedule in the walk's descending point order —
+// and in the parallel path it feeds the pool's channel, in the sequential
+// path it runs the spec inline. Probe runs — the planner's own
 // simulations — check the context before starting: a cancelled plan stops
 // enumerating and returns the summary of the probes that did run.
 func planSpecs(ctx context.Context, makeProg func() pmm.Program, opts Options, emit func(scenarioSpec)) planSummary {
@@ -351,29 +345,36 @@ func planSpecs(ctx context.Context, makeProg func() pmm.Program, opts Options, e
 // completion — and runSpec explores the persist policies inside it.
 //
 // Outside the Reference configuration, the probe doubles as the one full
-// pre-crash simulation of the schedule: it captures a snapshot at every
-// crash point, and each emitted spec carries its point's snapshot.
-// Snapshots are captured before the crash's persist policy matters, so one
-// probe (run under PersistLatest, like always) serves every policy.
+// pre-crash simulation of the schedule: it logs its position at every
+// crash point on the way forward, then the planner walks the points
+// backwards (handover.go) — completion first, then the last explored point
+// down to the first — and each emitted spec carries a private copy of the
+// probe rewound to its point. Point c's spec has index base+c whatever the
+// emission order, so the merge still folds points ascending. The workers'
+// channel holds Options.Workers specs, so the walk runs at most about that
+// far ahead of them and about that many copies are alive at once. Points
+// are logged before the crash's persist policy matters, so one probe (run
+// under PersistLatest, like always) serves every policy.
 func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Options, emit func(scenarioSpec)) planSummary {
 	var sum planSummary
+	var log *positionLog
+	if !opts.Reference {
+		log = positionLogPool.Get().(*positionLog)
+		defer log.release()
+	}
 	idx := 0
 	for sched := 0; sched < opts.Schedules; sched++ {
 		seed := opts.Seed + int64(sched)
 		probe := newScenario(makeProg, opts, plan{}, PersistLatest, seed)
-		var sink *snapshotSink
-		if !opts.Reference {
-			sink = newSnapshotSink(0, opts.MaxCrashPoints)
-			sink.configureProbe(opts, probe.det)
-			probe.capture = sink
+		if log != nil {
+			log.watch(probe, opts)
 		}
 		if !opts.Budget.AcquireCtx(ctx) {
 			return sum // cancelled before this schedule's probe
 		}
 		probe.runPreCrash()
 		opts.Budget.Release()
-		n := sum.absorbProbe(probe)
-		probe.retire()
+		n := probe.crashPoints[0]
 		if sched == 0 {
 			sum.crashPoints = n
 		}
@@ -381,21 +382,19 @@ func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Optio
 		if opts.MaxCrashPoints > 0 && limit > opts.MaxCrashPoints {
 			limit = opts.MaxCrashPoints
 		}
-		// Crash-image memoization: repPoints marks the points at least one
-		// duplicate maps to (their specs are retained for synthesis). Point
-		// c's spec has index base+c, and a duplicate's representative is
-		// always an earlier point, so it is emitted first.
-		var repPoints map[int]bool
-		if sink != nil && len(sink.dups) > 0 {
-			repPoints = make(map[int]bool, len(sink.dups))
-			for _, rp := range sink.dups {
-				repPoints[rp] = true
-			}
+		if log != nil {
+			probe.stats.JournalOps += int64(log.journal.Len())
+			probe.det.MarkShared() // every copy borrows the probe's records
 		}
+		// Crash-image memoization: repPoints marks the points at least one
+		// duplicate maps to (their specs are retained for synthesis). A
+		// duplicate's representative is always an earlier point, so the
+		// walk marks it before it gets there, and the merge folds it first.
+		var repPoints map[int]bool
 		base := idx
-		for c := 0; c <= limit; c++ {
+		walkBackward(limit, func(c int) {
 			spec := scenarioSpec{
-				idx:            idx,
+				idx:            base + c,
 				scheduleIdx:    sched,
 				crashPoint:     c,
 				plan:           plan{0: c},
@@ -405,17 +404,32 @@ func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Optio
 				window:         sched == 0,
 				retain:         repPoints[c],
 			}
-			if sink != nil {
-				spec.snap = sink.snaps[c]
-				if rp, ok := sink.dups[c]; ok && spec.snap != nil && sink.snaps[rp] != nil {
+			if log != nil {
+				spec.snap = log.copyAt(probe, c)
+				if rp := log.kept[c].dupOf; rp > 0 {
 					spec.dedupOf = base + rp + 1
+					if repPoints == nil {
+						repPoints = make(map[int]bool)
+					}
+					repPoints[rp] = true
 				}
 			}
 			emit(spec)
-			idx++
-		}
+		})
+		idx += limit + 1
+		sum.absorbProbe(probe)
+		probe.retire()
 	}
 	return sum
+}
+
+// walkBackward visits crash points 0..limit in the backward walk's order:
+// completion first, then limit down to 1.
+func walkBackward(limit int, visit func(c int)) {
+	visit(0)
+	for c := limit; c >= 1; c-- {
+		visit(c)
+	}
 }
 
 // planRandom enumerates the random-mode specs. The top-level rng stream is
@@ -426,8 +440,8 @@ func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Optio
 //
 // Outside the configurations handoverEnabled excludes, the probe is the
 // execution's one pre-crash simulation: it logs its position at every
-// crash point, and once c is drawn it is rewound to c and handed to the
-// spec as a single-use snapshot (handover.go).
+// crash point, and once c is drawn it is rewound to c and its own state is
+// handed to the spec as a single-use snapshot (handover.go).
 func planRandom(ctx context.Context, makeProg func() pmm.Program, opts Options, emit func(scenarioSpec)) planSummary {
 	var sum planSummary
 	src := newCountingSource(opts.Seed)
@@ -436,7 +450,7 @@ func planRandom(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 	var log *positionLog
 	if handoverEnabled(opts) {
 		log = positionLogPool.Get().(*positionLog)
-		defer positionLogPool.Put(log)
+		defer log.release()
 	}
 	for i := 0; i < opts.Executions; i++ {
 		schedSeed := rng.Int63()
@@ -444,7 +458,7 @@ func planRandom(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 		// the identical schedule crashing before a random one of them.
 		probe := newScenario(makeProg, opts, plan{}, PersistRandom, schedSeed)
 		if log != nil {
-			log.watch(probe)
+			log.watch(probe, opts)
 		}
 		if !opts.Budget.AcquireCtx(ctx) {
 			return sum // cancelled before this execution's probe
@@ -489,10 +503,12 @@ var randomPolicies = []PersistPolicy{PersistRandom}
 // first-seen order.
 //
 // When the spec carries a checkpoint, every scenario in the group resumes
-// from it rather than re-simulating the pre-crash prefix, and each primary
-// scenario in turn checkpoints its own recovery execution so the
-// multi-crash follow-ups resume from the recovery prefix — the same
-// mechanism one level down the execution stack.
+// from it rather than re-simulating the pre-crash prefix — from a clone,
+// except the last policy's primary scenario when no expansion follows it,
+// which takes the snapshot's own copy — and the spec releases what is left
+// of it when it ends. Each primary scenario in turn checkpoints its own
+// recovery execution so the multi-crash follow-ups resume from the
+// recovery prefix — the same mechanism one level down the execution stack.
 //
 // Policy twins (DESIGN.md §4.4): wherever crash-image memoization is on,
 // the spec's first PersistLatest/PersistMinimal scenario marks the image
@@ -512,6 +528,9 @@ func runSpec(ctx context.Context, makeProg func() pmm.Program, opts Options, spe
 		if p := recover(); p != nil {
 			out.panicked = p
 		}
+		if spec.snap != nil {
+			spec.snap.release()
+		}
 	}()
 
 	policies := opts.PersistPolicies
@@ -529,7 +548,13 @@ func runSpec(ctx context.Context, makeProg func() pmm.Program, opts Options, spe
 		if i > 0 && ctx.Err() != nil {
 			break
 		}
-		if t := out.runPolicy(ctx, makeProg, opts, spec, pp, spec.exploreReads && i == 0, paired); t != nil {
+		exploreReads := spec.exploreReads && i == 0
+		if spec.snap != nil {
+			// The last policy's primary scenario is the snapshot's last
+			// resume unless expansions follow it: it takes the copy.
+			spec.snap.take = i == len(policies)-1 && !exploreReads && !spec.expandRecovery
+		}
+		if t := out.runPolicy(ctx, makeProg, opts, spec, pp, exploreReads, paired); t != nil {
 			twin = t
 		}
 	}
@@ -550,7 +575,7 @@ func (out *specResult) runPolicy(ctx context.Context, makeProg func() pmm.Progra
 
 	var recSink *snapshotSink
 	if spec.expandRecovery && !opts.Reference {
-		recSink = newSnapshotSink(1, opts.RecoveryCrashes)
+		recSink = newSnapshotSink(opts.RecoveryCrashes)
 	}
 	sc := runPlanned(makeProg, opts, spec.snap, spec.plan, pp, spec.seed, func(sc *scenario) {
 		if exploreReads {

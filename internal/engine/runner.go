@@ -258,15 +258,13 @@ type scenario struct {
 	// (full-slice caps), so entries stay valid as the slab grows.
 	candSlab []provCand
 
-	// capture, when set, receives a snapshot at every flush/fence point of
-	// the execution it watches (checkpoint.go). The planner sets it on probe
-	// runs (execution 0); runSpec sets it on primary scenarios to checkpoint
-	// the recovery execution for multi-crash follow-ups.
+	// capture, when set, receives a full-clone snapshot at every flush/fence
+	// point of the first recovery execution (checkpoint.go): runSpec sets it
+	// on primary scenarios whose recovery crashes are expanded.
 	capture *snapshotSink
 	// positions, when set, logs the position of every crash point of the
-	// pre-crash execution: planRandom sets it on its probes, which run only
-	// that execution and hand their state to their one crash scenario
-	// (handover.go).
+	// pre-crash execution: the planner sets it on its probes, which run only
+	// that execution and are then walked backwards (handover.go).
 	positions *positionLog
 	// liveThreads mirrors the scheduler's live-thread count; a snapshot
 	// records it to replay the crash-unwind rng draws on resume.
@@ -349,11 +347,10 @@ func getScenario() *scenario {
 // image table and the scenario shell itself. It is the one death point of
 // every scenario, called once its reports and stats have been harvested
 // (specResult.absorb) or its probe summary taken; the scenario must not be
-// touched again. Snapshot state the scenario captured is never released
-// here: snapshots hold clones and forks, and the live state they were
-// taken from is marked shared. A random-mode probe that handed its
-// detector, image and rng register over (handover.go) no longer holds
-// them.
+// touched again. Snapshots taken from the scenario hold clones and forks,
+// and the live executions they were cloned from are marked shared. A
+// random-mode probe that handed its detector, image and rng register over
+// (handover.go) no longer holds them.
 func (sc *scenario) retire() {
 	tso.Retire(sc.machine)
 	sc.rngSrc.release()
@@ -375,7 +372,7 @@ func (sc *scenario) retire() {
 	// A recovery sink's snapshots share the image this scenario built after
 	// its first crash, and that image's candidate lists are carved from the
 	// slab; only a scenario that captured no such image keeps its slab.
-	if sc.capture == nil || sc.capture.execIdx == 0 {
+	if sc.capture == nil {
 		shell.candSlab = sc.candSlab[:0]
 	}
 	clear(shell.crashPoints)
@@ -399,26 +396,13 @@ func (sc *scenario) run() {
 }
 
 // runPreCrash runs the pre-crash execution only — all a planner's probe
-// needs: its crash-point count, and the snapshots or positions taken along
-// the way. Capturing probes also take the completion point and seal the
-// capture window here, so a probe's journal is frozen before anyone
-// replays it.
+// needs: its crash-point count and the positions logged along the way,
+// the completion last.
 func (sc *scenario) runPreCrash() {
 	sc.startMachine()
 	sc.runExecution(sc.prog.Workers)
 	if sc.positions != nil {
 		sc.positions.record(sc, 0)
-	}
-	if sc.capture != nil && sc.capture.execIdx == 0 && sc.execIdx == 0 {
-		if !sc.crashed {
-			// Completion snapshot (crash point 0): the pre-crash execution
-			// ran to the end; the final power loss is simulated by finish.
-			sc.capture.take(sc, 0)
-		}
-		// The capture window ends with the pre-crash execution: detach the
-		// journal before recovery runs so post-crash detector mutations can
-		// never pollute the recorded delta segments.
-		sc.capture.seal(sc)
 	}
 }
 
@@ -668,14 +652,14 @@ func (sc *scenario) crashNow() {
 }
 
 // atCrashPoint counts a flush/fence point and reports whether the plan says
-// to crash before it. When a snapshot sink watches this execution, the point
-// is captured here — after the count, before the operation takes effect —
-// which is exactly the state a from-scratch scenario holds when its plan
-// fires the crash at this point. A random-mode probe logs its position at
-// the same instant.
+// to crash before it. A probe logs its position here — after the count,
+// before the operation takes effect — which is exactly the state a
+// from-scratch scenario holds when its plan fires the crash at this point;
+// a recovery sink captures the first recovery execution's points at the
+// same instant.
 func (sc *scenario) atCrashPoint() bool {
 	sc.crashPoints[sc.execIdx]++
-	if sc.capture != nil && sc.capture.execIdx == sc.execIdx {
+	if sc.capture != nil && sc.execIdx == 1 {
 		sc.capture.observe(sc)
 	}
 	if sc.positions != nil {

@@ -93,12 +93,14 @@ type Stamp struct {
 // observable results. It is the slow side the fast path is tested against.
 type Arena struct {
 	entries []VC // entries[0] is the canonical empty clock (nil)
-	// base indexes the prefix inherited through Clone or Adopt (nil for a
-	// fresh arena); it is shared read-only with every other arena that
-	// inherits the same prefix, and its index is built only when one of
-	// them first interns, so clones that never intern pay nothing. lookup
-	// maps the canonical bytes of the arena's own appends to their Ref.
+	// base indexes the prefix inherited through Clone (nil for a fresh
+	// arena); it is shared read-only with every other arena that inherits
+	// the same prefix, and its index is built only when one of them first
+	// interns, so clones that never intern pay nothing. lookup maps the
+	// canonical bytes of the arena's own appends to their Ref. frozen is
+	// the last prefix Freeze handed out over the arena's own appends.
 	base   *Frozen
+	frozen *Frozen
 	lookup map[string]Ref
 	key    []byte // scratch for canonical keys
 	buf    VC     // scratch: join left operand / materialized stamps
@@ -334,22 +336,21 @@ func (a *Arena) Clone() *Arena {
 }
 
 // Freeze returns the arena's current snapshots as a Frozen prefix, for a
-// checkpoint journal or a clone. An arena that has not appended since it
-// inherited its prefix — a checkpoint template — returns that prefix, so
-// all its clones share one index; otherwise the result is a fresh Frozen
-// over a capped view. Freeze only reads a.
+// clone. An arena that has not appended since it inherited its prefix — a
+// crash point's copy — returns that prefix, and one that has not appended
+// since its last Freeze returns that one, so every clone taken between two
+// appends shares one index: a probe's whole backward walk, whose rewinds
+// intern nothing, builds it at most once. Only the arena's owner appends,
+// so only the owner's Freeze writes a, and a copy may be cloned
+// concurrently.
 func (a *Arena) Freeze() *Frozen {
 	if a.base != nil && len(a.base.entries) == len(a.entries) {
 		return a.base
 	}
-	return &Frozen{entries: a.entries[:len(a.entries):len(a.entries)]}
-}
-
-// Adopt replaces the arena's snapshots with a Frozen prefix — the
-// checkpoint-replay graft. Refs recorded by the journal's producer resolve
-// identically in the adopting arena because entries are append-only.
-func (a *Arena) Adopt(f *Frozen) {
-	a.entries, a.base, a.lookup = f.entries, f, nil
+	if a.frozen == nil || len(a.frozen.entries) != len(a.entries) {
+		a.frozen = &Frozen{entries: a.entries[:len(a.entries):len(a.entries)]}
+	}
+	return a.frozen
 }
 
 // FootprintBytes estimates the heap bytes the arena's snapshots retain

@@ -288,15 +288,18 @@ func TestArenaClonesShareFrozenIndex(t *testing.T) {
 		t.Errorf("shared index holds %d keys after the clones interned, want the %d inherited", len(f.lookup), inherited)
 	}
 
-	// Replayed clones adopt the journal's frozen prefix and share it too.
-	j := probe.Freeze()
-	a, b := tmpl.Clone(), tmpl.Clone()
-	a.Adopt(j)
-	b.Adopt(j)
-	if a.base != j || b.base != j {
-		t.Fatal("adopting arenas do not share the journal's frozen prefix")
+	// A live arena cloned again and again without appending in between —
+	// a probe walking its crash points backwards — hands every clone the
+	// same prefix, and a new one only after it appends.
+	a, b := probe.Clone(), probe.Clone()
+	if a.base != b.base {
+		t.Fatal("clones taken between two appends do not share one frozen prefix")
+	}
+	probe.Intern(VC{0, 0, 100})
+	if c := probe.Clone(); c.base == a.base || len(c.base.entries) != len(a.base.entries)+1 {
+		t.Fatal("a clone taken after an append reuses the stale prefix")
 	}
 	if got := a.Intern(VC{0, 0, 99}); got != Ref(inherited+1) {
-		t.Errorf("adopting arena interned the probe's clock as %d, want %d", got, inherited+1)
+		t.Errorf("clone interned the probe's clock as %d, want %d", got, inherited+1)
 	}
 }

@@ -22,8 +22,8 @@
 //
 // The detector is an analysis.Pass: it registers itself as "xfd" and runs
 // through the engine's analysis stack (-analyses=yashme,xfd), riding the
-// same workers, solo-run leases, delta checkpoints and crash-image
-// memoization as the Yashme detector. Like the original XFDetector it only
+// same workers, solo-run leases, checkpoints and crash-image memoization
+// as the Yashme detector. Like the original XFDetector it only
 // ever classifies reads of THE GIVEN execution — no prefix derivation, no
 // candidate read sets; the deliberately modest analysis is the comparison.
 package xfd
@@ -207,8 +207,9 @@ func (d *Detector) CheckRead(addr pmm.Addr) *report.Race {
 	return &r
 }
 
-// Clone implements analysis.Pass: an independent deep copy. Snapshots store
-// clones as read-only templates and every resume clones again.
+// Clone implements analysis.Pass: an independent deep copy. A probe clones
+// the pass forward at each crash point it may resume, and every resume
+// but a snapshot's last clones again.
 func (d *Detector) Clone() analysis.Pass {
 	c := &Detector{
 		benchmark: d.benchmark,
