@@ -10,17 +10,12 @@ import (
 // taken against the original names the corresponding record in the clone and
 // no pointer remapping is needed.
 //
-// Sharing rules: the store arena is shared with the original as a capped
-// slice view — records (and their clock vectors) are immutable once
-// committed, their mutable side lives in the parallel meta slice, and the
-// capped capacity forces either side's later appends onto a private backing
-// array. Everything mutable — the meta slice, the flush arena, per-address
-// tables, per-line state — is copied, so the clone and the original may be
-// mutated independently afterwards. The clone is private to its holder: its
-// executions are drawn from the pool and Retire recycles them again, all but
-// the borrowed arena view (see Retire). The source is read, never written;
-// a source that owns its store arenas must be marked by its owner
-// (MarkShared) before cloning.
+// A clone owns everything it holds: the store and flush arenas, the
+// per-address tables and the per-line state are copied into executions
+// drawn from the pool, so the clone and the original may be mutated and
+// retired independently. Only immutable state is shared: the clock arena
+// is a capped view of committed snapshots, whose later appends go to a
+// private backing array. The source is read, never written.
 func (d *Detector) Clone() *Detector {
 	nd := &Detector{cfg: d.cfg, report: d.report.Clone(), arena: d.arena.Clone()}
 	nd.execs = make([]*Execution, len(d.execs))
@@ -36,14 +31,10 @@ func (d *Detector) Clone() *Detector {
 func (d *Detector) SetLabeler(l func(pmm.Addr) string) { d.cfg.Labeler = l }
 
 // clone copies the execution into a pooled one, so a warm clone reuses the
-// arrays a retired one grew instead of allocating its own; the store arena
-// is borrowed as a capped view.
+// arrays a retired one grew instead of allocating its own.
 func (e *Execution) clone() *Execution {
 	ne := newExecution(e.ID)
-	ne.spare = ne.arena
-	ne.arena = e.arena[:len(e.arena):len(e.arena)]
-	ne.borrowed = true
-	ne.meta = append(withCap(ne.meta, len(e.meta)), e.meta...)
+	ne.arena = append(withCap(ne.arena, len(e.arena)), e.arena...)
 	ne.flushArena = append(withCap(ne.flushArena, len(e.flushArena)), e.flushArena...)
 	ne.storeTab.CopyFrom(&e.storeTab)
 	ne.persistTab.CopyFrom(&e.persistTab)

@@ -73,6 +73,8 @@ type flushNode struct {
 // in their execution's arena (commit order); take care not to retain
 // pointers across commits on a still-running execution — the arena may
 // grow. Refs (StoreRef) are stable; pointers into ended executions are too.
+// Every clone holds its own copy of the arena, so the post-commit state
+// (flushmap chain bounds, torn mark) lives in the record itself.
 type StoreRecord struct {
 	Addr    pmm.Addr
 	Size    int
@@ -88,14 +90,6 @@ type StoreRecord struct {
 	// prevSameAddr chains to the previous store to the same address (the
 	// per-address history, newest to oldest).
 	prevSameAddr StoreRef
-}
-
-// recMeta is the post-commit-mutable state of one store record, held in a
-// slice parallel to the arena (recMeta[r-1] belongs to arena[r-1]) instead
-// of in StoreRecord itself. The split is what makes the arena immutable
-// once a record is committed — clone.go shares the arena between clones as
-// a capped slice view and copies only this slice.
-type recMeta struct {
 	// flushHead/flushTail delimit this store's flushmap chain in the
 	// execution's flush arena: the first flush per thread that happens-after
 	// this store (paper Figure 8, Evict_SB/Evict_FB).
@@ -125,11 +119,8 @@ type Execution struct {
 	ID int
 
 	// arena holds every committed store record in commit (σ) order;
-	// StoreRef r names arena[r-1]. Records are immutable once committed
-	// (their mutable side lives in meta), so clones share the arena.
+	// StoreRef r names arena[r-1].
 	arena []StoreRecord
-	// meta holds the mutable per-record state, parallel to the arena.
-	meta []recMeta
 	// flushArena backs the per-record flushmap chains.
 	flushArena []flushNode
 	// storeTab: latest committed store per address (storemap).
@@ -151,17 +142,6 @@ type Execution struct {
 	// lineBuf is the flat backing a clone carves its per-line address lists
 	// from (clone); kept across recycling so a warm clone reuses it.
 	lineBuf []pmm.Addr
-	// borrowed marks an execution whose store arena is a capped view of
-	// another holder's records (every clone): Retire recycles everything
-	// else but drops the view, since appending onto it would overwrite the
-	// records it was borrowed from. spare keeps the execution's own arena
-	// backing aside meanwhile, and Retire puts it back.
-	borrowed bool
-	spare    []StoreRecord
-	// shared marks an execution whose store arena another holder may still
-	// read: one a clone was taken from (MarkShared). Retire drops shared
-	// executions instead of recycling them.
-	shared bool
 }
 
 // execPool holds retired, emptied executions. The engine runs one
@@ -179,11 +159,10 @@ func newExecution(id int) *Execution {
 }
 
 // reset empties the execution for reuse, keeping every backing array. The
-// records, metadata and flush nodes hold no pointers, so truncation is
-// enough; the tables clear what was used.
+// records and flush nodes hold no pointers, so truncation is enough; the
+// tables clear what was used.
 func (e *Execution) reset() {
 	e.arena = e.arena[:0]
-	e.meta = e.meta[:0]
 	e.flushArena = e.flushArena[:0]
 	e.storeTab.Reset()
 	e.persistTab.Reset()
@@ -230,7 +209,7 @@ func (e *Execution) PersistLB(addr pmm.Addr) *StoreRecord { return e.ByRef(e.per
 // per thread that happens-after it.
 func (e *Execution) FlushesOf(s *StoreRecord) []FlushRef {
 	var out []FlushRef
-	for n := e.meta[s.ref-1].flushHead; n != 0; n = e.flushArena[n-1].next {
+	for n := s.flushHead; n != 0; n = e.flushArena[n-1].next {
 		out = append(out, e.flushArena[n-1].ref)
 	}
 	return out
@@ -238,10 +217,10 @@ func (e *Execution) FlushesOf(s *StoreRecord) []FlushRef {
 
 // MarkTorn records that a post-crash load observed s as racing and
 // synthesized a torn value from it.
-func (e *Execution) MarkTorn(s *StoreRecord) { e.meta[s.ref-1].torn = true }
+func (e *Execution) MarkTorn(s *StoreRecord) { s.torn = true }
 
 // WasTorn reports whether a torn value was synthesized from s.
-func (e *Execution) WasTorn(s *StoreRecord) bool { return e.meta[s.ref-1].torn }
+func (e *Execution) WasTorn(s *StoreRecord) bool { return s.torn }
 
 // CrashSeq returns the σ at which this execution crashed (0 if running).
 func (e *Execution) CrashSeq() vclock.Seq { return e.crashSeq }
@@ -345,33 +324,13 @@ func (d *Detector) Current() *Execution { return d.execs[len(d.execs)-1] }
 // Executions returns the execution stack, oldest first.
 func (d *Detector) Executions() []*Execution { return d.execs }
 
-// MarkShared marks every execution of the detector as shared, so Retire
-// will never recycle them. Call it before cloning a detector whose
-// executions own their store arenas (a probe, or a scenario whose
-// recovery a recovery sink captures): the clone's arenas are views of
-// them. A detector that is itself an unappended clone (a crash point's
-// private copy) borrows every arena it has, so its clones and its own
-// Retire can never touch each other's records, and it is cloned unmarked.
-func (d *Detector) MarkShared() {
-	for _, e := range d.execs {
-		e.shared = true
-	}
-}
-
-// Retire hands the detector's unshared executions back to the pool later
-// detectors draw from. The detector must never be used again; its report
-// and clock arena are not recycled, so results merged from it stay valid.
-// Shared executions are dropped: a clone may still read their store
-// arenas. A borrowed execution goes back without its arena view, which
-// belongs to the records' owner.
+// Retire hands the detector's executions back to the pool later detectors
+// draw from. The detector must never be used again; its report and clock
+// arena are not recycled, so results merged from it stay valid. Every
+// execution goes back: a clone owns everything it holds (see Clone), so
+// no other detector reads these arrays.
 func (d *Detector) Retire() {
 	for _, e := range d.execs {
-		if e.shared {
-			continue
-		}
-		if e.borrowed {
-			e.arena, e.spare, e.borrowed = e.spare, nil, false
-		}
 		e.reset()
 		execPool.Put(e)
 	}
@@ -400,7 +359,6 @@ func (d *Detector) StoreCommitted(rec *tso.CommittedStore) {
 		Atomic: rec.Atomic, Release: rec.Release,
 		ref: ref, prevSameAddr: prev,
 	})
-	e.meta = append(e.meta, recMeta{})
 	e.storeTab.Set(rec.Addr, ref)
 	if prev == 0 {
 		// First store to this address: register it on its cache line.
@@ -447,7 +405,7 @@ func (d *Detector) applyFlush(line pmm.Line, coverCV vclock.Stamp, flushTID vclo
 			continue // store did not happen-before the flush
 		}
 		already := false
-		for n := e.meta[ref-1].flushHead; n != 0; n = e.flushArena[n-1].next {
+		for n := s.flushHead; n != 0; n = e.flushArena[n-1].next {
 			f := e.flushArena[n-1].ref
 			if d.arena.Contains(orderCV, f.TID, f.Seq) {
 				already = true // an earlier flush is ordered before this one
@@ -456,7 +414,7 @@ func (d *Detector) applyFlush(line pmm.Line, coverCV vclock.Stamp, flushTID vclo
 		}
 		if !already {
 			fr := FlushRef{TID: flushTID, Seq: flushSeq}
-			tail := e.meta[ref-1].flushTail
+			tail := s.flushTail
 			e.addFlush(s, fr)
 			if d.journal != nil {
 				d.journal.ops = append(d.journal.ops, JournalOp{Kind: JournalFlush, Target: ref, Prev: tail, Flush: fr})
@@ -475,13 +433,12 @@ func (d *Detector) applyFlush(line pmm.Line, coverCV vclock.Stamp, flushTID vclo
 func (e *Execution) addFlush(s *StoreRecord, f FlushRef) {
 	e.flushArena = append(e.flushArena, flushNode{ref: f})
 	n := int32(len(e.flushArena))
-	m := &e.meta[s.ref-1]
-	if m.flushTail != 0 {
-		e.flushArena[m.flushTail-1].next = n
+	if s.flushTail != 0 {
+		e.flushArena[s.flushTail-1].next = n
 	} else {
-		m.flushHead = n
+		s.flushHead = n
 	}
-	m.flushTail = n
+	s.flushTail = n
 }
 
 var _ tso.Listener = (*Detector)(nil)
@@ -537,7 +494,7 @@ func (d *Detector) checkCandidate(e *Execution, s *StoreRecord, guarded bool) (r
 		// Conditions 3–4 (explicit flushes): a recorded flush defeats the
 		// race only if it is inside the consistent prefix E+ (CVpre).
 		// Baseline mode accepts any flush that happened before the crash.
-		for n := e.meta[s.ref-1].flushHead; n != 0; n = e.flushArena[n-1].next {
+		for n := s.flushHead; n != 0; n = e.flushArena[n-1].next {
 			f := e.flushArena[n-1].ref
 			if !d.cfg.Prefix || d.arena.RefContains(e.cvpre, f.TID, f.Seq) {
 				return report.Race{}, false
@@ -556,7 +513,7 @@ func (d *Detector) checkCandidate(e *Execution, s *StoreRecord, guarded bool) (r
 		StoreTID:  int(s.TID),
 		ExecID:    e.ID,
 		Benign:    guarded,
-		Flushed:   e.meta[s.ref-1].flushHead != 0,
+		Flushed:   s.flushHead != 0,
 	}
 	d.report.Add(r)
 	return r, true

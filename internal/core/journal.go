@@ -68,8 +68,8 @@ func (j *Journal) Len() int { return len(j.ops) }
 
 // AttachUndo empties j and attaches it to record the current execution's
 // mutations for a later Rewind. The execution stays the detector's own:
-// rewinding it needs no other holder, and Retire recycles it as usual
-// unless clones were taken from it (MarkShared).
+// rewinding it needs no other holder, and Retire recycles it as usual,
+// whatever clones were taken from it (each owns its copy).
 func (d *Detector) AttachUndo(j *Journal) {
 	j.ops = j.ops[:0]
 	d.journal = j
@@ -78,7 +78,7 @@ func (d *Detector) AttachUndo(j *Journal) {
 // Rewind undoes ops [mark, Len) of the attached undo journal j on the
 // current execution, newest first, then truncates j to mark and detaches
 // it. Afterwards the execution is equivalent to a Clone taken when j stood
-// at mark: the store, meta and flush arenas are truncated, every storemap,
+// at mark: the store and flush arenas are truncated, every storemap,
 // persist-bound and flush-chain entry an undone op overwrote is restored,
 // and the address-indexed tables shrink back to the length they had then
 // (pre-crash, a table only grows by a nonzero Set at its new top, so that
@@ -103,15 +103,14 @@ func (d *Detector) Rewind(j *Journal, mark int) {
 				}
 			}
 			e.arena = e.arena[:op.Target-1]
-			e.meta = e.meta[:op.Target-1]
 		case JournalFlush:
-			m := &e.meta[op.Target-1]
+			s := &e.arena[op.Target-1]
 			if op.Prev != 0 {
 				e.flushArena[op.Prev-1].next = 0
 			} else {
-				m.flushHead = 0
+				s.flushHead = 0
 			}
-			m.flushTail = op.Prev
+			s.flushTail = op.Prev
 			e.flushArena = e.flushArena[:len(e.flushArena)-1]
 		case JournalPersist:
 			e.persistTab.Set(e.ByRef(op.Target).Addr, StoreRef(op.Prev))
@@ -166,7 +165,7 @@ func (e *Execution) AppendStateSignature(buf []byte) []byte {
 		buf = appendU64(buf, uint64(ref))
 		buf = appendU64(buf, uint64(e.persistTab.At(a)))
 		for s := e.ByRef(ref); s != nil; s = e.ByRef(s.prevSameAddr) {
-			head := e.meta[s.ref-1].flushHead
+			head := s.flushHead
 			cnt := uint64(0)
 			for f := head; f != 0; f = e.flushArena[f-1].next {
 				cnt++
@@ -185,13 +184,13 @@ func (e *Execution) AppendStateSignature(buf []byte) []byte {
 // Estimated retained bytes per unit of detector state, for
 // Stats.SnapshotBytes accounting (fixed constants keep the numbers
 // platform-stable; they track the struct sizes above within a few bytes).
-// The store arena does not appear: committed records are immutable and
-// shared between clones, so a clone retains no arena bytes of its own.
+// A clone copies its store arena like everything else, so its records
+// count in full.
 const (
-	recMetaBytes   = 12
-	flushNodeBytes = 16
-	tableSlotBytes = 4
-	lineSlotBytes  = 24 // slice/clock headers in the per-line tables
+	storeRecordBytes = 80
+	flushNodeBytes   = 16
+	tableSlotBytes   = 4
+	lineSlotBytes    = 24 // slice/clock headers in the per-line tables
 )
 
 // FootprintBytes estimates the retained size of a full detector clone —
@@ -199,7 +198,7 @@ const (
 func (d *Detector) FootprintBytes() int64 {
 	var n int64
 	for _, e := range d.execs {
-		n += int64(len(e.meta)) * recMetaBytes
+		n += int64(len(e.arena)) * storeRecordBytes
 		n += int64(len(e.flushArena)) * flushNodeBytes
 		n += int64(e.storeTab.Len()+e.persistTab.Len()) * tableSlotBytes
 		n += int64(e.lineAddrs.Len()) * lineSlotBytes

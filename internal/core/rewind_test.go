@@ -46,15 +46,16 @@ func applyRewindOp(m *tso.Machine, b byte, val uint64) {
 }
 
 // rewindState renders what FuzzJournalRewind compares: per execution the
-// state signature, every record's flush chain (FlushesOf, arena order), the
-// per-line address lists, and the detector's FootprintBytes, which reads
-// the table lengths a rewind must restore.
+// state signature, every record (its flush-chain bounds included) and its
+// flush chain (FlushesOf, arena order), the per-line address lists, and the
+// detector's FootprintBytes, which reads the table lengths a rewind must
+// restore.
 func rewindState(d *Detector) []byte {
 	var buf []byte
 	for _, e := range d.Executions() {
 		buf = fmt.Appendf(buf, "exec %d sig %x\n", e.ID, e.AppendStateSignature(nil))
 		for r := StoreRef(1); int(r) <= len(e.arena); r++ {
-			buf = fmt.Appendf(buf, "%d:%v;", r, e.FlushesOf(e.ByRef(r)))
+			buf = fmt.Appendf(buf, "%+v %v;", *e.ByRef(r), e.FlushesOf(e.ByRef(r)))
 		}
 		buf = fmt.Appendf(buf, "\nlines %d:", e.lineAddrs.Len())
 		e.lineAddrs.ForEach(func(l pmm.Line, addrs []pmm.Addr) bool {
@@ -63,7 +64,7 @@ func rewindState(d *Detector) []byte {
 			}
 			return true
 		})
-		buf = fmt.Appendf(buf, "\nmeta %d\n", len(e.meta))
+		buf = fmt.Appendf(buf, "\n")
 	}
 	return fmt.Appendf(buf, "footprint %d\n", d.FootprintBytes())
 }
@@ -91,7 +92,6 @@ func checkJournalRewind(t *testing.T, prog []byte, mark uint16) {
 	jMark := 0
 	for i := 0; i <= len(prog); i++ {
 		if i == at {
-			d.MarkShared()
 			want = rewindState(d.Clone())
 			jMark = j.Mark()
 		}

@@ -372,7 +372,6 @@ func (k *snapshotSink) observe(sc *scenario) {
 	snap.image = k.image
 	k.rng = forkRng(sc, k.rng)
 	snap.rng = k.rng
-	sc.det.MarkShared() // the clone's arenas are views of the live ones
 	snap.det = sc.det.Clone()
 	sc.stats.SnapshotBytes += snap.det.FootprintBytes() + snapshotOverheadBytes
 	k.snaps[p] = snap

@@ -108,12 +108,12 @@ func recoveryWriter() pmm.Program {
 var RecoveryWriter = recoveryWriter
 
 // TestRecoverySnapshotsSurviveWarmRetire: under RecoveryCrashes a primary
-// scenario's recovery sink snapshots its recovery execution, whose store
-// arena the snapshots borrow, and its post-crash image, whose candidate
-// lists live in the primary's slab. The follow-ups resume from those
-// snapshots after the primary retired. The pools are dirtied in between,
-// and each follow-up must match its from-scratch twin: the same races, raw
-// report count and operation counts.
+// scenario's recovery sink snapshots its recovery execution, copying its
+// store records, and its post-crash image, whose candidate lists live in
+// the primary's slab. The follow-ups resume from those snapshots after the
+// primary retired. The pools are dirtied in between, and each follow-up
+// must match its from-scratch twin: the same races, raw report count and
+// operation counts.
 func TestRecoverySnapshotsSurviveWarmRetire(t *testing.T) {
 	// Empty pools and one P keep them last-in first-out, so the dirtying
 	// run draws exactly what the primary retired.

@@ -182,7 +182,6 @@ func probeWalk(mk func() pmm.Program, opts Options, memo bool, arm func(*positio
 	if opts.MaxCrashPoints > 0 {
 		limit = min(limit, opts.MaxCrashPoints)
 	}
-	probe.det.MarkShared()
 	snaps, dups := make(map[int]*snapshot), make(map[int]int)
 	walkBackward(limit, func(c int) {
 		snaps[c] = log.copyAt(probe, c)

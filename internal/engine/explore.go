@@ -384,7 +384,6 @@ func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Optio
 		}
 		if log != nil {
 			probe.stats.JournalOps += int64(log.journal.Len())
-			probe.det.MarkShared() // every copy borrows the probe's records
 		}
 		// Crash-image memoization: repPoints marks the points at least one
 		// duplicate maps to (their specs are retained for synthesis). A

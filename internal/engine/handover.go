@@ -10,8 +10,7 @@
 // and at each rewinds the probe to the point:
 //
 //   - Model checking explores every point, so each gets a private copy of
-//     the rewound detector and of the image (the probe's executions are
-//     marked shared once, before the first copy). A duplicate point under
+//     the rewound detector and of the image. A duplicate point under
 //     crash-image memoization gets only its operation counts.
 //   - A random execution's crash point c is drawn from the number of points
 //     its schedule reaches, so c is known only after the probe. It has
@@ -203,10 +202,9 @@ func (pl *positionLog) release() {
 
 // copyAt rewinds a model-check probe to crash point c and returns c's
 // snapshot with private copies of the detector and image, whose bytes are
-// accounted into the probe's stats; the caller marks the probe shared
-// before the first copy. A duplicate point's snapshot carries only its
-// identity and operation counts. Points are visited in descending order,
-// completion (0) first.
+// accounted into the probe's stats. A duplicate point's snapshot carries
+// only its identity and operation counts. Points are visited in descending
+// order, completion (0) first.
 func (pl *positionLog) copyAt(probe *scenario, c int) *snapshot {
 	k := &pl.kept[c]
 	if k.dupOf > 0 {

@@ -21,7 +21,7 @@ import (
 // compares every observable field, cost counters included, per
 // configuration. The suite runs under -race in CI,
 // so it also proves the pool shares no scenario state — including the
-// probe records every crash point's copy borrows.
+// probe records every crash point's copy is cloned from.
 func TestParallelRunMatchesSequential(t *testing.T) {
 	cases := []struct {
 		name string

@@ -343,14 +343,13 @@ func getScenario() *scenario {
 
 // retire hands the dead scenario's private state to the pools the next
 // scenario on any worker draws from: its last machine, the detector's
-// unshared executions, its report sets, the scheduler rng register, the
-// image table and the scenario shell itself. It is the one death point of
-// every scenario, called once its reports and stats have been harvested
+// executions, its report sets, the scheduler rng register, the image table
+// and the scenario shell itself. It is the one death point of every
+// scenario, called once its reports and stats have been harvested
 // (specResult.absorb) or its probe summary taken; the scenario must not be
-// touched again. Snapshots taken from the scenario hold clones and forks,
-// and the live executions they were cloned from are marked shared. A
-// random-mode probe that handed its detector, image and rng register over
-// (handover.go) no longer holds them.
+// touched again. Snapshots taken from the scenario hold clones, which own
+// their copies, and forks. A random-mode probe that handed its detector,
+// image and rng register over (handover.go) no longer holds them.
 func (sc *scenario) retire() {
 	tso.Retire(sc.machine)
 	sc.rngSrc.release()

@@ -72,12 +72,3 @@ func TestOnDemandGrowthIsCapped(t *testing.T) {
 		m.EnqueueStore(MaxThreads, 0x1000, 8, 1, false, false)
 	})
 }
-
-func TestCloneKeepsDeclaredRange(t *testing.T) {
-	m := NewMachine(nil)
-	m.SpawnThreads(2)
-	c := m.Clone(nil)
-	mustPanic(t, "clone op with TID outside the declared range", func() {
-		c.EnqueueStore(3, 0x1000, 8, 1, false, false)
-	})
-}

@@ -159,24 +159,19 @@ type Machine struct {
 
 	// mem is the volatile cache/memory view: latest committed store per
 	// address, interned by addridx (the heap's Addr space is dense).
-	// Initial contents come from the persisted image. Records are immutable
-	// once committed, so clones share them.
+	// Initial contents come from the persisted image.
 	mem addridx.Table[*CommittedStore]
 
 	// recSlab is the spare tail of a chunk-allocated CommittedStore block:
 	// seeding a persisted image and committing stores both mint one record
 	// per event, so handing out slab slots turns those per-record
-	// allocations into one per chunk. Handed-out records are immutable and
-	// shared with clones; the unused tail is private (Clone drops it).
+	// allocations into one per chunk.
 	recSlab []CommittedStore
 	// chunks are the record chunks this machine allocated, nextChunk the
 	// first one not yet handed out since the machine was (re)started: a
 	// retired machine starts over at its first chunk (see Retire).
 	chunks    [][]CommittedStore
 	nextChunk int
-	// cloned marks a machine whose records a clone's memory view shares;
-	// Retire then drops its chunks instead of reusing them.
-	cloned bool
 }
 
 // sbQueue is one thread's store buffer: a FIFO whose pending entries are
@@ -223,9 +218,7 @@ var retiredPool sync.Pool
 // be used again, and neither may any record it handed out: the next machine
 // built on m overwrites them. No listener or engine path keeps a
 // *CommittedStore past the event or load that delivered it — listeners copy
-// the fields they need, and loads read the record in place — so the only
-// long-lived holder is a clone's memory view. A machine that was ever
-// cloned therefore drops its chunks instead of reusing them. The
+// the fields they need, and loads read the record in place. The
 // per-thread buffers keep their arrays; their entries hold no pointers.
 func Retire(m *Machine) {
 	if m == nil {
@@ -236,15 +229,11 @@ func Retire(m *Machine) {
 }
 
 // recycle empties m for the next machine built on it: the memory view is
-// cleared and record minting starts over at the first chunk, unless a
-// clone shares the records, in which case the chunks are dropped.
+// cleared and record minting starts over at the first chunk.
 func (m *Machine) recycle() {
 	m.mem.Reset()
 	m.listener, m.clocks = nil, nil
 	m.recSlab, m.nextChunk = nil, 0
-	if m.cloned {
-		m.chunks, m.cloned = nil, false
-	}
 }
 
 // recChunk is the number of records one slab chunk holds.
@@ -359,55 +348,6 @@ func (m *Machine) checkTID(tid vclock.TID) {
 		return
 	}
 	m.growThreads(int(tid) + 1)
-}
-
-// Clone returns an independent machine with the same buffered and committed
-// state, reporting subsequent events to listener (nil = NopListener).
-// Committed store records are shared with the original: a CommittedStore is
-// immutable once committed (its clock vector is snapshotted at commit time).
-// Store buffers, flush buffers and per-thread clocks are deep-copied, so the
-// two machines may run on independently. Cloning marks the original so its
-// Retire never reuses the shared records' chunks; it is the one write to
-// the source, so a machine must not be cloned concurrently.
-//
-// The engine's checkpoint layer deliberately does NOT snapshot machines: a
-// crash discards every buffered operation by definition, and each post-crash
-// machine is freshly seeded from the persisted image, so a snapshot only
-// needs CurSeq (see internal/engine/checkpoint.go). Clone keeps the storage
-// system snapshottable for tooling and tests regardless.
-func (m *Machine) Clone(listener Listener) *Machine {
-	if listener == nil {
-		listener = NopListener{}
-	}
-	m.cloned = true
-	c := &Machine{
-		listener: listener,
-		seq:      m.seq,
-		declared: m.declared,
-		sb:       make([]sbQueue, len(m.sb)),
-		fb:       make([][]FBEntry, len(m.fb)),
-		base:     append([]vclock.Ref(nil), m.base...),
-		self:     append([]vclock.Seq(nil), m.self...),
-		clocks:   m.clocks.Clone(), // capped view: snapshots are immutable
-		mem:      m.mem.Clone(),    // flat: records are immutable once committed
-	}
-	// A clock-consuming listener (a cloned detector) brings its own arena
-	// clone; adopt it so the pair diverges together, exactly as NewMachine
-	// pairs a fresh machine with its detector.
-	if p, ok := listener.(arenaProvider); ok {
-		c.clocks = p.ClockArena()
-	}
-	for t := range m.sb {
-		if buf := m.sb[t].pending(); len(buf) > 0 {
-			c.sb[t].buf = append([]SBEntry(nil), buf...)
-		}
-	}
-	for t, buf := range m.fb {
-		if len(buf) > 0 {
-			c.fb[t] = append([]FBEntry(nil), buf...)
-		}
-	}
-	return c
 }
 
 // SeedMemory installs an initial, already-persisted value. Seeded values
