@@ -5,9 +5,9 @@
 // range: the identity map IS the interning function. Tables here exploit
 // that — per-address and per-line state lives in slices indexed directly by
 // the address (or line number), growing on demand to the highest address
-// touched. Lookups are a bounds check plus an indexed load, and Clone is a
-// single flat copy, which is what makes the detector and checkpoint layers'
-// snapshot clones cheap.
+// touched. Lookups are a bounds check plus an indexed load, and a copy
+// (CopyFrom) is a single flat copy, which is what makes the detector and
+// checkpoint layers' snapshot clones cheap.
 //
 // The dense layout relies on the heap staying small (kilobytes, per
 // pmm.Heap's working sets); maxSlots guards against a corrupt address
@@ -105,22 +105,11 @@ func (t *Table[T]) Reserve(n int) {
 	t.slots = s
 }
 
-// Clone returns an independent flat copy of the table. Slot values are
-// copied shallowly: reference-typed state must be immutable or cloned by the
-// caller.
-func (t *Table[T]) Clone() Table[T] {
-	if len(t.slots) == 0 {
-		return Table[T]{}
-	}
-	n := make([]T, len(t.slots))
-	copy(n, t.slots)
-	return Table[T]{slots: n}
-}
-
 // CopyFrom makes t an independent flat copy of src, reusing t's backing
 // array when it is large enough: a recycled table absorbs a copy without
 // allocating. Slots past the copy that t had grown are cleared, keeping
-// spare capacity zero.
+// spare capacity zero. Slot values are copied shallowly: reference-typed
+// state must be immutable or copied by the caller.
 func (t *Table[T]) CopyFrom(src *Table[T]) {
 	n := len(src.slots)
 	if n > cap(t.slots) {
@@ -211,16 +200,6 @@ func (t *LineTable[T]) Reserve(n int) {
 	s := make([]T, len(t.slots), n)
 	copy(s, t.slots)
 	t.slots = s
-}
-
-// Clone returns an independent flat copy; slot values are copied shallowly.
-func (t *LineTable[T]) Clone() LineTable[T] {
-	if len(t.slots) == 0 {
-		return LineTable[T]{}
-	}
-	n := make([]T, len(t.slots))
-	copy(n, t.slots)
-	return LineTable[T]{slots: n}
 }
 
 // CopyFrom makes t a flat copy of src on t's backing array when it is

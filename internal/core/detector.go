@@ -97,7 +97,24 @@ type StoreRecord struct {
 	// torn is set by the engine when a post-crash load actually observed
 	// this store as racing and synthesized a torn value from it.
 	torn bool
+	// memo remembers the post-crash verdicts already reached on this store
+	// (memo* bits; see CandidateRaced and ObserveRead). The record is its
+	// scenario's own copy, so the bits travel with the report and the
+	// read-side clocks they summarize.
+	memo uint8
 }
+
+// Post-crash verdict memo bits (StoreRecord.memo). cvpre and lastflush only
+// grow and a store's flush chain is fixed once its execution ended, so a
+// "persisted" verdict never reverts; a race already reported for the same
+// guardedness would only re-add an identical report; and joining a store's
+// clock into cvpre twice changes nothing.
+const (
+	memoClean       uint8 = 1 << iota // persistency-safe or suppressed, for good
+	memoRaced                         // reported as a race by an unguarded load
+	memoRacedBenign                   // reported as a race by a guarded load
+	memoObserved                      // ObserveRead joined the store's clock
+)
 
 // Ref returns the record's stable identity within its execution.
 func (s *StoreRecord) Ref() StoreRef { return s.ref }
@@ -126,7 +143,8 @@ type Execution struct {
 	// storeTab: latest committed store per address (storemap).
 	storeTab addridx.Table[StoreRef]
 	// lineAddrs: which addresses on each cache line have been stored to,
-	// in first-store order.
+	// ascending: the walk over every stored address (AppendStoredAddrs)
+	// visits the written lines only, not every storeTab slot.
 	lineAddrs addridx.LineTable[[]pmm.Addr]
 	// lastflush: line → lower bound clock for the line's write-back, as a
 	// ref into the detector's clock arena.
@@ -232,14 +250,11 @@ func (e *Execution) StoredAddrs() []pmm.Addr { return e.AppendStoredAddrs(nil) }
 // AppendStoredAddrs appends every address written in this execution to buf,
 // in ascending address order, and returns the extended slice. Callers on the
 // hot image-derivation path pass a reused scratch buffer so the walk stays
-// allocation-free.
+// allocation-free. The walk goes line by line: a workload writes a few
+// percent of the address range its tables span.
 func (e *Execution) AppendStoredAddrs(buf []pmm.Addr) []pmm.Addr {
-	// Plain index loop: a ForEach closure would capture buf by reference and
-	// cost a heap cell per call on this per-scenario path.
-	for a, n := pmm.Addr(0), pmm.Addr(e.storeTab.Len()); a < n; a++ {
-		if e.storeTab.At(a) != 0 {
-			buf = append(buf, a)
-		}
+	for l, n := pmm.Line(0), pmm.Line(e.lineAddrs.Len()); l < n; l++ {
+		buf = append(buf, e.lineAddrs.At(l)...)
 	}
 	return buf
 }
@@ -361,9 +376,13 @@ func (d *Detector) StoreCommitted(rec *tso.CommittedStore) {
 	})
 	e.storeTab.Set(rec.Addr, ref)
 	if prev == 0 {
-		// First store to this address: register it on its cache line.
+		// First store to this address: register it on its cache line, in
+		// address order (a line holds at most eight words).
 		la := e.lineAddrs.Ptr(pmm.LineOf(rec.Addr))
 		*la = append(*la, rec.Addr)
+		for i := len(*la) - 1; i > 0 && (*la)[i-1] > rec.Addr; i-- {
+			(*la)[i-1], (*la)[i] = (*la)[i], (*la)[i-1]
+		}
 	}
 	if d.journal != nil {
 		d.journal.ops = append(d.journal.ops, JournalOp{Kind: JournalStore, Target: ref})
@@ -454,10 +473,11 @@ var _ tso.Listener = (*Detector)(nil)
 // (Jaaru's candidate sets); ObserveRead then commits the store actually
 // read.
 func (d *Detector) CheckCandidate(e *Execution, s *StoreRecord, guarded bool) *report.Race {
-	if r, ok := d.checkCandidate(e, s, guarded); ok {
-		return &r
+	if !d.CandidateRaced(e, s, guarded) {
+		return nil
 	}
-	return nil
+	r := d.race(e, s, guarded)
+	return &r
 }
 
 // CandidateRaced is CheckCandidate for callers that only need the verdict:
@@ -465,21 +485,46 @@ func (d *Detector) CheckCandidate(e *Execution, s *StoreRecord, guarded bool) *r
 // heap. The engine's candidate loop checks every store a post-crash load
 // could have read from, so this path runs orders of magnitude more often
 // than races are actually new.
+//
+// Verdicts are memoized on the record (FastTrack's same-epoch rule applied
+// to candidate checks): a store found persisted, or whose label is
+// suppressed, stays so, because cvpre and lastflush only grow; a store that
+// races again for the same guardedness skips the label and report.Add,
+// which would only re-add the report already in the set.
 func (d *Detector) CandidateRaced(e *Execution, s *StoreRecord, guarded bool) bool {
-	_, ok := d.checkCandidate(e, s, guarded)
-	return ok
+	if s == nil || s.Seq == 0 || s.Atomic || s.memo&memoClean != 0 {
+		return false // initial values and atomic stores cannot tear
+	}
+	if d.persisted(e, s) {
+		s.memo |= memoClean
+		return false
+	}
+	bit := memoRaced
+	if guarded {
+		bit = memoRacedBenign
+	}
+	if s.memo&bit != 0 {
+		return true
+	}
+	r := d.race(e, s, guarded)
+	if d.cfg.suppressed(r.Field) {
+		s.memo |= memoClean // annotated away (§7.5)
+		return false
+	}
+	d.report.Add(r)
+	s.memo |= bit
+	return true
 }
 
-func (d *Detector) checkCandidate(e *Execution, s *StoreRecord, guarded bool) (report.Race, bool) {
-	if s == nil || s.Seq == 0 || s.Atomic {
-		return report.Race{}, false // initial values and atomic stores cannot tear
-	}
-	line := pmm.LineOf(s.Addr)
+// persisted reports whether the consistent prefix guarantees non-atomic
+// store s of execution e persisted completely (Figure 9's race conditions
+// 2–4 fail).
+func (d *Detector) persisted(e *Execution, s *StoreRecord) bool {
 	// Condition 2 (coherence): if the post-crash execution already read an
 	// atomic release store on this line ordered after s, the line persisted
 	// after s completed.
-	if d.arena.RefContains(e.lastflush.At(line), s.TID, s.Seq) {
-		return report.Race{}, false
+	if d.arena.RefContains(e.lastflush.At(pmm.LineOf(s.Addr)), s.TID, s.Seq) {
+		return true
 	}
 	if d.cfg.EADR {
 		// eADR: commitment is persistence. The store is safe as soon as the
@@ -487,27 +532,25 @@ func (d *Detector) checkCandidate(e *Execution, s *StoreRecord, guarded bool) (r
 		// observation proves the store completed before the crash); the
 		// store's own observation proves nothing — the crash could have
 		// interrupted the torn store itself.
-		if d.arena.RefGet(e.cvpre, s.TID) > s.Seq {
-			return report.Race{}, false
-		}
-	} else {
-		// Conditions 3–4 (explicit flushes): a recorded flush defeats the
-		// race only if it is inside the consistent prefix E+ (CVpre).
-		// Baseline mode accepts any flush that happened before the crash.
-		for n := s.flushHead; n != 0; n = e.flushArena[n-1].next {
-			f := e.flushArena[n-1].ref
-			if !d.cfg.Prefix || d.arena.RefContains(e.cvpre, f.TID, f.Seq) {
-				return report.Race{}, false
-			}
+		return d.arena.RefGet(e.cvpre, s.TID) > s.Seq
+	}
+	// Conditions 3–4 (explicit flushes): a recorded flush defeats the race
+	// only if it is inside the consistent prefix E+ (CVpre). Baseline mode
+	// accepts any flush that happened before the crash.
+	for n := s.flushHead; n != 0; n = e.flushArena[n-1].next {
+		f := e.flushArena[n-1].ref
+		if !d.cfg.Prefix || d.arena.RefContains(e.cvpre, f.TID, f.Seq) {
+			return true
 		}
 	}
-	field := d.label(s.Addr)
-	if d.cfg.suppressed(field) {
-		return report.Race{}, false // annotated away (§7.5)
-	}
-	r := report.Race{
+	return false
+}
+
+// race renders the report for a load of store s of execution e.
+func (d *Detector) race(e *Execution, s *StoreRecord, guarded bool) report.Race {
+	return report.Race{
 		Benchmark: d.cfg.Benchmark,
-		Field:     field,
+		Field:     d.label(s.Addr),
 		Addr:      uint64(s.Addr),
 		StoreSeq:  uint64(s.Seq),
 		StoreTID:  int(s.TID),
@@ -515,18 +558,18 @@ func (d *Detector) checkCandidate(e *Execution, s *StoreRecord, guarded bool) (r
 		Benign:    guarded,
 		Flushed:   s.flushHead != 0,
 	}
-	d.report.Add(r)
-	return r, true
 }
 
 // ObserveRead commits that a later execution actually read store s from
 // execution e: it extends the consistent prefix E+ (CVpre ∪= CVs) and, for
 // atomic release stores, raises the line's write-back lower bound
-// (Load_Atomic in Figure 9).
+// (Load_Atomic in Figure 9). Only the first read of s joins: the joins are
+// idempotent.
 func (d *Detector) ObserveRead(e *Execution, s *StoreRecord) {
-	if s == nil || s.Seq == 0 {
+	if s == nil || s.Seq == 0 || s.memo&memoObserved != 0 {
 		return
 	}
+	s.memo |= memoObserved
 	if s.Atomic && s.Release {
 		lf := e.lastflush.Ptr(pmm.LineOf(s.Addr))
 		*lf = d.arena.JoinStamp(*lf, s.CV)

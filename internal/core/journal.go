@@ -19,6 +19,8 @@
 package core
 
 import (
+	"slices"
+
 	"yashme/internal/pmm"
 )
 
@@ -93,13 +95,13 @@ func (d *Detector) Rewind(j *Journal, mark int) {
 			rec := &e.arena[op.Target-1]
 			e.storeTab.Set(rec.Addr, rec.prevSameAddr)
 			if rec.prevSameAddr == 0 {
-				// The address's first store registered it last on its
-				// line: every later registration was undone before this.
+				// Undo the address's registration on its (sorted) line.
 				la := e.lineAddrs.Ptr(pmm.LineOf(rec.Addr))
 				if len(*la) == 1 {
 					*la = nil // no shared capacity for a later clone to alias
 				} else {
-					*la = (*la)[:len(*la)-1]
+					i := slices.Index(*la, rec.Addr)
+					*la = slices.Delete(*la, i, i+1)
 				}
 			}
 			e.arena = e.arena[:op.Target-1]
@@ -144,37 +146,36 @@ func appendU64(buf []byte, v uint64) []byte {
 
 // AppendStateSignature serializes the execution's crash-visible detector
 // state into buf and returns the extended slice: arena and flush-arena
-// lengths, then per stored address (ascending) the storemap ref, the
-// persist lower bound, and the full flush chain of every record in the
-// address's history (newest first). Two probe points of one schedule with
-// equal signatures hold byte-identical image-determining state — the
-// stores, their values and order (positional refs over append-only arenas
-// make equal refs name equal records within one run), what was flushed,
-// and what the persist floors are. crashSeq is deliberately excluded: it
-// feeds only the trace recorder and test accessors, never an image or a
-// race verdict.
+// lengths, then per stored address (ascending, walked line by line) the
+// storemap ref, the persist lower bound, and the full flush chain of every
+// record in the address's history (newest first). Two probe points of one
+// schedule with equal signatures hold byte-identical image-determining
+// state — the stores, their values and order (positional refs over
+// append-only arenas make equal refs name equal records within one run),
+// what was flushed, and what the persist floors are. crashSeq is
+// deliberately excluded: it feeds only the trace recorder and test
+// accessors, never an image or a race verdict.
 func (e *Execution) AppendStateSignature(buf []byte) []byte {
 	buf = appendU64(buf, uint64(len(e.arena)))
 	buf = appendU64(buf, uint64(len(e.flushArena)))
-	for a, n := pmm.Addr(0), pmm.Addr(e.storeTab.Len()); a < n; a++ {
-		ref := e.storeTab.At(a)
-		if ref == 0 {
-			continue
-		}
-		buf = appendU64(buf, uint64(a))
-		buf = appendU64(buf, uint64(ref))
-		buf = appendU64(buf, uint64(e.persistTab.At(a)))
-		for s := e.ByRef(ref); s != nil; s = e.ByRef(s.prevSameAddr) {
-			head := s.flushHead
-			cnt := uint64(0)
-			for f := head; f != 0; f = e.flushArena[f-1].next {
-				cnt++
-			}
-			buf = appendU64(buf, cnt)
-			for f := head; f != 0; f = e.flushArena[f-1].next {
-				fr := e.flushArena[f-1].ref
-				buf = appendU64(buf, uint64(fr.TID))
-				buf = appendU64(buf, uint64(fr.Seq))
+	for l, n := pmm.Line(0), pmm.Line(e.lineAddrs.Len()); l < n; l++ {
+		for _, a := range e.lineAddrs.At(l) {
+			ref := e.storeTab.At(a)
+			buf = appendU64(buf, uint64(a))
+			buf = appendU64(buf, uint64(ref))
+			buf = appendU64(buf, uint64(e.persistTab.At(a)))
+			for s := e.ByRef(ref); s != nil; s = e.ByRef(s.prevSameAddr) {
+				head := s.flushHead
+				cnt := uint64(0)
+				for f := head; f != 0; f = e.flushArena[f-1].next {
+					cnt++
+				}
+				buf = appendU64(buf, cnt)
+				for f := head; f != 0; f = e.flushArena[f-1].next {
+					fr := e.flushArena[f-1].ref
+					buf = appendU64(buf, uint64(fr.TID))
+					buf = appendU64(buf, uint64(fr.Seq))
+				}
 			}
 		}
 	}
@@ -188,7 +189,7 @@ func (e *Execution) AppendStateSignature(buf []byte) []byte {
 // count in full.
 const (
 	storeRecordBytes = 80
-	flushNodeBytes   = 16
+	flushNodeBytes   = 24
 	tableSlotBytes   = 4
 	lineSlotBytes    = 24 // slice/clock headers in the per-line tables
 )

@@ -19,16 +19,19 @@
 // way, with one consumer: the rewound detector itself is handed over.
 //
 // On top of the positions sits crash-image memoization: at each probed
-// point the log serializes the image-determining state — heap shape,
-// persisted image, live threads, rng position, and the detector's
-// stores/flush-chains/persist-bounds (core.Execution.AppendStateSignature) —
-// and content-hashes it. A point whose serialized state is byte-identical to
-// an earlier point's (hash equality is only a filter; a full byte compare
-// confirms every match, so a collision can never change results) must yield
-// the same persisted image, the same recovery execution and the same races,
-// so the planner marks it a duplicate, gives it a snapshot of its operation
-// counts only, and the merge layer reuses the earlier point's recorded
-// verdict instead of re-simulating (explore.go).
+// point the log serializes the image-determining state — heap shape, live
+// threads, rng position, and the detector's stores/flush-chains/
+// persist-bounds (core.Execution.AppendStateSignature) — and
+// content-hashes it. The persisted image needs no bytes: a probe's image is
+// its Setup image, the same at every point of its run, and every probe
+// files its points in its own index. A point whose serialized state is
+// byte-identical to an earlier point's (hash equality is only a filter; a
+// full byte compare confirms every match, so a collision can never change
+// results) must yield the same persisted image, the same recovery
+// execution and the same races, so the planner marks it a duplicate, gives
+// it a snapshot of its operation counts only, and the merge layer reuses
+// the earlier point's recorded verdict instead of re-simulating
+// (explore.go).
 //
 // What a snapshot holds, and why:
 //
@@ -46,9 +49,8 @@
 //     after its crash unwinds the remaining threads;
 //   - the crash sequence number — NOT the TSO machine. A crash discards
 //     every buffered store and flush by definition, and the post-crash
-//     machine is freshly seeded from the image, so the machine's only
-//     surviving observable is CurSeq (tso.Machine.Clone exists for tests and
-//     tooling, not for this layer).
+//     machine starts afresh over the image, so the machine's only
+//     surviving observable is CurSeq.
 //
 // A snapshot belongs to its spec (DESIGN.md §4.7): every scenario of the
 // spec resumes from clones of its detector and image, except the last
@@ -450,17 +452,17 @@ func dedupEnabled(opts Options) bool {
 // classify serializes the probe's image-determining state at the point and
 // files it into the signature classes, returning the representative point
 // of a byte-identical earlier point (0 = none, the point is its own class).
-// The serialized state is exactly what the resumed
-// scenario's behavior is a function of — the heap shape (Setup fingerprint
-// plus allocations and init writes, which within one probe run are fully
-// determined by their counts: the run appends deterministically), the
-// persisted image, the live-thread count (the crash-unwind draws), the rng
-// position (the scheduler and persist-point draws to come), and the
-// detector execution state (AppendStateSignature). Equal bytes therefore
-// imply an identical image derivation, an identical recovery execution and
-// identical race verdicts; the hash only routes to candidates, and
-// bytes.Equal confirms every match, so a hash collision can never merge two
-// distinct states.
+// The serialized state is exactly what the resumed scenario's behavior is
+// a function of, beside the probe's Setup image, which is constant over
+// the run — the heap shape (Setup fingerprint plus allocations and init
+// writes, which within one probe run are fully determined by their counts:
+// the run appends deterministically), the live-thread count (the
+// crash-unwind draws), the rng position (the scheduler and persist-point
+// draws to come), and the detector execution state (AppendStateSignature).
+// Equal bytes therefore imply an identical image derivation, an identical
+// recovery execution and identical race verdicts; the hash only routes to
+// candidates, and bytes.Equal confirms every match, so a hash collision can
+// never merge two distinct states.
 func (pl *positionLog) classify(sc *scenario, point int) int {
 	buf := pl.sigBuf[:0]
 	buf = sigU64(buf, uint64(sc.heap.AllocCount()))
@@ -468,7 +470,6 @@ func (pl *positionLog) classify(sc *scenario, point int) int {
 	buf = sigU64(buf, uint64(len(sc.heap.InitWrites())))
 	buf = sigU64(buf, uint64(sc.liveThreads))
 	buf = sigU64(buf, sc.rngSrc.n)
-	buf = sc.image.appendSignature(buf)
 	buf = sc.det.Current().AppendStateSignature(buf)
 	// Extra passes append their own decision-relevant state (nothing for a
 	// yashme-only stack, keeping the default signature bytes unchanged):

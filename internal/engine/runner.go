@@ -47,8 +47,8 @@ func (sc *scenario) storeOf(c provCand) *core.StoreRecord {
 }
 
 // imageEntry is the persisted-image record for one address after a crash:
-// the value the post-crash machine is seeded with, plus the provenance the
-// detector needs to check candidate reads. Setup-time initial values have
+// the value a post-crash load reads, plus the provenance the detector
+// needs to check candidate reads. Setup-time initial values have
 // no candidates (they are fully persisted by definition).
 type imageEntry struct {
 	val  uint64
@@ -171,29 +171,6 @@ const imageEntryBytes = 72
 // footprintBytes estimates the retained size of one table clone.
 func (t *imageTable) footprintBytes() int64 {
 	return int64(len(t.entries))*imageEntryBytes + int64(t.idx.Len())*4
-}
-
-// appendSignature serializes the image content into the crash-point state
-// signature: per present address (ascending) the committed value, size,
-// chosen provenance, pre-image value and candidate set. Positional refs over
-// the run's append-only arenas make equal serializations name equal stores
-// within one probe run.
-func (t *imageTable) appendSignature(buf []byte) []byte {
-	buf = sigU64(buf, uint64(len(t.entries)))
-	t.forEach(func(a pmm.Addr, e *imageEntry) {
-		buf = sigU64(buf, uint64(a))
-		buf = sigU64(buf, e.val)
-		buf = sigU64(buf, uint64(e.size))
-		buf = sigU64(buf, uint64(e.chosen.exec))
-		buf = sigU64(buf, uint64(e.chosen.ref))
-		buf = sigU64(buf, e.prevVal)
-		buf = sigU64(buf, uint64(len(e.candidates)))
-		for _, c := range e.candidates {
-			buf = sigU64(buf, uint64(c.exec))
-			buf = sigU64(buf, uint64(c.ref))
-		}
-	})
-	return buf
 }
 
 // scenario runs one crash plan end to end.
@@ -446,8 +423,13 @@ func (sc *scenario) attachWitnesses() {
 	})
 }
 
-// startMachine creates a fresh TSO machine for the current execution,
-// seeded from the persisted image.
+// startMachine creates a fresh TSO machine for the current execution. Only
+// the pre-crash execution's machine is seeded, with the Setup image. A
+// recovery's machine starts empty: a load that finds no value the recovery
+// itself produced reads across the crash through resolvePostCrashLoad,
+// which answers from the image, and the one operation that needs the value
+// in the machine, an RMW, seeds its address on first touch (threadOps.RMW).
+// A recovery touches a few of the addresses its image holds.
 func (sc *scenario) startMachine() {
 	listener := sc.stack.Listener()
 	if sc.recorder != nil {
@@ -463,6 +445,9 @@ func (sc *scenario) startMachine() {
 	// arena — the stamps cross the listener boundary by value and end up in
 	// StoreRecords, lastflush refs and cvpre.
 	sc.machine.UseArena(sc.det.ClockArena())
+	if sc.execIdx > 0 {
+		return
+	}
 	// The seed loop ascends; pre-sizing to the image's address bound makes
 	// it one allocation (later stores to fresh allocations grow as usual).
 	sc.machine.ReserveMemory(sc.image.idx.Len())
@@ -543,7 +528,7 @@ func (sc *scenario) startThread(i int, fn func(*pmm.Thread)) {
 	o.guarded = false
 	s.waiting[i], s.finished[i], s.panics[i] = true, false, nil
 	th := s.threads[i]
-	go func() {
+	carry(func() {
 		defer func() {
 			// Workload panics propagate to the scheduler goroutine (so
 			// callers can recover them); the crash sentinel unwinds
@@ -558,7 +543,44 @@ func (sc *scenario) startThread(i int, fn func(*pmm.Thread)) {
 			panic(errCrash)
 		}
 		fn(th)
-	}()
+	})
+}
+
+// maxIdleCarriers bounds the carriers parked between simulated threads.
+const maxIdleCarriers = 64
+
+// idleCarriers holds parked carriers: goroutines that ran a simulated
+// thread to its end and wait for the next one. A fresh goroutine starts on
+// a small stack and regrows it under every simulated thread's deepest call
+// (the workload, the engine's operation path, the race label); a carrier
+// keeps the stack it grew. Any worker may take any carrier, since a
+// carrier holds no state between threads.
+var idleCarriers = make(chan chan func(), maxIdleCarriers)
+
+// carry runs f on a parked carrier goroutine, or on a new one when none is
+// idle. f must not panic: the simulated threads recover their own.
+func carry(f func()) {
+	select {
+	case c := <-idleCarriers:
+		c <- f
+	default:
+		go carrier(f)
+	}
+}
+
+// carrier runs f, then parks in idleCarriers and runs the next function
+// sent on its channel; it exits when the idle set is full.
+func carrier(f func()) {
+	c := make(chan func(), 1)
+	for {
+		f()
+		select {
+		case idleCarriers <- c:
+			f = <-c
+		default:
+			return
+		}
+	}
 }
 
 // spawnThread registers fn as a new simulated thread (Thread.Go). It runs on
@@ -973,10 +995,18 @@ func (t *threadOps) RMW(a pmm.Addr, size int, f func(old uint64) (uint64, bool))
 		t.sc.crashNow()
 	}
 	t.sc.stats.RMWs++
-	// A cross-crash RMW read observes the image value first.
-	if t.sc.execIdx > 0 {
-		if rec, ok := t.sc.machine.VolatileValue(a); ok && rec.Seq == 0 {
-			t.sc.resolvePostCrashLoad(t.tid, a, size, true, t.guarded)
+	// A cross-crash RMW read observes the image value first, seeding it
+	// into the recovery's machine on first touch (see startMachine).
+	if sc := t.sc; sc.execIdx > 0 {
+		rec, ok := sc.machine.VolatileValue(a)
+		if !ok {
+			if e := sc.image.lookup(a); e != nil {
+				sc.machine.SeedMemory(a, int(e.size), e.val)
+				rec, ok = sc.machine.VolatileValue(a)
+			}
+		}
+		if ok && rec.Seq == 0 {
+			sc.resolvePostCrashLoad(t.tid, a, size, true, t.guarded)
 		}
 	}
 	return t.sc.machine.RMW(t.tid, a, size, f)

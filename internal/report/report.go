@@ -131,7 +131,10 @@ type Set struct {
 	// idx accelerates lookup if a set ever outgrows the linear scan; built
 	// lazily by find, dropped by Clone.
 	idx map[raceKey]int
-	// RawCount counts every reported race before deduplication.
+	// RawCount counts reported races before deduplication. The detector
+	// reports a store once per guardedness and scenario (core.StoreRecord
+	// keeps the verdict), so it counts those first reports, not every
+	// racing load.
 	RawCount int
 }
 

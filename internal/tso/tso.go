@@ -126,7 +126,7 @@ const MaxThreads = 1 << 10
 
 // Machine is one x86-TSO storage system instance. One Machine simulates one
 // execution (pre-crash or post-crash); the engine creates a fresh Machine
-// per execution, seeding its memory from the persisted image.
+// per execution and seeds (SeedMemory) the persisted values it needs.
 //
 // Per-thread state is held in slices indexed directly by TID. This dense
 // layout relies on the TID-density invariant: threads are numbered 0..n-1
@@ -159,7 +159,7 @@ type Machine struct {
 
 	// mem is the volatile cache/memory view: latest committed store per
 	// address, interned by addridx (the heap's Addr space is dense).
-	// Initial contents come from the persisted image.
+	// Initial contents are the seeded persisted values.
 	mem addridx.Table[*CommittedStore]
 
 	// recSlab is the spare tail of a chunk-allocated CommittedStore block:
