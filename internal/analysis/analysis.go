@@ -89,8 +89,8 @@ type Pass interface {
 	// is taken of, and a resume clones the snapshot's again unless it is
 	// the snapshot's last.
 	Clone() Pass
-	// SetLabeler rebinds the report labeler after a resume re-runs Setup
-	// against a fresh heap.
+	// SetLabeler rebinds the report labeler to a resumed scenario's own
+	// heap.
 	SetLabeler(func(pmm.Addr) string)
 	// AppendStateSignature serializes every byte of state the pass's future
 	// verdicts depend on, deterministically, for crash-image memoization:
@@ -198,13 +198,11 @@ func NewStack(names []string, cfg Config) (*Stack, error) {
 
 // Rebuild reassembles a stack around already-built components — the
 // checkpoint layer's resume path, where the model and the extras are a
-// snapshot's copies or clones of them. names must be the same selection the
-// snapshot was captured under.
+// snapshot's copies or clones of them. names must be the Names of the stack
+// the snapshot was captured from: a validated selection that no one
+// mutates, so the rebuilt stack shares it instead of copying it.
 func Rebuild(names []string, model *core.Detector, extras []Pass) *Stack {
-	if len(names) == 0 {
-		names = []string{Yashme}
-	}
-	s := &Stack{names: append([]string(nil), names...), model: model, extras: extras}
+	s := &Stack{names: names, model: model, extras: extras}
 	for _, name := range names {
 		if name == Yashme {
 			s.yashme = true
@@ -232,7 +230,7 @@ func (s *Stack) Model() *core.Detector { return s.model }
 // Extras returns the non-model passes in selection order. Shared, read-only.
 func (s *Stack) Extras() []Pass { return s.extras }
 
-// Names returns the validated selection order.
+// Names returns the validated selection order. Shared, read-only.
 func (s *Stack) Names() []string { return s.names }
 
 // YashmeSelected reports whether the flagship pass is part of the stack.
@@ -300,7 +298,7 @@ func CloneExtras(extras []Pass) []Pass {
 	return out
 }
 
-// SetLabeler rebinds every pass's labeler after a resume re-ran Setup.
+// SetLabeler rebinds every pass's labeler to a resumed scenario's heap.
 func (s *Stack) SetLabeler(l func(pmm.Addr) string) {
 	s.model.SetLabeler(l)
 	for _, p := range s.extras {

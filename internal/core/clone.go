@@ -26,8 +26,8 @@ func (d *Detector) Clone() *Detector {
 }
 
 // SetLabeler replaces the address labeler. A scenario resumed from a
-// checkpoint re-runs the program's Setup against its own heap and points the
-// cloned detector at that heap's LabelFor.
+// checkpoint recovers on its own header over the snapshot's heap and points
+// the cloned detector at that heap's labels.
 func (d *Detector) SetLabeler(l func(pmm.Addr) string) { d.cfg.Labeler = l }
 
 // clone copies the execution into a pooled one, so a warm clone reuses the

@@ -293,9 +293,12 @@ type snapshot struct {
 	extras []analysis.Pass
 	take   bool
 	rec    *trace.Recorder // nil unless tracing
-	// setupAllocs/setupNext fingerprint the heap right after Setup.
-	setupAllocs int
-	setupNext   pmm.Addr
+	// recovery is the recovery a resume runs: the run's shared recovery
+	// program's (recoveryProgram). analyses is the validated pass selection
+	// of the stack the snapshot was taken from (analysis.Stack.Names),
+	// shared by every resume's rebuilt stack.
+	recovery []func(*pmm.Thread)
+	analyses []string
 }
 
 // release hands the snapshot's copies to the pools once its spec has run:
@@ -411,8 +414,8 @@ func newSnapshotShell(sc *scenario, point int) *snapshot {
 		stats:       sc.stats,
 		crashPoints: make(map[int]int, len(sc.crashPoints)),
 		heap:        sc.heap.Snapshot(),
-		setupAllocs: sc.setupAllocs,
-		setupNext:   sc.setupNext,
+		recovery:    sc.recovery,
+		analyses:    sc.stack.Names(),
 	}
 	snap.stats.ZeroCost()
 	for k, v := range sc.crashPoints {
@@ -513,31 +516,56 @@ func sigU64(buf []byte, v uint64) []byte {
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
+// recoveryProgram is the one program instance an engine run's resumed
+// scenarios recover with (DESIGN.md §4.1). Its Setup ran once, on a heap of
+// its own that only fingerprints its shape, and its Workers never run: a
+// resumed scenario skipped the pre-crash closures anyway, and the program
+// of a probe, whose Workers did run, cannot stand in for it. Every resumed
+// scenario of the run, on every worker, runs the same recovery closures,
+// which is sound because recovery reads only the Go state Setup built,
+// writes none, and reaches the heap only through its thread.
+type recoveryProgram struct {
+	workers []func(*pmm.Thread)
+	// allocs and next are the Setup heap's shape (AllocCount, NextFree).
+	allocs int
+	next   pmm.Addr
+}
+
+// newRecoveryProgram builds a run's recovery program: one makeProg and its
+// Setup.
+func newRecoveryProgram(makeProg func() pmm.Program) *recoveryProgram {
+	prog := makeProg()
+	h := pmm.NewHeap()
+	if prog.Setup != nil {
+		prog.Setup(h)
+	}
+	return &recoveryProgram{workers: prog.RecoveryWorkers(), allocs: h.AllocCount(), next: h.NextFree()}
+}
+
+// fits reports whether probe's Setup built the heap shape the recovery
+// program's did, so that the handles its recovery closures hold name the
+// same objects on the probe's heap; it must be called before the probe
+// runs. A probe that does not fit — a nondeterministic Setup — takes no
+// snapshots, and its specs run from scratch.
+func (r *recoveryProgram) fits(probe *scenario) bool {
+	return probe.heap.AllocCount() == r.allocs && probe.heap.NextFree() == r.next
+}
+
 // resumeScenario builds a scenario positioned exactly where a from-scratch
 // run of (makeProg, opts, p, persist, snap.seed) would be at snap's crash
 // point, without simulating the prefix. The caller continues with
 // sc.finish(snap.crashSeq).
 //
-// The program's closures capture heap handles, so the program and its Setup
-// are re-run against a fresh heap first; the snapshot's heap state is then
-// grafted into that heap (pmm.Heap.Restore), keeping the handles valid. If
-// Setup does not reproduce the snapshot's allocation fingerprint —
-// a nondeterministic program — resumption is refused and the caller falls
-// back to a from-scratch run, deterministically for every worker count.
-func resumeScenario(makeProg func() pmm.Program, opts Options, snap *snapshot, p plan, persist PersistPolicy) (*scenario, bool) {
-	prog := makeProg()
-	heap := pmm.NewHeap()
-	if prog.Setup != nil {
-		prog.Setup(heap)
-	}
-	if heap.AllocCount() != snap.setupAllocs || heap.NextFree() != snap.setupNext {
-		return nil, false
-	}
-	heap.Restore(snap.heap)
+// No program is built: the scenario recovers with the snapshot's recovery
+// (the run's recoveryProgram) on its own header over the snapshot's heap
+// view.
+func resumeScenario(opts Options, snap *snapshot, p plan, persist PersistPolicy) *scenario {
 	if opts.EADR {
 		persist = PersistLatest
 	}
 	sc := getScenario()
+	sc.view = *snap.heap.Snapshot()
+	sc.heap = &sc.view
 	extras := snap.extras
 	if snap.take {
 		sc.det, sc.image = snap.det, snap.image
@@ -556,24 +584,21 @@ func resumeScenario(makeProg func() pmm.Program, opts Options, snap *snapshot, p
 		sc.rngSrc.reset(snap.seed)
 		sc.rngSrc.skip(snap.rngDraws)
 	}
-	sc.stack = analysis.Rebuild(opts.Analyses, sc.det, extras)
-	sc.stack.SetLabeler(heap.LabelFor)
+	sc.stack = analysis.Rebuild(snap.analyses, sc.det, extras)
+	sc.stack.SetLabeler(sc.labelFor)
 	sc.opts = opts
-	sc.prog = prog
-	sc.heap = heap
+	sc.recovery = snap.recovery
 	sc.seed = snap.seed
 	sc.persist = persist
 	sc.crashPlan = p
 	sc.execIdx = snap.execIdx
 	sc.stats = snap.stats
-	sc.setupAllocs = snap.setupAllocs
-	sc.setupNext = snap.setupNext
 	sc.setGates()
 	for k, v := range snap.crashPoints {
 		sc.crashPoints[k] = v
 	}
 	if opts.Trace && snap.rec != nil {
-		sc.recorder = snap.rec.Clone(sc.stack.Listener(), heap.LabelFor)
+		sc.recorder = snap.rec.Clone(sc.stack.Listener(), sc.labelFor)
 	}
 	// Replay the crash-unwind draws so the rng matches a scratch scenario
 	// whose scheduler unwound the remaining threads at the crash. These must
@@ -582,28 +607,28 @@ func resumeScenario(makeProg func() pmm.Program, opts Options, snap *snapshot, p
 	for j := snap.unwind; j >= 2; j-- {
 		sc.rng.Intn(j)
 	}
-	return sc, true
+	return sc
 }
 
-// runPlanned runs one crash scenario, resuming from snap when possible and
-// falling back to a from-scratch run otherwise (snap == nil, as in the
-// Reference configuration, or a fingerprint mismatch). configure, when
-// non-nil, is applied to the scenario before any execution — both paths —
-// so read-choice overrides and recovery sinks attach uniformly.
+// runPlanned runs one crash scenario, resuming from snap, or from scratch
+// when there is none (the Reference configuration, a probe whose Setup did
+// not fit the recovery program, a random run without handover).
+// configure, when non-nil, is applied to the scenario before any execution
+// — both paths — so read-choice overrides and recovery sinks attach
+// uniformly.
 func runPlanned(makeProg func() pmm.Program, opts Options, snap *snapshot, p plan, persist PersistPolicy, seed int64, configure func(*scenario)) *scenario {
-	if snap != nil {
-		if sc, ok := resumeScenario(makeProg, opts, snap, p, persist); ok {
-			if configure != nil {
-				configure(sc)
-			}
-			sc.finish(snap.crashSeq)
-			return sc
+	if snap == nil {
+		sc := newScenario(makeProg, opts, p, persist, seed)
+		if configure != nil {
+			configure(sc)
 		}
+		sc.run()
+		return sc
 	}
-	sc := newScenario(makeProg, opts, p, persist, seed)
+	sc := resumeScenario(opts, snap, p, persist)
 	if configure != nil {
 		configure(sc)
 	}
-	sc.run()
+	sc.finish(snap.crashSeq)
 	return sc
 }

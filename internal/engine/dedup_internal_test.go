@@ -169,7 +169,11 @@ func probeWalk(mk func() pmm.Program, opts Options, memo bool, arm func(*positio
 	probe := newScenario(mk, opts, plan{}, PersistLatest, opts.Seed)
 	log := positionLogPool.Get().(*positionLog)
 	defer log.release()
-	log.watch(probe, opts)
+	rp := newRecoveryProgram(mk)
+	if !rp.fits(probe) {
+		panic("engine: probe Setup does not fit its recovery program")
+	}
+	log.watch(probe, opts, rp.workers)
 	if !memo {
 		log.seal()
 		log.dedup = false

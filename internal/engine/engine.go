@@ -116,9 +116,10 @@ type Options struct {
 	// (0 = runtime.GOMAXPROCS(0); 1 = fully sequential). Results are
 	// byte-identical for every worker count: scenarios are isolated and
 	// merged in plan order. With Workers > 1, makeProg and the program's
-	// callbacks must be safe for concurrent instantiation — programs that
-	// record observations through shared captured variables should set
-	// Workers to 1.
+	// callbacks must be safe for concurrent use — the recovery closures of
+	// one program instance run in several scenarios at once — and programs
+	// that record observations through shared captured variables should
+	// set Workers to 1.
 	Workers int
 	// PersistPolicies are the image policies explored per crash point in
 	// ModelCheck (default: latest then minimal). RandomMode always uses
@@ -352,9 +353,15 @@ func newResult(opts Options) *Result {
 }
 
 // Run explores a program per the options and returns the merged reports.
-// makeProg must return a fresh program instance per call (scenario state is
-// captured in the program's closures); with Options.Workers > 1 (the
-// default follows GOMAXPROCS) it is called from several goroutines
+// makeProg must return a fresh program instance per call. The engine calls
+// it for every probe run and, outside the Reference configuration, once
+// more for the run's recovery program: its Setup runs, its Workers never
+// do, and every scenario resumed from a checkpoint recovers with it,
+// concurrently across workers. The Reference configuration calls it for
+// every crash scenario instead. So recovery code must reach the heap only
+// through its thread (pmm.Thread.Heap), read only the Go state Setup
+// built and write none (DESIGN.md §4.1). With Options.Workers > 1 (the
+// default follows GOMAXPROCS) makeProg is called from several goroutines
 // concurrently. Exploration is layered — plan, execute, merge (see
 // explore.go) — and the Result is byte-identical for every worker count.
 func Run(makeProg func() pmm.Program, opts Options) *Result {

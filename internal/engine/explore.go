@@ -8,9 +8,10 @@
 //	          crash-point clamping, random-mode seed derivation all happen
 //	          here);
 //	execute — a bounded pool of Options.Workers goroutines runs each spec
-//	          as an isolated scenario group (no state is shared between
-//	          specs: every scenario owns its program instance, heap,
-//	          detector, TSO machine and rng);
+//	          as an isolated scenario group (no mutable state is shared
+//	          between specs: every scenario owns its heap, detector, TSO
+//	          machine and rng; resumed scenarios share the run's one
+//	          recovery program, whose closures only read);
 //	merge   — results are absorbed strictly in spec-index order, whatever
 //	          order they were planned and finished in, so the final
 //	          Result (races, Stats, Window, ExecutionsRun) is
@@ -358,16 +359,19 @@ func planSpecs(ctx context.Context, makeProg func() pmm.Program, opts Options, e
 func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Options, emit func(scenarioSpec)) planSummary {
 	var sum planSummary
 	var log *positionLog
+	var rp *recoveryProgram
 	if !opts.Reference {
 		log = positionLogPool.Get().(*positionLog)
 		defer log.release()
+		rp = newRecoveryProgram(makeProg)
 	}
 	idx := 0
 	for sched := 0; sched < opts.Schedules; sched++ {
 		seed := opts.Seed + int64(sched)
 		probe := newScenario(makeProg, opts, plan{}, PersistLatest, seed)
-		if log != nil {
-			log.watch(probe, opts)
+		logged := log != nil && rp.fits(probe)
+		if logged {
+			log.watch(probe, opts, rp.workers)
 		}
 		if !opts.Budget.AcquireCtx(ctx) {
 			return sum // cancelled before this schedule's probe
@@ -382,7 +386,7 @@ func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Optio
 		if opts.MaxCrashPoints > 0 && limit > opts.MaxCrashPoints {
 			limit = opts.MaxCrashPoints
 		}
-		if log != nil {
+		if logged {
 			probe.stats.JournalOps += int64(log.journal.Len())
 		}
 		// Crash-image memoization: repPoints marks the points at least one
@@ -403,7 +407,7 @@ func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Optio
 				window:         sched == 0,
 				retain:         repPoints[c],
 			}
-			if log != nil {
+			if logged {
 				spec.snap = log.copyAt(probe, c)
 				if rp := log.kept[c].dupOf; rp > 0 {
 					spec.dedupOf = base + rp + 1
@@ -447,17 +451,20 @@ func planRandom(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 	defer src.release()
 	rng := rand.New(src)
 	var log *positionLog
+	var rp *recoveryProgram
 	if handoverEnabled(opts) {
 		log = positionLogPool.Get().(*positionLog)
 		defer log.release()
+		rp = newRecoveryProgram(makeProg)
 	}
 	for i := 0; i < opts.Executions; i++ {
 		schedSeed := rng.Int63()
 		// Probe with this schedule to count its crash points, then emit
 		// the identical schedule crashing before a random one of them.
 		probe := newScenario(makeProg, opts, plan{}, PersistRandom, schedSeed)
-		if log != nil {
-			log.watch(probe, opts)
+		logged := log != nil && rp.fits(probe)
+		if logged {
+			log.watch(probe, opts, rp.workers)
 		}
 		if !opts.Budget.AcquireCtx(ctx) {
 			return sum // cancelled before this execution's probe
@@ -475,7 +482,7 @@ func planRandom(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 			p[1] = 1 + rng.Intn(opts.RecoveryCrashes)
 		}
 		var snap *snapshot
-		if log != nil {
+		if logged {
 			snap = log.handover(probe, c)
 		}
 		probe.retire()

@@ -87,6 +87,9 @@ type positionLog struct {
 	kept   []keptPoint
 	max    int
 	rng    *countingSource
+	// recovery is the run's shared recovery program's recovery, which the
+	// probe's snapshots resume with.
+	recovery []func(*pmm.Thread)
 	// Crash-image memoization (model checking, dedupEnabled): sigs files
 	// the points by state signature, hashed under seed (sigSeed unless a
 	// test swaps it), while the probe runs.
@@ -99,10 +102,12 @@ type positionLog struct {
 // positionLogPool holds the logs of finished planners.
 var positionLogPool = sync.Pool{New: func() any { return new(positionLog) }}
 
-// watch arms the log for a fresh probe run under opts: the detector records
-// into the emptied undo journal and the points restart.
-func (pl *positionLog) watch(probe *scenario, opts Options) {
+// watch arms the log for a fresh probe run under opts whose snapshots
+// resume with recovery: the detector records into the emptied undo journal
+// and the points restart.
+func (pl *positionLog) watch(probe *scenario, opts Options, recovery []func(*pmm.Thread)) {
 	probe.det.AttachUndo(&pl.journal)
+	pl.recovery = recovery
 	pl.points = append(pl.points[:0], probePoint{})
 	pl.copies = opts.Mode == ModelCheck
 	pl.max = 0
@@ -196,7 +201,7 @@ func (pl *positionLog) seal() {
 func (pl *positionLog) release() {
 	pl.seal()
 	clear(pl.kept[:cap(pl.kept)])
-	pl.kept, pl.rng = pl.kept[:0], nil
+	pl.kept, pl.rng, pl.recovery = pl.kept[:0], nil, nil
 	positionLogPool.Put(pl)
 }
 
@@ -254,12 +259,12 @@ func (pl *positionLog) rewind(probe *scenario, c int) *snapshot {
 func (pl *positionLog) shell(probe *scenario, c int) *snapshot {
 	pos := &pl.points[c]
 	return &snapshot{
-		seed:        probe.seed,
-		point:       c,
-		crashSeq:    pos.crashSeq,
-		rngDraws:    pos.rngDraws,
-		stats:       Stats{Stores: pos.stores, Loads: pos.loads, Flushes: pos.flushes, Fences: pos.fences, RMWs: pos.rmws},
-		setupAllocs: probe.setupAllocs,
-		setupNext:   probe.setupNext,
+		seed:     probe.seed,
+		point:    c,
+		crashSeq: pos.crashSeq,
+		rngDraws: pos.rngDraws,
+		stats:    Stats{Stores: pos.stores, Loads: pos.loads, Flushes: pos.flushes, Fences: pos.fences, RMWs: pos.rmws},
+		recovery: pl.recovery,
+		analyses: probe.stack.Names(),
 	}
 }

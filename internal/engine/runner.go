@@ -176,8 +176,21 @@ func (t *imageTable) footprintBytes() int64 {
 // scenario runs one crash plan end to end.
 type scenario struct {
 	opts Options
-	prog pmm.Program
+	// workers and recovery are the program's pre-crash and recovery thread
+	// functions. A resumed scenario has no workers: its recovery is the
+	// run's shared recovery program's (checkpoint.go, recoveryProgram).
+	workers, recovery []func(*pmm.Thread)
+	// heap is the scenario's persistent heap: for a from-scratch scenario
+	// the one its program's Setup built, for a resumed one &view, the
+	// scenario's own O(1) header over the snapshot's capped view. A
+	// recovery allocation copies the view on its first append, so what one
+	// scenario allocates no other sees.
 	heap *pmm.Heap
+	view pmm.Heap
+	// labelFor names an address on the scenario's heap. It is bound to the
+	// shell once (getScenario), so each scenario's analyses label through
+	// it without a closure of their own.
+	labelFor func(pmm.Addr) string
 	// stack is the scenario's analysis-pass stack (internal/analysis); det
 	// is its always-present Yashme core model — the image derivation and
 	// candidate provenance are functions of its execution state regardless
@@ -246,11 +259,6 @@ type scenario struct {
 	// liveThreads mirrors the scheduler's live-thread count; a snapshot
 	// records it to replay the crash-unwind rng draws on resume.
 	liveThreads int
-	// setupAllocs/setupNext fingerprint the heap right after Setup; a resume
-	// verifies a fresh Setup reproduced the same shape before grafting
-	// snapshot state onto it.
-	setupAllocs int
-	setupNext   pmm.Addr
 }
 
 func newScenario(makeProg func() pmm.Program, opts Options, p plan, persist PersistPolicy, seed int64) *scenario {
@@ -268,20 +276,20 @@ func newScenario(makeProg func() pmm.Program, opts Options, p plan, persist Pers
 		// the latest committed state.
 		persist = PersistLatest
 	}
+	sc := getScenario()
 	stack, err := analysis.NewStack(opts.Analyses, analysis.Config{
 		Prefix:      opts.Prefix,
 		EADR:        opts.EADR,
 		Benchmark:   benchmark,
-		Labeler:     func(a pmm.Addr) string { return heap.LabelFor(a) },
+		Labeler:     sc.labelFor,
 		Suppress:    opts.Suppress,
 		OwnedClocks: opts.Reference,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("engine: %v", err))
 	}
-	sc := getScenario()
 	sc.opts = opts
-	sc.prog = prog
+	sc.workers, sc.recovery = prog.Workers, prog.RecoveryWorkers()
 	sc.heap = heap
 	sc.stack = stack
 	sc.det = stack.Model()
@@ -290,11 +298,9 @@ func newScenario(makeProg func() pmm.Program, opts Options, p plan, persist Pers
 	sc.persist = persist
 	sc.crashPlan = p
 	sc.image = newImageTable()
-	sc.setupAllocs = heap.AllocCount()
-	sc.setupNext = heap.NextFree()
 	sc.setGates()
 	if opts.Trace {
-		sc.recorder = trace.NewRecorder(stack.Listener(), heap.LabelFor)
+		sc.recorder = trace.NewRecorder(stack.Listener(), sc.labelFor)
 	}
 	for _, w := range heap.InitWrites() {
 		sc.image.set(w.Addr, imageEntry{val: w.Val, size: int32(w.Size), prevVal: w.Val})
@@ -307,14 +313,16 @@ func newScenario(makeProg func() pmm.Program, opts Options, p plan, persist Pers
 var scenarioPool sync.Pool
 
 // getScenario returns an empty scenario shell, recycled when one is free:
-// its scheduler state, crash-point map, rng wrapper and image-derivation
-// scratch keep what an earlier scenario grew. The caller fills in the rest.
+// its scheduler state, crash-point map, rng wrapper, labeler and
+// image-derivation scratch keep what an earlier scenario grew. The caller
+// fills in the rest.
 func getScenario() *scenario {
 	if sc, _ := scenarioPool.Get().(*scenario); sc != nil {
 		return sc
 	}
 	sc := &scenario{crashPoints: make(map[int]int), rngSrc: new(countingSource)}
 	sc.rng = rand.New(sc.rngSrc)
+	sc.labelFor = func(a pmm.Addr) string { return sc.heap.LabelFor(a) }
 	return sc
 }
 
@@ -340,6 +348,7 @@ func (sc *scenario) retire() {
 	shell := scenario{
 		rng:           sc.rng,
 		rngSrc:        sc.rngSrc,
+		labelFor:      sc.labelFor,
 		crashPoints:   sc.crashPoints,
 		sched:         sc.sched,
 		addrScratch:   sc.addrScratch[:0],
@@ -376,7 +385,7 @@ func (sc *scenario) run() {
 // the completion last.
 func (sc *scenario) runPreCrash() {
 	sc.startMachine()
-	sc.runExecution(sc.prog.Workers)
+	sc.runExecution(sc.workers)
 	if sc.positions != nil {
 		sc.positions.record(sc, 0)
 	}
@@ -391,8 +400,7 @@ func (sc *scenario) runPreCrash() {
 // final power loss); run the recovery threads until a recovery completes or
 // the plan runs out of crashes.
 func (sc *scenario) finish(crashSeq vclock.Seq) {
-	recovery := sc.prog.RecoveryWorkers()
-	if recovery == nil {
+	if sc.recovery == nil {
 		return
 	}
 	for {
@@ -403,7 +411,7 @@ func (sc *scenario) finish(crashSeq vclock.Seq) {
 		sc.execIdx++
 		sc.stack.EndExecution(crashSeq)
 		sc.startMachine()
-		crashedHere := sc.runExecution(recovery)
+		crashedHere := sc.runExecution(sc.recovery)
 		if !crashedHere {
 			sc.attachWitnesses()
 			return

@@ -17,8 +17,7 @@ import (
 // object (the classic persistent-allocator tradeoff); the bump pointer
 // itself is never torn.
 type Allocator struct {
-	pool *Pool
-	log  *RedoLog
+	log *RedoLog
 	// hdr: {bump} — the persistent offset of the next free byte.
 	hdr   pmm.Struct
 	arena pmm.Addr
@@ -29,12 +28,11 @@ type Allocator struct {
 const ArenaSize = 4096
 
 // NewAllocator reserves the arena and its metadata during Setup.
-func NewAllocator(p *Pool) *Allocator {
+func NewAllocator(h *pmm.Heap) *Allocator {
 	a := &Allocator{
-		pool:  p,
-		log:   NewRedoLog(p),
-		hdr:   p.h.AllocStruct("palloc", pmm.Layout{{Name: "bump", Size: 8}}),
-		arena: p.h.AllocRaw("palloc_arena", ArenaSize),
+		log:   NewRedoLog(h),
+		hdr:   h.AllocStruct("palloc", pmm.Layout{{Name: "bump", Size: 8}}),
+		arena: h.AllocRaw("palloc_arena", ArenaSize),
 		size:  ArenaSize,
 	}
 	return a

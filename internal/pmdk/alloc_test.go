@@ -12,13 +12,12 @@ import (
 // recovery replay the allocator log and validate the bump pointer.
 func allocDriver(nAllocs int, bumpSeen *[]uint64) func() pmm.Program {
 	return func() pmm.Program {
-		var pool *Pool
 		var alloc *Allocator
 		return pmm.Program{
 			Name: "palloc",
 			Setup: func(h *pmm.Heap) {
-				pool = NewPool(h)
-				alloc = NewAllocator(pool)
+				NewPool(h)
+				alloc = NewAllocator(h)
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				for i := 0; i < nAllocs; i++ {
@@ -77,13 +76,12 @@ func TestAllocatorFullRun(t *testing.T) {
 func TestAllocatorExhaustion(t *testing.T) {
 	var got pmm.Addr = 1
 	mk := func() pmm.Program {
-		var pool *Pool
 		var alloc *Allocator
 		return pmm.Program{
 			Name: "palloc-full",
 			Setup: func(h *pmm.Heap) {
-				pool = NewPool(h)
-				alloc = NewAllocator(pool)
+				NewPool(h)
+				alloc = NewAllocator(h)
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				for i := 0; i < ArenaSize/16+1; i++ {
@@ -101,13 +99,12 @@ func TestAllocatorExhaustion(t *testing.T) {
 func TestAllocatorAlignment(t *testing.T) {
 	var a1, a2 pmm.Addr
 	mk := func() pmm.Program {
-		var pool *Pool
 		var alloc *Allocator
 		return pmm.Program{
 			Name: "palloc-align",
 			Setup: func(h *pmm.Heap) {
-				pool = NewPool(h)
-				alloc = NewAllocator(pool)
+				NewPool(h)
+				alloc = NewAllocator(h)
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				a1 = alloc.Alloc(t, 1)  // rounds to 16

@@ -25,7 +25,7 @@ type kvStore interface {
 // recover the pool and look every key up post-crash. A key may legitimately
 // be missing after a crash (the transaction was rolled back); Wrong counts
 // the real failures — values that exist but differ.
-func driver(name string, numKeys int, stats *Stats, build func(p *Pool) kvStore) func() pmm.Program {
+func driver(name string, numKeys int, stats *Stats, build func(h *pmm.Heap, p *Pool) kvStore) func() pmm.Program {
 	return func() pmm.Program {
 		var pool *Pool
 		var store kvStore
@@ -33,7 +33,7 @@ func driver(name string, numKeys int, stats *Stats, build func(p *Pool) kvStore)
 			Name: name,
 			Setup: func(h *pmm.Heap) {
 				pool = NewPool(h)
-				store = build(pool)
+				store = build(h, pool)
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				for k := uint64(1); k <= uint64(numKeys); k++ {
@@ -93,27 +93,27 @@ func (s hashAtomicStore) get(t *pmm.Thread, k uint64) (uint64, bool) { return s.
 // NewBTreeProg returns the Btree benchmark driver (paper Table 5 row
 // "Btree").
 func NewBTreeProg(numKeys int, stats *Stats) func() pmm.Program {
-	return driver("Btree", numKeys, stats, func(p *Pool) kvStore { return btreeStore{NewBTree(p)} })
+	return driver("Btree", numKeys, stats, func(h *pmm.Heap, p *Pool) kvStore { return btreeStore{NewBTree(h, p)} })
 }
 
 // NewCTreeProg returns the Ctree benchmark driver.
 func NewCTreeProg(numKeys int, stats *Stats) func() pmm.Program {
-	return driver("Ctree", numKeys, stats, func(p *Pool) kvStore { return ctreeStore{NewCTree(p)} })
+	return driver("Ctree", numKeys, stats, func(h *pmm.Heap, p *Pool) kvStore { return ctreeStore{NewCTree(h, p)} })
 }
 
 // NewRBTreeProg returns the RBtree benchmark driver.
 func NewRBTreeProg(numKeys int, stats *Stats) func() pmm.Program {
-	return driver("RBtree", numKeys, stats, func(p *Pool) kvStore { return rbtreeStore{NewRBTree(p)} })
+	return driver("RBtree", numKeys, stats, func(h *pmm.Heap, p *Pool) kvStore { return rbtreeStore{NewRBTree(h, p)} })
 }
 
 // NewHashmapTXProg returns the hashmap-tx benchmark driver.
 func NewHashmapTXProg(numKeys int, stats *Stats) func() pmm.Program {
-	return driver("hashmap-tx", numKeys, stats, func(p *Pool) kvStore { return hashTXStore{NewHashmapTX(p)} })
+	return driver("hashmap-tx", numKeys, stats, func(h *pmm.Heap, p *Pool) kvStore { return hashTXStore{NewHashmapTX(h, p)} })
 }
 
 // NewHashmapAtomicProg returns the hashmap-atomic benchmark driver.
 func NewHashmapAtomicProg(numKeys int, stats *Stats) func() pmm.Program {
-	return driver("hashmap-atomic", numKeys, stats, func(p *Pool) kvStore { return hashAtomicStore{NewHashmapAtomic(p)} })
+	return driver("hashmap-atomic", numKeys, stats, func(h *pmm.Heap, p *Pool) kvStore { return hashAtomicStore{NewHashmapAtomic(h, p)} })
 }
 
 // NewPMDKProg returns the whole-framework driver used for Table 4: all five
@@ -128,11 +128,11 @@ func NewPMDKProg(numKeys int, stats *Stats) func() pmm.Program {
 			Setup: func(h *pmm.Heap) {
 				pool = NewPool(h)
 				stores = []kvStore{
-					btreeStore{NewBTree(pool)},
-					ctreeStore{NewCTree(pool)},
-					rbtreeStore{NewRBTree(pool)},
-					hashTXStore{NewHashmapTX(pool)},
-					hashAtomicStore{NewHashmapAtomic(pool)},
+					btreeStore{NewBTree(h, pool)},
+					ctreeStore{NewCTree(h, pool)},
+					rbtreeStore{NewRBTree(h, pool)},
+					hashTXStore{NewHashmapTX(h, pool)},
+					hashAtomicStore{NewHashmapAtomic(h, pool)},
 				}
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {

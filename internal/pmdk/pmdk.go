@@ -32,9 +32,10 @@ const LayoutVersion = 1
 const poolHdrMagic = uint64(0x504D454D4F424A31) // "PMEMOBJ1"
 
 // Pool is a miniature libpmemobj pool: a versioned header, an undo log and
-// a bump allocator over the simulated persistent heap.
+// a bump allocator over the simulated persistent heap. It holds only the
+// handles Setup allocated; code that runs on a thread reaches the heap
+// through the thread (Thread.Heap), and Setup-time constructors take it.
 type Pool struct {
-	h *pmm.Heap
 	// hdr: {magic, version} — written at creation, validated at open.
 	hdr pmm.Struct
 	// ulog header: {entry_ptr, checksum}. entry_ptr is the Table 4 bug.
@@ -48,7 +49,6 @@ type Pool struct {
 // and syncs it before any transaction runs.
 func NewPool(h *pmm.Heap) *Pool {
 	p := &Pool{
-		h: h,
 		hdr: h.AllocStruct("pool_hdr", pmm.Layout{
 			{Name: "magic", Size: 8},
 			{Name: "version", Size: 8},
@@ -81,15 +81,14 @@ func (p *Pool) ValidateHeader(t *pmm.Thread) error {
 	return nil
 }
 
-// Heap exposes the underlying heap for structure allocation.
-func (p *Pool) Heap() *pmm.Heap { return p.h }
-
-// node resolves a persistent pointer loaded from the pool back to the
+// nodeAt resolves a persistent pointer loaded from the pool back to the
 // struct allocated there, the way recovery code casts a pointer read from
-// PM. It goes through the heap (pmm.Heap.StructAt), never a Go-side
-// registry filled by pre-crash code: a scenario resumed from a checkpoint
-// never ran the closures that allocated the nodes of the skipped prefix.
-func (p *Pool) node(addr uint64) (pmm.Struct, bool) { return p.h.StructAt(pmm.Addr(addr)) }
+// PM. It goes through the thread's heap (pmm.Heap.StructAt), never a
+// Go-side registry filled by pre-crash code: a scenario resumed from a
+// checkpoint recovers with a program whose pre-crash closures never ran.
+func nodeAt(t *pmm.Thread, addr uint64) (pmm.Struct, bool) {
+	return t.Heap().StructAt(pmm.Addr(addr))
+}
 
 // Tx is an in-flight undo-log transaction. PMDK transactions snapshot
 // ranges before modifying them; on an unclean shutdown the recovery path

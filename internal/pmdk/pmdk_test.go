@@ -174,7 +174,7 @@ func TestRBTreeColorsAndUpdates(t *testing.T) {
 			Name: "rb-sem",
 			Setup: func(h *pmm.Heap) {
 				pool = NewPool(h)
-				rb = NewRBTree(pool)
+				rb = NewRBTree(h, pool)
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				rb.Insert(t, 5, 50)
@@ -200,7 +200,7 @@ func TestHashmapAtomicCount(t *testing.T) {
 			Name: "hma-count",
 			Setup: func(h *pmm.Heap) {
 				pool = NewPool(h)
-				hm = NewHashmapAtomic(pool)
+				hm = NewHashmapAtomic(h, pool)
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				for k := uint64(1); k <= 5; k++ {

@@ -13,7 +13,6 @@ import (
 // plain mov but forbids store tearing/inventing, so the detector finds no
 // races in it. Recovery re-applies a valid log idempotently.
 type RedoLog struct {
-	pool    *Pool
 	hdr     pmm.Struct // "redo" {nentries (atomic), checksum}
 	entries pmm.Array  // "redo_entry" {offset, value}
 	staged  int
@@ -23,14 +22,13 @@ type RedoLog struct {
 const RedoCap = 16
 
 // NewRedoLog allocates a redo log in the pool during Setup.
-func NewRedoLog(p *Pool) *RedoLog {
+func NewRedoLog(h *pmm.Heap) *RedoLog {
 	return &RedoLog{
-		pool: p,
-		hdr: p.h.AllocStruct("redo", pmm.Layout{
+		hdr: h.AllocStruct("redo", pmm.Layout{
 			{Name: "nentries", Size: 8},
 			{Name: "checksum", Size: 8},
 		}),
-		entries: p.h.AllocArray("redo_entry", pmm.Layout{
+		entries: h.AllocArray("redo_entry", pmm.Layout{
 			{Name: "offset", Size: 8},
 			{Name: "value", Size: 8},
 		}, RedoCap),

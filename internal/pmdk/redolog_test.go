@@ -12,14 +12,13 @@ import (
 // the log and reads the counters back.
 func redoDriver(stats *Stats) func() pmm.Program {
 	return func() pmm.Program {
-		var pool *Pool
 		var rl *RedoLog
 		var a, b pmm.Addr
 		return pmm.Program{
 			Name: "redo",
 			Setup: func(h *pmm.Heap) {
-				pool = NewPool(h)
-				rl = NewRedoLog(pool)
+				NewPool(h)
+				rl = NewRedoLog(h)
 				obj := h.AllocStruct("counters", pmm.Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}})
 				a, b = obj.F("a"), obj.F("b")
 			},
@@ -82,14 +81,13 @@ func TestRedoLogNoCorruptionAtAnyCrashPoint(t *testing.T) {
 func TestRedoLogFullRunAppliesEverything(t *testing.T) {
 	var got uint64
 	mk := func() pmm.Program {
-		var pool *Pool
 		var rl *RedoLog
 		var a pmm.Addr
 		return pmm.Program{
 			Name: "redo-full",
 			Setup: func(h *pmm.Heap) {
-				pool = NewPool(h)
-				rl = NewRedoLog(pool)
+				NewPool(h)
+				rl = NewRedoLog(h)
 				a = h.AllocStruct("obj", pmm.Layout{{Name: "a", Size: 8}}).F("a")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
@@ -112,14 +110,13 @@ func TestRedoLogFullRunAppliesEverything(t *testing.T) {
 func TestRedoLogReplayAfterMidProcessCrash(t *testing.T) {
 	var observed uint64
 	mk := func() pmm.Program {
-		var pool *Pool
 		var rl *RedoLog
 		var a pmm.Addr
 		return pmm.Program{
 			Name: "redo-replay",
 			Setup: func(h *pmm.Heap) {
-				pool = NewPool(h)
-				rl = NewRedoLog(pool)
+				NewPool(h)
+				rl = NewRedoLog(h)
 				a = h.AllocStruct("obj", pmm.Layout{{Name: "a", Size: 8}}).F("a")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
@@ -160,14 +157,13 @@ func TestRedoLogStageOverflowPanics(t *testing.T) {
 		}
 	}()
 	mk := func() pmm.Program {
-		var pool *Pool
 		var rl *RedoLog
 		var a pmm.Addr
 		return pmm.Program{
 			Name: "redo-overflow",
 			Setup: func(h *pmm.Heap) {
-				pool = NewPool(h)
-				rl = NewRedoLog(pool)
+				NewPool(h)
+				rl = NewRedoLog(h)
 				a = h.AllocStruct("obj", pmm.Layout{{Name: "a", Size: 8}}).F("a")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {

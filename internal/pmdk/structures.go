@@ -45,17 +45,17 @@ type BTree struct {
 }
 
 // NewBTree allocates the tree metadata and an empty leaf root during Setup.
-func NewBTree(p *Pool) *BTree {
-	bt := &BTree{pool: p, meta: p.h.AllocStruct("btree_meta", pmm.Layout{{Name: "root", Size: 8}})}
-	root := p.h.AllocStruct("btree_node", btreeNodeLayout)
-	p.h.Init(root.F("leaf"), 8, 1)
-	p.h.Init(bt.meta.F("root"), 8, uint64(root.Base()))
+func NewBTree(h *pmm.Heap, p *Pool) *BTree {
+	bt := &BTree{pool: p, meta: h.AllocStruct("btree_meta", pmm.Layout{{Name: "root", Size: 8}})}
+	root := h.AllocStruct("btree_node", btreeNodeLayout)
+	h.Init(root.F("leaf"), 8, 1)
+	h.Init(bt.meta.F("root"), 8, uint64(root.Base()))
 	return bt
 }
 
 // newNode allocates and persists a fresh node (unreachable until linked).
 func (bt *BTree) newNode(t *pmm.Thread, leaf bool) pmm.Struct {
-	n := bt.pool.h.AllocStruct("btree_node", btreeNodeLayout)
+	n := t.Heap().AllocStruct("btree_node", btreeNodeLayout)
 	var lv uint64
 	if leaf {
 		lv = 1
@@ -70,7 +70,7 @@ func (bt *BTree) newNode(t *pmm.Thread, leaf bool) pmm.Struct {
 // leaves hanging off a one-level root, which is all the small drivers need.
 func (bt *BTree) Insert(t *pmm.Thread, key, val uint64) {
 	rootAddr := t.Load64(bt.meta.F("root"))
-	root, _ := bt.pool.node(rootAddr)
+	root, _ := nodeAt(t, rootAddr)
 	if t.Load64(root.F("leaf")) == 1 {
 		if int(t.Load64(root.F("n"))) < BTreeOrder {
 			bt.leafInsert(t, root, key, val)
@@ -97,7 +97,7 @@ func (bt *BTree) routeChild(t *pmm.Thread, root pmm.Struct, key uint64) (int, pm
 		}
 	}
 	childAddr := t.Load64(root.F(bChild(idx)))
-	c, _ := bt.pool.node(childAddr)
+	c, _ := nodeAt(t, childAddr)
 	return idx, c
 }
 
@@ -188,7 +188,7 @@ func (bt *BTree) splitRoot(t *pmm.Thread, old pmm.Struct, key, val uint64) {
 // Get looks a key up.
 func (bt *BTree) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	rootAddr := t.Load64(bt.meta.F("root"))
-	n, ok := bt.pool.node(rootAddr)
+	n, ok := nodeAt(t, rootAddr)
 	if !ok {
 		return 0, false
 	}
@@ -222,12 +222,12 @@ type CTree struct {
 }
 
 // NewCTree allocates the tree metadata during Setup.
-func NewCTree(p *Pool) *CTree {
-	return &CTree{pool: p, meta: p.h.AllocStruct("ctree_meta", pmm.Layout{{Name: "root", Size: 8}})}
+func NewCTree(h *pmm.Heap, p *Pool) *CTree {
+	return &CTree{pool: p, meta: h.AllocStruct("ctree_meta", pmm.Layout{{Name: "root", Size: 8}})}
 }
 
 func (ct *CTree) newNode(t *pmm.Thread, key, val uint64) uint64 {
-	n := ct.pool.h.AllocStruct("ctree_node", ctreeNodeLayout)
+	n := t.Heap().AllocStruct("ctree_node", ctreeNodeLayout)
 	t.Store64(n.F("key"), key)
 	t.Store64(n.F("value"), val)
 	t.Persist(n.Base(), n.Size())
@@ -245,7 +245,7 @@ func (ct *CTree) Insert(t *pmm.Thread, key, val uint64) {
 		return
 	}
 	for {
-		n, _ := ct.pool.node(cur)
+		n, _ := nodeAt(t, cur)
 		k := t.Load64(n.F("key"))
 		if k == key {
 			tx := ct.pool.TxBegin(t)
@@ -273,7 +273,7 @@ func (ct *CTree) Insert(t *pmm.Thread, key, val uint64) {
 func (ct *CTree) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	cur := t.Load64(ct.meta.F("root"))
 	for cur != 0 {
-		n, ok := ct.pool.node(cur)
+		n, ok := nodeAt(t, cur)
 		if !ok {
 			return 0, false
 		}
@@ -312,12 +312,12 @@ type RBTree struct {
 }
 
 // NewRBTree allocates the tree metadata during Setup.
-func NewRBTree(p *Pool) *RBTree {
-	return &RBTree{pool: p, meta: p.h.AllocStruct("rbtree_meta", pmm.Layout{{Name: "root", Size: 8}})}
+func NewRBTree(h *pmm.Heap, p *Pool) *RBTree {
+	return &RBTree{pool: p, meta: h.AllocStruct("rbtree_meta", pmm.Layout{{Name: "root", Size: 8}})}
 }
 
 func (rb *RBTree) newNode(t *pmm.Thread, key, val, parent uint64) uint64 {
-	n := rb.pool.h.AllocStruct("rbtree_node", rbNodeLayout)
+	n := t.Heap().AllocStruct("rbtree_node", rbNodeLayout)
 	t.Store64(n.F("key"), key)
 	t.Store64(n.F("value"), val)
 	t.Store64(n.F("parent"), parent)
@@ -333,13 +333,13 @@ func (rb *RBTree) Insert(t *pmm.Thread, key, val uint64) {
 		addr := rb.newNode(t, key, val, 0)
 		tx := rb.pool.TxBegin(t)
 		tx.Set(rb.meta.F("root"), addr)
-		n, _ := rb.pool.node(addr)
+		n, _ := nodeAt(t, addr)
 		tx.Set(n.F("color"), colorBlack) // root is black
 		tx.Commit()
 		return
 	}
 	for {
-		n, _ := rb.pool.node(cur)
+		n, _ := nodeAt(t, cur)
 		k := t.Load64(n.F("key"))
 		if k == key {
 			tx := rb.pool.TxBegin(t)
@@ -372,7 +372,7 @@ func (rb *RBTree) Insert(t *pmm.Thread, key, val uint64) {
 func (rb *RBTree) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	cur := t.Load64(rb.meta.F("root"))
 	for cur != 0 {
-		n, ok := rb.pool.node(cur)
+		n, ok := nodeAt(t, cur)
 		if !ok {
 			return 0, false
 		}
@@ -406,10 +406,10 @@ type HashmapTX struct {
 }
 
 // NewHashmapTX allocates the bucket array during Setup.
-func NewHashmapTX(p *Pool) *HashmapTX {
+func NewHashmapTX(h *pmm.Heap, p *Pool) *HashmapTX {
 	return &HashmapTX{
 		pool:    p,
-		buckets: p.h.AllocArray("hashmap_tx_bucket", pmm.Layout{{Name: "head", Size: 8}}, HashBuckets),
+		buckets: h.AllocArray("hashmap_tx_bucket", pmm.Layout{{Name: "head", Size: 8}}, HashBuckets),
 	}
 }
 
@@ -420,7 +420,7 @@ func (hm *HashmapTX) Put(t *pmm.Thread, key, val uint64) {
 	b := hm.buckets.At(hashBucket(key))
 	cur := t.Load64(b.F("head"))
 	for addr := cur; addr != 0; {
-		n, _ := hm.pool.node(addr)
+		n, _ := nodeAt(t, addr)
 		if t.Load64(n.F("key")) == key {
 			tx := hm.pool.TxBegin(t)
 			tx.Set(n.F("value"), val)
@@ -429,7 +429,7 @@ func (hm *HashmapTX) Put(t *pmm.Thread, key, val uint64) {
 		}
 		addr = t.Load64(n.F("next"))
 	}
-	n := hm.pool.h.AllocStruct("hashmap_tx_entry", hashEntryLayout)
+	n := t.Heap().AllocStruct("hashmap_tx_entry", hashEntryLayout)
 	t.Store64(n.F("key"), key)
 	t.Store64(n.F("value"), val)
 	t.Store64(n.F("next"), cur)
@@ -444,7 +444,7 @@ func (hm *HashmapTX) Put(t *pmm.Thread, key, val uint64) {
 func (hm *HashmapTX) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	b := hm.buckets.At(hashBucket(key))
 	for addr := t.Load64(b.F("head")); addr != 0; {
-		n, ok := hm.pool.node(addr)
+		n, ok := nodeAt(t, addr)
 		if !ok {
 			return 0, false
 		}
@@ -470,11 +470,11 @@ type HashmapAtomic struct {
 }
 
 // NewHashmapAtomic allocates the bucket array and counter during Setup.
-func NewHashmapAtomic(p *Pool) *HashmapAtomic {
+func NewHashmapAtomic(h *pmm.Heap, p *Pool) *HashmapAtomic {
 	return &HashmapAtomic{
 		pool:    p,
-		buckets: p.h.AllocArray("hashmap_atomic_bucket", pmm.Layout{{Name: "head", Size: 8}}, HashBuckets),
-		count:   p.h.AllocStruct("hashmap_atomic_meta", pmm.Layout{{Name: "count", Size: 8}}),
+		buckets: h.AllocArray("hashmap_atomic_bucket", pmm.Layout{{Name: "head", Size: 8}}, HashBuckets),
+		count:   h.AllocStruct("hashmap_atomic_meta", pmm.Layout{{Name: "count", Size: 8}}),
 	}
 }
 
@@ -483,7 +483,7 @@ func (hm *HashmapAtomic) Put(t *pmm.Thread, key, val uint64) {
 	b := hm.buckets.At(hashBucket(key))
 	cur := t.LoadAcquire64(b.F("head"))
 	for addr := cur; addr != 0; {
-		n, _ := hm.pool.node(addr)
+		n, _ := nodeAt(t, addr)
 		if t.Load64(n.F("key")) == key {
 			t.StoreRelease64(n.F("value"), val)
 			t.Persist(n.F("value"), 8)
@@ -491,7 +491,7 @@ func (hm *HashmapAtomic) Put(t *pmm.Thread, key, val uint64) {
 		}
 		addr = t.Load64(n.F("next"))
 	}
-	n := hm.pool.h.AllocStruct("hashmap_atomic_entry", hashEntryLayout)
+	n := t.Heap().AllocStruct("hashmap_atomic_entry", hashEntryLayout)
 	t.Store64(n.F("key"), key)
 	t.Store64(n.F("value"), val)
 	t.Store64(n.F("next"), cur)
@@ -510,7 +510,7 @@ func (hm *HashmapAtomic) Put(t *pmm.Thread, key, val uint64) {
 func (hm *HashmapAtomic) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	b := hm.buckets.At(hashBucket(key))
 	for addr := t.LoadAcquire64(b.F("head")); addr != 0; {
-		n, ok := hm.pool.node(addr)
+		n, ok := nodeAt(t, addr)
 		if !ok {
 			return 0, false
 		}

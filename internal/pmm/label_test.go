@@ -43,28 +43,24 @@ func labelsOf(h *Heap, addrs []Addr) []string {
 	return out
 }
 
-// TestLabelMemoRestoredMatchesFresh labels every address of a heap shape
-// through a heap whose Setup ran afresh and through heaps restored from
-// one snapshot of another: names are memoized per layout and shared by
-// all of them, so they must agree byte for byte with each other and with
-// the rendering rules, whichever heap fills the memo.
-func TestLabelMemoRestoredMatchesFresh(t *testing.T) {
+// TestLabelMemoSnapshotMatchesFresh labels every address of a heap shape
+// through a heap whose Setup ran afresh and through views of one snapshot
+// of another, as resumed scenarios label: names are memoized per layout
+// and shared by all of them, so they must agree byte for byte with each
+// other and with the rendering rules, whichever heap fills the memo.
+func TestLabelMemoSnapshotMatchesFresh(t *testing.T) {
 	n := labelShapes.Add(1)
 	src := NewHeap()
 	addrs := labelFixture(src, n)
 	snap := src.Snapshot()
-	restored := func() *Heap {
-		h := NewHeap()
-		h.Restore(snap)
-		return h
-	}
+	view := func() *Heap { return snap.Snapshot() }
 
 	fresh := NewHeap()
 	if !slices.Equal(labelFixture(fresh, n), addrs) {
 		t.Fatal("a fresh heap of the same shape placed its allocations elsewhere")
 	}
 	want := labelsOf(fresh, addrs) // first: fills the memo
-	for name, h := range map[string]*Heap{"restored": restored(), "second restored": restored(), "snapshot source": src} {
+	for name, h := range map[string]*Heap{"view": view(), "second view": view(), "snapshot source": src} {
 		if got := labelsOf(h, addrs); !slices.Equal(got, want) {
 			for i := range got {
 				if got[i] != want[i] {
@@ -90,15 +86,15 @@ func TestLabelMemoRestoredMatchesFresh(t *testing.T) {
 		{raw.base + 24, fmt.Sprintf("0x%x", uint64(raw.base+24))},
 		{0, "0x0"},
 	} {
-		if got := restored().LabelFor(c.addr); got != c.want {
+		if got := view().LabelFor(c.addr); got != c.want {
 			t.Errorf("LabelFor(0x%x) = %q, want %q", uint64(c.addr), got, c.want)
 		}
 	}
 }
 
 // TestLabelMemoConcurrent labels one cold heap shape from several
-// goroutines at once, each through its own heap restored from one
-// snapshot — the sharing pattern of concurrent scenario workers. Run under
+// goroutines at once, each through its own view of one snapshot — the
+// sharing pattern of concurrent scenario workers. Run under
 // -race (CI runs it with -count=10) it checks that memo reads and
 // publications are properly synchronized; every goroutine must see the
 // names a single-threaded heap renders.
@@ -114,8 +110,7 @@ func TestLabelMemoConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h := NewHeap()
-			h.Restore(snap)
+			h := snap.Snapshot()
 			// Half the goroutines walk backwards, so they fill the cold
 			// memo from opposite ends and meet in the middle.
 			if w%2 == 0 {
@@ -139,8 +134,8 @@ func TestLabelMemoConcurrent(t *testing.T) {
 }
 
 // TestLabelMemoAllocations pins the allocation costs the memo must not
-// raise: a heap restored from a snapshot names an address another heap
-// already named without allocating — its first LabelFor included — and
+// raise: a fresh view of a snapshot names an address another heap already
+// named without allocating — its first LabelFor included — and
 // AllocStruct/AllocArray of an already built layout allocate nothing
 // beyond the heap's amortized append.
 func TestLabelMemoAllocations(t *testing.T) {
@@ -152,8 +147,7 @@ func TestLabelMemoAllocations(t *testing.T) {
 	const runs = 50
 	heaps := make([]*Heap, runs+1) // AllocsPerRun adds one warm-up call
 	for i := range heaps {
-		heaps[i] = NewHeap()
-		heaps[i].Restore(snap)
+		heaps[i] = snap.Snapshot()
 	}
 	next := 0
 	objB := src.allocs[0].base + 8
@@ -166,7 +160,7 @@ func TestLabelMemoAllocations(t *testing.T) {
 		h.LabelFor(elem)
 		h.LabelFor(raw)
 	}); n != 0 {
-		t.Errorf("memo hits on a freshly restored heap allocate %v times per run, want 0", n)
+		t.Errorf("memo hits on a fresh snapshot view allocate %v times per run, want 0", n)
 	}
 
 	l := Layout{{Name: "x", Size: 8}, {Name: "y", Size: 4}}

@@ -59,15 +59,15 @@ type layoutInfo struct {
 	labels memo[labelKey, string]
 }
 
-// layoutCache memoizes buildLayout by layout contents: a checkpoint resume
-// re-runs the program's Setup against a fresh heap, so the same handful of
-// struct layouts would otherwise be rebuilt (fields, name index, size
-// computation) for every resumed scenario, concurrently across workers.
-// layoutInfo is immutable once built (its label memo is safe for
-// concurrent use), so sharing one instance is safe. The cache is keyed by
-// a hash of the contents, and a hit is confirmed field by field, so a
-// lookup allocates nothing; a layout whose hash collides with a different
-// cached one is simply built uncached.
+// layoutCache memoizes buildLayout by layout contents: every probe, every
+// from-scratch scenario and every recovery allocation builds a program's
+// same handful of struct layouts, concurrently across workers and engine
+// runs, and would otherwise rebuild them (fields, name index, size
+// computation) each time. layoutInfo is immutable once built (its label
+// memo is safe for concurrent use), so sharing one instance is safe. The
+// cache is keyed by a hash of the contents, and a hit is confirmed field
+// by field, so a lookup allocates nothing; a layout whose hash collides
+// with a different cached one is simply built uncached.
 var (
 	layoutCache memo[uint64, *layoutInfo]
 	layoutSeed  = maphash.MakeSeed()
@@ -172,7 +172,6 @@ func NewHeap() *Heap { return &Heap{next: CacheLineSize} }
 
 // Struct is a handle to an allocated struct instance.
 type Struct struct {
-	heap   *Heap
 	base   Addr
 	layout *layoutInfo
 	label  string
@@ -180,7 +179,6 @@ type Struct struct {
 
 // Array is a handle to an allocated array of structs.
 type Array struct {
-	heap   *Heap
 	base   Addr
 	layout *layoutInfo
 	label  string
@@ -193,7 +191,7 @@ func (h *Heap) AllocStruct(label string, l Layout) Struct {
 	info := buildLayout(l)
 	base := h.place(info.size)
 	h.allocs = append(h.allocs, allocation{base: base, size: info.size, label: label, layout: info, count: 1, stride: info.size})
-	return Struct{heap: h, base: base, layout: info, label: label}
+	return Struct{base: base, layout: info, label: label}
 }
 
 // AllocArray allocates count contiguous struct instances. The element stride
@@ -207,7 +205,7 @@ func (h *Heap) AllocArray(label string, l Layout, count int) Array {
 	stride := align(info.size, 8)
 	base := h.place(stride * count)
 	h.allocs = append(h.allocs, allocation{base: base, size: stride * count, label: label, layout: info, count: count, stride: stride})
-	return Array{heap: h, base: base, layout: info, label: label, count: count, stride: stride}
+	return Array{base: base, layout: info, label: label, count: count, stride: stride}
 }
 
 // AllocRaw allocates size bytes with no field structure. Accesses into raw
@@ -227,28 +225,15 @@ func (h *Heap) place(size int) Addr {
 	return base
 }
 
-// Clone returns an independent copy of the heap's allocation state.
-// Allocation layouts are shared (they are immutable once built). Handles
-// (Struct, Array) held by program closures keep pointing at the heap they
-// were allocated from — a clone does not retarget them. The engine's
-// checkpoint layer therefore pairs Clone with Restore: it re-runs the
-// program's Setup against a fresh heap (recreating the closure handles) and
-// grafts the cloned state into that heap object.
-func (h *Heap) Clone() *Heap {
-	return &Heap{
-		next:   h.next,
-		allocs: append([]allocation(nil), h.allocs...),
-		inits:  append([]InitWrite(nil), h.inits...),
-	}
-}
-
-// Snapshot returns an O(1) read-only view of the heap's current state,
-// valid as a Restore source: the allocation and init-write slices are the
-// heap's own journal — append-only, with elements immutable once placed —
-// so a capacity-capped view pins exactly today's prefix without copying a
-// byte. Later allocations on h re-allocate past the cap and can never leak
-// into the view. The engine's checkpoint layer captures one view per crash
-// point where it used to pay a full Clone.
+// Snapshot returns an O(1) view of the heap's current state: the
+// allocation and init-write slices are the heap's own journal —
+// append-only, with elements immutable once placed — so a capacity-capped
+// view pins exactly today's prefix without copying a byte. The view is a
+// heap in its own right and the two stay independent: later allocations on
+// h re-allocate past the cap and never leak into the view, and allocations
+// on the view copy its prefix on their first append and never reach h. The
+// engine's checkpoint layer keeps one view per crash point, and each
+// resumed scenario recovers on its own Snapshot of that view.
 func (h *Heap) Snapshot() *Heap {
 	return &Heap{
 		next:   h.next,
@@ -269,19 +254,11 @@ func (h *Heap) SnapshotAt(next Addr, allocs, inits int) *Heap {
 	}
 }
 
-// Restore overwrites h's allocation state with a copy of src's. Handles
-// pointing at h stay valid and resolve against the restored state; src is
-// not aliased and may be restored into any number of heaps.
-func (h *Heap) Restore(src *Heap) {
-	h.next = src.next
-	h.allocs = append(h.allocs[:0:0], src.allocs...)
-	h.inits = append(h.inits[:0:0], src.inits...)
-}
-
 // AllocCount returns the number of allocations made so far. Together with
 // NextFree it fingerprints the heap's shape — the engine's checkpoint layer
-// uses the pair to verify that a re-run Setup produced the same allocations
-// before grafting snapshot state onto it.
+// checks once per probe that the probe's Setup built the shape its shared
+// recovery program's Setup did, so that handles the recovery closures hold
+// name the same objects on the probe's heap.
 func (h *Heap) AllocCount() int { return len(h.allocs) }
 
 // NextFree returns the next unallocated address.
@@ -331,7 +308,7 @@ func (a Array) At(i int) Struct {
 	if i < 0 || i >= a.count {
 		panic(fmt.Sprintf("pmm: array %q index %d out of range [0,%d)", a.label, i, a.count))
 	}
-	return Struct{heap: a.heap, base: a.base + Addr(i*a.stride), layout: a.layout, label: a.label}
+	return Struct{base: a.base + Addr(i*a.stride), layout: a.layout, label: a.label}
 }
 
 // Len returns the number of elements.
@@ -365,12 +342,13 @@ func (h *Heap) findAlloc(addr Addr) *allocation {
 // ok=false if a is not the base of a structured allocation's element.
 //
 // This is the Go analog of casting a pointer loaded from persistent memory
-// in recovery code. A benchmark program that allocates structs during its
-// workload cannot rely on Go-side handle registries to survive a crash —
-// recovery runs in what is conceptually a fresh process (and, in this
-// engine, possibly a scenario resumed from a checkpoint that never executed
-// the workload closures) — so it resolves child pointers read from the heap
-// through StructAt instead.
+// in recovery code. Recovery runs in what is conceptually a fresh process:
+// in this engine, a resumed scenario recovers with one program instance
+// per engine run whose Setup ran but whose workload closures never did,
+// shared by every scenario of the run. So a program that allocates structs
+// during its workload keeps no Go-side handle registry; it resolves every
+// pointer read from the heap through StructAt on the thread's heap
+// (Thread.Heap), which yields the same handle the allocation returned.
 func (h *Heap) StructAt(a Addr) (Struct, bool) {
 	al := h.findAlloc(a)
 	if al == nil || al.layout == nil {
@@ -380,7 +358,7 @@ func (h *Heap) StructAt(a Addr) (Struct, bool) {
 	if off%al.stride != 0 || off/al.stride >= al.count {
 		return Struct{}, false
 	}
-	return Struct{heap: h, base: a, layout: al.layout, label: al.label}, true
+	return Struct{base: a, layout: al.layout, label: al.label}, true
 }
 
 // FieldCount returns the number of declared fields in the struct's layout;
@@ -397,7 +375,7 @@ func (h *Heap) ArrayAt(a Addr) (Array, bool) {
 	if al == nil || al.layout == nil || al.base != a {
 		return Array{}, false
 	}
-	return Array{heap: h, base: al.base, layout: al.layout, label: al.label, count: al.count, stride: al.stride}, true
+	return Array{base: al.base, layout: al.layout, label: al.label, count: al.count, stride: al.stride}, true
 }
 
 // NextAllocBase returns the base address of the allocation made immediately

@@ -66,7 +66,11 @@ func NewThread(ops Ops, heap *Heap) *Thread { return &Thread{ops: ops, heap: hea
 // ID returns the simulated thread id.
 func (t *Thread) ID() int { return t.ops.TID() }
 
-// Heap returns the program heap (for runtime allocation and labelling).
+// Heap returns the heap of the execution the thread runs in. Workload and
+// recovery code reach the heap only through it — to allocate at run time
+// and to resolve persisted pointers (StructAt, ArrayAt, NextAllocBase) —
+// never through a *Heap captured in Setup: a resumed scenario recovers on
+// its own heap, not on the one its program's Setup built.
 func (t *Thread) Heap() *Heap { return t.heap }
 
 // Store8/16/32/64 issue non-atomic stores — the store kind persistency races

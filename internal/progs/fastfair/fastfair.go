@@ -45,15 +45,14 @@ type node struct {
 	entries pmm.Array
 }
 
-func (n *node) base() uint64 { return uint64(n.hdr.Base()) }
+func (n node) base() uint64 { return uint64(n.hdr.Base()) }
 
 // Tree is a FAST_FAIR B+-tree instance on the simulated persistent heap.
-// The nodes map plays the role of the fixed PM mapping: node pointers
-// stored in persistent memory are heap addresses resolvable after a crash.
+// Node pointers stored in persistent memory are heap addresses, resolved
+// through the thread's heap like a fixed PM mapping (nodeAt); the Tree
+// holds only the btree root struct Setup allocated.
 type Tree struct {
-	h     *pmm.Heap
 	btree pmm.Struct // {root}
-	nodes map[uint64]*node
 }
 
 var headerLayout = pmm.Layout{
@@ -69,8 +68,8 @@ var entryLayout = pmm.Layout{{Name: "key", Size: 8}, {Name: "ptr", Size: 8}}
 // NewTree allocates the btree struct and an empty root leaf. Initial values
 // are Setup-time writes (fully persisted).
 func NewTree(h *pmm.Heap) *Tree {
-	tr := &Tree{h: h, btree: h.AllocStruct("btree", pmm.Layout{{Name: "root", Size: 8}}), nodes: make(map[uint64]*node)}
-	root := tr.newNodeInit(h, 0, NullPtr)
+	tr := &Tree{btree: h.AllocStruct("btree", pmm.Layout{{Name: "root", Size: 8}})}
+	root := newNodeInit(h, 0, NullPtr)
 	h.Init(tr.btree.F("root"), 8, root.base())
 	// last_index starts at -1 in FAST_FAIR; we keep a count-style encoding
 	// with 0 = empty, i.e. last_index holds count.
@@ -78,24 +77,24 @@ func NewTree(h *pmm.Heap) *Tree {
 }
 
 // newNodeInit allocates a node during Setup (initial, persisted state).
-func (tr *Tree) newNodeInit(h *pmm.Heap, level uint64, leftmost uint64) *node {
-	n := &node{
+func newNodeInit(h *pmm.Heap, level uint64, leftmost uint64) node {
+	n := node{
 		hdr:     h.AllocStruct("header", headerLayout),
 		entries: h.AllocArray("entry", entryLayout, Cardinality+1),
 	}
 	h.Init(n.hdr.F("level"), 8, level)
 	h.Init(n.hdr.F("leftmost_ptr"), 8, leftmost)
-	tr.nodes[n.base()] = n
 	return n
 }
 
 // newNodeRuntime allocates and initializes a node during execution: the
 // construction-time stores are flushed before the node is published, so
 // they are persistency-safe by the prefix argument above.
-func (tr *Tree) newNodeRuntime(t *pmm.Thread, level uint64, leftmost uint64) *node {
-	n := &node{
-		hdr:     tr.h.AllocStruct("header", headerLayout),
-		entries: tr.h.AllocArray("entry", entryLayout, Cardinality+1),
+func newNodeRuntime(t *pmm.Thread, level uint64, leftmost uint64) node {
+	h := t.Heap()
+	n := node{
+		hdr:     h.AllocStruct("header", headerLayout),
+		entries: h.AllocArray("entry", entryLayout, Cardinality+1),
 	}
 	t.Store64(n.hdr.F("level"), level)
 	t.Store64(n.hdr.F("leftmost_ptr"), leftmost)
@@ -104,42 +103,35 @@ func (tr *Tree) newNodeRuntime(t *pmm.Thread, level uint64, leftmost uint64) *no
 	t.Store64(n.hdr.F("sibling_ptr"), NullPtr)
 	t.FlushRange(n.hdr.Base(), n.hdr.Size())
 	t.SFence()
-	tr.nodes[n.base()] = n
 	return n
 }
 
-// node resolves a node pointer loaded from persistent memory. The nodes map
-// is the warm path; on a miss (fresh-process recovery, where the map holds
-// only Setup-time entries) the node is reattached from the heap itself: a
-// node is a "header" struct allocation immediately followed by its "entry"
-// array allocation, mirroring how a real recovery procedure casts a mapped
-// PM offset back to node*.
-func (tr *Tree) node(addr uint64) *node {
+// nodeAt resolves a node pointer loaded from persistent memory through the
+// thread's heap, before and after a crash alike: a node is a "header"
+// struct allocation immediately followed by its "entry" array allocation,
+// mirroring how a real recovery procedure casts a mapped PM offset back to
+// node*. ok is false for the null pointer and for anything else that is
+// not a node.
+func nodeAt(t *pmm.Thread, addr uint64) (n node, ok bool) {
 	if addr == NullPtr {
-		return nil
+		return node{}, false
 	}
-	if n, ok := tr.nodes[addr]; ok {
-		return n
+	h := t.Heap()
+	if n.hdr, ok = h.StructAt(pmm.Addr(addr)); !ok || n.hdr.Label() != "header" {
+		return node{}, false
 	}
-	hdr, ok := tr.h.StructAt(pmm.Addr(addr))
-	if !ok || hdr.Label() != "header" {
-		return nil
-	}
-	entBase, ok := tr.h.NextAllocBase(pmm.Addr(addr))
+	entBase, ok := h.NextAllocBase(pmm.Addr(addr))
 	if !ok {
-		return nil
+		return node{}, false
 	}
-	entries, ok := tr.h.ArrayAt(entBase)
-	if !ok || entries.Label() != "entry" {
-		return nil
+	if n.entries, ok = h.ArrayAt(entBase); !ok || n.entries.Label() != "entry" {
+		return node{}, false
 	}
-	n := &node{hdr: hdr, entries: entries}
-	tr.nodes[addr] = n
-	return n
+	return n, true
 }
 
 // count reads last_index (entry count) — a race-observing load post-crash.
-func (n *node) count(t *pmm.Thread) int { return int(t.Load64(n.hdr.F("last_index"))) }
+func (n node) count(t *pmm.Thread) int { return int(t.Load64(n.hdr.F("last_index"))) }
 
 // Insert adds a key/value pair, splitting full nodes bottom-up and growing
 // a new root when the old root splits.
@@ -150,9 +142,9 @@ func (tr *Tree) Insert(t *pmm.Thread, key, val uint64) {
 		return
 	}
 	// Bug #7: growing the tree stores a new root pointer non-atomically.
-	oldRoot := tr.node(rootAddr)
+	oldRoot, _ := nodeAt(t, rootAddr)
 	level := t.Load64(oldRoot.hdr.F("level"))
-	newRoot := tr.newNodeRuntime(t, level+1, rootAddr)
+	newRoot := newNodeRuntime(t, level+1, rootAddr)
 	e := newRoot.entries.At(0)
 	t.Store64(e.F("key"), sepKey)
 	t.Store64(e.F("ptr"), sibAddr)
@@ -169,7 +161,7 @@ func (tr *Tree) Insert(t *pmm.Thread, key, val uint64) {
 // split, it returns the separator key and new sibling for the caller to
 // install.
 func (tr *Tree) insertRec(t *pmm.Thread, nAddr, key, val uint64) (promoted bool, sepKey, sibAddr uint64) {
-	n := tr.node(nAddr)
+	n, _ := nodeAt(t, nAddr)
 	if t.Load64(n.hdr.F("level")) > 0 {
 		child := tr.childFor(t, n, key)
 		p, sk, sa := tr.insertRec(t, child, key, val)
@@ -186,13 +178,14 @@ func (tr *Tree) insertRec(t *pmm.Thread, nAddr, key, val uint64) (promoted bool,
 	if key < sepKey {
 		tr.insertEntry(t, n, key, val)
 	} else {
-		tr.insertEntry(t, tr.node(sibAddr), key, val)
+		sib, _ := nodeAt(t, sibAddr)
+		tr.insertEntry(t, sib, key, val)
 	}
 	return true, sepKey, sibAddr
 }
 
 // childFor scans an inner node for the child covering key.
-func (tr *Tree) childFor(t *pmm.Thread, n *node, key uint64) uint64 {
+func (tr *Tree) childFor(t *pmm.Thread, n node, key uint64) uint64 {
 	cnt := n.count(t)
 	child := t.Load64(n.hdr.F("leftmost_ptr"))
 	for i := 0; i < cnt; i++ {
@@ -209,7 +202,7 @@ func (tr *Tree) childFor(t *pmm.Thread, n *node, key uint64) uint64 {
 // switch_counter, shift larger entries right with store+flush per entry,
 // write the new entry, update last_index, and flush the header — every
 // store non-atomic.
-func (tr *Tree) insertEntry(t *pmm.Thread, n *node, key, val uint64) {
+func (tr *Tree) insertEntry(t *pmm.Thread, n node, key, val uint64) {
 	cnt := n.count(t)
 	// Bug #4: non-atomic switch_counter update marks the shift in flight.
 	sc := t.Load64(n.hdr.F("switch_counter"))
@@ -244,9 +237,9 @@ func (tr *Tree) insertEntry(t *pmm.Thread, n *node, key, val uint64) {
 // split moves the upper half of n into a fresh sibling and links it through
 // sibling_ptr. It returns the separator key (the sibling's first key) and
 // the sibling's address for the caller to install in the parent.
-func (tr *Tree) split(t *pmm.Thread, n *node) (sepKey, sibAddr uint64) {
+func (tr *Tree) split(t *pmm.Thread, n node) (sepKey, sibAddr uint64) {
 	level := t.Load64(n.hdr.F("level"))
-	sib := tr.newNodeRuntime(t, level, NullPtr)
+	sib := newNodeRuntime(t, level, NullPtr)
 	half := Cardinality / 2
 
 	// Move upper half into the sibling (construction-time: flushed before
@@ -279,18 +272,16 @@ func (tr *Tree) split(t *pmm.Thread, n *node) (sepKey, sibAddr uint64) {
 // read switch_counter (shift detection), scan keys/ptrs, and consult
 // sibling_ptr for keys that migrated right during a split.
 func (tr *Tree) Search(t *pmm.Thread, key uint64) (uint64, bool) {
-	rootAddr := t.Load64(tr.btree.F("root"))
-	n := tr.node(rootAddr)
-	if n == nil {
+	n, ok := nodeAt(t, t.Load64(tr.btree.F("root")))
+	if !ok {
 		return 0, false
 	}
 	for t.Load64(n.hdr.F("level")) > 0 {
-		n = tr.node(tr.childFor(t, n, key))
-		if n == nil {
+		if n, ok = nodeAt(t, tr.childFor(t, n, key)); !ok {
 			return 0, false
 		}
 	}
-	for n != nil {
+	for ok {
 		_ = t.Load64(n.hdr.F("switch_counter")) // shift-in-flight check
 		cnt := n.count(t)
 		if cnt > Cardinality+1 {
@@ -302,16 +293,16 @@ func (tr *Tree) Search(t *pmm.Thread, key uint64) (uint64, bool) {
 				return t.Load64(e.F("ptr")), true
 			}
 		}
-		n = tr.node(t.Load64(n.hdr.F("sibling_ptr"))) // follow the split chain
+		n, ok = nodeAt(t, t.Load64(n.hdr.F("sibling_ptr"))) // follow the split chain
 	}
 	return 0, false
 }
 
 // Delete removes key from its leaf by shifting entries left (FAIR shift).
 func (tr *Tree) Delete(t *pmm.Thread, key uint64) bool {
-	leaf := tr.node(t.Load64(tr.btree.F("root")))
+	leaf, _ := nodeAt(t, t.Load64(tr.btree.F("root")))
 	for t.Load64(leaf.hdr.F("level")) > 0 {
-		leaf = tr.node(tr.childFor(t, leaf, key))
+		leaf, _ = nodeAt(t, tr.childFor(t, leaf, key))
 	}
 	cnt := leaf.count(t)
 	pos := -1
@@ -393,17 +384,16 @@ func New(numKeys int, stats *Stats) func() pmm.Program {
 // they read last_index, switch_counter, entry keys/ptrs and sibling_ptr.
 func (tr *Tree) RangeScan(t *pmm.Thread, lo, hi uint64) (keys, vals []uint64) {
 	// Descend to the leaf covering lo.
-	n := tr.node(t.Load64(tr.btree.F("root")))
-	if n == nil {
+	n, ok := nodeAt(t, t.Load64(tr.btree.F("root")))
+	if !ok {
 		return nil, nil
 	}
 	for t.Load64(n.hdr.F("level")) > 0 {
-		n = tr.node(tr.childFor(t, n, lo))
-		if n == nil {
+		if n, ok = nodeAt(t, tr.childFor(t, n, lo)); !ok {
 			return nil, nil
 		}
 	}
-	for n != nil {
+	for ok {
 		_ = t.Load64(n.hdr.F("switch_counter"))
 		cnt := n.count(t)
 		if cnt > Cardinality+1 {
@@ -425,7 +415,7 @@ func (tr *Tree) RangeScan(t *pmm.Thread, lo, hi uint64) (keys, vals []uint64) {
 		if exceeded {
 			break
 		}
-		n = tr.node(t.Load64(n.hdr.F("sibling_ptr")))
+		n, ok = nodeAt(t, t.Load64(n.hdr.F("sibling_ptr")))
 	}
 	return keys, vals
 }

@@ -24,14 +24,12 @@ func TestNameTablesMatchLayouts(t *testing.T) {
 			t.Fatalf("cached N%d layout differs from a freshly built one", cap)
 		}
 		h := pmm.NewHeap()
-		tr := &Tree{h: h, nodes: make(map[uint64]*node)}
-		alloc := tr.allocNodeInit(cap)
-		delete(tr.nodes, alloc.base())
-		reattached, ok := tr.nodeAt(alloc.base())
+		alloc := allocNodeInit(h, cap)
+		reattached, ok := nodeAt(pmm.NewThread(nil, h), alloc.base())
 		if !ok || reattached.cap != cap {
 			t.Fatalf("N%d node did not reattach with its capacity", cap)
 		}
-		for _, n := range []*node{alloc, reattached} {
+		for _, n := range []node{alloc, reattached} {
 			s := n.s
 			if n.compactCount() != s.F("compactCount") || n.count() != s.F("count") {
 				t.Fatalf("N%d header accessors disagree with Struct.F", cap)

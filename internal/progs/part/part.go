@@ -50,13 +50,13 @@ var ExpectedRaces = []string{
 }
 
 // node is one radix node (N4 or N16): compact slots of (key byte, child).
-// A child is either another node or a leaf (registry-resolved).
+// A child is either another node or a leaf, resolved through the heap.
 type node struct {
 	s   pmm.Struct
 	cap int
 }
 
-func (n *node) base() uint64 { return uint64(n.s.Base()) }
+func (n node) base() uint64 { return uint64(n.s.Base()) }
 
 // A node's layout is nodeHeader header fields, then cap key bytes, then cap
 // child pointers; the accessors address each field by that position.
@@ -66,11 +66,11 @@ const (
 	nodeHeader = 3
 )
 
-func (n *node) compactCount() pmm.Addr { return n.s.Nth(fCompactCount) }
-func (n *node) count() pmm.Addr        { return n.s.Nth(fCount) }
+func (n node) compactCount() pmm.Addr { return n.s.Nth(fCompactCount) }
+func (n node) count() pmm.Addr        { return n.s.Nth(fCount) }
 
-func (n *node) key(i int) pmm.Addr   { return n.s.Nth(nodeHeader + i) }
-func (n *node) child(i int) pmm.Addr { return n.s.Nth(nodeHeader + n.cap + i) }
+func (n node) key(i int) pmm.Addr   { return n.s.Nth(nodeHeader + i) }
+func (n node) child(i int) pmm.Addr { return n.s.Nth(nodeHeader + n.cap + i) }
 
 // keyNames and childNames are the slot field names, keyNames[i] = "key<i>",
 // built once for the largest node.
@@ -104,15 +104,16 @@ func nodeLayout(cap int) pmm.Layout {
 
 var leafLayout = pmm.Layout{{Name: "value", Size: 8}}
 
-// Tree is a two-level P-ART instance plus the Epoche deletion list.
+// Tree is a two-level P-ART instance plus the Epoche deletion list. Child,
+// leaf and label pointers read from persistent memory resolve through the
+// thread's heap (nodeAt, leafAt, labelAt). root is the one Go-side handle
+// the tree updates: a root growth replaces it, and recovery reads the root
+// Setup allocated, so a driver that recovers never grows the root (the
+// drivers fill two level-0 subtrees of an N4 root).
 type Tree struct {
-	h    *pmm.Heap
-	root *node
+	root node
 	// Epoche reclamation state.
-	dl     pmm.Struct // "DeletionList"
-	nodes  map[uint64]*node
-	leaves map[uint64]pmm.Struct
-	labels map[uint64]pmm.Struct
+	dl pmm.Struct // "DeletionList"
 }
 
 // Depth is the number of radix levels (key bytes consumed).
@@ -126,8 +127,7 @@ func byteAt(key uint64, level int) uint8 {
 
 // NewTree allocates an empty tree with an N4 root and the deletion list.
 func NewTree(h *pmm.Heap) *Tree {
-	tr := &Tree{h: h, nodes: make(map[uint64]*node), leaves: make(map[uint64]pmm.Struct), labels: make(map[uint64]pmm.Struct)}
-	tr.root = tr.allocNodeInit(N4Cap)
+	tr := &Tree{root: allocNodeInit(h, N4Cap)}
 	tr.dl = h.AllocStruct("DeletionList", pmm.Layout{
 		{Name: "deletitionListCount", Size: 8},
 		{Name: "headDeletionList", Size: 8},
@@ -137,87 +137,63 @@ func NewTree(h *pmm.Heap) *Tree {
 	return tr
 }
 
-func (tr *Tree) allocNodeInit(cap int) *node {
-	n := &node{s: tr.h.AllocStruct("N", nodeLayouts[cap]), cap: cap}
+func allocNodeInit(h *pmm.Heap, cap int) node {
+	n := node{s: h.AllocStruct("N", nodeLayouts[cap]), cap: cap}
 	for i := 0; i < cap; i++ {
-		tr.h.Init(n.key(i), 1, EmptyKey)
+		h.Init(n.key(i), 1, EmptyKey)
 	}
-	tr.nodes[n.base()] = n
 	return n
 }
 
 // allocNodeRuntime allocates a node during execution with its slots
 // initialized and flushed before publication (persistency-safe).
-func (tr *Tree) allocNodeRuntime(t *pmm.Thread, cap int) *node {
-	n := &node{s: tr.h.AllocStruct("N", nodeLayouts[cap]), cap: cap}
+func allocNodeRuntime(t *pmm.Thread, cap int) node {
+	n := node{s: t.Heap().AllocStruct("N", nodeLayouts[cap]), cap: cap}
 	for i := 0; i < cap; i++ {
 		t.StoreAtomic(n.key(i), 1, EmptyKey)
 	}
 	t.FlushRange(n.s.Base(), n.s.Size())
 	t.SFence()
-	tr.nodes[n.base()] = n
 	return n
 }
 
 // allocLeaf allocates and persists a leaf before publication.
-func (tr *Tree) allocLeaf(t *pmm.Thread, value uint64) uint64 {
-	l := tr.h.AllocStruct("leaf", leafLayout)
+func allocLeaf(t *pmm.Thread, value uint64) uint64 {
+	l := t.Heap().AllocStruct("leaf", leafLayout)
 	t.StoreAtomic(l.F("value"), 8, value)
 	t.Persist(l.Base(), l.Size())
-	tr.leaves[uint64(l.Base())] = l
 	return uint64(l.Base())
 }
 
-// nodeAt resolves a child pointer to a node handle. The registry covers
-// nodes this Tree instance allocated; a miss falls back to reattaching
-// through the heap (pmm.StructAt) — recovery code conceptually runs in a
-// fresh process (and, under the engine's checkpoint layer, in a scenario
-// whose workload closures never executed), so handles must be derivable
-// from the persisted pointer alone. A node's capacity is encoded in its
-// field count: 3 header fields plus a key byte and a child per slot.
-func (tr *Tree) nodeAt(addr uint64) (*node, bool) {
-	if n, ok := tr.nodes[addr]; ok {
-		return n, true
-	}
-	st, ok := tr.h.StructAt(pmm.Addr(addr))
-	if !ok || st.Label() != "N" {
-		return nil, false
-	}
-	n := &node{s: st, cap: (st.FieldCount() - 3) / 2}
-	tr.nodes[addr] = n
-	return n, true
+// structAt resolves a pointer read from persistent memory to the struct
+// labelled label allocated there, through the thread's heap — as recovery
+// code, which runs in a fresh process, casts a persisted pointer.
+func structAt(t *pmm.Thread, addr uint64, label string) (pmm.Struct, bool) {
+	st, ok := t.Heap().StructAt(pmm.Addr(addr))
+	return st, ok && st.Label() == label
 }
 
-// leafAt resolves a leaf pointer, reattaching through the heap on a
-// registry miss (see nodeAt).
-func (tr *Tree) leafAt(addr uint64) (pmm.Struct, bool) {
-	if l, ok := tr.leaves[addr]; ok {
-		return l, true
+// nodeAt resolves a child pointer to a node handle. A node's capacity is
+// encoded in its field count: 3 header fields plus a key byte and a child
+// per slot.
+func nodeAt(t *pmm.Thread, addr uint64) (node, bool) {
+	st, ok := structAt(t, addr, "N")
+	if !ok {
+		return node{}, false
 	}
-	st, ok := tr.h.StructAt(pmm.Addr(addr))
-	if !ok || st.Label() != "leaf" {
-		return pmm.Struct{}, false
-	}
-	tr.leaves[addr] = st
-	return st, true
+	return node{s: st, cap: (st.FieldCount() - 3) / 2}, true
 }
 
-// labelAt resolves a LabelDelete pointer, reattaching through the heap on a
-// registry miss (see nodeAt).
-func (tr *Tree) labelAt(addr uint64) (pmm.Struct, bool) {
-	if ld, ok := tr.labels[addr]; ok {
-		return ld, true
-	}
-	st, ok := tr.h.StructAt(pmm.Addr(addr))
-	if !ok || st.Label() != "LabelDelete" {
-		return pmm.Struct{}, false
-	}
-	tr.labels[addr] = st
-	return st, true
+// leafAt resolves a leaf pointer.
+func leafAt(t *pmm.Thread, addr uint64) (pmm.Struct, bool) { return structAt(t, addr, "leaf") }
+
+// labelAt resolves a LabelDelete pointer.
+func labelAt(t *pmm.Thread, addr uint64) (pmm.Struct, bool) {
+	return structAt(t, addr, "LabelDelete")
 }
 
 // findSlot scans a node's compact slots for a key byte.
-func (tr *Tree) findSlot(t *pmm.Thread, n *node, kb uint8) int {
+func (tr *Tree) findSlot(t *pmm.Thread, n node, kb uint8) int {
 	cc := t.Load16(n.compactCount())
 	limit := int(cc)
 	if limit > n.cap {
@@ -231,12 +207,12 @@ func (tr *Tree) findSlot(t *pmm.Thread, n *node, kb uint8) int {
 	return -1
 }
 
-func (tr *Tree) childAt(t *pmm.Thread, n *node, slot int) uint64 {
+func (tr *Tree) childAt(t *pmm.Thread, n node, slot int) uint64 {
 	return t.LoadAcquire(n.child(slot), 8)
 }
 
 // setChild publishes a child pointer atomically and persists it.
-func (tr *Tree) setChild(t *pmm.Thread, n *node, slot int, child uint64) {
+func (tr *Tree) setChild(t *pmm.Thread, n node, slot int, child uint64) {
 	f := n.child(slot)
 	t.StoreAtomic(f, 8, child)
 	t.Persist(f, 8)
@@ -244,7 +220,7 @@ func (tr *Tree) setChild(t *pmm.Thread, n *node, slot int, child uint64) {
 
 // addSlot claims the next compact slot for a key byte — bugs #9/#10: the
 // occupancy counters are plain stores.
-func (tr *Tree) addSlot(t *pmm.Thread, n *node, kb uint8, child uint64) bool {
+func (tr *Tree) addSlot(t *pmm.Thread, n node, kb uint8, child uint64) bool {
 	cc := t.Load16(n.compactCount())
 	if int(cc) >= n.cap {
 		return false
@@ -264,8 +240,8 @@ func (tr *Tree) addSlot(t *pmm.Thread, n *node, kb uint8, child uint64) bool {
 // grow copies an overflowing node into a fresh N16 (construction-time
 // stores, flushed before the swap) and retires the old node through the
 // Epoche deletion list. Returns the replacement.
-func (tr *Tree) grow(t *pmm.Thread, old *node) *node {
-	big := tr.allocNodeRuntime(t, N16Cap)
+func (tr *Tree) grow(t *pmm.Thread, old node) node {
+	big := allocNodeRuntime(t, N16Cap)
 	cc := t.Load16(old.compactCount())
 	live := uint16(0)
 	for i := 0; i < int(cc) && i < old.cap; i++ {
@@ -289,12 +265,11 @@ func (tr *Tree) grow(t *pmm.Thread, old *node) *node {
 // retire adds a node to the Epoche deletion list — bugs #11–#15: every
 // store below is plain and never flushed (the allocator is not crash
 // consistent).
-func (tr *Tree) retire(t *pmm.Thread, n *node) {
-	ld := tr.h.AllocStruct("LabelDelete", pmm.Layout{
+func (tr *Tree) retire(t *pmm.Thread, n node) {
+	ld := t.Heap().AllocStruct("LabelDelete", pmm.Layout{
 		{Name: "nodesCount", Size: 8},
 		{Name: "node0", Size: 8},
 	})
-	tr.labels[uint64(ld.Base())] = ld
 	// Bug #13: plain nodesCount in the label.
 	t.Store64(ld.F("nodesCount"), 1)
 	t.Store64(ld.F("node0"), n.base())
@@ -312,25 +287,25 @@ func (tr *Tree) retire(t *pmm.Thread, n *node) {
 // Insert maps key (low Depth bytes) to a value, descending the radix levels
 // and growing nodes as needed.
 func (tr *Tree) Insert(t *pmm.Thread, key uint64, value uint64) {
-	tr.insertAt(t, tr.root, nil, -1, 0, key, value)
+	tr.insertAt(t, tr.root, node{}, -1, 0, key, value)
 }
 
 // insertAt inserts below n (reached from parent at parentSlot; the root has
-// parent nil).
-func (tr *Tree) insertAt(t *pmm.Thread, n *node, parent *node, parentSlot int, level int, key, value uint64) {
+// parentSlot -1 and no parent).
+func (tr *Tree) insertAt(t *pmm.Thread, n node, parent node, parentSlot int, level int, key, value uint64) {
 	kb := byteAt(key, level)
 	slot := tr.findSlot(t, n, kb)
 	if level == Depth-1 {
 		// Leaf level: install or replace the value leaf.
 		if slot >= 0 {
 			leafAddr := tr.childAt(t, n, slot)
-			if l, ok := tr.leafAt(leafAddr); ok {
+			if l, ok := leafAt(t, leafAddr); ok {
 				t.StoreAtomic(l.F("value"), 8, value)
 				t.Persist(l.F("value"), 8)
 				return
 			}
 		}
-		leaf := tr.allocLeaf(t, value)
+		leaf := allocLeaf(t, value)
 		if slot >= 0 {
 			tr.setChild(t, n, slot, leaf)
 			return
@@ -344,12 +319,12 @@ func (tr *Tree) insertAt(t *pmm.Thread, n *node, parent *node, parentSlot int, l
 	// Interior level: descend, creating the child node if needed.
 	if slot >= 0 {
 		childAddr := tr.childAt(t, n, slot)
-		if child, ok := tr.nodeAt(childAddr); ok {
+		if child, ok := nodeAt(t, childAddr); ok {
 			tr.insertAt(t, child, n, slot, level+1, key, value)
 			return
 		}
 	}
-	child := tr.allocNodeRuntime(t, N4Cap)
+	child := allocNodeRuntime(t, N4Cap)
 	if !tr.addSlot(t, n, kb, child.base()) {
 		n = tr.replaceGrown(t, n, parent, parentSlot)
 		tr.addSlot(t, n, kb, child.base())
@@ -360,9 +335,9 @@ func (tr *Tree) insertAt(t *pmm.Thread, n *node, parent *node, parentSlot int, l
 
 // replaceGrown grows a full node and republishes it in its parent (or as
 // the root).
-func (tr *Tree) replaceGrown(t *pmm.Thread, n, parent *node, parentSlot int) *node {
+func (tr *Tree) replaceGrown(t *pmm.Thread, n, parent node, parentSlot int) node {
 	big := tr.grow(t, n)
-	if parent == nil {
+	if parentSlot < 0 {
 		tr.root = big
 	} else {
 		tr.setChild(t, parent, parentSlot, big.base())
@@ -382,13 +357,13 @@ func (tr *Tree) Lookup(t *pmm.Thread, key uint64) (uint64, bool) {
 		}
 		child := tr.childAt(t, n, slot)
 		if level == Depth-1 {
-			l, ok := tr.leafAt(child)
+			l, ok := leafAt(t, child)
 			if !ok {
 				return 0, false
 			}
 			return t.LoadAcquire(l.F("value"), 8), true
 		}
-		next, ok := tr.nodeAt(child)
+		next, ok := nodeAt(t, child)
 		if !ok {
 			return 0, false
 		}
@@ -405,7 +380,7 @@ func (tr *Tree) Remove(t *pmm.Thread, key uint64) bool {
 		if slot < 0 {
 			return false
 		}
-		next, ok := tr.nodeAt(tr.childAt(t, n, slot))
+		next, ok := nodeAt(t, tr.childAt(t, n, slot))
 		if !ok {
 			return false
 		}
@@ -430,7 +405,7 @@ func (tr *Tree) RecoverEpoche(t *pmm.Thread) {
 	_ = t.Load8(tr.dl.F("added"))
 	_ = t.Load64(tr.dl.F("thresholdCounter"))
 	head := t.Load64(tr.dl.F("headDeletionList"))
-	if ld, ok := tr.labelAt(head); ok {
+	if ld, ok := labelAt(t, head); ok {
 		_ = t.Load64(ld.F("nodesCount"))
 	}
 }

@@ -39,12 +39,11 @@ const (
 // installed delta chains, plus the BwTreeBase epoch counter. Delta records
 // are fully persisted before publication and the publication itself is a
 // locked CAS, so the whole structure is persistency-race free — except the
-// plain epoch counter (bug #16).
+// plain epoch counter (bug #16). Delta pointers read from persistent
+// memory resolve through the thread's heap (deltaAt).
 type Tree struct {
-	h      *pmm.Heap
-	base   pmm.Struct // "BwTreeBase" {epoch}
-	table  pmm.Array  // "mapping_table" slots: {head}
-	deltas map[uint64]pmm.Struct
+	base  pmm.Struct // "BwTreeBase" {epoch}
+	table pmm.Array  // "mapping_table" slots: {head}
 	// consolidations counts chain rewrites (exposed for tests).
 	consolidations int
 }
@@ -55,10 +54,8 @@ const ConsolidateThreshold = 4
 // NewTree allocates the mapping table and the base structure.
 func NewTree(h *pmm.Heap) *Tree {
 	return &Tree{
-		h:      h,
-		base:   h.AllocStruct("BwTreeBase", pmm.Layout{{Name: "epoch", Size: 8}}),
-		table:  h.AllocArray("mapping_table", pmm.Layout{{Name: "head", Size: 8}}, MappingTableSize),
-		deltas: make(map[uint64]pmm.Struct),
+		base:  h.AllocStruct("BwTreeBase", pmm.Layout{{Name: "epoch", Size: 8}}),
+		table: h.AllocArray("mapping_table", pmm.Layout{{Name: "head", Size: 8}}, MappingTableSize),
 	}
 }
 
@@ -67,31 +64,21 @@ func slotOf(key uint64) int { return int((key * 0x61C88647) % MappingTableSize) 
 // newDelta allocates and persists a delta record (unreachable until the
 // CAS publishes it).
 func (tr *Tree) newDelta(t *pmm.Thread, kind, key, value, next uint64) uint64 {
-	d := tr.h.AllocStruct("delta", deltaLayout)
+	d := t.Heap().AllocStruct("delta", deltaLayout)
 	t.Store64(d.F("kind"), kind)
 	t.Store64(d.F("key"), key)
 	t.Store64(d.F("value"), value)
 	t.Store64(d.F("next"), next)
 	t.Persist(d.Base(), d.Size())
-	tr.deltas[uint64(d.Base())] = d
 	return uint64(d.Base())
 }
 
-// deltaAt resolves a delta pointer loaded from persistent memory. The
-// deltas map is the warm path; on a miss (fresh-process recovery, where the
-// map holds only Setup-time entries) the record is reattached from the heap
-// itself, mirroring how recovery code casts a mapped PM offset back to a
-// delta record pointer.
-func (tr *Tree) deltaAt(addr uint64) (pmm.Struct, bool) {
-	if d, ok := tr.deltas[addr]; ok {
-		return d, true
-	}
-	d, ok := tr.h.StructAt(pmm.Addr(addr))
-	if !ok || d.Label() != "delta" {
-		return pmm.Struct{}, false
-	}
-	tr.deltas[addr] = d
-	return d, true
+// deltaAt resolves a delta pointer loaded from persistent memory through
+// the thread's heap, mirroring how recovery code casts a mapped PM offset
+// back to a delta record pointer.
+func deltaAt(t *pmm.Thread, addr uint64) (pmm.Struct, bool) {
+	d, ok := t.Heap().StructAt(pmm.Addr(addr))
+	return d, ok && d.Label() == "delta"
 }
 
 // publish CAS-installs a delta as the new chain head and persists the head.
@@ -139,7 +126,7 @@ func (tr *Tree) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	slot := tr.table.At(slotOf(key))
 	cur := t.LoadAcquire64(slot.F("head"))
 	for hops := 0; cur != 0 && hops < 1024; hops++ {
-		d, ok := tr.deltaAt(cur)
+		d, ok := deltaAt(t, cur)
 		if !ok {
 			return 0, false
 		}
@@ -166,7 +153,7 @@ func (tr *Tree) maybeConsolidate(t *pmm.Thread, slot pmm.Struct) {
 	seen := map[uint64]bool{}
 	length := 0
 	for cur := head; cur != 0; length++ {
-		d, ok := tr.deltaAt(cur)
+		d, ok := deltaAt(t, cur)
 		if !ok {
 			break
 		}

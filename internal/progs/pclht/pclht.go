@@ -26,11 +26,10 @@ var ExpectedRaces = []string{}
 
 // Table is a P-CLHT instance. Overflow buckets chain off the fixed array
 // through atomically published next pointers, so the zero-race discipline
-// extends to unbounded occupancy (CLHT's linked buckets).
+// extends to unbounded occupancy (CLHT's linked buckets); a next pointer
+// resolves through the thread's heap (nextBucket).
 type Table struct {
-	h        *pmm.Heap
-	buckets  pmm.Array // "bucket_t": {lock, key0..2, val0..2, next}
-	overflow map[uint64]pmm.Struct
+	buckets pmm.Array // "bucket_t": {lock, key0..2, val0..2, next}
 }
 
 var bucketLayout = pmm.Layout{
@@ -42,35 +41,29 @@ var bucketLayout = pmm.Layout{
 
 // NewTable allocates the bucket array.
 func NewTable(h *pmm.Heap) *Table {
-	return &Table{h: h, buckets: h.AllocArray("bucket_t", bucketLayout, NumBuckets), overflow: make(map[uint64]pmm.Struct)}
+	return &Table{buckets: h.AllocArray("bucket_t", bucketLayout, NumBuckets)}
 }
 
-// nextBucket follows an overflow link (atomic load). The overflow map is
-// the warm path; on a miss (fresh-process recovery, where the map holds
-// only Setup-time entries) the bucket is reattached from the heap itself,
-// mirroring how recovery code casts a mapped PM offset back to bucket_t*.
+// nextBucket follows an overflow link (atomic load) and resolves it through
+// the thread's heap, mirroring how recovery code casts a mapped PM offset
+// back to bucket_t*.
 func (tb *Table) nextBucket(t *pmm.Thread, b pmm.Struct) (pmm.Struct, bool) {
 	addr := t.LoadAcquire64(b.F("next"))
 	if addr == 0 {
 		return pmm.Struct{}, false
 	}
-	if ob, ok := tb.overflow[addr]; ok {
-		return ob, true
-	}
-	ob, ok := tb.h.StructAt(pmm.Addr(addr))
+	ob, ok := t.Heap().StructAt(pmm.Addr(addr))
 	if !ok || ob.Label() != "bucket_t" {
 		return pmm.Struct{}, false
 	}
-	tb.overflow[addr] = ob
 	return ob, true
 }
 
 // addOverflow allocates, persists and atomically publishes a fresh overflow
 // bucket behind b.
 func (tb *Table) addOverflow(t *pmm.Thread, b pmm.Struct) pmm.Struct {
-	ob := tb.h.AllocStruct("bucket_t", bucketLayout)
+	ob := t.Heap().AllocStruct("bucket_t", bucketLayout)
 	t.Persist(ob.Base(), ob.Size())
-	tb.overflow[uint64(ob.Base())] = ob
 	t.StoreRelease64(b.F("next"), uint64(ob.Base()))
 	t.Persist(b.F("next"), 8)
 	return ob

@@ -19,16 +19,12 @@ func TestNameTablesMatchLayout(t *testing.T) {
 		}
 	}
 	h := pmm.NewHeap()
-	tr := NewTree(h)
-	var alloc *leaf
-	for _, l := range tr.leaves {
-		alloc = l
-	}
-	reattached := (&Tree{h: h, leaves: make(map[uint64]*leaf)}).leafAt(uint64(alloc.s.Base()))
-	if reattached == nil {
+	alloc := leaf{s: h.AllocStruct("leafnode", leafLayout)}
+	reattached, ok := leafAt(pmm.NewThread(nil, h), uint64(alloc.s.Base()))
+	if !ok {
 		t.Fatal("leaf did not reattach from its address")
 	}
-	for _, l := range []*leaf{alloc, reattached} {
+	for _, l := range []leaf{alloc, reattached} {
 		s := l.s
 		if l.permutation() != s.F("permutation") || l.next() != s.F("next") {
 			t.Fatal("header accessors disagree with Struct.F")

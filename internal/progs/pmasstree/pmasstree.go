@@ -70,10 +70,10 @@ const (
 	leafHeader
 )
 
-func (l *leaf) permutation() pmm.Addr { return l.s.Nth(fPermutation) }
-func (l *leaf) next() pmm.Addr        { return l.s.Nth(fNext) }
-func (l *leaf) key(i int) pmm.Addr    { return l.s.Nth(leafHeader + 2*i) }
-func (l *leaf) val(i int) pmm.Addr    { return l.s.Nth(leafHeader + 2*i + 1) }
+func (l leaf) permutation() pmm.Addr { return l.s.Nth(fPermutation) }
+func (l leaf) next() pmm.Addr        { return l.s.Nth(fNext) }
+func (l leaf) key(i int) pmm.Addr    { return l.s.Nth(leafHeader + 2*i) }
+func (l leaf) val(i int) pmm.Addr    { return l.s.Nth(leafHeader + 2*i + 1) }
 
 // keyNames and valNames are the slot field names, keyNames[i] = "key<i>",
 // built once.
@@ -101,83 +101,72 @@ var leafLayout = func() pmm.Layout {
 
 // Tree is a P-Masstree instance: a linked list of B+-style leaves reached
 // from the root_ pointer (single layer of the trie, which is where all
-// three reported bugs live).
+// three reported bugs live). Leaf pointers read from persistent memory
+// resolve through the thread's heap (leafAt).
 type Tree struct {
-	h      *pmm.Heap
-	mt     pmm.Struct // "masstree" {root_}
-	leaves map[uint64]*leaf
+	mt pmm.Struct // "masstree" {root_}
 	// layers maps an 8-byte key prefix to its next-layer tree (Masstree's
-	// layering for long keys).
+	// layering for long keys). Only inserts read it: a lookup resolves the
+	// layer from the pointer its slot persisted (GetLong).
 	layers map[uint64]*Tree
 }
 
 // NewTree allocates the masstree struct and an empty root leaf.
 func NewTree(h *pmm.Heap) *Tree {
-	tr := &Tree{h: h, mt: h.AllocStruct("masstree", pmm.Layout{{Name: "root_", Size: 8}}), leaves: make(map[uint64]*leaf), layers: make(map[uint64]*Tree)}
-	l := &leaf{s: h.AllocStruct("leafnode", leafLayout)}
-	tr.leaves[uint64(l.s.Base())] = l
-	h.Init(tr.mt.F("root_"), 8, uint64(l.s.Base()))
+	tr := &Tree{mt: h.AllocStruct("masstree", pmm.Layout{{Name: "root_", Size: 8}}), layers: make(map[uint64]*Tree)}
+	l := h.AllocStruct("leafnode", leafLayout)
+	h.Init(tr.mt.F("root_"), 8, uint64(l.Base()))
 	return tr
 }
 
-// leafAt resolves a leaf pointer loaded from persistent memory. The leaves
-// map is the warm path; on a miss (fresh-process recovery, where the map
-// holds only Setup-time entries) the leaf is reattached from the heap
-// itself, mirroring how recovery code casts a mapped PM offset back to a
-// leafnode pointer.
-func (tr *Tree) leafAt(addr uint64) *leaf {
+// leafAt resolves a leaf pointer loaded from persistent memory through the
+// thread's heap, mirroring how recovery code casts a mapped PM offset back
+// to a leafnode pointer. ok is false for the null pointer and anything
+// that is not a leaf.
+func leafAt(t *pmm.Thread, addr uint64) (leaf, bool) {
 	if addr == 0 {
-		return nil
+		return leaf{}, false
 	}
-	if l, ok := tr.leaves[addr]; ok {
-		return l
-	}
-	s, ok := tr.h.StructAt(pmm.Addr(addr))
-	if !ok || s.Label() != "leafnode" {
-		return nil
-	}
-	l := &leaf{s: s}
-	tr.leaves[addr] = l
-	return l
+	s, ok := t.Heap().StructAt(pmm.Addr(addr))
+	return leaf{s: s}, ok && s.Label() == "leafnode"
 }
 
 // newLeafRuntime allocates a leaf during execution; construction-time
 // stores are flushed before publication.
-func (tr *Tree) newLeafRuntime(t *pmm.Thread) *leaf {
-	l := &leaf{s: tr.h.AllocStruct("leafnode", leafLayout)}
+func newLeafRuntime(t *pmm.Thread) leaf {
+	l := leaf{s: t.Heap().AllocStruct("leafnode", leafLayout)}
 	t.Store64(l.permutation(), 0)
 	t.Store64(l.next(), 0)
 	t.FlushRange(l.s.Base(), l.s.Size())
 	t.SFence()
-	tr.leaves[uint64(l.s.Base())] = l
 	return l
 }
 
 // findLeaf walks the leaf chain to the leaf that should hold key.
-func (tr *Tree) findLeaf(t *pmm.Thread, key uint64) *leaf {
+func (tr *Tree) findLeaf(t *pmm.Thread, key uint64) (leaf, bool) {
 	// Bug #17's observing load: the plain root_ read.
-	l := tr.leafAt(t.Load64(tr.mt.F("root_")))
-	for l != nil {
+	l, ok := leafAt(t, t.Load64(tr.mt.F("root_")))
+	for ok {
 		nextAddr := t.Load64(l.next()) // bug #19's observing load
-		next := tr.leafAt(nextAddr)
-		if next == nil {
-			return l
+		next, found := leafAt(t, nextAddr)
+		if !found {
+			return l, true
 		}
 		// Keys migrate right on split; go right while the next leaf's
 		// smallest key is <= key.
 		np := t.Load64(next.permutation())
 		if permCount(np) == 0 || t.Load64(next.key(permSlot(np, 0))) > key {
-			return l
+			return l, true
 		}
 		l = next
 	}
-	return nil
+	return leaf{}, false
 }
 
 // Insert writes the key/value into a free slot, then commits it with a
 // plain permutation store (bug #18), splitting full leaves (bugs #17/#19).
 func (tr *Tree) Insert(t *pmm.Thread, key, value uint64) {
-	l := tr.findLeaf(t, key)
+	l, _ := tr.findLeaf(t, key)
 	p := t.Load64(l.permutation())
 	cnt := permCount(p)
 	if cnt >= LeafWidth {
@@ -204,8 +193,8 @@ func (tr *Tree) Insert(t *pmm.Thread, key, value uint64) {
 }
 
 // split moves the upper half of l into a new right sibling and links it in.
-func (tr *Tree) split(t *pmm.Thread, l *leaf, key uint64) *leaf {
-	right := tr.newLeafRuntime(t)
+func (tr *Tree) split(t *pmm.Thread, l leaf, key uint64) leaf {
+	right := newLeafRuntime(t)
 	p := t.Load64(l.permutation())
 	half := LeafWidth / 2
 	var rp uint64
@@ -255,8 +244,8 @@ func (tr *Tree) split(t *pmm.Thread, l *leaf, key uint64) *leaf {
 
 // Get looks a key up by walking the leaf chain and the permutation.
 func (tr *Tree) Get(t *pmm.Thread, key uint64) (uint64, bool) {
-	l := tr.findLeaf(t, key)
-	if l == nil {
+	l, ok := tr.findLeaf(t, key)
+	if !ok {
 		return 0, false
 	}
 	p := t.Load64(l.permutation())
@@ -321,9 +310,9 @@ func New(numKeys int, stats *Stats) func() pmm.Program {
 // prefix points to a whole subordinate tree indexed by the next 8 bytes.
 // The new layer's structures are flushed before the slot that publishes
 // them, so layer creation introduces no new racy fields.
-func (tr *Tree) newSubTree(t *pmm.Thread) *Tree {
-	sub := &Tree{h: tr.h, mt: tr.h.AllocStruct("masstree", pmm.Layout{{Name: "root_", Size: 8}}), leaves: make(map[uint64]*leaf), layers: make(map[uint64]*Tree)}
-	l := sub.newLeafRuntime(t)
+func newSubTree(t *pmm.Thread) *Tree {
+	sub := &Tree{mt: t.Heap().AllocStruct("masstree", pmm.Layout{{Name: "root_", Size: 8}}), layers: make(map[uint64]*Tree)}
+	l := newLeafRuntime(t)
 	t.Store64(sub.mt.F("root_"), uint64(l.s.Base()))
 	t.Persist(sub.mt.F("root_"), 8)
 	return sub
@@ -337,7 +326,7 @@ func (tr *Tree) InsertLong(t *pmm.Thread, k1, k2, value uint64) {
 		sub.Insert(t, k2, value)
 		return
 	}
-	sub := tr.newSubTree(t)
+	sub := newSubTree(t)
 	tr.layers[k1] = sub
 	// Publish the layer through the normal insert protocol: the slot value
 	// is the sub-tree's handle.
@@ -345,35 +334,19 @@ func (tr *Tree) InsertLong(t *pmm.Thread, k1, k2, value uint64) {
 	sub.Insert(t, k2, value)
 }
 
-// GetLong looks a 16-byte key up through the layers. The sub-tree handle is
-// resolved from the value stored in the top layer's slot (not from the
-// Go-side layers map alone), so the walk works identically in fresh-process
-// recovery where the layers map is empty.
+// GetLong looks a 16-byte key up through the layers. The sub-tree is
+// resolved from the value stored in the top layer's slot, never from the
+// Go-side layers map, so the walk works identically in fresh-process
+// recovery.
 func (tr *Tree) GetLong(t *pmm.Thread, k1, k2 uint64) (uint64, bool) {
 	subBase, found := tr.Get(t, k1)
 	if !found {
 		return 0, false
 	}
-	sub := tr.layerAt(k1, subBase)
-	if sub == nil {
+	mt, ok := t.Heap().StructAt(pmm.Addr(subBase))
+	if !ok || mt.Label() != "masstree" {
 		return 0, false
 	}
+	sub := Tree{mt: mt}
 	return sub.Get(t, k2)
-}
-
-// layerAt resolves the next-layer tree published under prefix k1 whose
-// masstree struct lives at base. The layers map is the warm path; on a miss
-// the layer is reattached from the heap (empty Go-side registries — its
-// leaves resolve lazily through leafAt).
-func (tr *Tree) layerAt(k1, base uint64) *Tree {
-	if sub, ok := tr.layers[k1]; ok {
-		return sub
-	}
-	mt, ok := tr.h.StructAt(pmm.Addr(base))
-	if !ok || mt.Label() != "masstree" {
-		return nil
-	}
-	sub := &Tree{h: tr.h, mt: mt, leaves: make(map[uint64]*leaf), layers: make(map[uint64]*Tree)}
-	tr.layers[k1] = sub
-	return sub
 }

@@ -32,11 +32,11 @@ type Server struct {
 	dict pmm.Array // "dictEntry" {key, value, used}
 }
 
-// NewServer allocates the dictionary during Setup.
-func NewServer(p *pmdk.Pool) *Server {
+// NewServer allocates the dictionary in pool p's heap h during Setup.
+func NewServer(h *pmm.Heap, p *pmdk.Pool) *Server {
 	return &Server{
 		pool: p,
-		dict: p.Heap().AllocArray("dictEntry", pmm.Layout{
+		dict: h.AllocArray("dictEntry", pmm.Layout{
 			{Name: "key", Size: 8}, {Name: "value", Size: 8}, {Name: "used", Size: 8},
 		}, DictSize),
 	}
@@ -101,7 +101,7 @@ func New(numKeys int, stats *Stats) func() pmm.Program {
 		return pmm.Program{
 			Name: "Redis",
 			Setup: func(h *pmm.Heap) {
-				srv = NewServer(pmdk.NewPool(h))
+				srv = NewServer(h, pmdk.NewPool(h))
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				for k := uint64(1); k <= uint64(numKeys); k++ {
@@ -169,7 +169,7 @@ func NewClientServer(numKeys int, stats *Stats) func() pmm.Program {
 		return pmm.Program{
 			Name: "Redis",
 			Setup: func(h *pmm.Heap) {
-				srv = NewServer(pmdk.NewPool(h))
+				srv = NewServer(h, pmdk.NewPool(h))
 			},
 			Workers: []func(*pmm.Thread){
 				// Server event loop.

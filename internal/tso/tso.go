@@ -573,19 +573,6 @@ func (m *Machine) VolatileValue(addr pmm.Addr) (*CommittedStore, bool) {
 	return rec, rec != nil
 }
 
-// Addresses returns every address with a cache-visible value, in ascending
-// address order.
-func (m *Machine) Addresses() []pmm.Addr {
-	var out []pmm.Addr
-	m.mem.ForEach(func(a pmm.Addr, rec *CommittedStore) bool {
-		if rec != nil {
-			out = append(out, a)
-		}
-		return true
-	})
-	return out
-}
-
 func truncate(v uint64, size int) uint64 {
 	if size >= 8 {
 		return v

@@ -287,9 +287,6 @@ func TestVolatileValueAndAddresses(t *testing.T) {
 	if _, ok := m.VolatileValue(16); ok {
 		t.Error("VolatileValue of unwritten address reported ok")
 	}
-	if got := len(m.Addresses()); got != 2 {
-		t.Errorf("Addresses len = %d, want 2", got)
-	}
 }
 
 // Property: sequence numbers are strictly increasing and unique across any

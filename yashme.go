@@ -104,12 +104,16 @@ type Race = report.Race
 type ReportSet = report.Set
 
 // Run explores the program per the options and returns merged race reports.
-// makeProg must return a fresh Program per call: the engine re-instantiates
-// the workload for every crash scenario it explores. Scenarios run on a
-// worker pool (Options.Workers, default GOMAXPROCS) with results merged
-// deterministically — set Workers to 1 for fully sequential execution
-// (identical results) if the program records observations through shared
-// captured variables.
+// makeProg must return a fresh Program per call: the engine instantiates
+// the workload for every probe run, plus one recovery program per run that
+// every crash scenario resumed from a checkpoint recovers with (its Setup
+// runs, its Workers never do). Recovery code therefore reaches the heap
+// only through its Thread, reads only the Go state Setup built, and writes
+// none — real recovery starts from the persisted pool in a fresh process.
+// Scenarios run on a worker pool (Options.Workers, default GOMAXPROCS) with
+// results merged deterministically — set Workers to 1 for fully sequential
+// execution (identical results) if the program records observations
+// through shared captured variables.
 func Run(makeProg func() Program, opts Options) *Result {
 	return engine.Run(makeProg, opts)
 }

@@ -105,6 +105,6 @@ func TestTable4AllocationGate(t *testing.T) {
 	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6 / sweeps
 	t.Logf("Table 4 sweep allocates %.2f MB", mb)
 	if mb > table4AllocBound {
-		t.Fatalf("warm Table 4 sweep allocates %.2f MB, gate is %d MB: scenario-state recycling regressed", mb, table4AllocBound)
+		t.Fatalf("warm Table 4 sweep allocates %.2f MB, gate is %g MB: scenario-state recycling regressed", mb, table4AllocBound)
 	}
 }
