@@ -14,8 +14,8 @@
 //   - Pass is the interface an analysis implements: the tso.Listener event
 //     hooks (so it observes the same commit-order event stream the Yashme
 //     detector reasons about), crash-time read checking, and the
-//     Clone/signature/footprint support that lets passes ride the engine's
-//     checkpoints and crash-image memoization;
+//     undo/Clone/signature/footprint support that lets passes ride the
+//     engine's checkpoints and crash-image memoization;
 //   - Register/NewStack is the registry the engine constructs passes
 //     through ("yashme" is built in; other passes self-register from init
 //     functions, linked via yashme/internal/analysis/all);
@@ -65,7 +65,9 @@ type Config struct {
 // Pass is one analysis riding the engine's simulation. Beyond the
 // tso.Listener event hooks, a pass must support the engine's scenario
 // lifecycle: executions end at crashes (EndExecution), post-crash reads are
-// classified (CrashRead), and — because scenarios resume from shared
+// classified (CrashRead), a probe's pre-crash run is rewound to each crash
+// point it puts a scenario at (AttachUndo, Mark, Rewind: the core
+// detector's undo contract), and — because scenarios resume from shared
 // read-only snapshots — the pass must be cloneable and able to serialize
 // its decision-relevant state into the crash-image memoization signature.
 type Pass interface {
@@ -84,10 +86,28 @@ type Pass interface {
 	// CrashRead classifies a post-crash load of addr (guarded marks
 	// checksum-validation reads); a non-nil race was added to Report.
 	CrashRead(addr pmm.Addr, guarded bool) *report.Race
-	// Clone returns an independent deep copy. Pass state cannot be rewound,
-	// so a probe clones its passes forward at every crash point a snapshot
-	// is taken of, and a resume clones the snapshot's again unless it is
-	// the snapshot's last.
+	// AttachUndo empties the pass's own undo journal and arms it: every
+	// state mutation from now on is recorded until the next Rewind. The
+	// engine arms it for a probe's pre-crash run only, so a pass journals
+	// what its pre-crash event hooks change; post-crash state (CrashRead's
+	// report) is never journaled.
+	AttachUndo()
+	// Mark returns the journal's current position.
+	Mark() int
+	// Rewind undoes the journaled mutations back to mark, newest first,
+	// truncates the journal there and disarms it. Afterwards the pass is
+	// equivalent to a Clone taken when the journal stood at mark, and a
+	// later Rewind to an earlier mark still works: a probe walks its crash
+	// points backwards, rewinding its passes to each.
+	Rewind(mark int)
+	// Retire hands the pass's reusable memory, its undo journal, back to a
+	// pool once the scenario or probe owning the pass is dead (never for a
+	// pass it handed over). The pass must not be used again.
+	Retire()
+	// Clone returns an independent deep copy with no journal attached. A
+	// model-check probe clones its rewound passes into each crash point's
+	// snapshot, and a resume clones the snapshot's again unless it is the
+	// snapshot's last.
 	Clone() Pass
 	// SetLabeler rebinds the report labeler to a resumed scenario's own
 	// heap.
@@ -149,12 +169,17 @@ func Names() []string {
 // "yashme" is among the selected names. Extra passes observe the same event
 // stream through a fan-out listener and classify post-crash reads through
 // CrashRead.
+//
+// A scenario may hold its Stack by value and Rebuild it in place; a Stack
+// must not be copied once its listener is wired (the fan-out lives inside
+// it).
 type Stack struct {
 	names    []string // selection order, as validated by NewStack
 	model    *core.Detector
 	yashme   bool   // "yashme" selected: the model doubles as the flagship pass
 	extras   []Pass // non-model passes, selection order
 	listener tso.Listener
+	fan      fanout
 }
 
 // NewStack validates names against the registry and builds the stack.
@@ -196,30 +221,31 @@ func NewStack(names []string, cfg Config) (*Stack, error) {
 	return s, nil
 }
 
-// Rebuild reassembles a stack around already-built components — the
+// Rebuild reassembles s in place around already-built components — the
 // checkpoint layer's resume path, where the model and the extras are a
-// snapshot's copies or clones of them. names must be the Names of the stack
-// the snapshot was captured from: a validated selection that no one
-// mutates, so the rebuilt stack shares it instead of copying it.
-func Rebuild(names []string, model *core.Detector, extras []Pass) *Stack {
-	s := &Stack{names: names, model: model, extras: extras}
+// snapshot's copies or clones of them, or a probe's own handed over. names
+// must be the Names of the stack the snapshot was captured from: a
+// validated selection that no one mutates, so the rebuilt stack shares it
+// instead of copying it. It allocates nothing.
+func (s *Stack) Rebuild(names []string, model *core.Detector, extras []Pass) {
+	*s = Stack{names: names, model: model, extras: extras}
 	for _, name := range names {
 		if name == Yashme {
 			s.yashme = true
 		}
 	}
 	s.wireListener()
-	return s
 }
 
 // wireListener picks the event path: the bare model when no extras are
-// selected (the historical zero-overhead shape), a fan-out otherwise.
+// selected (the historical zero-overhead shape), the fan-out otherwise.
 func (s *Stack) wireListener() {
 	if len(s.extras) == 0 {
 		s.listener = s.model
 		return
 	}
-	s.listener = &fanout{model: s.model, extras: s.extras}
+	s.fan = fanout{model: s.model, extras: s.extras}
+	s.listener = &s.fan
 }
 
 // Model returns the always-present Yashme core detector. The engine uses it
@@ -284,6 +310,40 @@ func (s *Stack) Reports() []*report.Set {
 // PrimaryReport is the first selected pass's report — what engine.Result
 // surfaces as Result.Report.
 func (s *Stack) PrimaryReport() *report.Set { return s.Reports()[0] }
+
+// AttachUndo arms every extra pass's undo journal (Pass.AttachUndo). The
+// model's journal belongs to the engine's position log, which attaches it
+// itself (core.Detector.AttachUndo).
+func (s *Stack) AttachUndo() {
+	for _, p := range s.extras {
+		p.AttachUndo()
+	}
+}
+
+// Retire retires every extra pass (Pass.Retire). The model is retired by
+// its owner (core.Detector.Retire).
+func (s *Stack) Retire() {
+	for _, p := range s.extras {
+		p.Retire()
+	}
+}
+
+// AppendMarks appends every extra pass's journal mark, in selection order,
+// to dst: nothing for a yashme-only stack.
+func (s *Stack) AppendMarks(dst []int) []int {
+	for _, p := range s.extras {
+		dst = append(dst, p.Mark())
+	}
+	return dst
+}
+
+// Rewind rewinds extra pass i to marks[i], marks as AppendMarks returned
+// them.
+func (s *Stack) Rewind(marks []int) {
+	for i, p := range s.extras {
+		p.Rewind(marks[i])
+	}
+}
 
 // CloneExtras deep-copies the extra passes (snapshot capture and resume).
 // Returns nil for a yashme-only stack.

@@ -16,10 +16,11 @@ import (
 // other runs are idle.
 //
 // Tokens are held only while a probe or scenario group actually simulates,
-// never across channel sends, so a Budget cannot deadlock: every holder
-// releases without needing a second token. A nil *Budget is valid and
-// unlimited — Acquire and Release on nil are no-ops — so the zero Options
-// behaves exactly as before.
+// or a model-check walk copies a crash point's state, never across channel
+// sends, so a Budget cannot deadlock: every holder releases without needing
+// a second token. A nil *Budget is valid and unlimited — AcquireCtx never
+// blocks on it and Release is a no-op — so the zero Options behaves
+// exactly as before.
 type Budget struct {
 	tokens chan struct{}
 }
@@ -40,13 +41,6 @@ func (b *Budget) Size() int {
 		return 0
 	}
 	return cap(b.tokens)
-}
-
-// Acquire blocks until a token is free. No-op on a nil budget.
-func (b *Budget) Acquire() {
-	if b != nil {
-		b.tokens <- struct{}{}
-	}
 }
 
 // AcquireCtx blocks until a token is free or the context is done, and

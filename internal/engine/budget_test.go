@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -67,7 +68,9 @@ func TestBudgetBoundsConcurrency(t *testing.T) {
 // A nil budget is a no-op (unlimited), and sizing defaults to GOMAXPROCS.
 func TestBudgetNilAndSize(t *testing.T) {
 	var b *Budget
-	b.Acquire() // must not panic or block
+	if !b.AcquireCtx(context.Background()) { // must not panic or block
+		t.Fatal("nil budget refused a live context")
+	}
 	b.Release()
 	if b.Size() != 0 {
 		t.Fatalf("nil budget Size = %d, want 0", b.Size())

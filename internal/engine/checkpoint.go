@@ -9,14 +9,17 @@
 // from its crash point's snapshot, simulating only the crash, the image
 // derivation and the post-crash recovery — O(n) + C·copy.
 //
-// The probe takes no snapshots while it runs. Its detector records an
-// undo journal, and at each crash point it logs a compact position and
-// the state that cannot be rewound (handover.go's positionLog). Once it
-// has run to completion, the planner walks the points backwards —
-// completion first, then the last explored point down to the first — and
-// at each rewinds the probe's detector there (core.Detector.Rewind) and
-// clones it into the point's snapshot. Random mode's probes work the same
-// way, with one consumer: the rewound detector itself is handed over.
+// The probe takes no snapshots while it runs. Its detector and its extra
+// analysis passes record undo journals, and at each crash point it logs a
+// compact position: the journal marks, the trace recorder's length and
+// the operation counts (handover.go's positionLog). Once it has run to
+// completion, the planner walks the points backwards — completion first,
+// then the last explored point down to the first — and at each rewinds the
+// probe's detector (core.Detector.Rewind) and passes
+// (analysis.Pass.Rewind) there, truncates its recorder, and clones them
+// into the point's snapshot. Random mode's probes work the same way, with
+// one consumer: the rewound detector, passes and recorder themselves are
+// handed over.
 //
 // On top of the positions sits crash-image memoization: at each probed
 // point the log serializes the image-determining state — heap shape, live
@@ -36,11 +39,10 @@
 // What a snapshot holds, and why:
 //
 //   - the persistent heap (an O(1) capped view; see pmm.Heap.SnapshotAt)
-//     and the detector with its report, rewound to the point and copied;
+//     and the detector with its report, the stack's extra analysis passes
+//     and the trace recorder, each rewound to the point and copied;
 //   - the persisted image table (constant for the whole pre-crash
 //     execution: it is rebuilt only between executions), copied;
-//   - clones of the stack's extra analysis passes and of the trace
-//     recorder, taken on the way forward, since neither can be rewound;
 //   - the scheduler rng: the point's raw-draw count and a frozen copy of
 //     the generator at or before it, which a resume skips forward (without
 //     the copy, when state mirroring is unavailable — see rngstate.go — it
@@ -283,16 +285,18 @@ type snapshot struct {
 	stats       Stats
 	crashPoints map[int]int
 	heap        *pmm.Heap
-	// det and image are the snapshot's own copies (a recovery capture
-	// shares its image with the sink's other captures and is never taken or
-	// released). extras are clones of the stack's extra analysis passes at
-	// the point, nil for a yashme-only stack. A resume clones all three,
-	// unless take is set: then it takes them, and the snapshot is spent.
+	// det, image, extras and rec are the snapshot's own copies, or a
+	// random-mode probe's own state handed over (a recovery capture shares
+	// its image with the sink's other captures and is never taken or
+	// released). extras are the stack's extra analysis passes at the point,
+	// nil for a yashme-only stack; rec is the trace recorder, nil unless
+	// tracing. A resume clones them, unless take is set: then it takes
+	// them, and the snapshot is spent.
 	det    *core.Detector
 	image  imageTable
 	extras []analysis.Pass
+	rec    *trace.Recorder
 	take   bool
-	rec    *trace.Recorder // nil unless tracing
 	// recovery is the recovery a resume runs: the run's shared recovery
 	// program's (recoveryProgram). analyses is the validated pass selection
 	// of the stack the snapshot was taken from (analysis.Stack.Names),
@@ -426,7 +430,7 @@ func newSnapshotShell(sc *scenario, point int) *snapshot {
 	snap.unwind = sc.liveThreads - 1
 	snap.extras = analysis.CloneExtras(sc.stack.Extras())
 	if sc.recorder != nil {
-		snap.rec = sc.recorder.Clone(nil, nil)
+		snap.rec = sc.recorder.Clone()
 	}
 	return snap
 }
@@ -566,13 +570,16 @@ func resumeScenario(opts Options, snap *snapshot, p plan, persist PersistPolicy)
 	sc := getScenario()
 	sc.view = *snap.heap.Snapshot()
 	sc.heap = &sc.view
-	extras := snap.extras
+	extras, rec := snap.extras, snap.rec
 	if snap.take {
 		sc.det, sc.image = snap.det, snap.image
-		snap.det, snap.image, snap.extras = nil, imageTable{}, nil
+		snap.det, snap.image, snap.extras, snap.rec = nil, imageTable{}, nil, nil
 	} else {
 		sc.det, sc.image = snap.det.Clone(), snap.image.clone()
 		extras = analysis.CloneExtras(extras)
+		if rec != nil {
+			rec = rec.Clone()
+		}
 	}
 	switch {
 	case snap.ownRng && snap.rng != nil:
@@ -584,7 +591,8 @@ func resumeScenario(opts Options, snap *snapshot, p plan, persist PersistPolicy)
 		sc.rngSrc.reset(snap.seed)
 		sc.rngSrc.skip(snap.rngDraws)
 	}
-	sc.stack = analysis.Rebuild(snap.analyses, sc.det, extras)
+	sc.stack = &sc.stackVal
+	sc.stack.Rebuild(snap.analyses, sc.det, extras)
 	sc.stack.SetLabeler(sc.labelFor)
 	sc.opts = opts
 	sc.recovery = snap.recovery
@@ -597,8 +605,9 @@ func resumeScenario(opts Options, snap *snapshot, p plan, persist PersistPolicy)
 	for k, v := range snap.crashPoints {
 		sc.crashPoints[k] = v
 	}
-	if opts.Trace && snap.rec != nil {
-		sc.recorder = snap.rec.Clone(sc.stack.Listener(), sc.labelFor)
+	if rec != nil {
+		rec.Inner, rec.Labeler = sc.stack.Listener(), sc.labelFor
+		sc.recorder = rec
 	}
 	// Replay the crash-unwind draws so the rng matches a scratch scenario
 	// whose scheduler unwound the remaining threads at the crash. These must

@@ -18,11 +18,21 @@ import (
 )
 
 // sameResult fails the test unless got and ref agree on every Result field
-// once the Stats cost counters are zeroed.
+// once the Stats cost counters are zeroed: every pass's report, each race's
+// witness included.
 func sameResult(t *testing.T, name string, got, ref *engine.Result) {
 	t.Helper()
 	if g, r := got.Report.String(), ref.Report.String(); g != r {
 		t.Fatalf("%s: reports diverge:\ndefault:\n%s\nreference:\n%s", name, g, r)
+	}
+	if len(got.Passes) != len(ref.Passes) {
+		t.Fatalf("%s: %d passes by default, %d reference", name, len(got.Passes), len(ref.Passes))
+	}
+	for i := range got.Passes {
+		gp, rp := got.Passes[i], ref.Passes[i]
+		if g, r := passJSON(t, gp.Report), passJSON(t, rp.Report); gp.Name != rp.Name || g != r {
+			t.Fatalf("%s: pass %d diverges:\ndefault %s:   %s\nreference %s: %s", name, i, gp.Name, g, rp.Name, r)
+		}
 	}
 	if !reflect.DeepEqual(got.Window, ref.Window) {
 		t.Fatalf("%s: windows diverge:\ndefault:   %v\nreference: %v", name, got.Window, ref.Window)
@@ -91,23 +101,27 @@ func TestCheckpointMatchesScratch(t *testing.T) {
 		{"random/eadr", engine.Options{Mode: engine.RandomMode, Prefix: true, Executions: 6, EADR: true}},
 	}
 	// The backward walk's edges, each at one and four workers: a capped
-	// walk that starts below the last point, on every schedule; forward
-	// recorder clones (Trace turns memoization off); and forward clones of
-	// an extra pass.
+	// walk that starts below the last point, on every schedule; a truncated
+	// trace recorder (Trace turns memoization off) and a rewound extra
+	// pass, copied at each model-check point and handed over whole by each
+	// random-mode probe.
+	stacked := []string{"yashme", "xfd"}
 	for _, workers := range []int{1, 4} {
 		for _, v := range []struct {
 			name string
 			opts engine.Options
 		}{
-			{"schedules-capped", engine.Options{Mode: engine.ModelCheck, Prefix: true, Schedules: 3, MaxCrashPoints: 4}},
-			{"trace", engine.Options{Mode: engine.ModelCheck, Prefix: true, Trace: true}},
-			{"stacked", engine.Options{Mode: engine.ModelCheck, Prefix: true, Analyses: []string{"yashme", "xfd"}}},
+			{"model-check/schedules-capped", engine.Options{Mode: engine.ModelCheck, Prefix: true, Schedules: 3, MaxCrashPoints: 4}},
+			{"model-check/trace", engine.Options{Mode: engine.ModelCheck, Prefix: true, Trace: true}},
+			{"model-check/stacked", engine.Options{Mode: engine.ModelCheck, Prefix: true, Analyses: stacked}},
+			{"random/trace", engine.Options{Mode: engine.RandomMode, Prefix: true, Executions: 6, Trace: true}},
+			{"random/stacked", engine.Options{Mode: engine.RandomMode, Prefix: true, Executions: 6, Analyses: stacked}},
 		} {
 			v.opts.Workers = workers
 			variants = append(variants, struct {
 				name string
 				opts engine.Options
-			}{fmt.Sprintf("model-check/%s/workers-%d", v.name, workers), v.opts})
+			}{fmt.Sprintf("%s/workers-%d", v.name, workers), v.opts})
 		}
 	}
 	for _, v := range variants {

@@ -233,13 +233,11 @@ type Stats struct {
 	// lease, with no handoff.
 	DirectOps int64 `json:"direct_ops"`
 	// SnapshotBytes estimates the bytes copied to put scenarios at crash
-	// points: each model-check point's private detector copy (its store
-	// records included) and image copy, the clones of extra passes and
-	// trace recorders a probe keeps on the way forward (they cannot be
-	// rewound), frozen rng copies, and the full clones recovery sinks
-	// capture under RecoveryCrashes. A random-mode handover moves the
-	// probe's own detector and image, so only its forward clones count
-	// here.
+	// points: each model-check point's private copies of the detector (its
+	// store records included), the extra passes and the image, frozen rng
+	// copies, and the full clones recovery sinks capture under
+	// RecoveryCrashes. A random-mode handover moves the probe's own state,
+	// so it counts nothing here.
 	SnapshotBytes int64 `json:"snapshot_bytes"`
 	// JournalOps counts the detector mutations model-check probes recorded
 	// into their undo journals, which their backward walks then undo.

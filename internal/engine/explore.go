@@ -408,7 +408,16 @@ func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Optio
 				retain:         repPoints[c],
 			}
 			if logged {
-				spec.snap = log.copyAt(probe, c)
+				// Copying the point's state is simulation-sized work, so it
+				// takes a budget token like the probe did: a walk that
+				// copied unbudgeted, beside the workers it feeds, would
+				// oversubscribe the CPUs and slow its own critical path.
+				// Once the run is cancelled the spec needs no snapshot:
+				// execSpec skips it.
+				if opts.Budget.AcquireCtx(ctx) {
+					spec.snap = log.copyAt(probe, c)
+					opts.Budget.Release()
+				}
 				if rp := log.kept[c].dupOf; rp > 0 {
 					spec.dedupOf = base + rp + 1
 					if repPoints == nil {
@@ -441,10 +450,11 @@ func walkBackward(limit int, visit func(c int)) {
 // while the pool executes earlier specs; the crash scenarios themselves
 // fan out across the workers.
 //
-// Outside the configurations handoverEnabled excludes, the probe is the
-// execution's one pre-crash simulation: it logs its position at every
-// crash point, and once c is drawn it is rewound to c and its own state is
-// handed to the spec as a single-use snapshot (handover.go).
+// Outside the Reference configuration, the probe is the execution's one
+// pre-crash simulation, whatever the analysis stack and trace setting: it
+// logs its position at every crash point, and once c is drawn it is
+// rewound to c and its own state is handed to the spec as a single-use
+// snapshot (handover.go).
 func planRandom(ctx context.Context, makeProg func() pmm.Program, opts Options, emit func(scenarioSpec)) planSummary {
 	var sum planSummary
 	src := newCountingSource(opts.Seed)
@@ -452,7 +462,7 @@ func planRandom(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 	rng := rand.New(src)
 	var log *positionLog
 	var rp *recoveryProgram
-	if handoverEnabled(opts) {
+	if !opts.Reference {
 		log = positionLogPool.Get().(*positionLog)
 		defer log.release()
 		rp = newRecoveryProgram(makeProg)

@@ -1,24 +1,26 @@
 // Probe position logs and the backward walk (DESIGN.md §4.1).
 //
-// Both modes put a detector at a crash point the same way. A probe runs the
-// schedule's pre-crash execution to completion once, with an undo journal
-// attached to its detector (core.Detector.AttachUndo), and logs a compact
-// position at every crash point. A model-check probe also keeps what the
-// journal cannot rewind on the way forward: clones of the extra analysis
-// passes and of the trace recorder, and a frozen rng copy per register
+// Both modes put a scenario's analyses at a crash point the same way, for
+// every analysis stack and with or without a trace. A probe runs the
+// schedule's pre-crash execution to completion once, with undo journals
+// attached to its detector (core.Detector.AttachUndo) and to every extra
+// analysis pass (analysis.Pass.AttachUndo), and logs a compact position at
+// every crash point: the journal marks and the trace recorder's length
+// among it. A model-check probe also keeps a frozen rng copy per register
 // length of draws. After the run, the planner walks the points backwards
-// and at each rewinds the probe to the point:
+// and at each rewinds the probe to the point — the detector, the extra
+// passes and the recorder together:
 //
 //   - Model checking explores every point, so each gets a private copy of
-//     the rewound detector and of the image. A duplicate point under
-//     crash-image memoization gets only its operation counts.
+//     the rewound detector, extra passes, recorder and image. A duplicate
+//     point under crash-image memoization gets only its operation counts.
 //   - A random execution's crash point c is drawn from the number of points
 //     its schedule reaches, so c is known only after the probe. It has
-//     exactly one consumer, so the probe's own detector and image go into
-//     its snapshot uncopied, and its rng register, which has moved past c,
-//     is stepped back to c's draw count (every draw is one invertible
-//     generator step) and handed over too; only an unmirrored fallback
-//     source makes the resume seed and skip.
+//     exactly one consumer, so the probe's own detector, extra passes,
+//     recorder and image go into its snapshot uncopied, and its rng
+//     register, which has moved past c, is stepped back to c's draw count
+//     (every draw is one invertible generator step) and handed over too;
+//     only an unmirrored fallback source makes the resume seed and skip.
 package engine
 
 import (
@@ -28,24 +30,8 @@ import (
 	"yashme/internal/analysis"
 	"yashme/internal/core"
 	"yashme/internal/pmm"
-	"yashme/internal/trace"
 	"yashme/internal/vclock"
 )
-
-// handoverEnabled reports whether random-mode probes hand their rewound
-// state to their crash scenario. The Reference configuration re-simulates
-// by definition. Extra analysis passes cannot be rewound, and a random
-// probe would have to clone them forward at every point for the one it
-// hands over: a stacked Table 4 run measured about four times slower that
-// way than re-simulating. Under Trace the scenario re-simulates too, which
-// keeps the recorder's event log its own. Every such run takes the
-// from-scratch path (snap == nil).
-func handoverEnabled(opts Options) bool {
-	return opts.Mode == RandomMode &&
-		!opts.Reference &&
-		!opts.Trace &&
-		len(opts.Analyses) == 1 && opts.Analyses[0] == analysis.Yashme
-}
 
 // probePoint is a probe's position at one crash point: what a scenario
 // crashing there holds beyond the rewound detector and the image.
@@ -60,25 +46,28 @@ type probePoint struct {
 }
 
 // keptPoint is what a model-check probe keeps beside a position, on the
-// way forward, for a point it will copy: the frozen rng copy and clones of
-// the extra passes and the trace recorder, none of which the journal can
-// rewind. A duplicate point under crash-image memoization keeps only its
-// representative (dupOf; 0 = none).
+// way forward, for a point it will copy: the frozen rng copy, which no
+// journal can rewind. A duplicate point under crash-image memoization keeps
+// only its representative (dupOf; 0 = none).
 type keptPoint struct {
-	dupOf  int
-	rng    *countingSource
-	extras []analysis.Pass
-	rec    *trace.Recorder
+	dupOf int
+	rng   *countingSource
 }
 
 // positionLog is the planner's record of one probe at a time: points[p]
 // is the position at crash point p, points[0] the completion. Every probe
 // reuses the slices, the journal and the signature buffer, and planners
 // take logs from a pool, so logging a point allocates nothing once they
-// have grown (beyond the forward clones a stack with extra passes needs).
+// have grown.
 type positionLog struct {
 	journal core.Journal
 	points  []probePoint
+	// marks holds stride entries per logged point, at marks[p*stride:]:
+	// each extra pass's journal mark in selection order, then the trace
+	// recorder's length when the probe is traced. A yashme-only untraced
+	// probe has stride 0 and logs nothing here.
+	marks  []int
+	stride int
 	// copies marks a model-check probe, whose points each get a private
 	// copy, possibly resumed several times; kept runs parallel to points
 	// for it alone. max caps the points logged (0 = all), and rng is the
@@ -107,8 +96,14 @@ var positionLogPool = sync.Pool{New: func() any { return new(positionLog) }}
 // and the points restart.
 func (pl *positionLog) watch(probe *scenario, opts Options, recovery []func(*pmm.Thread)) {
 	probe.det.AttachUndo(&pl.journal)
+	probe.stack.AttachUndo()
 	pl.recovery = recovery
 	pl.points = append(pl.points[:0], probePoint{})
+	pl.stride = len(probe.stack.Extras())
+	if probe.recorder != nil {
+		pl.stride++
+	}
+	pl.marks = append(pl.marks[:0], make([]int, pl.stride)...)
 	pl.copies = opts.Mode == ModelCheck
 	pl.max = 0
 	if pl.copies {
@@ -155,6 +150,8 @@ func (pl *positionLog) record(sc *scenario, p int) {
 		if pl.copies {
 			pl.kept[0] = k
 		}
+		// Overwrite the completion's placeholder marks in place.
+		pl.appendMarks(sc, pl.marks[:0])
 		pl.seal()
 		return
 	}
@@ -162,13 +159,23 @@ func (pl *positionLog) record(sc *scenario, p int) {
 	if pl.copies {
 		pl.kept = append(pl.kept, k)
 	}
+	pl.marks = pl.appendMarks(sc, pl.marks)
+}
+
+// appendMarks appends the probe's current stride entries to dst: its
+// extra passes' journal marks, then its recorder's length.
+func (pl *positionLog) appendMarks(sc *scenario, dst []int) []int {
+	dst = sc.stack.AppendMarks(dst)
+	if sc.recorder != nil {
+		dst = append(dst, sc.recorder.Len())
+	}
+	return dst
 }
 
 // keep classifies model-check point p and, unless it is a duplicate,
-// takes the forward clones its copy will need, accounting their bytes into
-// the probe's stats. Point 0 is logged last but explored first (spec index
-// order), so a duplicate there would precede its representative: it is
-// never classified.
+// shares or forks the frozen rng copy its snapshot will resume from. Point
+// 0 is logged last but explored first (spec index order), so a duplicate
+// there would precede its representative: it is never classified.
 func (pl *positionLog) keep(sc *scenario, p int) (k keptPoint) {
 	if pl.dedup && p > 0 {
 		if k.dupOf = pl.classify(sc, p); k.dupOf > 0 {
@@ -177,11 +184,6 @@ func (pl *positionLog) keep(sc *scenario, p int) (k keptPoint) {
 	}
 	pl.rng = forkRng(sc, pl.rng)
 	k.rng = pl.rng
-	k.extras = analysis.CloneExtras(sc.stack.Extras())
-	sc.stats.SnapshotBytes += analysis.ExtrasFootprintBytes(k.extras)
-	if sc.recorder != nil {
-		k.rec = sc.recorder.Clone(nil, nil)
-	}
 	return k
 }
 
@@ -206,31 +208,39 @@ func (pl *positionLog) release() {
 }
 
 // copyAt rewinds a model-check probe to crash point c and returns c's
-// snapshot with private copies of the detector and image, whose bytes are
-// accounted into the probe's stats. A duplicate point's snapshot carries
-// only its identity and operation counts. Points are visited in descending
-// order, completion (0) first.
+// snapshot with private copies of the detector, extra passes, recorder
+// and image, whose bytes are accounted into the probe's stats. A duplicate
+// point's snapshot carries only its identity and operation counts. Points
+// are visited in descending order, completion (0) first.
 func (pl *positionLog) copyAt(probe *scenario, c int) *snapshot {
 	k := &pl.kept[c]
 	if k.dupOf > 0 {
 		return pl.shell(probe, c)
 	}
 	snap := pl.rewind(probe, c)
-	snap.rng, snap.extras, snap.rec = k.rng, k.extras, k.rec
-	k.extras, k.rec = nil, nil
+	snap.rng = k.rng
 	snap.det, snap.image = probe.det.Clone(), probe.image.clone()
-	probe.stats.SnapshotBytes += snap.det.FootprintBytes() + snap.image.footprintBytes() + snapshotOverheadBytes
+	snap.extras = analysis.CloneExtras(probe.stack.Extras())
+	if probe.recorder != nil {
+		snap.rec = probe.recorder.Clone()
+	}
+	probe.stats.SnapshotBytes += snap.det.FootprintBytes() + snap.image.footprintBytes() +
+		analysis.ExtrasFootprintBytes(snap.extras) + snapshotOverheadBytes
 	return snap
 }
 
 // handover rewinds a random-mode probe to its drawn crash point c and
-// moves its own detector, image and (when mirrored) rng register into the
-// snapshot its one crash scenario takes. The probe keeps none of them: its
-// retire releases only the machine and the shell.
+// moves its own detector, extra passes, recorder, image and (when
+// mirrored) rng register into the snapshot its one crash scenario takes,
+// which owns them from then on: the resume rebuilds its stack around the
+// detector and the passes and rewires the recorder to that stack and its
+// own heap (resumeScenario). The probe keeps none of them: its retire
+// releases only the machine and the shell.
 func (pl *positionLog) handover(probe *scenario, c int) *snapshot {
 	snap := pl.rewind(probe, c)
 	snap.det, snap.image, snap.take = probe.det, probe.image, true
-	probe.det, probe.image = nil, imageTable{}
+	snap.extras, snap.rec = probe.stack.Extras(), probe.recorder
+	probe.det, probe.image, probe.recorder = nil, imageTable{}, nil
 	if src := probe.rngSrc; src.mirrored {
 		src.rewind(src.n - pl.points[c].rngDraws)
 		snap.rng = &countingSource{state: src.state, mirrored: true, n: src.n}
@@ -240,11 +250,19 @@ func (pl *positionLog) handover(probe *scenario, c int) *snapshot {
 	return snap
 }
 
-// rewind undoes the probe's journal back to crash point c and returns c's
-// snapshot shell with the heap view at c's shape.
+// rewind undoes the probe's journals back to crash point c, truncates its
+// recorder there, and returns c's snapshot shell with the heap view at c's
+// shape.
 func (pl *positionLog) rewind(probe *scenario, c int) *snapshot {
 	pos := &pl.points[c]
 	probe.det.Rewind(&pl.journal, pos.jMark)
+	if pl.stride > 0 {
+		marks := pl.marks[c*pl.stride : (c+1)*pl.stride]
+		probe.stack.Rewind(marks)
+		if probe.recorder != nil {
+			probe.recorder.Truncate(marks[pl.stride-1])
+		}
+	}
 	snap := pl.shell(probe, c)
 	snap.crashPoints = map[int]int{0: c}
 	snap.heap = probe.heap.SnapshotAt(pos.heapNext, pos.allocs, pos.inits)

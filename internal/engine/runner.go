@@ -194,9 +194,11 @@ type scenario struct {
 	// stack is the scenario's analysis-pass stack (internal/analysis); det
 	// is its always-present Yashme core model — the image derivation and
 	// candidate provenance are functions of its execution state regardless
-	// of which passes are selected.
-	stack *analysis.Stack
-	det   *core.Detector
+	// of which passes are selected. A resumed scenario's stack is stackVal,
+	// rebuilt in place around the snapshot's detector and passes.
+	stack    *analysis.Stack
+	stackVal analysis.Stack
+	det      *core.Detector
 	// yashmeChecks gates the model's candidate race checks (the "yashme"
 	// pass is selected and the detector is on); crashChecks gates the extra
 	// passes' post-crash read classification.
@@ -328,13 +330,14 @@ func getScenario() *scenario {
 
 // retire hands the dead scenario's private state to the pools the next
 // scenario on any worker draws from: its last machine, the detector's
-// executions, its report sets, the scheduler rng register, the image table
-// and the scenario shell itself. It is the one death point of every
-// scenario, called once its reports and stats have been harvested
-// (specResult.absorb) or its probe summary taken; the scenario must not be
-// touched again. Snapshots taken from the scenario hold clones, which own
-// their copies, and forks. A random-mode probe that handed its detector,
-// image and rng register over (handover.go) no longer holds them.
+// executions, its extra passes' undo journals, its report sets, the
+// scheduler rng register, the image table and the scenario shell itself.
+// It is the one death point of every scenario, called once its reports and
+// stats have been harvested (specResult.absorb) or its probe summary taken;
+// the scenario must not be touched again. Snapshots taken from the
+// scenario hold clones, which own their copies, and forks. A random-mode
+// probe that handed its detector, extra passes, recorder, image and rng
+// register over (handover.go) no longer holds them.
 func (sc *scenario) retire() {
 	tso.Retire(sc.machine)
 	sc.rngSrc.release()
@@ -342,6 +345,7 @@ func (sc *scenario) retire() {
 		for _, rep := range sc.stack.Reports() {
 			rep.Release()
 		}
+		sc.stack.Retire()
 		sc.det.Retire()
 		sc.image.release()
 	}

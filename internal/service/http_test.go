@@ -161,6 +161,7 @@ func TestHandlerResultByteIdentity(t *testing.T) {
 func TestHandlerCancel(t *testing.T) {
 	m, srv := newTestServer(t)
 	started := armSlow(t)
+	open := gateSlow(t)
 
 	code, body := do(t, "POST", srv.URL+"/v1/jobs", `{"names":["svc-slow"],"variants":["races"]}`)
 	if code != http.StatusAccepted {
@@ -176,7 +177,9 @@ func TestHandlerCancel(t *testing.T) {
 		t.Fatalf("DELETE: code %d body %.300s", code, body)
 	}
 	// The DELETE handler returns as soon as cancellation is requested; the
-	// job drains at its next scenario boundary.
+	// job, whose recoveries were held until now, drains at its next
+	// scenario boundary.
+	open()
 	job, err := m.Job(st.ID)
 	if err != nil {
 		t.Fatalf("job %s: %v", st.ID, err)

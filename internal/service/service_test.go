@@ -18,12 +18,14 @@ import (
 // Test workloads, registered into this binary's registry only. svc-probe
 // is a fast table3-shaped benchmark that also tracks cross-job simulation
 // concurrency; svc-slow has enough crash points to still be running when a
-// test cancels it; svc-panic dies in its pre-crash body.
+// test cancels it, and its recoveries can be held at a gate so that it
+// surely is; svc-panic dies in its pre-crash body.
 var (
 	probeInFlight, probeMaxSeen int32
 
 	slowMu     sync.Mutex
 	slowNotify chan<- struct{} // non-blocking signal: a slow scenario started
+	slowGate   <-chan struct{} // when set, svc-slow recoveries wait for it to close
 )
 
 func notifySlow() {
@@ -36,6 +38,37 @@ func notifySlow() {
 		default:
 		}
 	}
+}
+
+// waitSlowGate holds an svc-slow recovery until the armed gate opens.
+func waitSlowGate() {
+	slowMu.Lock()
+	gate := slowGate
+	slowMu.Unlock()
+	if gate != nil {
+		<-gate
+	}
+}
+
+// gateSlow holds every svc-slow recovery until the returned open is
+// called, for one test: a job the test cancels cannot finish before the
+// cancellation lands. open may be called more than once; the test's
+// cleanup calls it too.
+func gateSlow(t *testing.T) (open func()) {
+	t.Helper()
+	ch := make(chan struct{})
+	slowMu.Lock()
+	slowGate = ch
+	slowMu.Unlock()
+	var once sync.Once
+	open = func() { once.Do(func() { close(ch) }) }
+	t.Cleanup(func() {
+		open()
+		slowMu.Lock()
+		slowGate = nil
+		slowMu.Unlock()
+	})
+	return open
 }
 
 // armSlow points svc-slow's started-signal at a fresh channel for one test.
@@ -53,7 +86,10 @@ func armSlow(t *testing.T) <-chan struct{} {
 	return ch
 }
 
-func smallProgram(name string, iters int, onWorker func()) func() pmm.Program {
+// smallProgram stores, flushes and fences one field iters times and reads
+// it back in recovery. onWorker runs as the pre-crash worker starts and
+// onRecover as recovery starts; either may be nil.
+func smallProgram(name string, iters int, onWorker, onRecover func()) func() pmm.Program {
 	return func() pmm.Program {
 		var val pmm.Addr
 		return pmm.Program{
@@ -71,7 +107,12 @@ func smallProgram(name string, iters int, onWorker func()) func() pmm.Program {
 					t.SFence()
 				}
 			}},
-			PostCrash: func(t *pmm.Thread) { t.Load64(val) },
+			PostCrash: func(t *pmm.Thread) {
+				if onRecover != nil {
+					onRecover()
+				}
+				t.Load64(val)
+			},
 		}
 	}
 }
@@ -91,17 +132,17 @@ func init() {
 	workload.Register(workload.Spec{
 		Name: "svc-probe", Order: 9001, ModelCheck: true,
 		Tags: []string{workload.TagTable3},
-		Make: smallProgram("svc-probe", 6, gauge),
+		Make: smallProgram("svc-probe", 6, gauge, nil),
 	})
 	workload.Register(workload.Spec{
 		Name: "svc-slow", Order: 9002, ModelCheck: true,
 		Tags: []string{workload.TagTable3},
-		Make: smallProgram("svc-slow", 250, notifySlow),
+		Make: smallProgram("svc-slow", 250, notifySlow, waitSlowGate),
 	})
 	workload.Register(workload.Spec{
 		Name: "svc-panic", Order: 9003, ModelCheck: true,
 		Tags: []string{workload.TagTable3},
-		Make: smallProgram("svc-panic", 2, func() { panic("rigged workload") }),
+		Make: smallProgram("svc-panic", 2, func() { panic("rigged workload") }, nil),
 	})
 }
 
@@ -226,6 +267,7 @@ func TestCancelRunningJob(t *testing.T) {
 	base := runtime.NumGoroutine()
 	m := NewManager(Config{Jobs: 1, Budget: engine.NewBudget(2), CacheBytes: -1})
 	started := armSlow(t)
+	open := gateSlow(t)
 
 	job, err := m.Submit(Request{Names: []string{"svc-slow"}, Variants: []string{suite.VariantRaces}})
 	if err != nil {
@@ -239,6 +281,7 @@ func TestCancelRunningJob(t *testing.T) {
 	if _, err := m.Cancel(job.ID()); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
+	open() // no recovery ran before the cancellation was requested
 	st := waitJob(t, job)
 	if st.State != StateCancelled {
 		t.Fatalf("state %s, want cancelled (err %q)", st.State, st.Error)

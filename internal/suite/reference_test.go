@@ -13,11 +13,10 @@ import (
 // the reference one (every fast path off) once the cost counters are
 // zeroed. The reference run must also really bypass the fast paths —
 // no memoized scenario, no epoch hit, no direct-run op — while the default
-// run takes all three. In the yashme stack every random-mode run (the
+// run takes all three. In both stacks every random-mode run (the
 // PMDK, Memcached and Redis workloads) must simulate fewer operations by
 // default: the probe hands its pre-crash state to the crash scenario,
-// which the reference re-simulates. (A stacked run re-simulates too: the
-// extra passes are not journaled, so their state cannot be rewound.)
+// which the reference re-simulates.
 func TestReferenceMatchesDefault(t *testing.T) {
 	for _, run := range []struct {
 		workers  int
@@ -36,9 +35,6 @@ func TestReferenceMatchesDefault(t *testing.T) {
 		if s := def.TotalStats(); s.DedupedScenarios == 0 || s.EpochHits == 0 || s.DirectOps == 0 {
 			t.Errorf("%s: the default run skipped a fast path: %d deduped scenarios, %d epoch hits, %d direct ops",
 				name, s.DedupedScenarios, s.EpochHits, s.DirectOps)
-		}
-		if run.analyses != nil {
-			continue
 		}
 		random := 0
 		for i := range def.Benchmarks {

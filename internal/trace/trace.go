@@ -123,22 +123,25 @@ func NewRecorder(inner tso.Listener, labeler func(pmm.Addr) string) *Recorder {
 }
 
 // Clone returns a recorder with a copy of the event log and the current
-// execution index, forwarding subsequent events to inner with labeler (both
-// may be nil, as in NewRecorder). The engine's checkpoint layer clones the
-// log at a snapshot point and rewires each resumed scenario's copy to that
-// scenario's own detector and heap.
-func (r *Recorder) Clone(inner tso.Listener, labeler func(pmm.Addr) string) *Recorder {
-	c := NewRecorder(inner, labeler)
-	c.events = append([]Event(nil), r.events...)
-	c.exec = r.exec
-	return c
+// execution index, and no listener or labeler until its owner sets Inner
+// and Labeler. The engine's checkpoint layer clones a probe's log,
+// truncated to a crash point, into the point's snapshot, and wires each
+// resumed scenario's copy to that scenario's own stack and heap.
+func (r *Recorder) Clone() *Recorder {
+	return &Recorder{events: append([]Event(nil), r.events...), exec: r.exec}
 }
+
+// Len returns the number of events recorded so far: the mark Truncate
+// rewinds the log to.
+func (r *Recorder) Len() int { return len(r.events) }
+
+// Truncate drops every event after the first n. Before a crash the log is
+// append-only, so truncating to the Len taken at a crash point leaves
+// exactly the log a run that crashed there would hold.
+func (r *Recorder) Truncate(n int) { r.events = r.events[:n] }
 
 // SetExec switches the execution index for subsequent events.
 func (r *Recorder) SetExec(i int) { r.exec = i }
-
-// Events returns the recorded log.
-func (r *Recorder) Events() []Event { return r.events }
 
 // StoreCommitted implements tso.Listener.
 func (r *Recorder) StoreCommitted(rec *tso.CommittedStore) {
@@ -187,16 +190,6 @@ func (r *Recorder) Observe(tid vclock.TID, addr pmm.Addr, val uint64, fromExec i
 		Exec: r.exec, TID: tid, Kind: KLoad, Addr: addr, Val: val,
 		FromExec: fromExec, FromSeq: fromSeq, Guarded: guarded,
 	})
-}
-
-// Render prints the whole log.
-func (r *Recorder) Render() string {
-	var b strings.Builder
-	for _, e := range r.events {
-		b.WriteString(e.render(r.Labeler))
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // Witness builds the race witness for a racing store: every pre-crash event

@@ -10,6 +10,16 @@ import (
 	"yashme/internal/vclock"
 )
 
+// render prints the whole log, one event a line.
+func render(r *Recorder) string {
+	var b strings.Builder
+	for _, e := range r.events {
+		b.WriteString(e.render(r.Labeler))
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 func TestRecorderForwardsAndRecords(t *testing.T) {
 	r := NewRecorder(nil, nil)
 	m := tso.NewMachine(r)
@@ -20,7 +30,7 @@ func TestRecorderForwardsAndRecords(t *testing.T) {
 	m.DrainSB(0)
 
 	kinds := map[Kind]int{}
-	for _, e := range r.Events() {
+	for _, e := range r.events {
 		kinds[e.Kind]++
 	}
 	if kinds[KStore] != 1 || kinds[KCLFlush] != 1 || kinds[KCLWBBuffered] != 1 ||
@@ -36,7 +46,7 @@ func TestRecorderUsesLabeler(t *testing.T) {
 	m := tso.NewMachine(r)
 	m.EnqueueStore(0, s.F("x"), 8, 7, false, false)
 	m.DrainSB(0)
-	out := r.Render()
+	out := render(r)
 	if !strings.Contains(out, "obj.x") {
 		t.Fatalf("render missing field label:\n%s", out)
 	}
@@ -52,7 +62,7 @@ func TestCrashAndObserveEvents(t *testing.T) {
 	r.SetExec(1)
 	r.Observe(0, 0x100, 1, 0, 1, false)
 
-	out := r.Render()
+	out := render(r)
 	if !strings.Contains(out, "CRASH") {
 		t.Fatalf("missing crash marker:\n%s", out)
 	}
@@ -88,7 +98,7 @@ func TestWitnessSelectsLineEvents(t *testing.T) {
 func TestGuardedObservationMarked(t *testing.T) {
 	r := NewRecorder(nil, nil)
 	r.Observe(0, 0x100, 5, 0, 1, true)
-	if !strings.Contains(r.Render(), "checksum-guarded") {
+	if !strings.Contains(render(r), "checksum-guarded") {
 		t.Fatal("guarded observation not marked")
 	}
 }
@@ -112,8 +122,8 @@ func TestAtomicReleaseRendering(t *testing.T) {
 	m := tso.NewMachine(r)
 	m.EnqueueStore(0, 0x100, 8, 1, true, true)
 	m.DrainSB(0)
-	if !strings.Contains(r.Render(), "atomic-release") {
-		t.Fatalf("release store not annotated:\n%s", r.Render())
+	if !strings.Contains(render(r), "atomic-release") {
+		t.Fatalf("release store not annotated:\n%s", render(r))
 	}
 }
 
@@ -163,5 +173,34 @@ func TestJSONExport(t *testing.T) {
 	}
 	if events[3]["kind"] != "read" || events[3]["from"] != "e0/σ1" {
 		t.Fatalf("load event = %v", events[3])
+	}
+}
+
+// Truncating to a Len taken earlier leaves exactly the log recorded up to
+// then, and a Clone copies the log without its listener or labeler.
+func TestTruncateRewindsToLen(t *testing.T) {
+	r := NewRecorder(nil, nil)
+	m := tso.NewMachine(r)
+	m.EnqueueStore(0, 0x100, 8, 1, false, false)
+	m.EnqueueCLFlush(0, 0x100)
+	m.DrainSB(0)
+	n, want := r.Len(), render(r)
+	m.EnqueueStore(0, 0x108, 8, 2, false, false)
+	m.EnqueueSFence(0)
+	m.DrainSB(0)
+	if r.Len() == n {
+		t.Fatal("no events recorded after the mark")
+	}
+	r.Truncate(n)
+	if got := render(r); got != want {
+		t.Fatalf("truncated log:\n%s\nwant:\n%s", got, want)
+	}
+	c := r.Clone()
+	if c.Inner != nil || c.Labeler != nil || c.Len() != n {
+		t.Fatalf("clone: inner %v, labeler set %v, %d events (want %d)", c.Inner, c.Labeler != nil, c.Len(), n)
+	}
+	c.Labeler = r.Labeler
+	if got := render(c); got != want {
+		t.Fatalf("cloned log:\n%s\nwant:\n%s", got, want)
 	}
 }

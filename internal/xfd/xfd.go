@@ -30,6 +30,7 @@ package xfd
 
 import (
 	"sort"
+	"sync"
 
 	"yashme/internal/analysis"
 	"yashme/internal/pmm"
@@ -47,7 +48,7 @@ func init() {
 // persistState is the per-store commit/persist FSM XFDetector tracks
 // ("a finite state machine to track the consistency and persistency of
 // persistent data").
-type persistState int
+type persistState uint8
 
 const (
 	// stateModified: the store reached the cache but no flush covers it.
@@ -58,10 +59,12 @@ const (
 	statePersisted
 )
 
-// storeInfo is the detector's view of the latest store per address.
+// storeInfo is the detector's view of the latest store per address,
+// packed into 16 bytes (thread IDs are small) since the FSM map and the
+// undo journal hold one per entry.
 type storeInfo struct {
 	seq   vclock.Seq
-	tid   vclock.TID
+	tid   int32
 	state persistState
 }
 
@@ -79,7 +82,39 @@ type Detector struct {
 	// pendingWB: clwb-covered addresses per thread awaiting a fence.
 	pendingWB map[vclock.TID][]pmm.Addr
 	report    *report.Set
+	// undo is the undo journal, recording while journaling is set
+	// (AttachUndo until Rewind); nil until the first AttachUndo and after
+	// Retire.
+	undo       *journal
+	journaling bool
 }
+
+// journal is a pass's undo log: ops in mutation order, and wbs, oldest
+// first, the pending lists its undoWB ops replaced. Retired journals are
+// pooled: a random-mode run arms one per execution's probe.
+type journal struct {
+	ops []undoOp
+	wbs [][]pmm.Addr
+}
+
+var journalPool = sync.Pool{New: func() any { return new(journal) }}
+
+// undoOp is one journaled mutation: an FSM write to addr, which
+// overwrote prev (undoSet) or registered addr on its line (undoFresh), or
+// a replaced pending write-back list of thread prev.tid (undoWB).
+type undoOp struct {
+	addr pmm.Addr
+	prev storeInfo
+	kind undoKind
+}
+
+type undoKind uint8
+
+const (
+	undoSet undoKind = iota
+	undoFresh
+	undoWB
+)
 
 // New returns a detector for one scenario.
 func New(benchmark string, labeler func(pmm.Addr) string) *Detector {
@@ -99,13 +134,86 @@ func (d *Detector) Name() string { return "xfd" }
 // Report returns the accumulated cross-failure race reports.
 func (d *Detector) Report() *report.Set { return d.report }
 
-// set records info for addr, registering a fresh address on its line.
+// set is the FSM's one write: it records info for addr, registering a
+// fresh address on its line, and journals what it overwrote.
 func (d *Detector) set(addr pmm.Addr, info storeInfo) {
-	if _, seen := d.stores[addr]; !seen {
+	prev, seen := d.stores[addr]
+	if !seen {
 		line := pmm.LineOf(addr)
 		d.lines[line] = append(d.lines[line], addr)
 	}
+	if d.journaling {
+		op := undoOp{addr: addr, prev: prev}
+		if !seen {
+			op.kind = undoFresh
+		}
+		d.undo.ops = append(d.undo.ops, op)
+	}
 	d.stores[addr] = info
+}
+
+// setWB replaces tid's pending write-back list, journaling the old one.
+func (d *Detector) setWB(tid vclock.TID, wb []pmm.Addr) {
+	if d.journaling {
+		j := d.undo
+		j.ops = append(j.ops, undoOp{prev: storeInfo{tid: int32(tid)}, kind: undoWB})
+		j.wbs = append(j.wbs, d.pendingWB[tid])
+	}
+	d.pendingWB[tid] = wb
+}
+
+// AttachUndo implements analysis.Pass: it empties the journal, drawn from
+// the pool on first use, and arms it.
+func (d *Detector) AttachUndo() {
+	if d.undo == nil {
+		d.undo = journalPool.Get().(*journal)
+	}
+	d.undo.ops, d.undo.wbs = d.undo.ops[:0], d.undo.wbs[:0]
+	d.journaling = true
+}
+
+// Mark implements analysis.Pass.
+func (d *Detector) Mark() int { return len(d.undo.ops) }
+
+// Retire implements analysis.Pass: the journal goes back to the pool,
+// holding no pending list.
+func (d *Detector) Retire() {
+	if d.undo != nil {
+		clear(d.undo.wbs)
+		journalPool.Put(d.undo)
+		d.undo, d.journaling = nil, false
+	}
+}
+
+// Rewind implements analysis.Pass: it undoes ops [mark, Mark()) newest
+// first, then truncates the journal to mark and disarms it. A fresh
+// address was the last one on its line's list when it was registered, so
+// undoing registrations newest first pops them in order. A pending list
+// gets back the header it had: later appends wrote only past its length.
+func (d *Detector) Rewind(mark int) {
+	j := d.undo
+	for i := len(j.ops) - 1; i >= mark; i-- {
+		op := &j.ops[i]
+		switch op.kind {
+		case undoWB:
+			last := len(j.wbs) - 1
+			d.pendingWB[vclock.TID(op.prev.tid)] = j.wbs[last]
+			j.wbs[last] = nil
+			j.wbs = j.wbs[:last]
+		case undoFresh:
+			delete(d.stores, op.addr)
+			line := pmm.LineOf(op.addr)
+			if addrs := d.lines[line]; len(addrs) > 1 {
+				d.lines[line] = addrs[:len(addrs)-1]
+			} else {
+				delete(d.lines, line)
+			}
+		default:
+			d.stores[op.addr] = op.prev
+		}
+	}
+	j.ops = j.ops[:mark]
+	d.journaling = false
 }
 
 // SeedPersisted implements analysis.Pass: Setup-time initial values are
@@ -123,16 +231,17 @@ func (d *Detector) EndExecution(vclock.Seq) {}
 // Modified. Note the FSM is per ADDRESS, not per byte — stores are modelled
 // as atomic units, the blind spot the paper identifies.
 func (d *Detector) StoreCommitted(rec *tso.CommittedStore) {
-	d.set(rec.Addr, storeInfo{seq: rec.Seq, tid: rec.TID, state: stateModified})
+	d.set(rec.Addr, storeInfo{seq: rec.Seq, tid: int32(rec.TID), state: stateModified})
 }
 
 // CLFlushCommitted implements tso.Listener: every store on the line is now
 // persisted.
 func (d *Detector) CLFlushCommitted(_ vclock.TID, addr pmm.Addr, _ vclock.Seq, _ vclock.Stamp) {
 	for _, a := range d.lines[pmm.LineOf(addr)] {
-		s := d.stores[a]
-		s.state = statePersisted
-		d.stores[a] = s
+		if s := d.stores[a]; s.state != statePersisted {
+			s.state = statePersisted
+			d.set(a, s)
+		}
 	}
 }
 
@@ -142,8 +251,8 @@ func (d *Detector) CLWBBuffered(tid vclock.TID, addr pmm.Addr, _ vclock.Stamp) {
 	for _, a := range d.lines[pmm.LineOf(addr)] {
 		if s := d.stores[a]; s.state == stateModified {
 			s.state = stateWriteback
-			d.stores[a] = s
-			d.pendingWB[tid] = append(d.pendingWB[tid], a)
+			d.set(a, s)
+			d.setWB(tid, append(d.pendingWB[tid], a))
 		}
 	}
 }
@@ -154,7 +263,7 @@ func (d *Detector) CLWBPersisted(flush tso.FBEntry, fenceTID vclock.TID, _ vcloc
 	for _, a := range d.lines[pmm.LineOf(flush.Addr)] {
 		if s := d.stores[a]; s.state == stateWriteback {
 			s.state = statePersisted
-			d.stores[a] = s
+			d.set(a, s)
 		}
 	}
 }
@@ -165,10 +274,12 @@ func (d *Detector) FenceCommitted(tid vclock.TID, _ vclock.Seq, _ vclock.Stamp) 
 	for _, a := range d.pendingWB[tid] {
 		if s, ok := d.stores[a]; ok && s.state == stateWriteback {
 			s.state = statePersisted
-			d.stores[a] = s
+			d.set(a, s)
 		}
 	}
-	d.pendingWB[tid] = nil
+	if d.pendingWB[tid] != nil {
+		d.setWB(tid, nil)
+	}
 }
 
 var (
@@ -186,11 +297,6 @@ func (d *Detector) CrashRead(addr pmm.Addr, guarded bool) *report.Race {
 	if guarded {
 		return nil
 	}
-	return d.CheckRead(addr)
-}
-
-// CheckRead classifies a post-failure read of addr against the FSM.
-func (d *Detector) CheckRead(addr pmm.Addr) *report.Race {
 	s, ok := d.stores[addr]
 	if !ok || s.state == statePersisted {
 		return nil
@@ -207,9 +313,9 @@ func (d *Detector) CheckRead(addr pmm.Addr) *report.Race {
 	return &r
 }
 
-// Clone implements analysis.Pass: an independent deep copy. A probe clones
-// the pass forward at each crash point it may resume, and every resume
-// but a snapshot's last clones again.
+// Clone implements analysis.Pass: an independent deep copy with no journal
+// attached. A model-check probe clones its rewound pass into each crash
+// point's snapshot, and every resume but a snapshot's last clones again.
 func (d *Detector) Clone() analysis.Pass {
 	c := &Detector{
 		benchmark: d.benchmark,
