@@ -72,7 +72,6 @@ import (
 	"bytes"
 	"hash/maphash"
 	"math/rand"
-	"sync"
 
 	"yashme/internal/analysis"
 	"yashme/internal/core"
@@ -251,7 +250,7 @@ func (c *countingSource) skip(n uint64) {
 var _ rand.Source64 = (*countingSource)(nil)
 
 // snapshotOverheadBytes is the accounted fixed cost of one snapshot shell
-// (the struct, the crash-point map, the heap view headers) on top of the
+// (the struct, the crash-point counts, the heap view headers) on top of the
 // detector and image copies it carries.
 const snapshotOverheadBytes = 256
 
@@ -283,7 +282,7 @@ type snapshot struct {
 	// prefix's per-kind counts but only counts the work it actually
 	// performs. A duplicate point's snapshot holds nothing else.
 	stats       Stats
-	crashPoints map[int]int
+	crashPoints crashCounts
 	heap        *pmm.Heap
 	// det, image, extras and rec are the snapshot's own copies, or a
 	// random-mode probe's own state handed over (a recovery capture shares
@@ -305,14 +304,19 @@ type snapshot struct {
 	analyses []string
 }
 
-// release hands the snapshot's copies to the pools once its spec has run:
-// nothing resumes from it again. The operation counts stay, for the merge
-// layer's duplicate synthesis.
+// release hands the snapshot's copies, their report sets included, to the
+// pools once its spec has run: nothing resumes from it again. The
+// operation counts stay, for the merge layer's duplicate synthesis.
 func (snap *snapshot) release() {
 	if snap.det != nil {
+		snap.det.Report().Release()
 		snap.det.Retire()
 		snap.image.release()
 		snap.det = nil
+		for _, p := range snap.extras {
+			p.Report().Release()
+			p.Retire()
+		}
 	}
 	if snap.ownRng && snap.rng != nil {
 		snap.rng.release()
@@ -330,15 +334,12 @@ type sigClass struct {
 // sigIndex files one probe's crash points by state signature: classes maps
 // a signature hash to its equivalence classes, whose full bytes sit end to
 // end in slab for the mandatory collision-confirming compare. It is needed
-// only while the probe runs, so the position log returns it to
-// sigIndexPool when the pre-crash execution ends and the next probe reuses
-// the grown slab.
+// only while the probe runs; the position log owning it empties it when
+// the pre-crash execution ends, and the next probe reuses the grown slab.
 type sigIndex struct {
 	slab    []byte
 	classes map[uint64][]sigClass
 }
-
-var sigIndexPool = sync.Pool{New: func() any { return &sigIndex{classes: make(map[uint64][]sigClass)} }}
 
 // snapshotSink collects full-clone snapshots of a primary scenario's first
 // recovery execution (execution index 1), keyed by crash point, for the
@@ -416,15 +417,12 @@ func newSnapshotShell(sc *scenario, point int) *snapshot {
 		crashSeq:    sc.machine.CurSeq(),
 		rngDraws:    sc.rngSrc.n,
 		stats:       sc.stats,
-		crashPoints: make(map[int]int, len(sc.crashPoints)),
+		crashPoints: sc.crashPoints,
 		heap:        sc.heap.Snapshot(),
 		recovery:    sc.recovery,
 		analyses:    sc.stack.Names(),
 	}
 	snap.stats.ZeroCost()
-	for k, v := range sc.crashPoints {
-		snap.crashPoints[k] = v
-	}
 	// A from-scratch crash at this point unwinds the remaining live
 	// threads; the scheduler draws Intn(j) for j = live-1 down to 2.
 	snap.unwind = sc.liveThreads - 1
@@ -494,7 +492,7 @@ func (pl *positionLog) classify(sc *scenario, point int) int {
 // class, never a duplicate. The hash is a parameter (rather than derived
 // here) so tests can force collisions.
 func (pl *positionLog) file(point int, h uint64, buf []byte) int {
-	x := pl.sigs
+	x := &pl.sigs
 	for _, c := range x.classes[h] {
 		if bytes.Equal(x.slab[c.lo:c.hi], buf) {
 			return c.point
@@ -602,9 +600,7 @@ func resumeScenario(opts Options, snap *snapshot, p plan, persist PersistPolicy)
 	sc.execIdx = snap.execIdx
 	sc.stats = snap.stats
 	sc.setGates()
-	for k, v := range snap.crashPoints {
-		sc.crashPoints[k] = v
-	}
+	sc.crashPoints = snap.crashPoints
 	if rec != nil {
 		rec.Inner, rec.Labeler = sc.stack.Listener(), sc.labelFor
 		sc.recorder = rec

@@ -31,7 +31,7 @@ import (
 // memoization rests on: the hash routes, bytes decide.
 func TestFileNeverMergesOnHashAlone(t *testing.T) {
 	prop := func(sigs [][]byte) bool {
-		k := &positionLog{sigs: &sigIndex{classes: make(map[uint64][]sigClass)}}
+		k := &positionLog{sigs: sigIndex{classes: make(map[uint64][]sigClass)}}
 		byPoint := make(map[int][]byte, len(sigs))
 		dups := make(map[int]int)
 		for i, s := range sigs {
@@ -50,7 +50,7 @@ func TestFileNeverMergesOnHashAlone(t *testing.T) {
 			}
 		}
 		// Classes in the bucket must be pairwise distinct.
-		x := k.sigs
+		x := &k.sigs
 		cs := x.classes[0]
 		for i := range cs {
 			for j := i + 1; j < len(cs); j++ {

@@ -12,19 +12,22 @@
 //	          between specs: every scenario owns its heap, detector, TSO
 //	          machine and rng; resumed scenarios share the run's one
 //	          recovery program, whose closures only read);
-//	merge   — results are absorbed strictly in spec-index order, whatever
-//	          order they were planned and finished in, so the final
-//	          Result (races, Stats, Window, ExecutionsRun) is
+//	merge   — results are folded into the Result as they arrive, and
+//	          only what depends on order is placed by spec index, so the
+//	          final Result (races, Stats, Window, ExecutionsRun) is
 //	          byte-identical between Workers=1 and Workers=N.
 //
 // The determinism contract: a spec's outcome is a pure function of
-// (makeProg, opts, spec), and the merge is a fold over outcomes in spec
-// order. Completion order therefore cannot influence the Result.
+// (makeProg, opts, spec), and the merge is a commutative fold over
+// outcomes (report.Set.Merge renders the same whatever the order, and the
+// counters are sums) beside an index-ordered Window and panic choice.
+// Completion order therefore cannot influence the Result.
 package engine
 
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -46,7 +49,7 @@ type vclockSeqs = []vclock.Seq
 // specs.
 type scenarioSpec struct {
 	// idx is the spec's position in plan-enumeration order; the merge
-	// layer absorbs results strictly in idx order.
+	// layer places order-sensitive outcomes (Window, panics) by it.
 	idx int
 	// scheduleIdx is the model-check schedule the spec belongs to
 	// (RandomMode: the execution index).
@@ -125,7 +128,7 @@ type planSummary struct {
 }
 
 // runExplore is the orchestrator behind Run: plan, execute, and merge
-// through one ordered fold (merger) in spec-index order.
+// through one fold (merger) as results arrive.
 //
 // Workers == 1 short-circuits the pool entirely: planning, execution and
 // merging interleave on the caller's goroutine (probe, spec, spec, …,
@@ -133,7 +136,7 @@ type planSummary struct {
 // contract that lets programs with shared observation state opt out of
 // parallelism.
 func runExplore(ctx context.Context, makeProg func() pmm.Program, opts Options, res *Result) {
-	m := &merger{res: res, pending: make(map[int]*specResult)}
+	m := &merger{res: res}
 	var sum planSummary
 	if workers := opts.Workers; workers == 1 {
 		sum = planGuarded(ctx, makeProg, opts, func(spec scenarioSpec) {
@@ -167,13 +170,13 @@ func runExplore(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 			close(resCh)
 		}()
 
-		// Merge layer: absorb in spec-index order regardless of completion
-		// order.
+		// Merge layer: fold results as they complete.
 		for r := range resCh {
 			m.add(r)
 		}
 		sum = <-sumCh
 	}
+	m.finish()
 
 	// Re-raise panics with one precedence for every worker count: the
 	// lowest-index spec panic fires before a probe panic (the planner only
@@ -221,65 +224,111 @@ func execSpec(ctx context.Context, makeProg func() pmm.Program, opts Options, sp
 	return r
 }
 
-// merger folds spec results into the Result strictly in spec-index order,
-// whatever order they arrive in: the planner emits each schedule's points
-// in descending order, and the pool finishes them in any order. A
-// duplicate is synthesized when its index comes up; its representative's
-// index is lower, so by then it has been folded and retained.
+// merger folds spec results into the Result as they arrive, in whatever
+// order: the planner emits each schedule's points in descending order, and
+// the pool finishes them in any order. Set.Merge and Stats.Add commute, so
+// a folded result is released at once and its report sets go back to the
+// pool for the next spec. Only what depends on order is kept: the Window
+// entries by index, the lowest-index panic, the retained representatives
+// (skipped ones included), and the duplicates whose representative has
+// not arrived — the walk emits a duplicate before its lower-point
+// representative.
 type merger struct {
-	res     *Result
-	pending map[int]*specResult
-	// done holds the retained representatives, by spec index.
-	done map[int]*specResult
-	next int
-	// panicked is the lowest-index spec panic.
+	res *Result
+	// window holds the folded window specs' PointStats by spec index
+	// (their crash point); finish appends them to Result.Window in order.
+	window []windowSlot
+	// done holds the retained representatives, by spec index; waiting
+	// holds the duplicate specs whose representative has not arrived, by
+	// its index.
+	done    map[int]*specResult
+	waiting map[int][]scenarioSpec
+	// panicked is the lowest-index spec panic, raised by spec panicIdx.
 	panicked any
+	panicIdx int
 }
 
-// add buffers r and folds every result whose turn has come.
+// windowSlot is one Window entry, present once its spec folded.
+type windowSlot struct {
+	stat PointStat
+	ok   bool
+}
+
+// add folds r, and with a retained representative the duplicates that
+// were waiting for it.
 func (m *merger) add(r *specResult) {
-	m.pending[r.spec.idx] = r
-	for {
-		rr, ok := m.pending[m.next]
-		if !ok {
+	if r.spec.dedupOf > 0 {
+		rep := r.spec.dedupOf - 1
+		if m.done[rep] == nil {
+			if m.waiting == nil {
+				m.waiting = make(map[int][]scenarioSpec)
+			}
+			m.waiting[rep] = append(m.waiting[rep], r.spec)
 			return
 		}
-		delete(m.pending, m.next)
-		m.next++
-		if rr.spec.dedupOf > 0 {
-			// A representative skipped by cancellation skips its
-			// duplicates too.
-			if rep := m.done[rr.spec.dedupOf-1]; rep == nil || rep.skipped {
-				rr = &specResult{spec: rr.spec, skipped: true}
-			} else {
-				rr = synthesizeDedup(rep, rr.spec)
-			}
+		r = synthesizeDedup(m.done[rep], r.spec)
+	}
+	retain := r.spec.retain // fold releases an unretained r
+	m.fold(r)
+	if !retain {
+		return
+	}
+	// Retained even when skipped or panicked, so a later duplicate is
+	// skipped with it or inherits the panic.
+	if m.done == nil {
+		m.done = make(map[int]*specResult)
+	}
+	m.done[r.spec.idx] = r
+	for _, dup := range m.waiting[r.spec.idx] {
+		m.fold(synthesizeDedup(r, dup))
+	}
+	delete(m.waiting, r.spec.idx)
+}
+
+// fold merges one result into the Result, unless it was skipped or
+// panicked: a panic is kept if it is the lowest-index one so far.
+func (m *merger) fold(r *specResult) {
+	switch {
+	case r.panicked != nil:
+		if m.panicked == nil || r.spec.idx < m.panicIdx {
+			m.panicked, m.panicIdx = r.panicked, r.spec.idx
 		}
-		if rr.spec.retain {
-			// Retained even when panicked, so a later duplicate finds it and
-			// inherits the panic instead of dereferencing nil.
-			if m.done == nil {
-				m.done = make(map[int]*specResult)
+	case !r.skipped:
+		if r.spec.window {
+			if n := r.spec.idx + 1; n > len(m.window) {
+				m.window = slices.Grow(m.window, n-len(m.window))[:n]
 			}
-			m.done[rr.spec.idx] = rr
+			m.window[r.spec.idx] = windowSlot{PointStat{Point: r.spec.crashPoint, Races: r.windowRaces}, true}
 		}
-		if rr.panicked != nil {
-			if m.panicked == nil {
-				m.panicked = rr.panicked
-			}
+		m.res.mergeSpec(r)
+	}
+}
+
+// finish appends the Window in crash-point order and releases the
+// retained representatives, whose duplicates have all folded. A duplicate
+// still waiting named a representative that never came (none is retained
+// unless a duplicate maps to it), and is dropped like a skipped spec.
+func (m *merger) finish() {
+	for _, w := range m.window {
+		if !w.ok {
 			continue
 		}
-		if rr.skipped {
-			continue
+		if m.res.Window == nil {
+			m.res.Window = make([]PointStat, 0, len(m.window))
 		}
-		m.res.mergeSpec(rr)
+		m.res.Window = append(m.res.Window, w.stat)
+	}
+	for _, r := range m.done {
+		r.spec.retain = false
+		r.release()
 	}
 }
 
 // synthesizeDedup builds the result a duplicate spec would have produced,
-// from its representative's retained result. Soundness: the duplicate's
-// captured state is byte-identical to the representative's (checkpoint.go
-// confirms every match with a full compare), so resuming it would replay
+// from its representative's retained result; a skipped representative
+// skips its duplicates. Soundness: the duplicate's captured state is
+// byte-identical to the representative's (checkpoint.go confirms every
+// match with a full compare), so resuming it would replay
 // the exact same image derivation, recovery execution and race verdicts —
 // the report set, execution count and window contribution are the
 // representative's, shared (Set.Merge never mutates its argument, and its
@@ -293,6 +342,9 @@ func (m *merger) add(r *specResult) {
 // nothing was simulated, captured or journaled for this spec — and
 // DedupedScenarios records the skipped scenarios, one per execution.
 func synthesizeDedup(rep *specResult, spec scenarioSpec) *specResult {
+	if rep.skipped {
+		return &specResult{spec: spec, skipped: true}
+	}
 	out := &specResult{
 		spec:        spec,
 		reports:     rep.reports,
@@ -312,18 +364,17 @@ func synthesizeDedup(rep *specResult, spec scenarioSpec) *specResult {
 	return out
 }
 
-// mergeSpec folds one spec outcome into the Result, then releases it (see
-// specResult.release). Called in spec-index order only.
+// mergeSpec folds one spec outcome's reports and counters into the
+// Result, then releases it (see specResult.release). The reports merge at
+// the spec's index, so where two specs found equally canonical
+// representatives of a race the lower-index spec's is kept, as an
+// in-order fold would.
 func (res *Result) mergeSpec(r *specResult) {
 	for i, rep := range r.reports {
-		res.Passes[i].Report.Merge(rep)
+		res.Passes[i].Report.MergeRanked(rep, r.spec.idx)
 	}
 	res.ExecutionsRun += r.executions
 	res.Stats.Add(r.stats)
-	if r.spec.window {
-		// Window specs arrive one per crash point, points ascending.
-		res.Window = append(res.Window, PointStat{Point: r.spec.crashPoint, Races: r.windowRaces})
-	}
 	r.release()
 }
 
@@ -351,11 +402,11 @@ func planSpecs(ctx context.Context, makeProg func() pmm.Program, opts Options, e
 // backwards (handover.go) — completion first, then the last explored point
 // down to the first — and each emitted spec carries a private copy of the
 // probe rewound to its point. Point c's spec has index base+c whatever the
-// emission order, so the merge still folds points ascending. The workers'
-// channel holds Options.Workers specs, so the walk runs at most about that
-// far ahead of them and about that many copies are alive at once. Points
-// are logged before the crash's persist policy matters, so one probe (run
-// under PersistLatest, like always) serves every policy.
+// emission order, so the merge still lays the Window out ascending. The
+// workers' channel holds Options.Workers specs, so the walk runs at most
+// about that far ahead of them and about that many copies are alive at
+// once. Points are logged before the crash's persist policy matters, so
+// one probe (run under PersistLatest, like always) serves every policy.
 func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Options, emit func(scenarioSpec)) planSummary {
 	var sum planSummary
 	var log *positionLog
@@ -392,7 +443,8 @@ func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Optio
 		// Crash-image memoization: repPoints marks the points at least one
 		// duplicate maps to (their specs are retained for synthesis). A
 		// duplicate's representative is always an earlier point, so the
-		// walk marks it before it gets there, and the merge folds it first.
+		// walk marks it before it gets there, and the merge holds the
+		// duplicate until the representative arrives.
 		var repPoints map[int]bool
 		base := idx
 		walkBackward(limit, func(c int) {

@@ -81,11 +81,12 @@ type positionLog struct {
 	recovery []func(*pmm.Thread)
 	// Crash-image memoization (model checking, dedupEnabled): sigs files
 	// the points by state signature, hashed under seed (sigSeed unless a
-	// test swaps it), while the probe runs.
+	// test swaps it), while the probe runs. The log owns the index, so the
+	// next probe reuses its grown slab and map.
 	dedup  bool
 	seed   maphash.Seed
 	sigBuf []byte
-	sigs   *sigIndex
+	sigs   sigIndex
 }
 
 // positionLogPool holds the logs of finished planners.
@@ -114,7 +115,9 @@ func (pl *positionLog) watch(probe *scenario, opts Options, recovery []func(*pmm
 	pl.dedup = dedupEnabled(opts)
 	if pl.dedup {
 		pl.seed = sigSeed
-		pl.sigs = sigIndexPool.Get().(*sigIndex)
+		if pl.sigs.classes == nil {
+			pl.sigs.classes = make(map[uint64][]sigClass)
+		}
 	}
 	probe.positions = pl
 }
@@ -174,8 +177,8 @@ func (pl *positionLog) appendMarks(sc *scenario, dst []int) []int {
 
 // keep classifies model-check point p and, unless it is a duplicate,
 // shares or forks the frozen rng copy its snapshot will resume from. Point
-// 0 is logged last but explored first (spec index order), so a duplicate
-// there would precede its representative: it is never classified.
+// 0, the completion, is never classified: the walk emits it first, and it
+// always runs.
 func (pl *positionLog) keep(sc *scenario, p int) (k keptPoint) {
 	if pl.dedup && p > 0 {
 		if k.dupOf = pl.classify(sc, p); k.dupOf > 0 {
@@ -188,14 +191,10 @@ func (pl *positionLog) keep(sc *scenario, p int) (k keptPoint) {
 }
 
 // seal ends the classification window with the pre-crash execution: the
-// signature index goes back to its pool for the next probe.
+// signature index is emptied for the next probe, keeping what it grew.
 func (pl *positionLog) seal() {
-	if pl.sigs != nil {
-		clear(pl.sigs.classes)
-		pl.sigs.slab = pl.sigs.slab[:0]
-		sigIndexPool.Put(pl.sigs)
-		pl.sigs = nil
-	}
+	clear(pl.sigs.classes)
+	pl.sigs.slab = pl.sigs.slab[:0]
 }
 
 // release drops what the last probe's positions still point at and hands
@@ -264,7 +263,7 @@ func (pl *positionLog) rewind(probe *scenario, c int) *snapshot {
 		}
 	}
 	snap := pl.shell(probe, c)
-	snap.crashPoints = map[int]int{0: c}
+	snap.crashPoints = crashCounts{0: c}
 	snap.heap = probe.heap.SnapshotAt(pos.heapNext, pos.allocs, pos.inits)
 	if c > 0 {
 		// The crash unwinds the other live threads (see newSnapshotShell).

@@ -16,10 +16,25 @@ import (
 )
 
 // plan maps an execution index (0 = pre-crash workload, 1 = first recovery
-// run, ...) to the 1-based flush/fence point to crash before. A missing or
-// zero entry means the execution runs to completion (modelled as a power
-// loss at completion: unflushed data is still at risk).
-type plan map[int]int
+// run) to the 1-based flush/fence point to crash before. A zero entry, and
+// every execution past the plan, runs to completion (modelled as a power
+// loss at completion: unflushed data is still at risk). A plan is a value:
+// specs and scenarios copy it, and building one allocates nothing.
+type plan [2]int
+
+// at returns the crash point of execution i.
+func (p plan) at(i int) int {
+	if i < len(p) {
+		return p[i]
+	}
+	return 0
+}
+
+// crashCounts counts the flush/fence points seen per execution index. An
+// execution past the pre-crash one starts only after a crash its
+// predecessor's plan entry fired, so a scenario runs at most len(plan)+1
+// executions.
+type crashCounts [len(plan{}) + 1]int
 
 // errCrash is the sentinel panic that unwinds simulated threads at a crash.
 var errCrash = fmt.Errorf("engine: simulated crash")
@@ -81,6 +96,9 @@ type imageTable struct {
 	// idx maps Addr -> 1-based entries slot (0 = no image record).
 	idx     addridx.Table[int32]
 	entries []imageEntry
+	// box is the pool slot the backing came in (nil for a fresh table);
+	// release hands the backing back in it.
+	box *imageTable
 }
 
 // lookup returns the entry for a, nil if the address has no image record.
@@ -127,20 +145,27 @@ var imagePool sync.Pool
 // newImageTable returns an empty table, on a recycled backing when one is
 // free.
 func newImageTable() imageTable {
-	if t, _ := imagePool.Get().(*imageTable); t != nil {
-		return *t
+	if b, _ := imagePool.Get().(*imageTable); b != nil {
+		t := *b
+		t.box = b
+		return t
 	}
 	return imageTable{}
 }
 
-// release empties the table and hands its backing to the pool. Only a
-// scenario's own table passes through here: snapshot tables are clones the
-// scenario never owned. The entries are cleared so the pooled array does not
-// keep the dead scenario's candidate slab alive.
+// release empties the table and hands its backing to the pool, in the box
+// it came in. Only a scenario's own table passes through here: snapshot
+// tables are clones the scenario never owned. The entries are cleared so
+// the pooled array does not keep the dead scenario's candidate slab alive.
 func (t *imageTable) release() {
 	t.idx.Reset()
 	clear(t.entries)
-	imagePool.Put(&imageTable{idx: t.idx, entries: t.entries[:0]})
+	b := t.box
+	if b == nil {
+		b = new(imageTable)
+	}
+	*b = imageTable{idx: t.idx, entries: t.entries[:0]}
+	imagePool.Put(b)
 	*t = imageTable{}
 }
 
@@ -217,7 +242,7 @@ type scenario struct {
 
 	crashPlan plan
 	// crashPoints counts flush/fence points seen per execution index.
-	crashPoints map[int]int
+	crashPoints crashCounts
 	execIdx     int
 	crashed     bool
 
@@ -315,14 +340,14 @@ func newScenario(makeProg func() pmm.Program, opts Options, p plan, persist Pers
 var scenarioPool sync.Pool
 
 // getScenario returns an empty scenario shell, recycled when one is free:
-// its scheduler state, crash-point map, rng wrapper, labeler and
+// its scheduler state, rng wrapper, labeler and
 // image-derivation scratch keep what an earlier scenario grew. The caller
 // fills in the rest.
 func getScenario() *scenario {
 	if sc, _ := scenarioPool.Get().(*scenario); sc != nil {
 		return sc
 	}
-	sc := &scenario{crashPoints: make(map[int]int), rngSrc: new(countingSource)}
+	sc := &scenario{rngSrc: new(countingSource)}
 	sc.rng = rand.New(sc.rngSrc)
 	sc.labelFor = func(a pmm.Addr) string { return sc.heap.LabelFor(a) }
 	return sc
@@ -353,7 +378,6 @@ func (sc *scenario) retire() {
 		rng:           sc.rng,
 		rngSrc:        sc.rngSrc,
 		labelFor:      sc.labelFor,
-		crashPoints:   sc.crashPoints,
 		sched:         sc.sched,
 		addrScratch:   sc.addrScratch[:0],
 		choiceScratch: sc.choiceScratch[:0],
@@ -364,7 +388,6 @@ func (sc *scenario) retire() {
 	if sc.capture == nil {
 		shell.candSlab = sc.candSlab[:0]
 	}
-	clear(shell.crashPoints)
 	*sc = shell
 	scenarioPool.Put(sc)
 }
@@ -538,24 +561,30 @@ func (sc *scenario) startThread(i int, fn func(*pmm.Thread)) {
 		s.threads[i] = pmm.NewThread(o, sc.heap)
 	}
 	o.guarded = false
+	o.fn = fn
 	s.waiting[i], s.finished[i], s.panics[i] = true, false, nil
-	th := s.threads[i]
-	carry(func() {
-		defer func() {
-			// Workload panics propagate to the scheduler goroutine (so
-			// callers can recover them); the crash sentinel unwinds
-			// silently.
-			if r := recover(); r != nil && r != errCrash {
-				s.panics[i] = r
-			}
-			s.events <- threadEvent{tid: i, done: true}
-		}()
-		<-o.resume // wait for the first grant
-		if sc.crashed {
-			panic(errCrash)
+	carry(o)
+}
+
+// run is a simulated thread's body on its carrier: it waits for the first
+// grant, runs the thread function and reports the thread's end.
+func (o *threadOps) run() {
+	sc, i, fn := o.sc, int(o.tid), o.fn
+	s := &sc.sched
+	o.fn = nil // a parked slot keeps no workload alive
+	defer func() {
+		// Workload panics propagate to the scheduler goroutine (so callers
+		// can recover them); the crash sentinel unwinds silently.
+		if r := recover(); r != nil && r != errCrash {
+			s.panics[i] = r
 		}
-		fn(th)
-	})
+		s.events <- threadEvent{tid: i, done: true}
+	}()
+	<-o.resume // wait for the first grant
+	if sc.crashed {
+		panic(errCrash)
+	}
+	fn(s.threads[i])
 }
 
 // maxIdleCarriers bounds the carriers parked between simulated threads.
@@ -567,28 +596,29 @@ const maxIdleCarriers = 64
 // (the workload, the engine's operation path, the race label); a carrier
 // keeps the stack it grew. Any worker may take any carrier, since a
 // carrier holds no state between threads.
-var idleCarriers = make(chan chan func(), maxIdleCarriers)
+var idleCarriers = make(chan chan *threadOps, maxIdleCarriers)
 
-// carry runs f on a parked carrier goroutine, or on a new one when none is
-// idle. f must not panic: the simulated threads recover their own.
-func carry(f func()) {
+// carry runs the simulated thread o on a parked carrier goroutine, or on a
+// new one when none is idle. Handing over the thread's slot, not a
+// closure, makes a thread start allocate nothing once carriers are warm.
+func carry(o *threadOps) {
 	select {
 	case c := <-idleCarriers:
-		c <- f
+		c <- o
 	default:
-		go carrier(f)
+		go carrier(o)
 	}
 }
 
-// carrier runs f, then parks in idleCarriers and runs the next function
-// sent on its channel; it exits when the idle set is full.
-func carrier(f func()) {
-	c := make(chan func(), 1)
+// carrier runs o's thread, then parks in idleCarriers and runs the next
+// thread sent on its channel; it exits when the idle set is full.
+func carrier(o *threadOps) {
+	c := make(chan *threadOps, 1)
 	for {
-		f()
+		o.run()
 		select {
 		case idleCarriers <- c:
-			f = <-c
+			o = <-c
 		default:
 			return
 		}
@@ -698,7 +728,7 @@ func (sc *scenario) atCrashPoint() bool {
 	if sc.positions != nil {
 		sc.positions.record(sc, sc.crashPoints[0])
 	}
-	return sc.crashPlan[sc.execIdx] == sc.crashPoints[sc.execIdx]
+	return sc.crashPlan.at(sc.execIdx) == sc.crashPoints[sc.execIdx]
 }
 
 // buildImage derives the persisted memory image after the current
@@ -911,6 +941,8 @@ type threadOps struct {
 	tid     vclock.TID
 	resume  chan struct{}
 	guarded bool
+	// fn is the thread function the slot's current thread runs.
+	fn func(*pmm.Thread)
 }
 
 var (

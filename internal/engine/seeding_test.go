@@ -69,6 +69,17 @@ func TestRecoveryRMWSeesImage(t *testing.T) {
 	}
 }
 
+// carryFunc runs f as a simulated thread on a carrier: the only thread of
+// a bare scenario, granted before it starts, whose end event waits unread
+// in the event channel.
+func carryFunc(f func()) {
+	sc := new(scenario)
+	sc.sched.begin(1)
+	o := &threadOps{sc: sc, resume: make(chan struct{}, 1), fn: func(*pmm.Thread) { f() }}
+	o.resume <- struct{}{}
+	carry(o)
+}
+
 // TestCarriersParkBounded: simulated threads run on carrier goroutines that
 // park between threads, and at most maxIdleCarriers stay parked however
 // many ran at once.
@@ -80,7 +91,7 @@ func TestCarriersParkBounded(t *testing.T) {
 	release := make(chan struct{})
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		carry(func() {
+		carryFunc(func() {
 			defer wg.Done()
 			<-release
 		})
@@ -103,7 +114,7 @@ func TestCarriersParkBounded(t *testing.T) {
 	during := make(chan int)
 	for try := 0; ; try++ {
 		idle := len(idleCarriers)
-		carry(func() { during <- len(idleCarriers) })
+		carryFunc(func() { during <- len(idleCarriers) })
 		got := <-during
 		if got == idle-1 {
 			break

@@ -128,6 +128,9 @@ type Set struct {
 	// was a measurable share of the exploration's allocations.
 	keys  []raceKey
 	races []Race
+	// ranks holds each race's merge rank (MergeRanked; 0 for races added
+	// or merged unranked), parallel to races.
+	ranks []int
 	// idx accelerates lookup if a set ever outgrows the linear scan; built
 	// lazily by find, dropped by Clone.
 	idx map[raceKey]int
@@ -162,7 +165,7 @@ func NewSet() *Set {
 func (s *Set) Release() {
 	clear(s.keys)
 	clear(s.races)
-	*s = Set{keys: s.keys[:0], races: s.races[:0]}
+	*s = Set{keys: s.keys[:0], races: s.races[:0], ranks: s.ranks[:0]}
 	setPool.Put(s)
 }
 
@@ -213,21 +216,28 @@ func canonicalBefore(a, b Race) bool {
 // The field is normalized (array indices stripped) first. A duplicate
 // keeps the canonical representative (earliest store) regardless of the
 // order reports arrive in. It reports whether the race was new.
-func (s *Set) Add(r Race) bool {
+func (s *Set) Add(r Race) bool { return s.add(r, 0) }
+
+// add is Add with a merge rank: of two equally canonical representatives
+// the lower rank wins, and of two equal ranks the one already held.
+func (s *Set) add(r Race, rank int) bool {
 	s.RawCount++
 	r.Field = NormalizeField(r.Field)
 	k := keyOf(r)
 	if i := s.find(k); i >= 0 {
-		if canonicalBefore(r, s.races[i]) {
+		if held := s.races[i]; canonicalBefore(r, held) {
 			if r.Witness == "" {
-				r.Witness = s.races[i].Witness
+				r.Witness = held.Witness
 			}
-			s.races[i] = r
+			s.races[i], s.ranks[i] = r, rank
+		} else if rank < s.ranks[i] && !canonicalBefore(held, r) {
+			s.races[i], s.ranks[i] = r, rank
 		}
 		return false
 	}
 	s.keys = append(s.keys, k)
 	s.races = append(s.races, r)
+	s.ranks = append(s.ranks, rank)
 	if s.idx != nil {
 		s.idx[k] = len(s.keys) - 1
 	}
@@ -303,17 +313,27 @@ func (s *Set) Clone() *Set {
 	c.RawCount = s.RawCount
 	c.keys = append(c.keys, s.keys...)
 	c.races = append(c.races, s.races...)
+	c.ranks = append(c.ranks, s.ranks...)
 	return c
 }
 
 // Merge adds every race from other into s. Merging is commutative up to
 // the observable output: whatever order sets are merged in, Races(),
 // Benign(), Fields() and String() render the same races with the same
-// canonical representatives (see Add). s and other must not be mutated
-// concurrently; the engine merges on a single goroutine.
-func (s *Set) Merge(other *Set) {
+// canonical representatives (see Add), except that of two equally
+// canonical representatives the one held first stays; where they can
+// differ (their witnesses), merge with MergeRanked. s and other must not
+// be mutated concurrently; the engine merges on a single goroutine.
+func (s *Set) Merge(other *Set) { s.MergeRanked(other, 0) }
+
+// MergeRanked is Merge with every race of other at merge rank rank: where
+// two representatives are equally canonical but differ elsewhere (their
+// witnesses, which record different crashes), the one merged at the lower
+// rank is kept. A fold of ranked sets therefore renders the same in any
+// order as merging them in rank order.
+func (s *Set) MergeRanked(other *Set, rank int) {
 	for i := range other.races {
-		s.Add(other.races[i])
+		s.add(other.races[i], rank)
 	}
 	s.RawCount += other.RawCount - len(other.races)
 }

@@ -17,8 +17,8 @@
 //     such events share one immutable snapshot. The Arena deduplicates
 //     those snapshots and hands out dense int32 Refs; records, the
 //     detector's per-line flush clocks and the machine's per-thread state
-//     carry Refs, making Detector.Clone and Machine.Clone flat slice
-//     copies (the same capped-view trick as the store arena).
+//     carry Refs, so copying them copies no clock, and an arena clone
+//     shares every snapshot it inherits.
 //
 // A Stamp pairs a Ref with the one component that differs from the
 // snapshot — the committing store's own epoch — so a commit allocates
@@ -29,6 +29,8 @@ package vclock
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sync"
 )
 
@@ -81,9 +83,17 @@ type Stamp struct {
 	Self Epoch
 }
 
-// Arena holds deduplicated immutable clock snapshots. Entries are
-// append-only and never mutated after interning, so Clone is a capped
-// slice view and clones share backing storage until either side appends.
+// Arena holds deduplicated immutable clock snapshots. Snapshots are
+// append-only and never mutated after interning. An arena's snapshots are
+// two runs: the prefix it inherited through Clone, read from a Frozen that
+// every clone of the same source shares, and its own appends, whose words
+// sit end to end in one flat slab. A clone therefore copies nothing, and
+// its first append starts its own slab instead of copying the prefix.
+//
+// In interning mode every snapshot is filed under a hash of its canonical
+// words (clockHash); the hash only routes a lookup to candidate slots, and
+// slices.Equal confirms every match, so a collision can never merge two
+// distinct clocks. No key is materialized: a lookup allocates nothing.
 //
 // An owned Arena (the engine's reference configuration,
 // engine.Options.Reference) appends a private materialized copy on every
@@ -92,19 +102,16 @@ type Stamp struct {
 // disabled there so the two modes differ only in cost counters, never in
 // observable results. It is the slow side the fast path is tested against.
 type Arena struct {
-	entries []VC // entries[0] is the canonical empty clock (nil)
-	// base indexes the prefix inherited through Clone (nil for a fresh
-	// arena); it is shared read-only with every other arena that inherits
-	// the same prefix, and its index is built only when one of them first
-	// interns, so clones that never intern pay nothing. lookup maps the
-	// canonical bytes of the arena's own appends to their Ref. frozen is
-	// the last prefix Freeze handed out over the arena's own appends.
+	// base holds refs [0, own.n0), inherited through Clone (nil for a
+	// fresh arena, whose own run starts with the canonical empty clock).
+	// It is shared read-only with every other arena that inherits the same
+	// prefix. own holds the arena's appends, indexed in interning mode.
+	// frozen is the last prefix Freeze handed out over the arena's own
+	// appends.
 	base   *Frozen
+	own    run
 	frozen *Frozen
-	lookup map[string]Ref
-	key    []byte // scratch for canonical keys
-	buf    VC     // scratch: join left operand / materialized stamps
-	buf2   VC     // scratch: join right operand
+	buf    VC // scratch: joins and materialized stamps
 	owned  bool
 
 	// Cost counters, harvested (and reset) via TakeCounters. Clones start
@@ -114,21 +121,121 @@ type Arena struct {
 	epochMisses int64
 }
 
+// run is a contiguous range of snapshots, refs [n0, n0+len(spans)): the
+// canonical words of ref n0+i are words[spans[i].off:spans[i].end]. table
+// is an open-addressed hash index over them: a power-of-two slot array of
+// refs, probed linearly from a clock's hash, 0 marking an empty slot (the
+// empty clock, ref 0, is never filed).
+type run struct {
+	n0    int
+	words []Seq
+	spans []span
+	table []Ref
+}
+
+// span locates one snapshot's words in its run's slab.
+type span struct{ off, end uint32 }
+
+// at returns the snapshot r, which the run must hold. The view is capped,
+// so appending to it never writes into the slab.
+func (u *run) at(r Ref) VC {
+	s := u.spans[int(r)-u.n0]
+	return VC(u.words[s.off:s.end:s.end])
+}
+
+// push appends w as the run's next snapshot.
+func (u *run) push(w VC) {
+	off := uint32(len(u.words))
+	u.words = append(u.words, w...)
+	u.spans = append(u.spans, span{off, uint32(len(u.words))})
+}
+
+// find returns the ref of the canonical clock w, hashed to h, if the
+// run's index holds it.
+func (u *run) find(w VC, h uint64) (Ref, bool) {
+	if len(u.table) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(u.table) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		r := u.table[i]
+		if r == 0 {
+			return 0, false
+		}
+		if slices.Equal(u.at(r), w) {
+			return r, true
+		}
+	}
+}
+
+// index rebuilds the table over every snapshot of the run but the empty
+// clock, at most half full.
+func (u *run) index() {
+	size := 16
+	for size < 2*len(u.spans) {
+		size *= 2
+	}
+	u.table = make([]Ref, size)
+	for i := range u.spans {
+		if r := Ref(u.n0 + i); r != 0 {
+			u.file(clockHash(u.at(r)), r)
+		}
+	}
+}
+
+// file enters r under hash h; the table must have a free slot.
+func (u *run) file(h uint64, r Ref) {
+	mask := uint64(len(u.table) - 1)
+	i := h & mask
+	for u.table[i] != 0 {
+		i = (i + 1) & mask
+	}
+	u.table[i] = r
+}
+
+// clockSeed seeds clockHash. A seed that differs between processes is
+// safe: refs are assigned in append order, and every hash match is
+// confirmed by slices.Equal, so no result depends on the hash values.
+var clockSeed = maphash.MakeSeed()
+
+// clockHash hashes a canonical clock. Tests swap it for one that collides
+// every clock.
+var clockHash = hashClock
+
+// hashClock is the maphash of a canonical clock's little-endian words,
+// serialized on the stack (a clock of up to 16 threads allocates nothing).
+func hashClock(w VC) uint64 {
+	var buf [128]byte
+	b := buf[:0]
+	for _, s := range w {
+		b = binary.LittleEndian.AppendUint64(b, uint64(s))
+	}
+	return maphash.Bytes(clockSeed, b)
+}
+
 // NewArena returns an empty arena. owned selects the always-append
 // reference representation over interning.
 func NewArena(owned bool) *Arena {
-	return &Arena{entries: make([]VC, 1, 16), owned: owned}
+	a := &Arena{owned: owned}
+	a.own.spans = make([]span, 1, 16) // ref 0: the canonical empty clock
+	return a
 }
 
 // Owned reports whether the arena is in the always-append mode.
 func (a *Arena) Owned() bool { return a.owned }
 
 // Len returns the number of snapshots, counting the canonical empty clock.
-func (a *Arena) Len() int { return len(a.entries) }
+func (a *Arena) Len() int { return a.own.n0 + len(a.own.spans) }
 
 // At returns the snapshot a Ref addresses. The result is immutable — it is
 // shared by every holder of the Ref and by every clone of the arena.
-func (a *Arena) At(r Ref) VC { return a.entries[r] }
+func (a *Arena) At(r Ref) VC {
+	u := &a.own
+	if int(r) < u.n0 {
+		u = &a.base.run
+	}
+	return u.at(r)
+}
 
 // canonical trims trailing zero components, the unique dense form of a
 // clock (zero and absent components are indistinguishable).
@@ -140,54 +247,27 @@ func canonical(v VC) VC {
 	return v[:n]
 }
 
-// keyOf renders the canonical form into the scratch key buffer.
-func (a *Arena) keyOf(v VC) []byte {
-	a.key = appendKey(a.key[:0], v)
-	return a.key
-}
-
-// appendKey appends the lookup key of canonical clock v to buf.
-func appendKey(buf []byte, v VC) []byte {
-	for _, s := range v {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(s))
-	}
-	return buf
-}
-
-// Frozen is a read-only prefix of an arena's snapshots with a lookup index
-// over it. The index is built at most once, by the first arena to intern
-// against the prefix, and never written afterwards, so every clone of a
-// checkpoint template — concurrently, across workers — shares one index
-// instead of rebuilding its own over the inherited entries.
+// Frozen is a read-only prefix of an arena's snapshots, refs [0, len),
+// in one run. Its index is built at most once, by the first arena to
+// intern against the prefix, and never written afterwards, so every clone
+// of a checkpoint template — concurrently, across workers — shares one
+// index instead of rebuilding its own over the inherited snapshots.
 type Frozen struct {
-	entries []VC
-	once    sync.Once
-	lookup  map[string]Ref
+	run
+	once sync.Once
 }
 
-// index returns the prefix's lookup map, building it on first use.
-func (f *Frozen) index() map[string]Ref {
-	f.once.Do(func() {
-		f.lookup = make(map[string]Ref, len(f.entries))
-		var key []byte
-		for r := 1; r < len(f.entries); r++ {
-			key = appendKey(key[:0], f.entries[r])
-			f.lookup[string(key)] = Ref(r)
-		}
-	})
-	return f.lookup
-}
+// len returns the number of snapshots in the prefix.
+func (f *Frozen) len() int { return len(f.spans) }
 
-// find returns the Ref of the canonical clock w if the arena holds it.
-func (a *Arena) find(w VC) (Ref, bool) {
-	k := a.keyOf(w)
-	if a.base != nil {
-		if r, ok := a.base.index()[string(k)]; ok {
-			return r, true
-		}
+// find returns the ref of canonical clock w, hashed to h, if the prefix
+// (nil: none) holds it.
+func (f *Frozen) find(w VC, h uint64) (Ref, bool) {
+	if f == nil {
+		return 0, false
 	}
-	r, ok := a.lookup[string(k)]
-	return r, ok
+	f.once.Do(f.index)
+	return f.run.find(w, h)
 }
 
 // Intern returns the Ref of v's canonical form, appending a private copy
@@ -198,19 +278,25 @@ func (a *Arena) Intern(v VC) Ref {
 	if len(w) == 0 {
 		return 0
 	}
+	var h uint64
 	if !a.owned {
-		if r, ok := a.find(w); ok {
+		h = clockHash(w)
+		if r, ok := a.base.find(w, h); ok {
+			return r
+		}
+		if r, ok := a.own.find(w, h); ok {
 			return r
 		}
 	}
-	r := Ref(len(a.entries))
-	a.entries = append(a.entries, w.Clone())
+	r := Ref(a.Len())
+	a.own.push(w)
 	a.interned++
 	if !a.owned {
-		if a.lookup == nil {
-			a.lookup = make(map[string]Ref)
+		if 2*len(a.own.spans) > len(a.own.table) {
+			a.own.index()
+		} else {
+			a.own.file(h, r)
 		}
-		a.lookup[string(a.key)] = r // find left w's key in the scratch
 	}
 	return r
 }
@@ -225,7 +311,7 @@ func (a *Arena) Reintern(st Stamp) Stamp {
 
 // Get returns the component for t of the clock a stamp denotes.
 func (a *Arena) Get(st Stamp, t TID) Seq {
-	s := a.entries[st.Base].Get(t)
+	s := a.At(st.Base).Get(t)
 	if st.Self.TID() == t && st.Self.Seq() > s {
 		s = st.Self.Seq()
 	}
@@ -241,21 +327,21 @@ func (a *Arena) Contains(st Stamp, t TID, s Seq) bool {
 	if st.Self.TID() == t && s <= st.Self.Seq() {
 		return true
 	}
-	return s <= a.entries[st.Base].Get(t)
+	return s <= a.At(st.Base).Get(t)
 }
 
 // RefGet returns the component for t of the snapshot r addresses.
-func (a *Arena) RefGet(r Ref, t TID) Seq { return a.entries[r].Get(t) }
+func (a *Arena) RefGet(r Ref, t TID) Seq { return a.At(r).Get(t) }
 
 // RefContains reports whether operation (t, s) is included in snapshot r.
 func (a *Arena) RefContains(r Ref, t TID, s Seq) bool {
-	return a.entries[r].Contains(t, s)
+	return a.At(r).Contains(t, s)
 }
 
 // MaterializeInto writes the full clock a stamp denotes into buf
 // (reusing its capacity) and returns it.
 func (a *Arena) MaterializeInto(buf VC, st Stamp) VC {
-	base := a.entries[st.Base]
+	base := a.At(st.Base)
 	n := len(base)
 	if t := int(st.Self.TID()); st.Self.Seq() != 0 && t >= n {
 		n = t + 1
@@ -285,22 +371,24 @@ func (a *Arena) Materialize(st Stamp) VC {
 // included in At(r), the commit-closure property guarantees st's whole
 // clock is too, so the join is a no-op and no vector is touched.
 func (a *Arena) JoinStamp(r Ref, st Stamp) Ref {
+	left := a.At(r)
 	if !a.owned && st.Self.Seq() != 0 {
-		if st.Self.HappensBefore(a.entries[r]) {
+		if st.Self.HappensBefore(left) {
 			a.epochHits++
 			return r
 		}
 		a.epochMisses++
 	}
-	return a.joinSlow(a.entries[r], st)
+	return a.joinSlow(left, st)
 }
 
 // JoinThread joins stamp st into a thread's clock (snapshot base plus the
 // thread's own latest seq) and returns the new base Ref. Same epoch fast
 // path as JoinStamp, additionally covered by the thread's self component.
 func (a *Arena) JoinThread(base Ref, t TID, self Seq, st Stamp) Ref {
+	left := a.At(base)
 	if !a.owned && st.Self.Seq() != 0 {
-		covered := st.Self.HappensBefore(a.entries[base])
+		covered := st.Self.HappensBefore(left)
 		if !covered && st.Self.TID() == t {
 			covered = st.Self.Seq() <= self
 		}
@@ -310,29 +398,29 @@ func (a *Arena) JoinThread(base Ref, t TID, self Seq, st Stamp) Ref {
 		}
 		a.epochMisses++
 	}
-	return a.joinSlow(a.entries[base], st)
+	return a.joinSlow(left, st)
 }
 
-// joinSlow materializes st, joins it with left in scratch space and
-// interns the result.
+// joinSlow joins the clock of st with left in scratch space and interns
+// the result.
 func (a *Arena) joinSlow(left VC, st Stamp) Ref {
-	a.buf2 = a.MaterializeInto(a.buf2[:0], st)
-	a.buf = append(a.buf[:0], left...)
-	v := a.buf
-	v.Join(a.buf2)
+	v := append(a.buf[:0], left...)
+	v.Join(a.At(st.Base))
+	if t, s := st.Self.TID(), st.Self.Seq(); s > v.Get(t) {
+		v.Set(t, s)
+	}
 	a.buf = v
-	return a.Intern(a.buf)
+	return a.Intern(v)
 }
 
-// Clone returns an arena sharing this one's snapshots read-only: the entry
-// slice is capped so either side's next append reallocates privately, the
-// inherited prefix is looked up through a shared Frozen index (see
-// Freeze), and the cost counters start at zero so a resumed scenario
-// counts only its own work. Clone only reads a, so a template may be
-// cloned concurrently.
+// Clone returns an arena sharing this one's snapshots read-only: the
+// inherited prefix is resolved and looked up through a shared Frozen (see
+// Freeze), the clone's own appends start a slab of their own, and the cost
+// counters start at zero so a resumed scenario counts only its own work.
+// Clone only reads a, so a template may be cloned concurrently.
 func (a *Arena) Clone() *Arena {
 	f := a.Freeze()
-	return &Arena{entries: f.entries, base: f, owned: a.owned}
+	return &Arena{base: f, own: run{n0: f.len()}, owned: a.owned}
 }
 
 // Freeze returns the arena's current snapshots as a Frozen prefix, for a
@@ -340,27 +428,34 @@ func (a *Arena) Clone() *Arena {
 // crash point's copy — returns that prefix, and one that has not appended
 // since its last Freeze returns that one, so every clone taken between two
 // appends shares one index: a probe's whole backward walk, whose rewinds
-// intern nothing, builds it at most once. Only the arena's owner appends,
-// so only the owner's Freeze writes a, and a copy may be cloned
-// concurrently.
+// intern nothing, builds it at most once. A fresh arena's prefix is a
+// capped view of its own run, which its later appends never write into. A
+// clone that appended — a recovery capture's source — flattens its
+// inherited prefix and its own run into one, so At resolves any ref in at
+// most two runs. Only the arena's owner appends, so only the owner's
+// Freeze writes a, and a copy may be cloned concurrently.
 func (a *Arena) Freeze() *Frozen {
-	if a.base != nil && len(a.base.entries) == len(a.entries) {
+	if a.base != nil && len(a.own.spans) == 0 {
 		return a.base
 	}
-	if a.frozen == nil || len(a.frozen.entries) != len(a.entries) {
-		a.frozen = &Frozen{entries: a.entries[:len(a.entries):len(a.entries)]}
+	if a.frozen != nil && a.frozen.len() == a.Len() {
+		return a.frozen
 	}
-	return a.frozen
-}
-
-// FootprintBytes estimates the heap bytes the arena's snapshots retain
-// (for checkpoint accounting).
-func (a *Arena) FootprintBytes() int64 {
-	n := int64(len(a.entries)) * int64(24) // slice headers
-	for _, e := range a.entries {
-		n += int64(len(e)) * 8
+	u := a.own
+	f := &Frozen{run: run{
+		words: u.words[:len(u.words):len(u.words)],
+		spans: u.spans[:len(u.spans):len(u.spans)],
+	}}
+	if b := a.base; b != nil {
+		off := uint32(len(b.words))
+		f.words = append(b.words[:off:off], u.words...)
+		f.spans = append(make([]span, 0, a.Len()), b.spans...)
+		for _, s := range u.spans {
+			f.spans = append(f.spans, span{s.off + off, s.end + off})
+		}
 	}
-	return n
+	a.frozen = f
+	return f
 }
 
 // TakeCounters returns the interned/epoch-hit/epoch-miss counts

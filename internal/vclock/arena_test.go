@@ -284,8 +284,14 @@ func TestArenaClonesShareFrozenIndex(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if len(f.lookup) != inherited {
-		t.Errorf("shared index holds %d keys after the clones interned, want the %d inherited", len(f.lookup), inherited)
+	filed := 0
+	for _, r := range f.table {
+		if r != 0 {
+			filed++
+		}
+	}
+	if filed != inherited {
+		t.Errorf("shared index holds %d refs after the clones interned, want the %d inherited", filed, inherited)
 	}
 
 	// A live arena cloned again and again without appending in between —
@@ -296,7 +302,7 @@ func TestArenaClonesShareFrozenIndex(t *testing.T) {
 		t.Fatal("clones taken between two appends do not share one frozen prefix")
 	}
 	probe.Intern(VC{0, 0, 100})
-	if c := probe.Clone(); c.base == a.base || len(c.base.entries) != len(a.base.entries)+1 {
+	if c := probe.Clone(); c.base == a.base || c.base.len() != a.base.len()+1 {
 		t.Fatal("a clone taken after an append reuses the stale prefix")
 	}
 	if got := a.Intern(VC{0, 0, 99}); got != Ref(inherited+1) {
