@@ -9,6 +9,7 @@
 package yashme_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"runtime"
@@ -91,7 +92,7 @@ func BenchmarkTable3(b *testing.B) {
 	b.ReportAllocs()
 	races := 0
 	for i := 0; i < b.N; i++ {
-		res := suite.Run(suite.Config{
+		res := suite.RunContext(context.Background(), suite.Config{
 			Tags:     []string{workload.TagTable3},
 			Variants: []string{suite.VariantRaces},
 		})
@@ -196,7 +197,7 @@ func BenchmarkSuiteTable3(b *testing.B) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
-				res = suite.Run(suite.Config{
+				res = suite.RunContext(context.Background(), suite.Config{
 					Tags:      []string{workload.TagTable3},
 					Variants:  []string{suite.VariantRaces},
 					Reference: mode.reference,
@@ -256,7 +257,7 @@ func BenchmarkSuiteTable3(b *testing.B) {
 			for name := range m.Benchmarks {
 				var bb, ba runtime.MemStats
 				runtime.ReadMemStats(&bb)
-				suite.Run(suite.Config{
+				suite.RunContext(context.Background(), suite.Config{
 					Names:      []string{name},
 					Variants:   []string{suite.VariantRaces},
 					Reference:  mode.reference,
@@ -393,7 +394,7 @@ func BenchmarkTable4(b *testing.B) {
 	b.ReportAllocs()
 	races := 0
 	for i := 0; i < b.N; i++ {
-		res := suite.Run(suite.Config{
+		res := suite.RunContext(context.Background(), suite.Config{
 			Tags:     []string{workload.TagTable4},
 			Variants: []string{suite.VariantRaces},
 		})
@@ -445,7 +446,7 @@ func BenchmarkBenign(b *testing.B) {
 	b.ReportAllocs()
 	races := 0
 	for i := 0; i < b.N; i++ {
-		res := suite.Run(suite.Config{
+		res := suite.RunContext(context.Background(), suite.Config{
 			Tags:     []string{workload.TagBenign},
 			Variants: []string{suite.VariantBenign},
 		})

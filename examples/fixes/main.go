@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"yashme"
+	"yashme/internal/pmdk"
 	"yashme/internal/progs/cceh"
 )
 
@@ -31,4 +32,8 @@ func main() {
 	yashme.RunOnce(cceh.NewFixed(6, &fixedStats), yashme.Options{Prefix: true}, 0, yashme.PersistLatest, 1)
 	fmt.Printf("functionality preserved: buggy recovered %d/6, fixed recovered %d/6\n",
 		buggyStats.Found, fixedStats.Found)
+
+	redo := yashme.Run(pmdk.NewRedoProg(nil), yashme.Options{Mode: yashme.ModelCheck, Prefix: true})
+	fmt.Printf("PMDK redo log:      %d races, %d benign — its valid-entry count is an atomic release store\n",
+		redo.Report.Count(), redo.Report.BenignCount())
 }

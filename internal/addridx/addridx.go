@@ -66,14 +66,6 @@ func (t *Table[T]) At(a pmm.Addr) T {
 	return t.slots[a]
 }
 
-// Ptr returns a pointer to the slot for a, growing the table as needed. The
-// pointer is invalidated by the next growth; do not retain it across Set/Ptr
-// calls for other addresses.
-func (t *Table[T]) Ptr(a pmm.Addr) *T {
-	t.slots = growSlots(t.slots, int(a))
-	return &t.slots[a]
-}
-
 // Set stores v as the state for a, growing the table as needed.
 func (t *Table[T]) Set(a pmm.Addr, v T) {
 	t.slots = growSlots(t.slots, int(a))
@@ -153,16 +145,6 @@ func resetSlots[T any](slots []T) []T {
 	return slots[:0]
 }
 
-// ForEach calls f for every grown slot in ascending address order, including
-// zero-valued ones; f returns false to stop early.
-func (t *Table[T]) ForEach(f func(pmm.Addr, T) bool) {
-	for i, v := range t.slots {
-		if !f(pmm.Addr(i), v) {
-			return
-		}
-	}
-}
-
 // LineTable is a dense table of per-cache-line state indexed by Line (which
 // pmm already numbers densely: Line = Addr / CacheLineSize). The zero value
 // is an empty table ready for use.
@@ -184,22 +166,6 @@ func (t *LineTable[T]) At(l pmm.Line) T {
 func (t *LineTable[T]) Ptr(l pmm.Line) *T {
 	t.slots = growSlots(t.slots, int(l))
 	return &t.slots[l]
-}
-
-// Set stores v as the state for l, growing the table as needed.
-func (t *LineTable[T]) Set(l pmm.Line, v T) {
-	t.slots = growSlots(t.slots, int(l))
-	t.slots[l] = v
-}
-
-// Reserve pre-allocates capacity for lines [0, n); see Table.Reserve.
-func (t *LineTable[T]) Reserve(n int) {
-	if n <= cap(t.slots) || n > maxSlots {
-		return
-	}
-	s := make([]T, len(t.slots), n)
-	copy(s, t.slots)
-	t.slots = s
 }
 
 // CopyFrom makes t a flat copy of src on t's backing array when it is
@@ -224,13 +190,3 @@ func (t *LineTable[T]) Truncate(n int) { t.slots = truncateSlots(t.slots, n) }
 // Reset empties the table for reuse, keeping the backing array; see
 // Table.Reset. Reference-typed slot values are dropped, not recycled.
 func (t *LineTable[T]) Reset() { t.slots = resetSlots(t.slots) }
-
-// ForEach calls f for every grown slot in ascending line order, including
-// zero-valued ones; f returns false to stop early.
-func (t *LineTable[T]) ForEach(f func(pmm.Line, T) bool) {
-	for i, v := range t.slots {
-		if !f(pmm.Line(i), v) {
-			return
-		}
-	}
-}

@@ -25,28 +25,15 @@ func TestTableSetAtPtr(t *testing.T) {
 	if got := tab.At(0x39); got != 0 {
 		t.Fatalf("unset slot = %d, want 0", got)
 	}
-	*tab.Ptr(0x48) = 9
-	if got := tab.At(0x48); got != 9 {
-		t.Fatalf("At after Ptr write = %d, want 9", got)
+	tab.Set(0x48, 9)
+	if p := tab.Peek(0x48); p == nil || *p != 9 {
+		t.Fatalf("Peek after Set = %v, want a pointer to 9", p)
+	}
+	if p := tab.Peek(0x49); p != nil {
+		t.Fatalf("Peek past the grown range = %v, want nil", p)
 	}
 	if tab.Len() != 0x49 {
 		t.Fatalf("Len = %d, want %d", tab.Len(), 0x49)
-	}
-}
-
-func TestTableForEachOrder(t *testing.T) {
-	var tab Table[int]
-	tab.Set(10, 1)
-	tab.Set(5, 2)
-	var addrs []pmm.Addr
-	tab.ForEach(func(a pmm.Addr, v int) bool {
-		if v != 0 {
-			addrs = append(addrs, a)
-		}
-		return true
-	})
-	if len(addrs) != 2 || addrs[0] != 5 || addrs[1] != 10 {
-		t.Fatalf("ForEach order = %v, want [5 10]", addrs)
 	}
 }
 
@@ -63,7 +50,7 @@ func TestTableOutOfRangePanics(t *testing.T) {
 func TestLineTable(t *testing.T) {
 	var tab LineTable[string]
 	l := pmm.LineOf(0x1000)
-	tab.Set(l, "x")
+	*tab.Ptr(l) = "x"
 	if got := tab.At(l); got != "x" {
 		t.Fatalf("At = %q", got)
 	}
@@ -72,14 +59,12 @@ func TestLineTable(t *testing.T) {
 	}
 	var c LineTable[string]
 	c.CopyFrom(&tab)
-	c.Set(l, "y")
+	*c.Ptr(l) = "y"
 	if tab.At(l) != "x" {
 		t.Fatal("copy aliased original")
 	}
-	n := 0
-	tab.ForEach(func(pmm.Line, string) bool { n++; return true })
-	if n != int(l)+1 {
-		t.Fatalf("ForEach visited %d slots, want %d", n, int(l)+1)
+	if tab.Len() != int(l)+1 {
+		t.Fatalf("Len = %d, want %d", tab.Len(), int(l)+1)
 	}
 }
 
@@ -107,12 +92,11 @@ func TestResetRegrowReadsZero(t *testing.T) {
 	}
 
 	var lines LineTable[[]pmm.Addr]
-	lines.Reserve(64)
-	for l := pmm.Line(0); l < 10; l++ {
-		lines.Set(l, []pmm.Addr{pmm.Addr(l)})
+	for l := pmm.Line(0); l < 64; l++ {
+		*lines.Ptr(l) = []pmm.Addr{pmm.Addr(l)}
 	}
 	lines.Reset()
-	lines.Set(40, nil)
+	*lines.Ptr(40) = nil
 	for l := pmm.Line(0); l < 40; l++ {
 		if got := lines.At(l); got != nil {
 			t.Fatalf("line %d = %v after Reset and regrow, want nil", l, got)
@@ -170,10 +154,10 @@ func TestTableTruncateRegrowReadsZero(t *testing.T) {
 
 	var lines LineTable[[]pmm.Addr]
 	for l := pmm.Line(0); l < 8; l++ {
-		lines.Set(l, []pmm.Addr{pmm.Addr(l)})
+		*lines.Ptr(l) = []pmm.Addr{pmm.Addr(l)}
 	}
 	lines.Truncate(3)
-	lines.Set(7, nil)
+	*lines.Ptr(7) = nil
 	if lines.Len() != 8 || lines.At(2) == nil {
 		t.Fatalf("line table after Truncate(3) and regrow: Len %d, line 2 = %v", lines.Len(), lines.At(2))
 	}

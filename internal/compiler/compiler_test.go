@@ -151,7 +151,7 @@ func TestTable2aAllRowsRewrite(t *testing.T) {
 		after := row.After.CountMemOps()
 		splitRow := row.Optimization == "Use a non-atomic pair of stores for a 64-bit store"
 		if splitRow {
-			if row.After.CountStores() != 2*row.Before.CountStores() {
+			if row.After.countStores() != 2*row.Before.countStores() {
 				t.Errorf("%s/%s: wide store not split", row.Compiler, row.Arch)
 			}
 			continue
@@ -179,7 +179,7 @@ func TestPCLHTUntouched(t *testing.T) {
 	if asm.CountMemOps() != 0 {
 		t.Fatal("optimizer introduced memops into volatile-store P-CLHT")
 	}
-	if asm.CountStores() != 0 {
+	if asm.countStores() != 0 {
 		t.Fatal("P-CLHT model should have no plain stores at all")
 	}
 }

@@ -140,19 +140,6 @@ func (p Program) CountMemOps() int {
 	return n
 }
 
-// CountStores counts plain (non-atomic) store operations.
-func (p Program) CountStores() int {
-	n := 0
-	for _, r := range p.Routines {
-		for _, op := range r.Ops {
-			if s, ok := op.(Store); ok && !s.Atomic {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 func (p Program) String() string {
 	var b strings.Builder
 	for _, r := range p.Routines {

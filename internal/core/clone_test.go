@@ -39,10 +39,10 @@ func TestCloneIndependence(t *testing.T) {
 	// Resume the clone: crash, race on the unflushed Z and mark it torn.
 	ce := nd.Current()
 	nd.EndExecution(r.m.CurSeq())
-	nm := tso.NewMachine(nd)
+	nm := tso.NewMachine(nd, nd.ClockArena())
 	nm.EnqueueStore(0, addrZ, 8, 3, false, false)
 	nm.DrainSB(0)
-	if race := nd.CheckCandidate(ce, ce.Latest(addrZ), false); race == nil {
+	if race := nd.checkCandidate(ce, ce.Latest(addrZ), false); race == nil {
 		t.Fatal("clone: unflushed non-atomic store must race")
 	}
 	ce.MarkTorn(ce.Latest(addrZ))
@@ -51,13 +51,13 @@ func TestCloneIndependence(t *testing.T) {
 	r.m.EnqueueCLFlush(0, addrX)
 	r.m.DrainSB(0)
 
-	if got := len(origExec.FlushesOf(origExec.Latest(addrX))); got != 1 {
+	if got := len(origExec.flushesOf(origExec.Latest(addrX))); got != 1 {
 		t.Errorf("original store has %d flushes, want 1", got)
 	}
-	if got := len(ce.FlushesOf(ce.Latest(addrX))); got != 0 {
+	if got := len(ce.flushesOf(ce.Latest(addrX))); got != 0 {
 		t.Errorf("clone store gained %d flushes from the original's clflush", got)
 	}
-	if origExec.WasTorn(origExec.Latest(addrZ)) {
+	if origExec.Latest(addrZ).torn {
 		t.Error("clone's Torn mark leaked into the original record")
 	}
 	if got := r.d.Report().Count(); got != 0 {
@@ -73,7 +73,7 @@ func TestCloneIndependence(t *testing.T) {
 	// The other direction: race on the original, check the clone's report.
 	e := r.d.Current()
 	r.d.EndExecution(r.m.CurSeq())
-	if race := r.d.CheckCandidate(e, e.Latest(addrZ), false); race == nil {
+	if race := r.d.checkCandidate(e, e.Latest(addrZ), false); race == nil {
 		t.Fatal("original: unflushed non-atomic store must race")
 	}
 	if got := nd.Report().Count(); got != 1 {
@@ -100,7 +100,7 @@ func TestCloneNoAliasing(t *testing.T) {
 	nd := r.d.Clone()
 	ce := nd.Current()
 	nd.EndExecution(r.m.CurSeq())
-	nm := tso.NewMachine(nd)
+	nm := tso.NewMachine(nd, nd.ClockArena())
 	nm.EnqueueStore(0, addrZ+8, 8, 4, false, false)
 	nm.EnqueueCLFlush(0, addrZ) // covers Z+8, on the post-crash execution
 	nm.DrainSB(0)
@@ -115,13 +115,13 @@ func TestCloneNoAliasing(t *testing.T) {
 	if got := oe.Latest(addrZ + 8); got != nil {
 		t.Errorf("clone's commit leaked into the original: %+v", got)
 	}
-	if r.d.ClockArena().At(oe.cvpre).Max() != 0 {
+	if r.d.ClockArena().At(oe.cvpre).String() != "{}" {
 		t.Errorf("clone's observation extended the original's CVpre: %v", r.d.ClockArena().At(oe.cvpre))
 	}
-	if r.d.ClockArena().At(oe.lastflush.At(pmm.LineOf(addrY))).Max() != 0 {
+	if r.d.ClockArena().At(oe.lastflush.At(pmm.LineOf(addrY))).String() != "{}" {
 		t.Errorf("clone's lastflush join leaked into the original")
 	}
-	if oe.WasTorn(oe.Latest(addrX)) {
+	if oe.Latest(addrX).torn {
 		t.Error("clone's Torn mark leaked into the original record")
 	}
 
@@ -139,19 +139,19 @@ func TestCloneNoAliasing(t *testing.T) {
 	if got := len(ce.lineAddrs.At(pmm.LineOf(addrX))); got != 2 {
 		t.Errorf("clone's line list for X holds %d addresses, want 2", got)
 	}
-	if got := len(ce.FlushesOf(ce.Latest(addrX))); got != 0 {
+	if got := len(ce.flushesOf(ce.Latest(addrX))); got != 0 {
 		t.Errorf("original's flush leaked into the clone: %d entries", got)
 	}
-	if ce.WasTorn(ce.Latest(addrZ)) {
+	if ce.Latest(addrZ).torn {
 		t.Error("original's Torn mark leaked into the clone record")
 	}
-	if !ce.WasTorn(ce.Latest(addrX)) {
+	if !ce.Latest(addrX).torn {
 		t.Error("clone lost its own Torn mark")
 	}
 	if nd.ClockArena().At(ce.cvpre).Get(0) != 2 {
 		t.Errorf("clone CVpre = %v, want its own observation of seq 2 only", nd.ClockArena().At(ce.cvpre))
 	}
-	if got := len(pe.FlushesOf(pe.Latest(addrZ + 8))); got != 1 {
+	if got := len(pe.flushesOf(pe.Latest(addrZ + 8))); got != 1 {
 		t.Errorf("clone's post-crash store has %d flushes, want 1", got)
 	}
 }

@@ -121,7 +121,7 @@ func (s *StoreRecord) Ref() StoreRef { return s.ref }
 
 // Prev returns the ref of the previous store to the same address in this
 // execution (0 = none). Walking Latest → Prev visits an address's history
-// newest-first without allocating, unlike History.
+// newest-first without allocating.
 func (s *StoreRecord) Prev() StoreRef { return s.prevSameAddr }
 
 // Execution is the per-execution detector state. Executions form a stack
@@ -197,25 +197,6 @@ func (e *Execution) ByRef(r StoreRef) *StoreRecord {
 	return &e.arena[r-1]
 }
 
-// History returns the commit-ordered stores to addr in this execution.
-func (e *Execution) History(addr pmm.Addr) []*StoreRecord {
-	n := 0
-	for r := e.storeTab.At(addr); r != 0; r = e.ByRef(r).prevSameAddr {
-		n++
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]*StoreRecord, n)
-	for r := e.storeTab.At(addr); r != 0; {
-		s := e.ByRef(r)
-		n--
-		out[n] = s
-		r = s.prevSameAddr
-	}
-	return out
-}
-
 // Latest returns the latest committed store to addr, or nil.
 func (e *Execution) Latest(addr pmm.Addr) *StoreRecord { return e.ByRef(e.storeTab.At(addr)) }
 
@@ -223,29 +204,9 @@ func (e *Execution) Latest(addr pmm.Addr) *StoreRecord { return e.ByRef(e.storeT
 // flushes, or nil if no flush covered the address.
 func (e *Execution) PersistLB(addr pmm.Addr) *StoreRecord { return e.ByRef(e.persistTab.At(addr)) }
 
-// FlushesOf returns the flushmap entries recorded for s: the first flush
-// per thread that happens-after it.
-func (e *Execution) FlushesOf(s *StoreRecord) []FlushRef {
-	var out []FlushRef
-	for n := s.flushHead; n != 0; n = e.flushArena[n-1].next {
-		out = append(out, e.flushArena[n-1].ref)
-	}
-	return out
-}
-
 // MarkTorn records that a post-crash load observed s as racing and
 // synthesized a torn value from it.
 func (e *Execution) MarkTorn(s *StoreRecord) { s.torn = true }
-
-// WasTorn reports whether a torn value was synthesized from s.
-func (e *Execution) WasTorn(s *StoreRecord) bool { return s.torn }
-
-// CrashSeq returns the σ at which this execution crashed (0 if running).
-func (e *Execution) CrashSeq() vclock.Seq { return e.crashSeq }
-
-// StoredAddrs returns every address written in this execution, in ascending
-// address order.
-func (e *Execution) StoredAddrs() []pmm.Addr { return e.AppendStoredAddrs(nil) }
 
 // AppendStoredAddrs appends every address written in this execution to buf,
 // in ascending address order, and returns the extended slice. Callers on the
@@ -310,8 +271,8 @@ type Detector struct {
 	report *report.Set
 	// arena holds every clock snapshot the detector's state refers to:
 	// record stamps, per-line lastflush refs and cvpre all resolve here.
-	// The engine points the simulating tso.Machine at the same arena
-	// (Machine.UseArena) so stamps cross the listener boundary by value.
+	// The engine builds the simulating tso.Machine on the same arena
+	// (tso.NewMachine) so stamps cross the listener boundary by value.
 	arena *vclock.Arena
 	// journal, when attached (AttachUndo), records every mutation of the
 	// current execution so the engine's probe can rewind them (journal.go).
@@ -464,27 +425,14 @@ var _ tso.Listener = (*Detector)(nil)
 
 // --- post-crash checks (paper Figure 9) ---
 
-// CheckCandidate runs the Load_NonAtomic race check for one candidate store
-// s in pre-crash execution e, without committing the observation. guarded
-// marks a checksum-validation load (report classified benign). It returns
-// the race report, or nil if the store is persistency-safe.
-//
-// The engine calls this for every store the load could have read from
-// (Jaaru's candidate sets); ObserveRead then commits the store actually
-// read.
-func (d *Detector) CheckCandidate(e *Execution, s *StoreRecord, guarded bool) *report.Race {
-	if !d.CandidateRaced(e, s, guarded) {
-		return nil
-	}
-	r := d.race(e, s, guarded)
-	return &r
-}
-
-// CandidateRaced is CheckCandidate for callers that only need the verdict:
-// it records the race identically but never materializes the report on the
-// heap. The engine's candidate loop checks every store a post-crash load
-// could have read from, so this path runs orders of magnitude more often
-// than races are actually new.
+// CandidateRaced runs the Load_NonAtomic race check for one candidate store
+// s in pre-crash execution e, without committing the observation, and
+// reports whether s races. guarded marks a checksum-validation load (the
+// report is classified benign). A race is recorded in the report set; the
+// report itself is never materialized on the heap. The engine calls this
+// for every store a post-crash load could have read from (Jaaru's
+// candidate sets), orders of magnitude more often than races are actually
+// new; ObserveRead then commits the store actually read.
 //
 // Verdicts are memoized on the record (FastTrack's same-epoch rule applied
 // to candidate checks): a store found persisted, or whose label is

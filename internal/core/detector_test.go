@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"yashme/internal/pmm"
+	"yashme/internal/report"
 	"yashme/internal/tso"
 	"yashme/internal/vclock"
 )
@@ -16,7 +18,7 @@ type rig struct {
 
 func newRig(prefix bool) *rig {
 	d := New(Config{Prefix: prefix, Benchmark: "test"})
-	return &rig{d: d, m: tso.NewMachine(d)}
+	return &rig{d: d, m: tso.NewMachine(d, d.ClockArena())}
 }
 
 // crash ends the pre-crash execution and returns it for post-crash checks.
@@ -24,6 +26,36 @@ func (r *rig) crash() *Execution {
 	e := r.d.Current()
 	r.d.EndExecution(r.m.CurSeq())
 	return e
+}
+
+// checkCandidate runs the race check for one candidate store and returns
+// the race report, or nil if the store is persistency-safe.
+func (d *Detector) checkCandidate(e *Execution, s *StoreRecord, guarded bool) *report.Race {
+	if !d.CandidateRaced(e, s, guarded) {
+		return nil
+	}
+	r := d.race(e, s, guarded)
+	return &r
+}
+
+// history returns the commit-ordered stores to addr in e.
+func (e *Execution) history(addr pmm.Addr) []*StoreRecord {
+	var out []*StoreRecord
+	for r := e.storeTab.At(addr); r != 0; r = e.ByRef(r).prevSameAddr {
+		out = append(out, e.ByRef(r))
+	}
+	slices.Reverse(out)
+	return out
+}
+
+// flushesOf returns the flushmap entries recorded for s: the first flush
+// per thread that happens-after it.
+func (e *Execution) flushesOf(s *StoreRecord) []FlushRef {
+	var out []FlushRef
+	for n := s.flushHead; n != 0; n = e.flushArena[n-1].next {
+		out = append(out, e.flushArena[n-1].ref)
+	}
+	return out
 }
 
 const (
@@ -41,7 +73,7 @@ func TestRaceWhenStoreNeverFlushed(t *testing.T) {
 	if s == nil {
 		t.Fatal("store not recorded")
 	}
-	if race := r.d.CheckCandidate(e, s, false); race == nil {
+	if race := r.d.checkCandidate(e, s, false); race == nil {
 		t.Fatal("unflushed non-atomic store must race")
 	}
 	if r.d.Report().Count() != 1 {
@@ -54,7 +86,7 @@ func TestAtomicStoreNeverRaces(t *testing.T) {
 	r.m.EnqueueStore(0, addrX, 8, 1, true, true)
 	r.m.DrainSB(0)
 	e := r.crash()
-	if race := r.d.CheckCandidate(e, e.Latest(addrX), false); race != nil {
+	if race := r.d.checkCandidate(e, e.Latest(addrX), false); race != nil {
 		t.Fatal("atomic store reported as persistency race (Def 5.1 cond 1)")
 	}
 }
@@ -62,11 +94,11 @@ func TestAtomicStoreNeverRaces(t *testing.T) {
 func TestInitialValueNeverRaces(t *testing.T) {
 	r := newRig(true)
 	e := r.crash()
-	if race := r.d.CheckCandidate(e, nil, false); race != nil {
+	if race := r.d.checkCandidate(e, nil, false); race != nil {
 		t.Fatal("nil store raced")
 	}
 	seeded := &StoreRecord{Addr: addrX, Seq: 0}
-	if race := r.d.CheckCandidate(e, seeded, false); race != nil {
+	if race := r.d.checkCandidate(e, seeded, false); race != nil {
 		t.Fatal("seq-0 (initial) store raced")
 	}
 }
@@ -83,10 +115,10 @@ func TestPrefixFindsRaceBeyondWindow(t *testing.T) {
 		r.m.DrainSB(0)
 		e := r.crash()
 		s := e.Latest(addrX)
-		if len(e.FlushesOf(s)) != 1 {
-			t.Fatalf("flushmap entries = %d, want 1", len(e.FlushesOf(s)))
+		if len(e.flushesOf(s)) != 1 {
+			t.Fatalf("flushmap entries = %d, want 1", len(e.flushesOf(s)))
 		}
-		race := r.d.CheckCandidate(e, s, false)
+		race := r.d.checkCandidate(e, s, false)
 		if prefix && race == nil {
 			t.Error("prefix mode missed the race outside the crash window")
 		}
@@ -112,7 +144,7 @@ func TestPrefixClosedByLaterObservation(t *testing.T) {
 	// Post-crash reads the release store to Z first: CVpre now covers the
 	// clflush.
 	r.d.ObserveRead(e, e.Latest(addrZ))
-	if race := r.d.CheckCandidate(e, e.Latest(addrX), false); race != nil {
+	if race := r.d.checkCandidate(e, e.Latest(addrX), false); race != nil {
 		t.Fatal("race reported although the flush is inside the consistent prefix")
 	}
 }
@@ -128,7 +160,7 @@ func TestCoherenceDefeatsRace(t *testing.T) {
 
 	// Post-crash reads Y (atomic) before X.
 	r.d.ObserveRead(e, e.Latest(addrY))
-	if race := r.d.CheckCandidate(e, e.Latest(addrX), false); race != nil {
+	if race := r.d.checkCandidate(e, e.Latest(addrX), false); race != nil {
 		t.Fatal("coherence-protected store reported as race")
 	}
 }
@@ -142,7 +174,7 @@ func TestCoherenceOnOtherLineDoesNotProtect(t *testing.T) {
 	r.d.ObserveRead(e, e.Latest(addrZ))
 	// CVpre now covers the store to X... but no flush exists at all, so the
 	// race stands regardless of the prefix.
-	if race := r.d.CheckCandidate(e, e.Latest(addrX), false); race == nil {
+	if race := r.d.checkCandidate(e, e.Latest(addrX), false); race == nil {
 		t.Fatal("release store on another line wrongly protected the store")
 	}
 }
@@ -158,7 +190,7 @@ func TestCoherenceOrderSensitivity(t *testing.T) {
 	e := r.crash()
 
 	// Check X first (no prior observation of Y): race.
-	if race := r.d.CheckCandidate(e, e.Latest(addrX), false); race == nil {
+	if race := r.d.checkCandidate(e, e.Latest(addrX), false); race == nil {
 		t.Fatal("race missed when racy load precedes the atomic read")
 	}
 }
@@ -171,10 +203,10 @@ func TestCLWBWithoutFenceStillRaces(t *testing.T) {
 	r.m.DrainSB(0) // clwb sits in the flush buffer, no fence
 	e := r.crash()
 	s := e.Latest(addrX)
-	if len(e.FlushesOf(s)) != 0 {
-		t.Fatalf("clwb without fence recorded a flush: %v", e.FlushesOf(s))
+	if len(e.flushesOf(s)) != 0 {
+		t.Fatalf("clwb without fence recorded a flush: %v", e.flushesOf(s))
 	}
-	if race := r.d.CheckCandidate(e, s, false); race == nil {
+	if race := r.d.checkCandidate(e, s, false); race == nil {
 		t.Fatal("clwb without fence must not defeat the race")
 	}
 }
@@ -187,10 +219,10 @@ func TestCLWBPlusSFencePersists(t *testing.T) {
 	r.m.DrainSB(0)
 	e := r.crash()
 	s := e.Latest(addrX)
-	if len(e.FlushesOf(s)) != 1 {
-		t.Fatalf("flushmap entries = %d, want 1", len(e.FlushesOf(s)))
+	if len(e.flushesOf(s)) != 1 {
+		t.Fatalf("flushmap entries = %d, want 1", len(e.flushesOf(s)))
 	}
-	if race := r.d.CheckCandidate(e, s, false); race != nil {
+	if race := r.d.checkCandidate(e, s, false); race != nil {
 		t.Fatal("clwb+sfence did not defeat the race in baseline mode")
 	}
 }
@@ -201,7 +233,7 @@ func TestCLWBPlusMFencePersists(t *testing.T) {
 	r.m.EnqueueCLWB(0, addrX)
 	r.m.MFence(0)
 	e := r.crash()
-	if len(e.FlushesOf(e.Latest(addrX))) != 1 {
+	if len(e.flushesOf(e.Latest(addrX))) != 1 {
 		t.Fatal("mfence did not complete the clwb")
 	}
 }
@@ -214,10 +246,10 @@ func TestFlushBeforeStoreDoesNotCount(t *testing.T) {
 	r.m.DrainSB(0)
 	e := r.crash()
 	s := e.Latest(addrX)
-	if len(e.FlushesOf(s)) != 0 {
-		t.Fatalf("flush before store recorded in flushmap: %v", e.FlushesOf(s))
+	if len(e.flushesOf(s)) != 0 {
+		t.Fatalf("flush before store recorded in flushmap: %v", e.flushesOf(s))
 	}
-	if race := r.d.CheckCandidate(e, s, false); race == nil {
+	if race := r.d.checkCandidate(e, s, false); race == nil {
 		t.Fatal("store after its line's flush must race")
 	}
 }
@@ -233,7 +265,7 @@ func TestCrossThreadFlushNeedsHappensBefore(t *testing.T) {
 	r.m.EnqueueCLFlush(1, addrX)
 	r.m.DrainSB(1)
 	e := r.crash()
-	if got := len(e.FlushesOf(e.Latest(addrX))); got != 0 {
+	if got := len(e.flushesOf(e.Latest(addrX))); got != 0 {
 		t.Fatalf("unsynchronized cross-thread flush recorded: %d", got)
 	}
 
@@ -246,7 +278,7 @@ func TestCrossThreadFlushNeedsHappensBefore(t *testing.T) {
 	r.m.EnqueueCLFlush(1, addrX)
 	r.m.DrainSB(1)
 	e = r.crash()
-	if got := len(e.FlushesOf(e.Latest(addrX))); got != 1 {
+	if got := len(e.flushesOf(e.Latest(addrX))); got != 1 {
 		t.Fatalf("synchronized cross-thread flush not recorded: %d", got)
 	}
 }
@@ -260,7 +292,7 @@ func TestFlushmapFirstFlushOnly(t *testing.T) {
 	r.m.EnqueueCLFlush(0, addrX)
 	r.m.DrainSB(0)
 	e := r.crash()
-	if got := len(e.FlushesOf(e.Latest(addrX))); got != 1 {
+	if got := len(e.flushesOf(e.Latest(addrX))); got != 1 {
 		t.Fatalf("flushmap entries = %d, want 1 (first flush only)", got)
 	}
 }
@@ -278,7 +310,7 @@ func TestStoreAfterFlushRaces(t *testing.T) {
 	if s.Val != 2 {
 		t.Fatalf("latest store val = %d", s.Val)
 	}
-	if race := r.d.CheckCandidate(e, s, false); race == nil {
+	if race := r.d.checkCandidate(e, s, false); race == nil {
 		t.Fatal("store after flush must race")
 	}
 	// The earlier store is persisted and is the persist lower bound.
@@ -292,7 +324,7 @@ func TestGuardedLoadReportsBenign(t *testing.T) {
 	r.m.EnqueueStore(0, addrX, 8, 1, false, false)
 	r.m.DrainSB(0)
 	e := r.crash()
-	race := r.d.CheckCandidate(e, e.Latest(addrX), true)
+	race := r.d.checkCandidate(e, e.Latest(addrX), true)
 	if race == nil || !race.Benign {
 		t.Fatalf("guarded race = %+v, want benign", race)
 	}
@@ -307,8 +339,8 @@ func TestDedupSameFieldManyScenarios(t *testing.T) {
 	r.m.EnqueueStore(0, addrX, 8, 2, false, false)
 	r.m.DrainSB(0)
 	e := r.crash()
-	for _, s := range e.History(addrX) {
-		r.d.CheckCandidate(e, s, false)
+	for _, s := range e.history(addrX) {
+		r.d.checkCandidate(e, s, false)
 	}
 	if r.d.Report().Count() != 1 {
 		t.Fatalf("deduplicated count = %d, want 1", r.d.Report().Count())
@@ -329,14 +361,14 @@ func TestExecutionStackMultiCrash(t *testing.T) {
 	e0 := r.crash()
 
 	// Execution 1 (recovery): unflushed store to Z on a fresh machine.
-	m1 := tso.NewMachine(r.d)
+	m1 := tso.NewMachine(r.d, r.d.ClockArena())
 	m1.EnqueueStore(0, addrZ, 8, 9, false, false)
 	m1.DrainSB(0)
 	e1 := r.d.Current()
 	r.d.EndExecution(m1.CurSeq())
 
 	// Execution 2 reads Z from execution 1: race in recovery code.
-	if race := r.d.CheckCandidate(e1, e1.Latest(addrZ), false); race == nil {
+	if race := r.d.checkCandidate(e1, e1.Latest(addrZ), false); race == nil {
 		t.Fatal("race in recovery execution missed")
 	}
 	// And reading X from execution 0 after observing something past its
@@ -362,7 +394,7 @@ func TestMultithreadedPrefixBeyondCrashPoints(t *testing.T) {
 
 	// Post-crash: read flag f (thread 2's store), then read z.
 	r.d.ObserveRead(e, e.Latest(addrX))
-	race := r.d.CheckCandidate(e, e.Latest(addrZ), false)
+	race := r.d.checkCandidate(e, e.Latest(addrZ), false)
 	if race == nil {
 		t.Fatal("prefix analysis missed the multithreaded race (paper §4.2)")
 	}
@@ -376,7 +408,7 @@ func TestMultithreadedPrefixBeyondCrashPoints(t *testing.T) {
 	rb.m.DrainSB(2)
 	eb := rb.crash()
 	rb.d.ObserveRead(eb, eb.Latest(addrX))
-	if race := rb.d.CheckCandidate(eb, eb.Latest(addrZ), false); race != nil {
+	if race := rb.d.checkCandidate(eb, eb.Latest(addrZ), false); race != nil {
 		t.Fatal("baseline mode found a race it should not be able to see")
 	}
 }
@@ -386,7 +418,7 @@ func TestLabelFallbackIsHex(t *testing.T) {
 	r.m.EnqueueStore(0, addrX, 8, 1, false, false)
 	r.m.DrainSB(0)
 	e := r.crash()
-	race := r.d.CheckCandidate(e, e.Latest(addrX), false)
+	race := r.d.checkCandidate(e, e.Latest(addrX), false)
 	if race.Field != "0x1000" {
 		t.Fatalf("fallback label = %q", race.Field)
 	}
@@ -397,7 +429,7 @@ func TestObserveReadIgnoresInitial(t *testing.T) {
 	e := r.crash()
 	r.d.ObserveRead(e, nil)
 	r.d.ObserveRead(e, &StoreRecord{Seq: 0})
-	if r.d.ClockArena().At(e.cvpre).Max() != 0 {
+	if r.d.ClockArena().At(e.cvpre).String() != "{}" {
 		t.Fatal("initial reads extended CVpre")
 	}
 }
@@ -408,10 +440,10 @@ func TestStoredAddrsAndCrashSeq(t *testing.T) {
 	r.m.EnqueueStore(0, addrZ, 8, 2, false, false)
 	r.m.DrainSB(0)
 	e := r.crash()
-	if got := len(e.StoredAddrs()); got != 2 {
+	if got := len(e.AppendStoredAddrs(nil)); got != 2 {
 		t.Fatalf("StoredAddrs = %d, want 2", got)
 	}
-	if e.CrashSeq() != vclock.Seq(2) {
-		t.Fatalf("CrashSeq = %d, want 2", e.CrashSeq())
+	if e.crashSeq != vclock.Seq(2) {
+		t.Fatalf("CrashSeq = %d, want 2", e.crashSeq)
 	}
 }

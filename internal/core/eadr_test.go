@@ -9,7 +9,7 @@ import (
 // newEADRRig wires a detector in eADR mode (§7.5).
 func newEADRRig() *rig {
 	d := New(Config{Prefix: true, EADR: true, Benchmark: "eadr"})
-	return &rig{d: d, m: tso.NewMachine(d)}
+	return &rig{d: d, m: tso.NewMachine(d, d.ClockArena())}
 }
 
 // On eADR the cache is persistent: an unflushed store still races when it
@@ -20,7 +20,7 @@ func TestEADRLastStoreStillRaces(t *testing.T) {
 	r.m.EnqueueStore(0, addrX, 8, 1, false, false)
 	r.m.DrainSB(0)
 	e := r.crash()
-	if race := r.d.CheckCandidate(e, e.Latest(addrX), false); race == nil {
+	if race := r.d.checkCandidate(e, e.Latest(addrX), false); race == nil {
 		t.Fatal("eADR: trailing store must still race (torn mid-store)")
 	}
 }
@@ -35,7 +35,7 @@ func TestEADRObservationPersists(t *testing.T) {
 	e := r.crash()
 	// Post-crash reads Z first: its CV covers the X store.
 	r.d.ObserveRead(e, e.Latest(addrZ))
-	if race := r.d.CheckCandidate(e, e.Latest(addrX), false); race != nil {
+	if race := r.d.checkCandidate(e, e.Latest(addrX), false); race != nil {
 		t.Fatal("eADR: store ordered before an observed operation raced")
 	}
 }
@@ -46,15 +46,15 @@ func TestEADRObservationPersists(t *testing.T) {
 func TestEADRIsStrictlyWeaker(t *testing.T) {
 	build := func(eadr bool) int {
 		d := New(Config{Prefix: true, EADR: eadr, Benchmark: "cmp"})
-		m := tso.NewMachine(d)
+		m := tso.NewMachine(d, d.ClockArena())
 		m.EnqueueStore(0, addrX, 8, 1, false, false)
 		m.EnqueueStore(0, addrZ, 8, 2, false, false)
 		m.DrainSB(0)
 		e := d.Current()
 		d.EndExecution(m.CurSeq())
 		d.ObserveRead(e, e.Latest(addrZ))
-		d.CheckCandidate(e, e.Latest(addrX), false)
-		d.CheckCandidate(e, e.Latest(addrZ), false)
+		d.checkCandidate(e, e.Latest(addrX), false)
+		d.checkCandidate(e, e.Latest(addrZ), false)
 		return d.Report().Count()
 	}
 	normal := build(false)
@@ -75,7 +75,7 @@ func TestEADRCoherenceStillApplies(t *testing.T) {
 	r.m.DrainSB(0)
 	e := r.crash()
 	r.d.ObserveRead(e, e.Latest(addrY))
-	if race := r.d.CheckCandidate(e, e.Latest(addrX), false); race != nil {
+	if race := r.d.checkCandidate(e, e.Latest(addrX), false); race != nil {
 		t.Fatal("eADR: coherence-protected store raced")
 	}
 }
@@ -84,16 +84,16 @@ func TestEADRCoherenceStillApplies(t *testing.T) {
 func TestSuppressionAnnotations(t *testing.T) {
 	d := New(Config{Prefix: true, Benchmark: "sup",
 		Suppress: []string{"0x1000"}}) // the fallback hex label for addrX
-	m := tso.NewMachine(d)
+	m := tso.NewMachine(d, d.ClockArena())
 	m.EnqueueStore(0, addrX, 8, 1, false, false)
 	m.EnqueueStore(0, addrZ, 8, 2, false, false)
 	m.DrainSB(0)
 	e := d.Current()
 	d.EndExecution(m.CurSeq())
-	if race := d.CheckCandidate(e, e.Latest(addrX), false); race != nil {
+	if race := d.checkCandidate(e, e.Latest(addrX), false); race != nil {
 		t.Fatal("suppressed field reported")
 	}
-	if race := d.CheckCandidate(e, e.Latest(addrZ), false); race == nil {
+	if race := d.checkCandidate(e, e.Latest(addrZ), false); race == nil {
 		t.Fatal("non-suppressed field missed")
 	}
 	if d.Report().Count() != 1 {

@@ -10,7 +10,6 @@ import (
 
 	"yashme/internal/pmm"
 	"yashme/internal/tso"
-	"yashme/internal/vclock"
 )
 
 // TestRecordSizesMatchAccounting pins the footprint constants to the
@@ -101,12 +100,11 @@ func memoOutcome(d *Detector) string {
 	fmt.Fprintf(&b, "%v\n%v\n", d.Report().Races(), d.Report().Benign())
 	for _, e := range d.execs {
 		fmt.Fprintf(&b, "exec %d cvpre %v lastflush", e.ID, d.arena.At(e.cvpre))
-		e.lastflush.ForEach(func(l pmm.Line, ref vclock.Ref) bool {
-			if ref != 0 {
+		for l := pmm.Line(0); int(l) < e.lastflush.Len(); l++ {
+			if ref := e.lastflush.At(l); ref != 0 {
 				fmt.Fprintf(&b, " %d=%v", l, d.arena.At(ref))
 			}
-			return true
-		})
+		}
 		b.WriteByte('\n')
 	}
 	return b.String()
@@ -131,7 +129,7 @@ func TestMemoMatchesClearedMemo(t *testing.T) {
 		}
 		d := New(cfg)
 		for exec := 0; exec < 2; exec++ {
-			m := tso.NewMachine(d)
+			m := tso.NewMachine(d, d.ClockArena())
 			m.SpawnThreads(2)
 			for i, n := 0, 8+rng.Intn(40); i < n; i++ {
 				applyRewindOp(m, byte(rng.Intn(256)), uint64(rng.Int63()))
@@ -200,14 +198,14 @@ func TestStoredAddrsMatchDenseScan(t *testing.T) {
 	}
 	r.m.DrainSB(0)
 	want := []pmm.Addr{0x1000, 0x1008, 0x1010, 0x1040, 0x2000, 0x2008}
-	if got := r.d.Current().StoredAddrs(); !slices.Equal(got, want) {
+	if got := r.d.Current().AppendStoredAddrs(nil); !slices.Equal(got, want) {
 		t.Fatalf("StoredAddrs = %#x, want %#x", got, want)
 	}
 
 	rng := rand.New(rand.NewSource(2))
 	for iter := 0; iter < 200; iter++ {
 		d := New(Config{Prefix: true, Benchmark: "walk"})
-		m := tso.NewMachine(d)
+		m := tso.NewMachine(d, d.ClockArena())
 		m.SpawnThreads(2)
 		j := &Journal{}
 		d.AttachUndo(j)
@@ -217,13 +215,13 @@ func TestStoredAddrsMatchDenseScan(t *testing.T) {
 			applyRewindOp(m, byte(rng.Intn(256)), uint64(i+1))
 			marks = append(marks, j.Mark())
 			e := d.Current()
-			if got, want := e.StoredAddrs(), denseStoredAddrs(e); !slices.Equal(got, want) {
+			if got, want := e.AppendStoredAddrs(nil), denseStoredAddrs(e); !slices.Equal(got, want) {
 				t.Fatalf("iter %d op %d: line walk %#x, dense scan %#x", iter, i, got, want)
 			}
 		}
 		d.Rewind(j, marks[rng.Intn(len(marks))])
 		e := d.Current()
-		if got, want := e.StoredAddrs(), denseStoredAddrs(e); !slices.Equal(got, want) {
+		if got, want := e.AppendStoredAddrs(nil), denseStoredAddrs(e); !slices.Equal(got, want) {
 			t.Fatalf("iter %d after rewind: line walk %#x, dense scan %#x", iter, got, want)
 		}
 		d.Retire()

@@ -27,8 +27,8 @@ func stateOf(d *Detector) []byte {
 	var buf []byte
 	for _, e := range d.Executions() {
 		buf = fmt.Appendf(buf, "%x\n", e.AppendStateSignature(nil))
-		for _, a := range e.StoredAddrs() {
-			for _, s := range e.History(a) {
+		for _, a := range e.AppendStoredAddrs(nil) {
+			for _, s := range e.history(a) {
 				buf = fmt.Appendf(buf, "%d:%+v;", e.ID, *s)
 			}
 		}
@@ -44,7 +44,7 @@ func dirtyPools() {
 		r.commitFlushed(addrX, 16, 1000*uint64(i+1))
 		r.commitFlushed(addrZ, 16, 5000*uint64(i+1))
 		r.d.EndExecution(r.m.CurSeq())
-		r.m = tso.NewMachine(r.d)
+		r.m = tso.NewMachine(r.d, r.d.ClockArena())
 		r.commitFlushed(addrX, 4, 9000)
 		r.d.Retire()
 	}
@@ -70,7 +70,7 @@ func TestRetireKeepsSnapshotsIntact(t *testing.T) {
 	// A recovery execution on the probe, so its Retire recycles a grown
 	// execution besides the rewound one.
 	probe.d.EndExecution(probe.m.CurSeq())
-	probe.m = tso.NewMachine(probe.d)
+	probe.m = tso.NewMachine(probe.d, probe.d.ClockArena())
 	probe.commitFlushed(addrX, 2, 200)
 
 	wantKey, wantFull := stateOf(key), stateOf(full)
@@ -103,10 +103,10 @@ func TestRetiredExecutionsComeBackEmpty(t *testing.T) {
 	dirtyPools()
 	r := newRig(true)
 	for _, e := range r.d.Executions() {
-		if n := len(e.StoredAddrs()); n != 0 {
+		if n := len(e.AppendStoredAddrs(nil)); n != 0 {
 			t.Fatalf("fresh execution %d holds %d stored addresses", e.ID, n)
 		}
-		if e.CrashSeq() != 0 || e.PersistLB(addrX) != nil || e.Latest(addrZ) != nil {
+		if e.crashSeq != 0 || e.PersistLB(addrX) != nil || e.Latest(addrZ) != nil {
 			t.Fatalf("fresh execution %d carries state from a retired one", e.ID)
 		}
 	}
@@ -114,10 +114,10 @@ func TestRetiredExecutionsComeBackEmpty(t *testing.T) {
 	r.m.EnqueueStore(0, addrX, 8, 1, false, false)
 	r.m.DrainSB(0)
 	e := r.crash()
-	if got := len(e.FlushesOf(e.Latest(addrX))); got != 0 {
+	if got := len(e.flushesOf(e.Latest(addrX))); got != 0 {
 		t.Fatalf("fresh store has %d flushes", got)
 	}
-	if race := r.d.CheckCandidate(e, e.Latest(addrX), false); race == nil {
+	if race := r.d.checkCandidate(e, e.Latest(addrX), false); race == nil {
 		t.Fatal("unflushed store on a recycled execution must race")
 	}
 }
@@ -134,7 +134,7 @@ func TestRetireKeepsWalkCopiesIntact(t *testing.T) {
 	resume := func(probe *rig, c *Detector) {
 		resumed := c.Clone()
 		resumed.EndExecution(probe.m.CurSeq())
-		rec := &rig{d: resumed, m: tso.NewMachine(resumed)}
+		rec := &rig{d: resumed, m: tso.NewMachine(resumed, resumed.ClockArena())}
 		rec.commitFlushed(addrZ, 5, 700)
 		resumed.Retire()
 		dirtyPools()

@@ -47,7 +47,7 @@ func applyRewindOp(m *tso.Machine, b byte, val uint64) {
 
 // rewindState renders what FuzzJournalRewind compares: per execution the
 // state signature, every record (its flush-chain bounds included) and its
-// flush chain (FlushesOf, arena order), the per-line address lists, and the
+// flush chain (flushesOf, arena order), the per-line address lists, and the
 // detector's FootprintBytes, which reads the table lengths a rewind must
 // restore.
 func rewindState(d *Detector) []byte {
@@ -55,15 +55,14 @@ func rewindState(d *Detector) []byte {
 	for _, e := range d.Executions() {
 		buf = fmt.Appendf(buf, "exec %d sig %x\n", e.ID, e.AppendStateSignature(nil))
 		for r := StoreRef(1); int(r) <= len(e.arena); r++ {
-			buf = fmt.Appendf(buf, "%+v %v;", *e.ByRef(r), e.FlushesOf(e.ByRef(r)))
+			buf = fmt.Appendf(buf, "%+v %v;", *e.ByRef(r), e.flushesOf(e.ByRef(r)))
 		}
 		buf = fmt.Appendf(buf, "\nlines %d:", e.lineAddrs.Len())
-		e.lineAddrs.ForEach(func(l pmm.Line, addrs []pmm.Addr) bool {
-			if len(addrs) > 0 {
+		for l := pmm.Line(0); int(l) < e.lineAddrs.Len(); l++ {
+			if addrs := e.lineAddrs.At(l); len(addrs) > 0 {
 				buf = fmt.Appendf(buf, " %d=%v", l, addrs)
 			}
-			return true
-		})
+		}
 		buf = fmt.Appendf(buf, "\n")
 	}
 	return fmt.Appendf(buf, "footprint %d\n", d.FootprintBytes())
@@ -83,7 +82,7 @@ func checkJournalRewind(t *testing.T, prog []byte, mark uint16) {
 		prog = prog[:maxRewindOps]
 	}
 	d := New(Config{Prefix: true, Benchmark: "rewind"})
-	m := tso.NewMachine(d)
+	m := tso.NewMachine(d, d.ClockArena())
 	m.SpawnThreads(2)
 	j := &Journal{}
 	d.AttachUndo(j)

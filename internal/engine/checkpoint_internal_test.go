@@ -130,8 +130,8 @@ func TestRecoverySnapshotsSurviveWarmRetire(t *testing.T) {
 		st.ZeroCost()
 		s := fmt.Sprintf("%s raw=%d %+v\n", sc.det.Report(), sc.det.Report().RawCount, st)
 		for _, e := range sc.det.Executions() {
-			for _, a := range e.StoredAddrs() {
-				for _, r := range e.History(a) {
+			for _, a := range e.AppendStoredAddrs(nil) {
+				for r := e.Latest(a); r != nil; r = e.ByRef(r.Prev()) {
 					s += fmt.Sprintf("%d:%d/%d=%d@%d.%d %v%v;", e.ID, r.Addr, r.Size, r.Val, r.TID, r.Seq, r.Atomic, r.Release)
 				}
 			}

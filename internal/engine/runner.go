@@ -475,11 +475,10 @@ func (sc *scenario) startMachine() {
 	// CurSeq); retiring it lets NewMachine — this one or a later scenario's
 	// on any worker — reuse its dense memory table and spare record slots.
 	tso.Retire(sc.machine)
-	sc.machine = tso.NewMachine(listener)
 	// The machine's record stamps must resolve in the detector's clock
 	// arena — the stamps cross the listener boundary by value and end up in
 	// StoreRecords, lastflush refs and cvpre.
-	sc.machine.UseArena(sc.det.ClockArena())
+	sc.machine = tso.NewMachine(listener, sc.det.ClockArena())
 	if sc.execIdx > 0 {
 		return
 	}

@@ -198,114 +198,3 @@ func New(numItems int, stats *Stats) func() pmm.Program {
 		}
 	}
 }
-
-// command is one client request in the volatile request queue.
-type command struct {
-	op   int // 0 = set, 1 = quit
-	slot int
-	key  uint64
-	val  uint64
-}
-
-// NewClientServer returns the paper's two-process shape (§7.1: "we
-// developed our own client from Memcached's test cases... this client
-// modifies the cache server using insertion and lookup operations"): a
-// client thread enqueues SET commands into a volatile request queue and a
-// server thread drains it, applying the persistent slab-pool protocol. The
-// queue itself is DRAM state (a socket stand-in), so only the server's PM
-// writes are race-relevant — the same four Table 4 bugs.
-func NewClientServer(numItems int, stats *Stats) func() pmm.Program {
-	if numItems > NumSlabs*ItemsPerSlab {
-		numItems = NumSlabs * ItemsPerSlab
-	}
-	n := numItems
-	return func() pmm.Program {
-		var srv *Server
-		var queue []command
-		var mu = make(chan struct{}, 1) // binary semaphore over the queue
-		mu <- struct{}{}
-		push := func(c command) {
-			<-mu
-			queue = append(queue, c)
-			mu <- struct{}{}
-		}
-		pop := func() (command, bool) {
-			<-mu
-			defer func() { mu <- struct{}{} }()
-			if len(queue) == 0 {
-				return command{}, false
-			}
-			c := queue[0]
-			queue = queue[1:]
-			return c, true
-		}
-		return pmm.Program{
-			Name:  "Memcached",
-			Setup: func(h *pmm.Heap) { srv = NewServer(h) },
-			Workers: []func(*pmm.Thread){
-				// Server: start the pool, serve until QUIT, shut down.
-				func(t *pmm.Thread) {
-					srv.Startup(t)
-					for {
-						c, ok := pop()
-						if !ok {
-							t.Yield() // wait for the client
-							continue
-						}
-						if c.op == 1 {
-							break
-						}
-						srv.SetItem(t, c.slot, c.key, c.val)
-					}
-					srv.Shutdown(t)
-				},
-				// Client: issue SETs, then QUIT.
-				func(t *pmm.Thread) {
-					for i := 0; i < n; i++ {
-						push(command{op: 0, slot: i, key: uint64(i + 1), val: ValueFor(uint64(i + 1))})
-						t.Yield()
-					}
-					push(command{op: 1})
-				},
-			},
-			PostCrash: func(t *pmm.Thread) {
-				valid, items := srv.Restart(t)
-				if stats == nil {
-					return
-				}
-				stats.Valid = valid
-				for _, it := range items {
-					if !it.Linked {
-						continue
-					}
-					if it.ChecksumOK {
-						stats.Recovered++
-					} else {
-						stats.BadSums++
-					}
-				}
-			},
-		}
-	}
-}
-
-// DeleteItem unlinks a slot: the chunk flags are cleared with the same
-// plain store that set them (still Table 4 bug #4's field) and the slot is
-// persisted.
-func (s *Server) DeleteItem(t *pmm.Thread, idx int) {
-	chunk := s.chunks.At(idx)
-	t.Store8(chunk.F("it_flags"), 0)
-	t.Persist(chunk.Base(), chunk.Size())
-}
-
-// CASSet is memcached's compare-and-set command: the item is rewritten only
-// if the caller's CAS token matches the item's current one; the token read
-// is one more observing site for bug #5.
-func (s *Server) CASSet(t *pmm.Thread, idx int, expectedCAS, key, value uint64) bool {
-	item := s.items.At(idx)
-	if t.Load64(item.F("cas")) != expectedCAS {
-		return false
-	}
-	s.SetItem(t, idx, key, value)
-	return true
-}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"yashme/internal/engine"
-	"yashme/internal/pmm"
 	"yashme/internal/progs/progtest"
 )
 
@@ -80,109 +79,4 @@ func TestPrefixBeatsBaselineOnSingleExecution(t *testing.T) {
 	if best < 1 {
 		t.Fatal("no seed exposed prefix-only races on Memcached")
 	}
-}
-
-// The client/server driver finds the same Table 4 races as the sequential
-// one: the request queue is DRAM, only the server's PM protocol matters.
-func TestClientServerRaces(t *testing.T) {
-	progtest.AssertRaces(t, NewClientServer(4, nil), ExpectedHarmful)
-}
-
-func TestClientServerFunctional(t *testing.T) {
-	var stats Stats
-	progtest.RunFull(t, NewClientServer(5, &stats))
-	if !stats.Valid || stats.Recovered != 5 || stats.BadSums != 0 {
-		t.Fatalf("client/server full run: %+v", stats)
-	}
-}
-
-// The server must not livelock when the scheduler favours it while the
-// queue is empty: Yield keeps it schedulable and the client eventually
-// runs.
-func TestClientServerUnderRandomSchedules(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		var stats Stats
-		engine.RunOne(NewClientServer(4, &stats), engine.Options{Prefix: true, Mode: engine.RandomMode},
-			0, engine.PersistLatest, seed)
-		if stats.Recovered != 4 {
-			t.Fatalf("seed %d: recovered %d of 4", seed, stats.Recovered)
-		}
-	}
-}
-
-func TestDeleteItemUnlinks(t *testing.T) {
-	var stats Stats
-	mk := func() pmm.Program {
-		var srv *Server
-		return pmm.Program{
-			Name:  "mc-del",
-			Setup: func(h *pmm.Heap) { srv = NewServer(h) },
-			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
-				srv.Startup(t)
-				srv.SetItem(t, 0, 1, ValueFor(1))
-				srv.SetItem(t, 1, 2, ValueFor(2))
-				srv.DeleteItem(t, 0)
-				srv.Shutdown(t)
-			}},
-			PostCrash: func(t *pmm.Thread) {
-				valid, items := srv.Restart(t)
-				stats.Valid = valid
-				for _, it := range items {
-					if it.Linked && it.ChecksumOK {
-						stats.Recovered++
-					}
-				}
-			},
-		}
-	}
-	progtest.RunFull(t, mk)
-	if stats.Recovered != 1 {
-		t.Fatalf("recovered %d items after delete, want 1", stats.Recovered)
-	}
-}
-
-func TestCASSetSemantics(t *testing.T) {
-	var okWrong, okRight bool
-	mk := func() pmm.Program {
-		var srv *Server
-		return pmm.Program{
-			Name:  "mc-cas",
-			Setup: func(h *pmm.Heap) { srv = NewServer(h) },
-			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
-				srv.Startup(t)
-				srv.SetItem(t, 0, 1, 10) // cas token 1
-				okWrong = srv.CASSet(t, 0, 99, 1, 20)
-				okRight = srv.CASSet(t, 0, 1, 1, 20) // token now 2
-				srv.Shutdown(t)
-			}},
-		}
-	}
-	progtest.RunFull(t, mk)
-	if okWrong {
-		t.Fatal("CAS with stale token succeeded")
-	}
-	if !okRight {
-		t.Fatal("CAS with current token failed")
-	}
-}
-
-// Delete and CAS paths keep the Table 4 race inventory unchanged.
-func TestDeleteAndCASKeepRaceInventory(t *testing.T) {
-	mk := func() pmm.Program {
-		var srv *Server
-		return pmm.Program{
-			Name:  "Memcached",
-			Setup: func(h *pmm.Heap) { srv = NewServer(h) },
-			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
-				srv.Startup(t)
-				srv.SetItem(t, 0, 1, ValueFor(1))
-				srv.CASSet(t, 0, 1, 1, ValueFor(2))
-				srv.SetItem(t, 1, 2, ValueFor(2))
-				srv.DeleteItem(t, 1)
-				srv.Shutdown(t)
-			}},
-			PostCrash: func(t *pmm.Thread) { srv.Restart(t) },
-		}
-	}
-	progtest.AssertRaces(t, mk, ExpectedHarmful)
 }

@@ -148,24 +148,6 @@ func (tx *Tx) Commit() {
 	tx.n = 0
 }
 
-// Abort rolls the transaction back in place (pmemobj_tx_abort): the logged
-// snapshots are re-applied newest-first and the log is retired. Unlike a
-// crash-time rollback this runs in the same execution, so the restores are
-// ordinary stores.
-func (tx *Tx) Abort() {
-	t := tx.t
-	for i := tx.n - 1; i >= 0; i-- {
-		e := tx.pool.entries.At(i)
-		off := t.Load64(e.F("offset"))
-		val := t.Load64(e.F("value"))
-		t.Store64(pmm.Addr(off), val)
-		t.Persist(pmm.Addr(off), 8)
-	}
-	t.Store64(tx.pool.ulog.F("entry_ptr"), 0)
-	t.Persist(tx.pool.ulog.F("entry_ptr"), 8)
-	tx.n = 0
-}
-
 // computeChecksum folds the first n log entries into a checksum word using
 // loads issued through the thread (so the reads are simulated too).
 func (p *Pool) computeChecksum(t *pmm.Thread, n int) uint64 {

@@ -191,32 +191,6 @@ func TestRBTreeColorsAndUpdates(t *testing.T) {
 	}
 }
 
-func TestHashmapAtomicCount(t *testing.T) {
-	var count uint64
-	mk := func() pmm.Program {
-		var pool *Pool
-		var hm *HashmapAtomic
-		return pmm.Program{
-			Name: "hma-count",
-			Setup: func(h *pmm.Heap) {
-				pool = NewPool(h)
-				hm = NewHashmapAtomic(h, pool)
-			},
-			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
-				for k := uint64(1); k <= 5; k++ {
-					hm.Put(t, k, k)
-				}
-				hm.Put(t, 3, 33) // update must not bump the count
-				count = hm.Count(t)
-			}},
-		}
-	}
-	progtest.RunFull(t, mk)
-	if count != 5 {
-		t.Fatalf("count = %d, want 5", count)
-	}
-}
-
 func TestPrefixBeatsBaselineOnSingleExecution(t *testing.T) {
 	best := 0
 	for seed := int64(1); seed <= 8; seed++ {
@@ -227,47 +201,6 @@ func TestPrefixBeatsBaselineOnSingleExecution(t *testing.T) {
 	}
 	if best < 1 {
 		t.Fatal("no seed exposed prefix-only races on the PMDK btree")
-	}
-}
-
-// Explicit transaction abort (pmemobj_tx_abort) restores the snapshots in
-// place and leaves the pool clean for recovery.
-func TestTxAbortRestoresInPlace(t *testing.T) {
-	var during, after, recovered uint64
-	var rolledBack int
-	mk := func() pmm.Program {
-		var pool *Pool
-		var x pmm.Addr
-		return pmm.Program{
-			Name: "abort",
-			Setup: func(h *pmm.Heap) {
-				pool = NewPool(h)
-				x = h.AllocStruct("obj", pmm.Layout{{Name: "x", Size: 8}}).F("x")
-				h.Init(x, 8, 100)
-			},
-			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
-				tx := pool.TxBegin(t)
-				tx.Set(x, 200)
-				during = t.Load64(x)
-				tx.Abort()
-				after = t.Load64(x)
-			}},
-			PostCrash: func(t *pmm.Thread) {
-				rb, _ := pool.Recover(t)
-				rolledBack = rb
-				recovered = t.Load64(x)
-			},
-		}
-	}
-	progtest.RunFull(t, mk)
-	if during != 200 || after != 100 {
-		t.Fatalf("during=%d after=%d, want 200 then 100", during, after)
-	}
-	if rolledBack != 0 {
-		t.Fatalf("recovery rolled back %d entries after a clean abort", rolledBack)
-	}
-	if recovered != 100 {
-		t.Fatalf("recovered value = %d, want 100", recovered)
 	}
 }
 

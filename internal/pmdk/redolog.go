@@ -108,3 +108,48 @@ func (r *RedoLog) Recover(t *pmm.Thread) (applied int, valid bool) {
 	t.Persist(r.hdr.F("nentries"), 8)
 	return int(n), true
 }
+
+// NewRedoProg returns the redo-log driver (§7.2's fix at the framework
+// level): the worker stages counter updates through the redo log, and
+// recovery replays the log and reads the counters back. stats (optional)
+// counts recoveries that saw a consistent or a corrupt counter state.
+func NewRedoProg(stats *Stats) func() pmm.Program {
+	return func() pmm.Program {
+		var rl *RedoLog
+		var a, b pmm.Addr
+		return pmm.Program{
+			Name: "redo",
+			Setup: func(h *pmm.Heap) {
+				NewPool(h)
+				rl = NewRedoLog(h)
+				obj := h.AllocStruct("counters", pmm.Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}})
+				a, b = obj.F("a"), obj.F("b")
+			},
+			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
+				rl.Stage(t, a, 11)
+				rl.Stage(t, b, 22)
+				rl.Process(t)
+				rl.Stage(t, a, 33)
+				rl.Process(t)
+			}},
+			PostCrash: func(t *pmm.Thread) {
+				applied, valid := rl.Recover(t)
+				va, vb := t.Load64(a), t.Load64(b)
+				if stats == nil {
+					return
+				}
+				stats.RolledBack += applied
+				stats.LogValid = valid
+				// a is 0, 11 or 33; b is 0 or 22 — anything else is
+				// corruption.
+				okA := va == 0 || va == 11 || va == 33
+				okB := vb == 0 || vb == 22
+				if okA && okB {
+					stats.Found++
+				} else {
+					stats.Wrong++
+				}
+			},
+		}
+	}
+}

@@ -8,54 +8,11 @@ import (
 	"yashme/internal/progs/progtest"
 )
 
-// redoDriver stages counter updates through the redo log; recovery replays
-// the log and reads the counters back.
-func redoDriver(stats *Stats) func() pmm.Program {
-	return func() pmm.Program {
-		var rl *RedoLog
-		var a, b pmm.Addr
-		return pmm.Program{
-			Name: "redo",
-			Setup: func(h *pmm.Heap) {
-				NewPool(h)
-				rl = NewRedoLog(h)
-				obj := h.AllocStruct("counters", pmm.Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}})
-				a, b = obj.F("a"), obj.F("b")
-			},
-			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
-				rl.Stage(t, a, 11)
-				rl.Stage(t, b, 22)
-				rl.Process(t)
-				rl.Stage(t, a, 33)
-				rl.Process(t)
-			}},
-			PostCrash: func(t *pmm.Thread) {
-				applied, valid := rl.Recover(t)
-				va, vb := t.Load64(a), t.Load64(b)
-				if stats == nil {
-					return
-				}
-				stats.RolledBack += applied
-				stats.LogValid = valid
-				// a is 0, 11 or 33; b is 0 or 22 — anything else is
-				// corruption.
-				okA := va == 0 || va == 11 || va == 33
-				okB := vb == 0 || vb == 22
-				if okA && okB {
-					stats.Found++
-				} else {
-					stats.Wrong++
-				}
-			},
-		}
-	}
-}
-
 // The redo log is written with the paper's FIX (atomic release publication)
 // and must be completely race-free — harmful and benign alike — across
 // every crash point.
 func TestRedoLogNoRaces(t *testing.T) {
-	res := engine.Run(redoDriver(nil), engine.Options{Mode: engine.ModelCheck, Prefix: true})
+	res := engine.Run(NewRedoProg(nil), engine.Options{Mode: engine.ModelCheck, Prefix: true})
 	if res.Report.Count() != 0 {
 		t.Fatalf("redo log raced:\n%s", res.Report)
 	}
@@ -69,7 +26,7 @@ func TestRedoLogNoRaces(t *testing.T) {
 func TestRedoLogNoCorruptionAtAnyCrashPoint(t *testing.T) {
 	var stats Stats
 	// Workers: 1 — the driver writes the shared stats.
-	engine.Run(redoDriver(&stats), engine.Options{Mode: engine.ModelCheck, Prefix: true, Workers: 1})
+	engine.Run(NewRedoProg(&stats), engine.Options{Mode: engine.ModelCheck, Prefix: true, Workers: 1})
 	if stats.Wrong != 0 {
 		t.Fatalf("recovery observed %d corrupt counter states", stats.Wrong)
 	}

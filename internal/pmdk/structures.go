@@ -521,6 +521,3 @@ func (hm *HashmapAtomic) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	}
 	return 0, false
 }
-
-// Count reads the logged element counter.
-func (hm *HashmapAtomic) Count(t *pmm.Thread) uint64 { return t.Load64(hm.count.F("count")) }

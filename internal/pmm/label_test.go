@@ -13,9 +13,8 @@ import (
 // memo.
 var labelShapes atomic.Int64
 
-// labelFixture builds a heap with one struct, one array, a one-element
-// array and one raw allocation of layout number n (field names a<n>, b<n>,
-// c<n>), and returns the addresses worth labelling: every byte of every
+// labelFixture builds a heap with one struct, one array and a one-element
+// array of layout number n (field names a<n>, b<n>, c<n>), and returns the addresses worth labelling: every byte of every
 // allocation, the alignment gaps and the first bytes past the end, and
 // addresses below the first allocation.
 func labelFixture(h *Heap, n int64) []Addr {
@@ -27,7 +26,6 @@ func labelFixture(h *Heap, n int64) []Addr {
 	h.AllocStruct("Obj", l)
 	h.AllocArray("Arr", l, 3)
 	h.AllocArray("One", l, 1)
-	h.AllocRaw("raw", 24)
 	addrs := []Addr{0, CacheLineSize - 1}
 	for a := Addr(CacheLineSize); a < h.NextFree()+2*CacheLineSize; a++ {
 		addrs = append(addrs, a)
@@ -70,7 +68,7 @@ func TestLabelMemoSnapshotMatchesFresh(t *testing.T) {
 		}
 	}
 
-	obj, arr, one, raw := src.allocs[0], src.allocs[1], src.allocs[2], src.allocs[3]
+	obj, arr, one := src.allocs[0], src.allocs[1], src.allocs[2]
 	for _, c := range []struct {
 		addr Addr
 		want string
@@ -81,9 +79,7 @@ func TestLabelMemoSnapshotMatchesFresh(t *testing.T) {
 		{arr.base + Addr(2*arr.stride) + 10, fmt.Sprintf("Arr[2].c%d", n)},
 		{arr.base + Addr(arr.stride) - 1, "Arr[0].+15"},
 		{one.base + 10, fmt.Sprintf("One.c%d", n)},
-		{raw.base, "raw"},
-		{raw.base + 8, "raw+8"},
-		{raw.base + 24, fmt.Sprintf("0x%x", uint64(raw.base+24))},
+		{one.base + Addr(one.size), fmt.Sprintf("0x%x", uint64(one.base)+uint64(one.size))},
 		{0, "0x0"},
 	} {
 		if got := view().LabelFor(c.addr); got != c.want {
@@ -152,13 +148,11 @@ func TestLabelMemoAllocations(t *testing.T) {
 	next := 0
 	objB := src.allocs[0].base + 8
 	elem := src.allocs[1].base + Addr(src.allocs[1].stride) + 10
-	raw := src.allocs[3].base + 8
 	if n := testing.AllocsPerRun(runs, func() {
 		h := heaps[next]
 		next++
 		h.LabelFor(objB)
 		h.LabelFor(elem)
-		h.LabelFor(raw)
 	}); n != 0 {
 		t.Errorf("memo hits on a fresh snapshot view allocate %v times per run, want 0", n)
 	}

@@ -139,8 +139,8 @@ type allocation struct {
 	base   Addr
 	size   int // total bytes
 	label  string
-	layout *layoutInfo // nil for raw allocations
-	count  int         // array element count; 1 for plain structs
+	layout *layoutInfo
+	count  int // array element count; 1 for plain structs
 	stride int
 }
 
@@ -206,17 +206,6 @@ func (h *Heap) AllocArray(label string, l Layout, count int) Array {
 	base := h.place(stride * count)
 	h.allocs = append(h.allocs, allocation{base: base, size: stride * count, label: label, layout: info, count: count, stride: stride})
 	return Array{base: base, layout: info, label: label, count: count, stride: stride}
-}
-
-// AllocRaw allocates size bytes with no field structure. Accesses into raw
-// allocations are labelled "label+off".
-func (h *Heap) AllocRaw(label string, size int) Addr {
-	if size <= 0 {
-		panic("pmm: AllocRaw size must be positive")
-	}
-	base := h.place(size)
-	h.allocs = append(h.allocs, allocation{base: base, size: size, label: label, count: 1, stride: size})
-	return base
 }
 
 func (h *Heap) place(size int) Addr {
@@ -311,9 +300,6 @@ func (a Array) At(i int) Struct {
 	return Struct{base: a.base + Addr(i*a.stride), layout: a.layout, label: a.label}
 }
 
-// Len returns the number of elements.
-func (a Array) Len() int { return a.count }
-
 // Label returns the array's allocation label.
 func (a Array) Label() string { return a.label }
 
@@ -351,7 +337,7 @@ func (h *Heap) findAlloc(addr Addr) *allocation {
 // (Thread.Heap), which yields the same handle the allocation returned.
 func (h *Heap) StructAt(a Addr) (Struct, bool) {
 	al := h.findAlloc(a)
-	if al == nil || al.layout == nil {
+	if al == nil {
 		return Struct{}, false
 	}
 	off := int(a - al.base)
@@ -372,7 +358,7 @@ func (s Struct) FieldCount() int { return len(s.layout.fields) }
 // this is for recovery code resolving pointers read from persistent memory.
 func (h *Heap) ArrayAt(a Addr) (Array, bool) {
 	al := h.findAlloc(a)
-	if al == nil || al.layout == nil || al.base != a {
+	if al == nil || al.base != a {
 		return Array{}, false
 	}
 	return Array{base: al.base, layout: al.layout, label: al.label, count: al.count, stride: al.stride}, true
@@ -392,41 +378,29 @@ func (h *Heap) NextAllocBase(a Addr) (Addr, bool) {
 
 // labelKey is what an address's label depends on besides its
 // allocation's layout: the allocation label, the element index (-1 for a
-// plain struct or a raw allocation) and the byte offset within the element.
+// plain struct) and the byte offset within the element.
 type labelKey struct {
 	alloc    string
 	idx, off int
 }
 
-// rawLabels memoizes the "label+off" names of raw allocations, as
-// layoutInfo.labels does for structured ones.
-var rawLabels memo[labelKey, string]
-
 // LabelFor renders a human-readable name for an address: "Obj.field",
-// "Obj[3].field", "raw+8", or "0xADDR" if the address is unknown. Race
-// reports use these names as the bug's root cause, mirroring the paper's
-// Tables 3 and 4 which identify bugs by field.
+// "Obj[3].field", "Obj.+8" for an offset no field covers, or "0xADDR" if
+// the address is unknown. Race reports use these names as the bug's root
+// cause, mirroring the paper's Tables 3 and 4 which identify bugs by
+// field.
 //
 // The detector labels the same few racing addresses on every candidate
-// check of every crash scenario, so names are memoized per layout (raw
-// allocations: per process), where every heap of every scenario and worker
-// shares them: a hit allocates nothing. Unknown addresses are rendered
-// afresh; they do not name program state.
+// check of every crash scenario, so names are memoized per layout, where
+// every heap of every scenario and worker shares them: a hit allocates
+// nothing. Unknown addresses are rendered afresh; they do not name program
+// state.
 func (h *Heap) LabelFor(addr Addr) string {
 	a := h.findAlloc(addr)
 	if a == nil {
 		return fmt.Sprintf("0x%x", uint64(addr))
 	}
 	k := labelKey{alloc: a.label, idx: -1, off: int(addr - a.base)}
-	if a.layout == nil {
-		if k.off == 0 {
-			return a.label
-		}
-		if s, ok := rawLabels.load(k); ok {
-			return s
-		}
-		return rawLabels.store(k, func() string { return fmt.Sprintf("%s+%d", k.alloc, k.off) })
-	}
 	if a.count > 1 {
 		k.idx, k.off = k.off/a.stride, k.off%a.stride
 	}
@@ -459,29 +433,14 @@ type FieldAt struct {
 }
 
 // FieldsIn returns the field-granular access units covering [addr,
-// addr+size). For structured allocations these are the declared fields; for
-// raw allocations the range is cut into aligned 8-byte chunks with a byte
-// tail. Panics if the range is not fully contained in one allocation.
+// addr+size): the declared fields wholly inside the range. Panics if the
+// range is not fully contained in one allocation.
 func (h *Heap) FieldsIn(addr Addr, size int) []FieldAt {
 	a := h.findAlloc(addr)
 	if a == nil || addr+Addr(size) > a.base+Addr(a.size) {
 		panic(fmt.Sprintf("pmm: range [0x%x,+%d) not within a single allocation", uint64(addr), size))
 	}
 	var out []FieldAt
-	if a.layout == nil {
-		for cur, end := addr, addr+Addr(size); cur < end; {
-			step := 8
-			if int(cur)%8 != 0 {
-				step = 1
-			}
-			if Addr(step) > end-cur {
-				step = 1
-			}
-			out = append(out, FieldAt{Addr: cur, Size: step})
-			cur += Addr(step)
-		}
-		return out
-	}
 	end := addr + Addr(size)
 	for i := 0; i < a.count; i++ {
 		elemBase := a.base + Addr(i*a.stride)

@@ -81,8 +81,8 @@ func TestAllocationsAreLineAligned(t *testing.T) {
 	h := NewHeap()
 	a := h.AllocStruct("a", Layout{{"x", 8}})
 	b := h.AllocStruct("b", Layout{{"x", 8}})
-	r := h.AllocRaw("raw", 100)
-	for _, base := range []Addr{a.Base(), b.Base(), r} {
+	r := h.AllocArray("arr", Layout{{"x", 8}}, 13)
+	for _, base := range []Addr{a.Base(), b.Base(), r.Base()} {
 		if base%CacheLineSize != 0 {
 			t.Errorf("allocation base 0x%x not line aligned", uint64(base))
 		}
@@ -101,8 +101,8 @@ func TestArrayIndexingAndStride(t *testing.T) {
 	if arr.Stride() != 16 {
 		t.Fatalf("stride = %d, want 16", arr.Stride())
 	}
-	if arr.Len() != 8 {
-		t.Fatalf("len = %d, want 8", arr.Len())
+	if arr.count != 8 {
+		t.Fatalf("len = %d, want 8", arr.count)
 	}
 	for i := 0; i < 8; i++ {
 		el := arr.At(i)
@@ -135,7 +135,6 @@ func TestLabelFor(t *testing.T) {
 	h := NewHeap()
 	s := h.AllocStruct("Pair", Layout{{"key", 8}, {"value", 8}})
 	arr := h.AllocArray("seg", Layout{{"key", 8}, {"value", 8}}, 4)
-	raw := h.AllocRaw("blob", 32)
 
 	cases := []struct {
 		addr Addr
@@ -144,8 +143,6 @@ func TestLabelFor(t *testing.T) {
 		{s.F("key"), "Pair.key"},
 		{s.F("value"), "Pair.value"},
 		{arr.At(2).F("value"), "seg[2].value"},
-		{raw, "blob"},
-		{raw + 8, "blob+8"},
 		{0, "0x0"},
 	}
 	for _, c := range cases {
@@ -181,28 +178,15 @@ func TestFieldsInStruct(t *testing.T) {
 	}
 }
 
-func TestFieldsInRaw(t *testing.T) {
-	h := NewHeap()
-	raw := h.AllocRaw("blob", 20)
-	fields := h.FieldsIn(raw, 20)
-	total := 0
-	for _, f := range fields {
-		total += f.Size
-	}
-	if total != 20 {
-		t.Fatalf("FieldsIn raw covers %d bytes, want 20", total)
-	}
-}
-
 func TestFieldsInOutsideAllocationPanics(t *testing.T) {
 	h := NewHeap()
-	raw := h.AllocRaw("blob", 16)
+	s := h.AllocStruct("pair", Layout{{"key", 8}, {"value", 8}})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("FieldsIn past allocation did not panic")
 		}
 	}()
-	h.FieldsIn(raw, 32)
+	h.FieldsIn(s.Base(), 32)
 }
 
 func TestInitWritesRecorded(t *testing.T) {
@@ -265,9 +249,9 @@ func TestNoOverlapProperty(t *testing.T) {
 		type span struct{ lo, hi Addr }
 		var spans []span
 		for i, sz := range sizes {
-			n := int(sz%512) + 1
-			base := h.AllocRaw(fmt.Sprintf("r%d", i), n)
-			spans = append(spans, span{base, base + Addr(n)})
+			n := int(sz%64) + 1
+			base := h.AllocArray(fmt.Sprintf("r%d", i), Layout{{"x", 8}}, n).Base()
+			spans = append(spans, span{base, base + Addr(8*n)})
 		}
 		for i := range spans {
 			for j := i + 1; j < len(spans); j++ {
@@ -281,15 +265,6 @@ func TestNoOverlapProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestAllocRawZeroSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AllocRaw(0) did not panic")
-		}
-	}()
-	NewHeap().AllocRaw("bad", 0)
 }
 
 func TestAllocArrayZeroCountPanics(t *testing.T) {

@@ -34,7 +34,7 @@ func TestSnapshotIndependence(t *testing.T) {
 
 	// And the other direction: mutating the source must not leak into the
 	// view.
-	h.AllocRaw("raw", 64)
+	h.AllocStruct("more", Layout{{"x", 8}})
 	h.Init(s.F("a"), 8, 99)
 	if got, want := c.AllocCount(), 3; got != want {
 		t.Errorf("view AllocCount = %d after mutating source, want %d", got, want)

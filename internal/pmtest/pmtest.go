@@ -168,7 +168,7 @@ func Check(setup func(h *pmm.Heap), body Annotated) []Violation {
 		setup(heap)
 	}
 	checker := New(heap.LabelFor)
-	ops := &seqOps{m: tso.NewMachine(checker)}
+	ops := &seqOps{m: tso.NewMachine(checker, nil)}
 	for _, w := range heap.InitWrites() {
 		ops.m.SeedMemory(w.Addr, w.Size, w.Val)
 	}

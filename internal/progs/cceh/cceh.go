@@ -98,22 +98,6 @@ func (tb *Table) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Delete clears a slot. CCEH deletes by resetting the key to Invalid with a
-// locked operation so concurrent inserts can re-claim the slot.
-func (tb *Table) Delete(t *pmm.Thread, key uint64) bool {
-	for probe := 0; probe < probeWindow; probe++ {
-		seg, idx := tb.slotFor(key, probe)
-		pair := seg.At(idx)
-		keyAddr := pair.F("key")
-		if t.Load64(keyAddr) == key {
-			t.CAS64(keyAddr, key, Invalid)
-			t.CLFlush(keyAddr)
-			return true
-		}
-	}
-	return false
-}
-
 // Stats captures what the post-crash recovery observed, for functional
 // verification.
 type Stats struct {
@@ -126,8 +110,8 @@ type Stats struct {
 func ValueFor(key uint64) uint64 { return key*10 + 1 }
 
 // New returns the benchmark driver: the pre-crash worker inserts keys
-// 1..numKeys (then deletes one), and the recovery looks every key up,
-// verifying values. stats (optional) accumulates what recovery observed.
+// 1..numKeys, and the recovery looks every key up, verifying values.
+// stats (optional) accumulates what recovery observed.
 func New(numKeys int, stats *Stats) func() pmm.Program {
 	return func() pmm.Program {
 		var tb *Table
@@ -141,48 +125,6 @@ func New(numKeys int, stats *Stats) func() pmm.Program {
 					tb.Insert(t, k, ValueFor(k))
 				}
 			}},
-			PostCrash: func(t *pmm.Thread) {
-				for k := uint64(1); k <= uint64(numKeys); k++ {
-					v, ok := tb.Get(t, k)
-					if stats == nil {
-						continue
-					}
-					switch {
-					case !ok:
-						stats.Missing++
-					case v != ValueFor(k):
-						stats.Wrong++
-					default:
-						stats.Found++
-					}
-				}
-			},
-		}
-	}
-}
-
-// NewConcurrent returns a two-writer driver: the CAS slot-locking protocol
-// makes concurrent insertions legal (the paper's RECIPE benchmarks are
-// concurrent indexes and Yashme "fully supports multi-threaded programs",
-// §4.2). Workers insert disjoint key ranges; recovery looks everything up.
-func NewConcurrent(numKeys int, stats *Stats) func() pmm.Program {
-	return func() pmm.Program {
-		var tb *Table
-		insertRange := func(from, to uint64) func(*pmm.Thread) {
-			return func(t *pmm.Thread) {
-				for k := from; k <= to; k++ {
-					tb.Insert(t, k, ValueFor(k))
-				}
-			}
-		}
-		half := uint64(numKeys) / 2
-		return pmm.Program{
-			Name:  "CCEH-mt",
-			Setup: func(h *pmm.Heap) { tb = NewTable(h) },
-			Workers: []func(*pmm.Thread){
-				insertRange(1, half),
-				insertRange(half+1, uint64(numKeys)),
-			},
 			PostCrash: func(t *pmm.Thread) {
 				for k := uint64(1); k <= uint64(numKeys); k++ {
 					v, ok := tb.Get(t, k)

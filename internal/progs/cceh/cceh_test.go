@@ -23,9 +23,9 @@ func TestFunctionalFullRun(t *testing.T) {
 	}
 }
 
-func TestInsertGetDeleteSemantics(t *testing.T) {
+func TestInsertGetSemantics(t *testing.T) {
 	var got uint64
-	var ok1, okDel, ok2 bool
+	var ok1 bool
 	mk := func() pmm.Program {
 		var tb *Table
 		return pmm.Program{
@@ -34,20 +34,12 @@ func TestInsertGetDeleteSemantics(t *testing.T) {
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				tb.Insert(t, 42, 420)
 				got, ok1 = tb.Get(t, 42)
-				okDel = tb.Delete(t, 42)
-				_, ok2 = tb.Get(t, 42)
 			}},
 		}
 	}
 	progtest.RunFull(t, mk)
 	if !ok1 || got != 420 {
 		t.Fatalf("Get after Insert = (%d, %v)", got, ok1)
-	}
-	if !okDel {
-		t.Fatal("Delete failed")
-	}
-	if ok2 {
-		t.Fatal("Get after Delete still found the key")
 	}
 }
 
@@ -99,7 +91,7 @@ func TestPairFieldsShareCacheLine(t *testing.T) {
 	h := pmm.NewHeap()
 	tb := NewTable(h)
 	for s := range tb.segments {
-		for i := 0; i < tb.segments[s].Len(); i++ {
+		for i := 0; i < slotsPerSegment; i++ {
 			p := tb.segments[s].At(i)
 			if !pmm.SameLine(p.F("key"), p.F("value")) {
 				t.Fatalf("segment %d pair %d: key and value on different lines (breaks the CCEH ordering assumption)", s, i)
@@ -117,38 +109,6 @@ func TestRecoveryNeverSeesSentinel(t *testing.T) {
 	for _, r := range res.Report.Races() {
 		if r.Field != "Pair.key" && r.Field != "Pair.value" {
 			t.Fatalf("unexpected racing field %q", r.Field)
-		}
-	}
-}
-
-func TestConcurrentDriverFindsRaces(t *testing.T) {
-	res := engine.Run(NewConcurrent(6, nil), engine.Options{Mode: engine.ModelCheck, Prefix: true})
-	fields := res.Report.Fields()
-	if len(fields) != 2 || fields[0] != "Pair.key" || fields[1] != "Pair.value" {
-		t.Fatalf("concurrent driver races = %v", fields)
-	}
-}
-
-func TestConcurrentDriverFunctional(t *testing.T) {
-	var stats Stats
-	progtest.RunFull(t, NewConcurrent(6, &stats))
-	if stats.Found != 6 || stats.Missing != 0 || stats.Wrong != 0 {
-		t.Fatalf("concurrent full-run stats = %+v, want 6/0/0", stats)
-	}
-}
-
-// Random schedules interleave the two writers arbitrarily; the CAS
-// protocol must keep the table consistent in every full run.
-func TestConcurrentDriverUnderRandomSchedules(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		var stats Stats
-		engine.RunOne(NewConcurrent(6, &stats), engine.Options{Prefix: true, Mode: engine.RandomMode},
-			0, engine.PersistLatest, seed)
-		if stats.Wrong != 0 {
-			t.Fatalf("seed %d: wrong values under concurrent inserts: %+v", seed, stats)
-		}
-		if stats.Found+stats.Missing != 6 {
-			t.Fatalf("seed %d: lookups lost: %+v", seed, stats)
 		}
 	}
 }

@@ -377,45 +377,3 @@ func New(numKeys int, stats *Stats) func() pmm.Program {
 		}
 	}
 }
-
-// RangeScan returns the key/value pairs in [lo, hi] in key order by walking
-// the leaf chain through sibling_ptr (the linearizable scans FAST_FAIR's
-// B+-tree design exists for). Post-crash scans are race-observing too:
-// they read last_index, switch_counter, entry keys/ptrs and sibling_ptr.
-func (tr *Tree) RangeScan(t *pmm.Thread, lo, hi uint64) (keys, vals []uint64) {
-	// Descend to the leaf covering lo.
-	n, ok := nodeAt(t, t.Load64(tr.btree.F("root")))
-	if !ok {
-		return nil, nil
-	}
-	for t.Load64(n.hdr.F("level")) > 0 {
-		if n, ok = nodeAt(t, tr.childFor(t, n, lo)); !ok {
-			return nil, nil
-		}
-	}
-	for ok {
-		_ = t.Load64(n.hdr.F("switch_counter"))
-		cnt := n.count(t)
-		if cnt > Cardinality+1 {
-			cnt = Cardinality + 1
-		}
-		exceeded := false
-		for i := 0; i < cnt; i++ {
-			e := n.entries.At(i)
-			k := t.Load64(e.F("key"))
-			if k > hi {
-				exceeded = true
-				break
-			}
-			if k >= lo {
-				keys = append(keys, k)
-				vals = append(vals, t.Load64(e.F("ptr")))
-			}
-		}
-		if exceeded {
-			break
-		}
-		n, ok = nodeAt(t, t.Load64(n.hdr.F("sibling_ptr")))
-	}
-	return keys, vals
-}

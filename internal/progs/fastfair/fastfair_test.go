@@ -138,80 +138,3 @@ func TestPrefixBeatsBaselineOnSingleExecution(t *testing.T) {
 		t.Fatal("no seed exposed prefix-only races on Fast_Fair")
 	}
 }
-
-func TestRangeScan(t *testing.T) {
-	var keys, vals []uint64
-	mk := func() pmm.Program {
-		var tr *Tree
-		return pmm.Program{
-			Name:  "ff-scan",
-			Setup: func(h *pmm.Heap) { tr = NewTree(h) },
-			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
-				for k := uint64(20); k >= 1; k-- { // descending: shifts + splits
-					tr.Insert(t, k, ValueFor(k))
-				}
-				keys, vals = tr.RangeScan(t, 5, 15)
-			}},
-		}
-	}
-	progtest.RunFull(t, mk)
-	if len(keys) != 11 {
-		t.Fatalf("scan [5,15] returned %d keys: %v", len(keys), keys)
-	}
-	for i, k := range keys {
-		if k != uint64(5+i) {
-			t.Fatalf("scan out of order at %d: %v", i, keys)
-		}
-		if vals[i] != ValueFor(k) {
-			t.Fatalf("scan value mismatch for key %d", k)
-		}
-	}
-}
-
-func TestRangeScanEmptyRange(t *testing.T) {
-	var keys []uint64
-	mk := func() pmm.Program {
-		var tr *Tree
-		return pmm.Program{
-			Name:  "ff-scan-empty",
-			Setup: func(h *pmm.Heap) { tr = NewTree(h) },
-			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
-				tr.Insert(t, 100, 1)
-				keys, _ = tr.RangeScan(t, 5, 15)
-			}},
-		}
-	}
-	progtest.RunFull(t, mk)
-	if len(keys) != 0 {
-		t.Fatalf("empty range returned %v", keys)
-	}
-}
-
-// A post-crash range scan observes the same race set as point lookups.
-func TestRangeScanObservesRaces(t *testing.T) {
-	mk := func() pmm.Program {
-		var tr *Tree
-		return pmm.Program{
-			Name:  "Fast_Fair",
-			Setup: func(h *pmm.Heap) { tr = NewTree(h) },
-			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
-				for k := uint64(7); k >= 1; k-- {
-					tr.Insert(t, k, ValueFor(k))
-				}
-			}},
-			PostCrash: func(t *pmm.Thread) {
-				tr.RangeScan(t, 0, ^uint64(0))
-			},
-		}
-	}
-	res := engine.Run(mk, engine.Options{Mode: engine.ModelCheck, Prefix: true})
-	fields := map[string]bool{}
-	for _, f := range res.Report.Fields() {
-		fields[f] = true
-	}
-	for _, want := range []string{"entry.key", "header.last_index", "header.switch_counter", "header.sibling_ptr", "btree.root"} {
-		if !fields[want] {
-			t.Errorf("range-scan recovery missed race on %s (got %v)", want, res.Report.Fields())
-		}
-	}
-}

@@ -372,31 +372,6 @@ func (tr *Tree) Lookup(t *pmm.Thread, key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Remove deletes a key (tombstoning its leaf slot) and bumps the counters.
-func (tr *Tree) Remove(t *pmm.Thread, key uint64) bool {
-	n := tr.root
-	for level := 0; level < Depth-1; level++ {
-		slot := tr.findSlot(t, n, byteAt(key, level))
-		if slot < 0 {
-			return false
-		}
-		next, ok := nodeAt(t, tr.childAt(t, n, slot))
-		if !ok {
-			return false
-		}
-		n = next
-	}
-	slot := tr.findSlot(t, n, byteAt(key, Depth-1))
-	if slot < 0 {
-		return false
-	}
-	t.StoreAtomic(n.key(slot), 1, EmptyKey)
-	t.Store16(n.count(), t.Load16(n.count())-1)
-	t.FlushRange(n.s.Base(), n.s.Size())
-	t.SFence()
-	return true
-}
-
 // RecoverEpoche is the post-crash reclamation check: it reads every
 // DeletionList field and walks to the head label — the race-observing loads
 // for bugs #11–#15.

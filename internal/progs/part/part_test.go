@@ -41,9 +41,9 @@ func TestByteAt(t *testing.T) {
 	}
 }
 
-func TestInsertUpdateRemoveSemantics(t *testing.T) {
+func TestInsertUpdateSemantics(t *testing.T) {
 	var v1, v2 uint64
-	var ok1, ok2, okRm, okAfter bool
+	var ok1, ok2 bool
 	mk := func() pmm.Program {
 		var tr *Tree
 		return pmm.Program{
@@ -54,8 +54,6 @@ func TestInsertUpdateRemoveSemantics(t *testing.T) {
 				v1, ok1 = tr.Lookup(t, 5)
 				tr.Insert(t, 5, 55) // update in place
 				v2, ok2 = tr.Lookup(t, 5)
-				okRm = tr.Remove(t, 5)
-				_, okAfter = tr.Lookup(t, 5)
 			}},
 		}
 	}
@@ -65,9 +63,6 @@ func TestInsertUpdateRemoveSemantics(t *testing.T) {
 	}
 	if !ok2 || v2 != 55 {
 		t.Fatalf("after update = (%d,%v)", v2, ok2)
-	}
-	if !okRm || okAfter {
-		t.Fatalf("remove=%v, still-present=%v", okRm, okAfter)
 	}
 }
 
@@ -128,24 +123,6 @@ func TestGrowthPreservesEntries(t *testing.T) {
 	progtest.RunFull(t, mk)
 	if found != total {
 		t.Fatalf("after growth found %d of %d", found, total)
-	}
-}
-
-func TestRemoveMissingKey(t *testing.T) {
-	var ok bool
-	mk := func() pmm.Program {
-		var tr *Tree
-		return pmm.Program{
-			Name:  "part-rm",
-			Setup: func(h *pmm.Heap) { tr = NewTree(h) },
-			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
-				ok = tr.Remove(t, 9)
-			}},
-		}
-	}
-	progtest.RunFull(t, mk)
-	if ok {
-		t.Fatal("removing a missing key reported success")
 	}
 }
 

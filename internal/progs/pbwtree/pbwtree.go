@@ -104,22 +104,6 @@ func (tr *Tree) Insert(t *pmm.Thread, key, value uint64) bool {
 	}
 }
 
-// Delete prepends a delete delta.
-func (tr *Tree) Delete(t *pmm.Thread, key uint64) bool {
-	if _, ok := tr.Get(t, key); !ok {
-		return false
-	}
-	slot := tr.table.At(slotOf(key))
-	for {
-		head := t.LoadAcquire64(slot.F("head"))
-		d := tr.newDelta(t, deltaDelete, key, 0, head)
-		if tr.publish(t, slot, head, d) {
-			return true
-		}
-		t.Yield()
-	}
-}
-
 // Get walks the delta chain with atomic loads: the first record for the key
 // wins (newest first).
 func (tr *Tree) Get(t *pmm.Thread, key uint64) (uint64, bool) {

@@ -78,30 +78,6 @@ func TestDeltaChainConsolidation(t *testing.T) {
 	}
 }
 
-func TestDeleteDeltas(t *testing.T) {
-	var okDel, foundAfter, okMissingDel bool
-	mk := func() pmm.Program {
-		var tr *Tree
-		return pmm.Program{
-			Name:  "bw-del",
-			Setup: func(h *pmm.Heap) { tr = NewTree(h) },
-			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
-				tr.Insert(t, 7, 70)
-				okDel = tr.Delete(t, 7)
-				_, foundAfter = tr.Get(t, 7)
-				okMissingDel = tr.Delete(t, 999)
-			}},
-		}
-	}
-	progtest.RunFull(t, mk)
-	if !okDel || foundAfter {
-		t.Fatalf("delete=%v found-after=%v", okDel, foundAfter)
-	}
-	if okMissingDel {
-		t.Fatal("deleting a missing key reported success")
-	}
-}
-
 // The delta chain itself is persistency-race free: construction-persisted
 // records published by CAS. Only the epoch races.
 func TestDeltaChainRaceFree(t *testing.T) {

@@ -136,33 +136,6 @@ func (tb *Table) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	}
 }
 
-// Remove deletes a key under the bucket lock.
-func (tb *Table) Remove(t *pmm.Thread, key uint64) bool {
-	b := tb.buckets.At(bucketOf(key))
-	lock := b.F("lock")
-	for !t.CAS64(lock, lockFree, lockHeld) {
-		t.Yield()
-	}
-	defer func() {
-		t.StoreRelease64(lock, lockFree)
-	}()
-	cur := b
-	for {
-		for i := 0; i < EntriesPerSlot; i++ {
-			if t.LoadAcquire64(cur.F(keyField(i))) == key {
-				t.StoreRelease64(cur.F(keyField(i)), 0)
-				t.Persist(cur.F(keyField(i)), 8)
-				return true
-			}
-		}
-		next, ok := tb.nextBucket(t, cur)
-		if !ok {
-			return false
-		}
-		cur = next
-	}
-}
-
 // Stats captures what recovery observed.
 type Stats struct {
 	Found   int

@@ -29,9 +29,9 @@ func TestFunctionalFullRun(t *testing.T) {
 	}
 }
 
-func TestPutGetRemoveSemantics(t *testing.T) {
+func TestPutGetSemantics(t *testing.T) {
 	var v uint64
-	var ok, okRm, okAfter bool
+	var ok bool
 	mk := func() pmm.Program {
 		var tb *Table
 		return pmm.Program{
@@ -41,17 +41,12 @@ func TestPutGetRemoveSemantics(t *testing.T) {
 				tb.Put(t, 3, 33)
 				tb.Put(t, 3, 34) // update
 				v, ok = tb.Get(t, 3)
-				okRm = tb.Remove(t, 3)
-				_, okAfter = tb.Get(t, 3)
 			}},
 		}
 	}
 	progtest.RunFull(t, mk)
 	if !ok || v != 34 {
 		t.Fatalf("get = (%d,%v), want (34,true)", v, ok)
-	}
-	if !okRm || okAfter {
-		t.Fatalf("remove=%v after=%v", okRm, okAfter)
 	}
 }
 
@@ -82,11 +77,6 @@ func TestBucketOverflowChains(t *testing.T) {
 					if v, ok := tb.Get(t, k); ok && v == k*2 {
 						found++
 					}
-				}
-				// Remove one from the overflow bucket, too.
-				tb.Remove(t, inserted[len(inserted)-1])
-				if _, ok := tb.Get(t, inserted[len(inserted)-1]); ok {
-					found = -1
 				}
 			}},
 		}

@@ -105,15 +105,11 @@ var leafLayout = func() pmm.Layout {
 // resolve through the thread's heap (leafAt).
 type Tree struct {
 	mt pmm.Struct // "masstree" {root_}
-	// layers maps an 8-byte key prefix to its next-layer tree (Masstree's
-	// layering for long keys). Only inserts read it: a lookup resolves the
-	// layer from the pointer its slot persisted (GetLong).
-	layers map[uint64]*Tree
 }
 
 // NewTree allocates the masstree struct and an empty root leaf.
 func NewTree(h *pmm.Heap) *Tree {
-	tr := &Tree{mt: h.AllocStruct("masstree", pmm.Layout{{Name: "root_", Size: 8}}), layers: make(map[uint64]*Tree)}
+	tr := &Tree{mt: h.AllocStruct("masstree", pmm.Layout{{Name: "root_", Size: 8}})}
 	l := h.AllocStruct("leafnode", leafLayout)
 	h.Init(tr.mt.F("root_"), 8, uint64(l.Base()))
 	return tr
@@ -303,50 +299,4 @@ func New(numKeys int, stats *Stats) func() pmm.Program {
 			},
 		}
 	}
-}
-
-// newSubTree allocates a next-layer tree at runtime: Masstree handles keys
-// longer than 8 bytes by layering — a slot whose keys share an 8-byte
-// prefix points to a whole subordinate tree indexed by the next 8 bytes.
-// The new layer's structures are flushed before the slot that publishes
-// them, so layer creation introduces no new racy fields.
-func newSubTree(t *pmm.Thread) *Tree {
-	sub := &Tree{mt: t.Heap().AllocStruct("masstree", pmm.Layout{{Name: "root_", Size: 8}}), layers: make(map[uint64]*Tree)}
-	l := newLeafRuntime(t)
-	t.Store64(sub.mt.F("root_"), uint64(l.s.Base()))
-	t.Persist(sub.mt.F("root_"), 8)
-	return sub
-}
-
-// InsertLong inserts a 16-byte key (k1 ++ k2) through the layer mechanism:
-// k1 indexes the top layer, whose slot holds the next-layer tree; k2
-// indexes that layer.
-func (tr *Tree) InsertLong(t *pmm.Thread, k1, k2, value uint64) {
-	if sub, ok := tr.layers[k1]; ok {
-		sub.Insert(t, k2, value)
-		return
-	}
-	sub := newSubTree(t)
-	tr.layers[k1] = sub
-	// Publish the layer through the normal insert protocol: the slot value
-	// is the sub-tree's handle.
-	tr.Insert(t, k1, uint64(sub.mt.Base()))
-	sub.Insert(t, k2, value)
-}
-
-// GetLong looks a 16-byte key up through the layers. The sub-tree is
-// resolved from the value stored in the top layer's slot, never from the
-// Go-side layers map, so the walk works identically in fresh-process
-// recovery.
-func (tr *Tree) GetLong(t *pmm.Thread, k1, k2 uint64) (uint64, bool) {
-	subBase, found := tr.Get(t, k1)
-	if !found {
-		return 0, false
-	}
-	mt, ok := t.Heap().StructAt(pmm.Addr(subBase))
-	if !ok || mt.Label() != "masstree" {
-		return 0, false
-	}
-	sub := Tree{mt: mt}
-	return sub.Get(t, k2)
 }

@@ -99,82 +99,3 @@ func TestGetMissingKey(t *testing.T) {
 		t.Fatal("missing key reported found")
 	}
 }
-
-// Masstree layering: 16-byte keys sharing an 8-byte prefix live in a
-// next-layer tree; distinct prefixes get distinct layers.
-func TestLayeredLongKeys(t *testing.T) {
-	type kv struct{ k1, k2, v uint64 }
-	keys := []kv{
-		{0xAAAA, 1, 100}, {0xAAAA, 2, 200}, {0xAAAA, 3, 300}, // shared prefix
-		{0xBBBB, 1, 400}, // different prefix, same suffix
-	}
-	results := map[[2]uint64]uint64{}
-	mk := func() pmm.Program {
-		var tr *Tree
-		return pmm.Program{
-			Name:  "mass-layers",
-			Setup: func(h *pmm.Heap) { tr = NewTree(h) },
-			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
-				for _, e := range keys {
-					tr.InsertLong(t, e.k1, e.k2, e.v)
-				}
-				for _, e := range keys {
-					if v, ok := tr.GetLong(t, e.k1, e.k2); ok {
-						results[[2]uint64{e.k1, e.k2}] = v
-					}
-				}
-			}},
-		}
-	}
-	progtest.RunFull(t, mk)
-	for _, e := range keys {
-		if results[[2]uint64{e.k1, e.k2}] != e.v {
-			t.Fatalf("key (%#x,%d) = %d, want %d", e.k1, e.k2, results[[2]uint64{e.k1, e.k2}], e.v)
-		}
-	}
-}
-
-func TestLayeredMissingKeys(t *testing.T) {
-	var okPrefix, okSuffix bool
-	mk := func() pmm.Program {
-		var tr *Tree
-		return pmm.Program{
-			Name:  "mass-layers-miss",
-			Setup: func(h *pmm.Heap) { tr = NewTree(h) },
-			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
-				tr.InsertLong(t, 1, 1, 11)
-				_, okPrefix = tr.GetLong(t, 2, 1) // unknown prefix
-				_, okSuffix = tr.GetLong(t, 1, 9) // unknown suffix
-			}},
-		}
-	}
-	progtest.RunFull(t, mk)
-	if okPrefix || okSuffix {
-		t.Fatalf("missing long keys reported found: prefix=%v suffix=%v", okPrefix, okSuffix)
-	}
-}
-
-// Layering introduces no new racy fields: a long-key driver reports the
-// same three Table 3 bugs.
-func TestLayeredDriverSameRaceSet(t *testing.T) {
-	mk := func() pmm.Program {
-		var tr *Tree
-		return pmm.Program{
-			Name:  "P-Masstree",
-			Setup: func(h *pmm.Heap) { tr = NewTree(h) },
-			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
-				// All 7 suffixes share one prefix, so the next-layer tree
-				// splits (LeafWidth 4): the layer exercises next/root_ too.
-				for k := uint64(7); k >= 1; k-- {
-					tr.InsertLong(t, 0xAA, k, ValueFor(k))
-				}
-			}},
-			PostCrash: func(t *pmm.Thread) {
-				for k := uint64(1); k <= 7; k++ {
-					tr.GetLong(t, 0xAA, k)
-				}
-			},
-		}
-	}
-	progtest.AssertRaces(t, mk, ExpectedRaces)
-}

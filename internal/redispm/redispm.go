@@ -131,90 +131,3 @@ func New(numKeys int, stats *Stats) func() pmm.Program {
 		}
 	}
 }
-
-// redisCommand is one client request in the volatile command queue.
-type redisCommand struct {
-	op  int // 0 = SET, 1 = QUIT
-	key uint64
-	val uint64
-}
-
-// NewClientServer returns the paper's client/server shape for Redis (§7.1:
-// "We developed our own client to modify the database server using
-// insertion and lookup operations"): a client thread issues SET commands
-// through a volatile queue (the socket stand-in) and the server thread
-// applies them transactionally. The restart path is the guarded pool open
-// plus GET readback, exactly as in the sequential driver.
-func NewClientServer(numKeys int, stats *Stats) func() pmm.Program {
-	return func() pmm.Program {
-		var srv *Server
-		var queue []redisCommand
-		mu := make(chan struct{}, 1)
-		mu <- struct{}{}
-		push := func(c redisCommand) {
-			<-mu
-			queue = append(queue, c)
-			mu <- struct{}{}
-		}
-		pop := func() (redisCommand, bool) {
-			<-mu
-			defer func() { mu <- struct{}{} }()
-			if len(queue) == 0 {
-				return redisCommand{}, false
-			}
-			c := queue[0]
-			queue = queue[1:]
-			return c, true
-		}
-		return pmm.Program{
-			Name: "Redis",
-			Setup: func(h *pmm.Heap) {
-				srv = NewServer(h, pmdk.NewPool(h))
-			},
-			Workers: []func(*pmm.Thread){
-				// Server event loop.
-				func(t *pmm.Thread) {
-					for {
-						c, ok := pop()
-						if !ok {
-							t.Yield()
-							continue
-						}
-						if c.op == 1 {
-							return
-						}
-						srv.Set(t, c.key, c.val)
-					}
-				},
-				// Client.
-				func(t *pmm.Thread) {
-					for k := uint64(1); k <= uint64(numKeys); k++ {
-						push(redisCommand{op: 0, key: k, val: ValueFor(k)})
-						t.Yield()
-					}
-					push(redisCommand{op: 1})
-				},
-			},
-			PostCrash: func(t *pmm.Thread) {
-				rb, _ := srv.Restart(t)
-				if stats != nil {
-					stats.RolledBack += rb
-				}
-				for k := uint64(1); k <= uint64(numKeys); k++ {
-					v, ok := srv.Get(t, k)
-					if stats == nil {
-						continue
-					}
-					switch {
-					case !ok:
-						stats.Missing++
-					case v != ValueFor(k):
-						stats.Wrong++
-					default:
-						stats.Found++
-					}
-				}
-			},
-		}
-	}
-}

@@ -70,29 +70,3 @@ func TestSingleRandomExecutionFindsNothing(t *testing.T) {
 		t.Fatalf("single random execution found harmful races:\n%s", res.Report)
 	}
 }
-
-// The client/server driver keeps the Redis guarantees: zero harmful races
-// and transactional consistency at every crash point.
-func TestClientServerNoHarmfulRaces(t *testing.T) {
-	res := engine.Run(NewClientServer(3, nil), engine.Options{Mode: engine.ModelCheck, Prefix: true, MaxCrashPoints: 40})
-	if res.Report.Count() != 0 {
-		t.Fatalf("client/server Redis raced:\n%s", res.Report)
-	}
-}
-
-func TestClientServerFunctional(t *testing.T) {
-	var stats Stats
-	progtest.RunFull(t, NewClientServer(5, &stats))
-	if stats.Found != 5 || stats.Missing != 0 || stats.Wrong != 0 {
-		t.Fatalf("client/server full run: %+v", stats)
-	}
-}
-
-func TestClientServerNoWrongValues(t *testing.T) {
-	var stats Stats
-	// Workers: 1 — the program writes the shared stats.
-	engine.Run(NewClientServer(3, &stats), engine.Options{Mode: engine.ModelCheck, Prefix: true, MaxCrashPoints: 40, Workers: 1})
-	if stats.Wrong != 0 {
-		t.Fatalf("client/server recovery observed %d wrong values", stats.Wrong)
-	}
-}

@@ -51,18 +51,6 @@ func (r Race) String() string {
 		kind, r.Benchmark, r.Field, r.StoreSeq, r.StoreTID, r.ExecID, r.Flushed)
 }
 
-// Key renders the dedup identity of a race. Deduplication itself keys on
-// the (benchmark, field, benignness) triple directly — see raceKey — so the
-// hot path never materializes this string.
-func (r Race) Key() string { return r.Benchmark + "\x00" + r.Field + "\x00" + benignTag(r.Benign) }
-
-func benignTag(b bool) string {
-	if b {
-		return "benign"
-	}
-	return "harmful"
-}
-
 // raceKey is the dedup identity of a race as a comparable value: map
 // lookups with it allocate nothing, which matters because every racy
 // candidate of every crash scenario passes through Add on its way to the

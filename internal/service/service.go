@@ -108,9 +108,6 @@ type Job struct {
 	done     chan struct{}      // closed on reaching a terminal state
 }
 
-// ID returns the job's identifier.
-func (j *Job) ID() string { return j.id }
-
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 

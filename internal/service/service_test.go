@@ -166,7 +166,7 @@ func waitJob(t *testing.T, job *Job) JobStatus {
 	select {
 	case <-job.Done():
 	case <-time.After(30 * time.Second):
-		t.Fatalf("job %s never reached a terminal state", job.ID())
+		t.Fatalf("job %s never reached a terminal state", job.id)
 	}
 	return job.Status()
 }
@@ -219,7 +219,7 @@ func TestCacheHitByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
-	direct := suite.Run(suiteConfig(req, engine.NewBudget(2)))
+	direct := suite.RunContext(context.Background(), suiteConfig(req, engine.NewBudget(2)))
 	want, err := direct.Canonical().JSON()
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
@@ -278,7 +278,7 @@ func TestCancelRunningJob(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("slow job never started simulating")
 	}
-	if _, err := m.Cancel(job.ID()); err != nil {
+	if _, err := m.Cancel(job.id); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
 	open() // no recovery ran before the cancellation was requested

@@ -117,7 +117,7 @@ func TestSuiteExternalBudgetAndSeed(t *testing.T) {
 	cfg.Budget = engine.NewBudget(3)
 	cfg.Workers = 64 // must be ignored in favor of the budget's size
 	cfg.Seed = 42
-	res := Run(cfg)
+	res := RunContext(context.Background(), cfg)
 	if res.Config.Workers != 3 {
 		t.Fatalf("Summary.Workers = %d, want the external budget's 3", res.Config.Workers)
 	}

@@ -2,6 +2,7 @@ package suite
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -35,7 +36,7 @@ func TestProbeStopOwnership(t *testing.T) {
 				if !ok {
 					t.Fatalf("%s not registered", name)
 				}
-				Run(Config{Tags: []string{workload.TagTable4}, Variants: []string{VariantRaces}, Workers: workers})
+				RunContext(context.Background(), Config{Tags: []string{workload.TagTable4}, Variants: []string{VariantRaces}, Workers: workers})
 				opts := v.opts
 				opts.Workers = workers
 				def := engine.Run(spec.Make, opts)

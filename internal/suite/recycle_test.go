@@ -2,6 +2,7 @@ package suite
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestWarmPoolsByteIdentical(t *testing.T) {
 	// sync.Pool drops what it holds within two collections.
 	runtime.GC()
 	runtime.GC()
-	cold := Run(sel)
+	cold := RunContext(context.Background(), sel)
 	coldJSON := anyWorkers(t, cold)
 	if races := cold.TotalRaces(RunRaces); races != 24 {
 		t.Fatalf("cold run found %d races in the races variant, want 24", races)
@@ -40,14 +41,14 @@ func TestWarmPoolsByteIdentical(t *testing.T) {
 	// Dirty the pools: model-checked capped and baseline runs, a stacked
 	// xfd sweep and a many-execution random run leave executions, machines,
 	// registers and images of other shapes behind.
-	Run(Config{Variants: []string{VariantBenign, VariantWindow}})
-	Run(Config{Tags: []string{workload.TagXFD}, Variants: []string{VariantRaces}, Analyses: []string{"yashme", "xfd"}})
-	Run(Config{Names: []string{"Redis"}, Variants: []string{VariantRaces}, Seed: 99})
+	RunContext(context.Background(), Config{Variants: []string{VariantBenign, VariantWindow}})
+	RunContext(context.Background(), Config{Tags: []string{workload.TagXFD}, Variants: []string{VariantRaces}, Analyses: []string{"yashme", "xfd"}})
+	RunContext(context.Background(), Config{Names: []string{"Redis"}, Variants: []string{VariantRaces}, Seed: 99})
 
 	for _, workers := range []int{1, 4} {
 		cfg := sel
 		cfg.Workers = workers
-		if got := anyWorkers(t, Run(cfg)); !bytes.Equal(got, coldJSON) {
+		if got := anyWorkers(t, RunContext(context.Background(), cfg)); !bytes.Equal(got, coldJSON) {
 			t.Fatalf("warm run at %d workers != cold run canonical JSON:\n%s\nvs\n%s", workers, got, coldJSON)
 		}
 	}
@@ -57,7 +58,7 @@ func TestWarmPoolsByteIdentical(t *testing.T) {
 		cfg := sel
 		cfg.Workers = workers
 		cfg.Reference = true
-		if got := workOnly(t, Run(cfg)); !bytes.Equal(got, want) {
+		if got := workOnly(t, RunContext(context.Background(), cfg)); !bytes.Equal(got, want) {
 			t.Fatalf("reference at %d workers != cold run:\n%s\nvs\n%s", workers, got, want)
 		}
 	}

@@ -2,6 +2,7 @@ package suite
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 )
@@ -22,8 +23,8 @@ func TestReferenceMatchesDefault(t *testing.T) {
 		workers  int
 		analyses []string
 	}{{1, nil}, {4, nil}, {1, []string{"yashme", "xfd"}}, {4, []string{"yashme", "xfd"}}} {
-		def := Run(Config{Workers: run.workers, Analyses: run.analyses})
-		ref := Run(Config{Workers: run.workers, Analyses: run.analyses, Reference: true})
+		def := RunContext(context.Background(), Config{Workers: run.workers, Analyses: run.analyses})
+		ref := RunContext(context.Background(), Config{Workers: run.workers, Analyses: run.analyses, Reference: true})
 		name := fmt.Sprintf("workers %d, analyses %v", run.workers, run.analyses)
 		if dj, rj := workOnly(t, def), workOnly(t, ref); !bytes.Equal(dj, rj) {
 			t.Fatalf("%s: default != reference canonical JSON:\n%s\nvs\n%s", name, dj, rj)

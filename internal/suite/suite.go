@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -286,29 +285,6 @@ func (r *Result) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
-// Merge reassembles shard results into one: benchmarks are concatenated
-// and re-sorted into paper order, and the shard marker is cleared so the
-// merged result's Canonical JSON is byte-identical to an unsharded run of
-// the same selection.
-func Merge(parts ...*Result) *Result {
-	merged := &Result{}
-	for i, p := range parts {
-		if i == 0 {
-			merged.Config = p.Config
-			merged.Config.Shard = ""
-		}
-		merged.Benchmarks = append(merged.Benchmarks, p.Benchmarks...)
-	}
-	sort.SliceStable(merged.Benchmarks, func(i, j int) bool {
-		a, b := &merged.Benchmarks[i], &merged.Benchmarks[j]
-		if a.Order != b.Order {
-			return a.Order < b.Order
-		}
-		return a.Name < b.Name
-	})
-	return merged
-}
-
 // ParseShard parses a -shard flag value "i/n" (1 <= i <= n). The empty
 // string means unsharded.
 func ParseShard(s string) (shard, count int, err error) {
@@ -437,19 +413,14 @@ func jobsFor(spec workload.Spec, groups []string) []job {
 	return jobs
 }
 
-// Run executes the configured suite: the selected benchmarks run
+// RunContext executes the configured suite: the selected benchmarks run
 // concurrently (unless Config.Sequential), every engine run drawing from
 // one shared worker budget, and the per-benchmark results are assembled
-// in paper order regardless of completion order.
-func Run(cfg Config) *Result {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run under a context. Cancellation (or deadline expiry) is
-// honored at the engine's scenario boundaries: runs already simulating
-// finish their in-flight scenarios and merge what completed, jobs not yet
-// started are skipped, and the Result comes back promptly with Cancelled
-// set on itself and on every cut-short run. A partial Result is
+// in paper order regardless of completion order. Cancellation of ctx (or
+// deadline expiry) is honored at the engine's scenario boundaries: runs
+// already simulating finish their in-flight scenarios and merge what
+// completed, jobs not yet started are skipped, and the Result comes back
+// promptly with Cancelled set on itself and on every cut-short run. A partial Result is
 // well-formed — its Canonical JSON is a valid (if truncated) suite result
 // — but only complete runs are byte-comparable across invocations.
 func RunContext(ctx context.Context, cfg Config) *Result {

@@ -2,6 +2,8 @@ package suite
 
 import (
 	"bytes"
+	"context"
+	"sort"
 	"testing"
 
 	"yashme/internal/workload"
@@ -17,6 +19,29 @@ func smallCfg() Config {
 	}
 }
 
+// merge reassembles shard results into one: benchmarks are concatenated
+// and re-sorted into paper order, and the shard marker is cleared so the
+// merged result's Canonical JSON is byte-identical to an unsharded run of
+// the same selection.
+func merge(parts ...*Result) *Result {
+	merged := &Result{}
+	for i, p := range parts {
+		if i == 0 {
+			merged.Config = p.Config
+			merged.Config.Shard = ""
+		}
+		merged.Benchmarks = append(merged.Benchmarks, p.Benchmarks...)
+	}
+	sort.SliceStable(merged.Benchmarks, func(i, j int) bool {
+		a, b := &merged.Benchmarks[i], &merged.Benchmarks[j]
+		if a.Order != b.Order {
+			return a.Order < b.Order
+		}
+		return a.Name < b.Name
+	})
+	return merged
+}
+
 func canonicalJSON(t *testing.T, r *Result) []byte {
 	t.Helper()
 	data, err := r.Canonical().JSON()
@@ -29,10 +54,10 @@ func canonicalJSON(t *testing.T, r *Result) []byte {
 // Concurrent and sequential suite runs must be byte-identical after
 // Canonical strips wall-clock fields.
 func TestSuiteDeterminism(t *testing.T) {
-	par := Run(smallCfg())
+	par := RunContext(context.Background(), smallCfg())
 	cfg := smallCfg()
 	cfg.Sequential = true
-	seq := Run(cfg)
+	seq := RunContext(context.Background(), cfg)
 	pj, sj := canonicalJSON(t, par), canonicalJSON(t, seq)
 	if !bytes.Equal(pj, sj) {
 		t.Fatalf("parallel != sequential canonical JSON:\n%s\nvs\n%s", pj, sj)
@@ -42,13 +67,13 @@ func TestSuiteDeterminism(t *testing.T) {
 // The union of the shards, merged, must be byte-identical to the unsharded
 // run of the same selection.
 func TestSuiteShardsReassemble(t *testing.T) {
-	full := Run(smallCfg())
+	full := RunContext(context.Background(), smallCfg())
 	var parts []*Result
 	benches := 0
 	for shard := 1; shard <= 2; shard++ {
 		cfg := smallCfg()
 		cfg.Shard, cfg.ShardCount = shard, 2
-		part := Run(cfg)
+		part := RunContext(context.Background(), cfg)
 		if part.Config.Shard == "" {
 			t.Fatalf("shard %d: result not marked", shard)
 		}
@@ -58,7 +83,7 @@ func TestSuiteShardsReassemble(t *testing.T) {
 	if benches != len(full.Benchmarks) {
 		t.Fatalf("shards cover %d benchmarks, full run has %d", benches, len(full.Benchmarks))
 	}
-	merged := Merge(parts...)
+	merged := merge(parts...)
 	mj, fj := canonicalJSON(t, merged), canonicalJSON(t, full)
 	if !bytes.Equal(mj, fj) {
 		t.Fatalf("merged shards != full run canonical JSON:\n%s\nvs\n%s", mj, fj)
@@ -131,11 +156,11 @@ func TestJobsForVariants(t *testing.T) {
 
 // A selected-but-empty shard still yields a mergeable empty result.
 func TestEmptySelection(t *testing.T) {
-	res := Run(Config{Names: []string{"no-such-benchmark"}})
+	res := RunContext(context.Background(), Config{Names: []string{"no-such-benchmark"}})
 	if len(res.Benchmarks) != 0 {
 		t.Fatalf("benchmarks = %d, want 0", len(res.Benchmarks))
 	}
-	if merged := Merge(res); len(merged.Benchmarks) != 0 {
+	if merged := merge(res); len(merged.Benchmarks) != 0 {
 		t.Fatalf("merged benchmarks = %d, want 0", len(merged.Benchmarks))
 	}
 }

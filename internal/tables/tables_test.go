@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +17,7 @@ var (
 )
 
 func fullSuite() *suite.Result {
-	suiteOnce.Do(func() { suiteRes = suite.Run(suite.Config{}) })
+	suiteOnce.Do(func() { suiteRes = suite.RunContext(context.Background(), suite.Config{}) })
 	return suiteRes
 }
 

@@ -22,7 +22,7 @@ func render(r *Recorder) string {
 
 func TestRecorderForwardsAndRecords(t *testing.T) {
 	r := NewRecorder(nil, nil)
-	m := tso.NewMachine(r)
+	m := tso.NewMachine(r, nil)
 	m.EnqueueStore(0, 0x100, 8, 42, false, false)
 	m.EnqueueCLFlush(0, 0x100)
 	m.EnqueueCLWB(0, 0x140)
@@ -43,7 +43,7 @@ func TestRecorderUsesLabeler(t *testing.T) {
 	h := pmm.NewHeap()
 	s := h.AllocStruct("obj", pmm.Layout{{Name: "x", Size: 8}})
 	r := NewRecorder(nil, h.LabelFor)
-	m := tso.NewMachine(r)
+	m := tso.NewMachine(r, nil)
 	m.EnqueueStore(0, s.F("x"), 8, 7, false, false)
 	m.DrainSB(0)
 	out := render(r)
@@ -55,7 +55,7 @@ func TestRecorderUsesLabeler(t *testing.T) {
 func TestCrashAndObserveEvents(t *testing.T) {
 	r := NewRecorder(nil, nil)
 	r.SetExec(0)
-	m := tso.NewMachine(r)
+	m := tso.NewMachine(r, nil)
 	m.EnqueueStore(0, 0x100, 8, 1, false, false)
 	m.DrainSB(0)
 	r.Crash(m.CurSeq())
@@ -73,7 +73,7 @@ func TestCrashAndObserveEvents(t *testing.T) {
 
 func TestWitnessSelectsLineEvents(t *testing.T) {
 	r := NewRecorder(nil, nil)
-	m := tso.NewMachine(r)
+	m := tso.NewMachine(r, nil)
 	m.EnqueueStore(0, 0x100, 8, 1, false, false)  // same line as racing store
 	m.EnqueueStore(0, 0x108, 8, 2, false, false)  // the racing store (σ2)
 	m.EnqueueStore(0, 0x4000, 8, 3, false, false) // unrelated line
@@ -119,7 +119,7 @@ func TestKindStrings(t *testing.T) {
 
 func TestAtomicReleaseRendering(t *testing.T) {
 	r := NewRecorder(nil, nil)
-	m := tso.NewMachine(r)
+	m := tso.NewMachine(r, nil)
 	m.EnqueueStore(0, 0x100, 8, 1, true, true)
 	m.DrainSB(0)
 	if !strings.Contains(render(r), "atomic-release") {
@@ -131,7 +131,7 @@ func TestRecorderForwardsToInner(t *testing.T) {
 	var got int
 	inner := countingListener{&got}
 	r := NewRecorder(inner, nil)
-	m := tso.NewMachine(r)
+	m := tso.NewMachine(r, nil)
 	m.EnqueueStore(0, 0x100, 8, 1, false, false)
 	m.DrainSB(0)
 	if got != 1 {
@@ -149,7 +149,7 @@ func (c countingListener) FenceCommitted(vclock.TID, vclock.Seq, vclock.Stamp)  
 
 func TestJSONExport(t *testing.T) {
 	r := NewRecorder(nil, nil)
-	m := tso.NewMachine(r)
+	m := tso.NewMachine(r, nil)
 	m.EnqueueStore(0, 0x100, 8, 42, true, true)
 	m.EnqueueCLFlush(0, 0x100)
 	m.DrainSB(0)
@@ -180,7 +180,7 @@ func TestJSONExport(t *testing.T) {
 // then, and a Clone copies the log without its listener or labeler.
 func TestTruncateRewindsToLen(t *testing.T) {
 	r := NewRecorder(nil, nil)
-	m := tso.NewMachine(r)
+	m := tso.NewMachine(r, nil)
 	m.EnqueueStore(0, 0x100, 8, 1, false, false)
 	m.EnqueueCLFlush(0, 0x100)
 	m.DrainSB(0)

@@ -63,7 +63,7 @@ func runLitmus(t *testing.T, threads [][]litmusAction, nresults int, render func
 	var run func(seq []int)
 	run = func(seq []int) {
 		env := &litmusEnv{r: make([]uint64, nresults), rec: &flushRecorder{}}
-		env.m = NewMachine(env.rec)
+		env.m = NewMachine(env.rec, nil)
 		idx := make([]int, len(threads))
 		for _, tid := range seq {
 			threads[tid][idx[tid]](env)
@@ -177,7 +177,7 @@ func TestLitmusMessagePassingClocks(t *testing.T) {
 			func(e *litmusEnv) {
 				flag, _ := e.m.Load(tid1, ly, 8, true) // acquire
 				e.r[0] = flag
-				if e.m.ThreadCV(tid1).Contains(tid0, 1) { // covers the data store (σ1)?
+				if e.m.threadCV(tid1).Contains(tid0, 1) { // covers the data store (σ1)?
 					e.r[1] = 1
 				}
 			},
@@ -235,7 +235,7 @@ func TestLitmusCLWBPersistsOnlyAtFence(t *testing.T) {
 			func(e *litmusEnv) { e.m.EnqueueCLWB(tid0, lx) },
 			func(e *litmusEnv) { e.m.DrainSB(tid0) }, // clwb buffered, NOT persistent
 			func(e *litmusEnv) {
-				if e.m.FBLen(tid0) == 1 {
+				if len(e.m.fb[tid0]) == 1 {
 					e.r[0] = 1 // write-back pending
 				}
 			},
@@ -304,7 +304,7 @@ func TestLitmusMFenceDrainsEverything(t *testing.T) {
 			func(e *litmusEnv) { e.m.MFence(tid0) },
 			func(e *litmusEnv) {
 				e.r[0] = uint64(e.m.SBLen(tid0))
-				e.r[1] = uint64(e.m.FBLen(tid0))
+				e.r[1] = uint64(len(e.m.fb[tid0]))
 			},
 		},
 		{

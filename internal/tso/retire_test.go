@@ -6,7 +6,7 @@ import "testing"
 // record chunk once recycled, so a warm machine mints records without
 // allocating.
 func TestRetiredMachineReusesChunks(t *testing.T) {
-	m := NewMachine(nil)
+	m := NewMachine(nil, nil)
 	m.EnqueueStore(0, 0x1000, 8, 1, false, false)
 	m.DrainSB(0)
 	first, _ := m.VolatileValue(0x1000)

@@ -22,7 +22,7 @@ func mustPanic(t *testing.T, what string, f func()) {
 }
 
 func TestSpawnThreadsDeclaresDenseRange(t *testing.T) {
-	m := NewMachine(nil)
+	m := NewMachine(nil, nil)
 	m.SpawnThreads(3)
 	for tid := 0; tid < 3; tid++ {
 		m.EnqueueStore(vclock.TID(tid), 0x1000+pmm.Addr(8*tid), 8, uint64(tid), false, false)
@@ -34,7 +34,7 @@ func TestSpawnThreadsDeclaresDenseRange(t *testing.T) {
 }
 
 func TestUndeclaredTIDOutsideSpawnedRangePanics(t *testing.T) {
-	m := NewMachine(nil)
+	m := NewMachine(nil, nil)
 	m.SpawnThreads(2)
 	mustPanic(t, "EnqueueStore with TID 5 after SpawnThreads(2)", func() {
 		m.EnqueueStore(5, 0x1000, 8, 1, false, false)
@@ -48,7 +48,7 @@ func TestUndeclaredTIDOutsideSpawnedRangePanics(t *testing.T) {
 }
 
 func TestSpawnThreadsCannotShrink(t *testing.T) {
-	m := NewMachine(nil)
+	m := NewMachine(nil, nil)
 	m.SpawnThreads(4)
 	mustPanic(t, "SpawnThreads(2) after SpawnThreads(4)", func() {
 		m.SpawnThreads(2)
@@ -60,7 +60,7 @@ func TestSpawnThreadsCannotShrink(t *testing.T) {
 }
 
 func TestOnDemandGrowthIsCapped(t *testing.T) {
-	m := NewMachine(nil)
+	m := NewMachine(nil, nil)
 	// Without a declaration the machine grows dense slots on demand...
 	m.EnqueueStore(2, 0x1000, 8, 1, false, false)
 	if got := m.SBLen(2); got != 1 {

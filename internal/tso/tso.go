@@ -152,8 +152,8 @@ type Machine struct {
 	base []vclock.Ref // indexed by TID
 	self []vclock.Seq // indexed by TID
 
-	// clocks holds the interned snapshots. The engine shares the
-	// detector's arena via UseArena so record stamps resolve on both
+	// clocks holds the interned snapshots. The engine passes the
+	// detector's arena to NewMachine so record stamps resolve on both
 	// sides; a stand-alone machine gets a private arena.
 	clocks *vclock.Arena
 
@@ -254,18 +254,15 @@ func (m *Machine) newRecord() *CommittedStore {
 	return rec
 }
 
-// arenaProvider is the optional listener interface a clock-consuming
-// listener (the race detector) implements: its arena is adopted by
-// NewMachine so the stamps the machine mints resolve on the listener's
-// side without an explicit UseArena call.
-type arenaProvider interface{ ClockArena() *vclock.Arena }
-
-// NewMachine returns an empty machine reporting to listener. A listener
-// that owns a clock arena (implements ClockArena) shares it with the
-// machine; otherwise the machine gets a private arena.
-func NewMachine(listener Listener) *Machine {
+// NewMachine returns an empty machine reporting to listener whose stamps
+// resolve in clocks. A nil clocks gives the machine a private arena; the
+// engine passes the detector's, so record stamps resolve on both sides.
+func NewMachine(listener Listener, clocks *vclock.Arena) *Machine {
 	if listener == nil {
 		listener = NopListener{}
+	}
+	if clocks == nil {
+		clocks = vclock.NewArena(false)
 	}
 	m, _ := retiredPool.Get().(*Machine)
 	if m == nil {
@@ -275,23 +272,9 @@ func NewMachine(listener Listener) *Machine {
 		m.sb, m.fb = m.sb[:0], m.fb[:0]
 		m.base, m.self = m.base[:0], m.self[:0]
 	}
-	m.listener = listener
-	if p, ok := listener.(arenaProvider); ok {
-		m.clocks = p.ClockArena()
-	} else {
-		m.clocks = vclock.NewArena(false)
-	}
+	m.listener, m.clocks = listener, clocks
 	return m
 }
-
-// UseArena points the machine at a shared clock arena (the detector's, in
-// engine runs, so record stamps resolve identically on both sides). Call
-// it before the first operation; stamps minted against a previous arena do
-// not transfer.
-func (m *Machine) UseArena(a *vclock.Arena) { m.clocks = a }
-
-// ClockArena returns the arena the machine's stamps resolve in.
-func (m *Machine) ClockArena() *vclock.Arena { return m.clocks }
 
 // ReserveMemory pre-sizes the memory view for addresses [0, n), so seeding
 // a persisted image (ascending addresses) fills one allocation instead of
@@ -361,13 +344,6 @@ func (m *Machine) SeedMemory(addr pmm.Addr, size int, val uint64) {
 // CurSeq returns the last assigned global sequence number.
 func (m *Machine) CurSeq() vclock.Seq { return m.seq }
 
-// ThreadCV returns (a materialized copy of) the thread's current
-// happens-before clock.
-func (m *Machine) ThreadCV(tid vclock.TID) vclock.VC {
-	m.checkTID(tid)
-	return m.clocks.Materialize(m.snapshot(tid))
-}
-
 // snapshot returns the thread's current clock as a stamp (no allocation).
 func (m *Machine) snapshot(tid vclock.TID) vclock.Stamp {
 	return vclock.Stamp{Base: m.base[tid], Self: vclock.NewEpoch(tid, m.self[tid])}
@@ -433,14 +409,6 @@ func (m *Machine) SBLen(tid vclock.TID) int {
 		return 0
 	}
 	return len(m.sb[tid].pending())
-}
-
-// FBLen returns the number of pending clwb operations for the thread.
-func (m *Machine) FBLen(tid vclock.TID) int {
-	if int(tid) >= len(m.fb) || tid < 0 {
-		return 0
-	}
-	return len(m.fb[tid])
 }
 
 // EvictOne pops the oldest store-buffer entry of the thread and commits it.

@@ -8,6 +8,13 @@ import (
 	"yashme/internal/vclock"
 )
 
+// threadCV returns a materialized copy of the thread's current
+// happens-before clock.
+func (m *Machine) threadCV(tid vclock.TID) vclock.VC {
+	m.checkTID(tid)
+	return m.clocks.MaterializeInto(nil, m.snapshot(tid))
+}
+
 // recorder captures listener events for assertions.
 type recorder struct {
 	stores    []*CommittedStore
@@ -53,7 +60,7 @@ func (r *recorder) FenceCommitted(tid vclock.TID, seq vclock.Seq, cv vclock.Stam
 
 func TestStoreBufferFIFO(t *testing.T) {
 	r := &recorder{}
-	m := NewMachine(r)
+	m := NewMachine(r, nil)
 	m.EnqueueStore(0, 8, 8, 1, false, false)
 	m.EnqueueStore(0, 16, 8, 2, false, false)
 	m.EnqueueStore(0, 24, 8, 3, false, false)
@@ -75,7 +82,7 @@ func TestStoreBufferFIFO(t *testing.T) {
 }
 
 func TestStoreBufferBypass(t *testing.T) {
-	m := NewMachine(nil)
+	m := NewMachine(nil, nil)
 	m.SeedMemory(8, 8, 100)
 	m.EnqueueStore(0, 8, 8, 200, false, false)
 	// Issuing thread sees its own buffered store.
@@ -93,7 +100,7 @@ func TestStoreBufferBypass(t *testing.T) {
 }
 
 func TestBypassReturnsNewestBufferedStore(t *testing.T) {
-	m := NewMachine(nil)
+	m := NewMachine(nil, nil)
 	m.EnqueueStore(0, 8, 8, 1, false, false)
 	m.EnqueueStore(0, 8, 8, 2, false, false)
 	if v, _ := m.Load(0, 8, 8, false); v != 2 {
@@ -102,7 +109,7 @@ func TestBypassReturnsNewestBufferedStore(t *testing.T) {
 }
 
 func TestLoadOfUnwrittenAddressIsZero(t *testing.T) {
-	m := NewMachine(nil)
+	m := NewMachine(nil, nil)
 	if v, rec := m.Load(0, 4096, 8, false); v != 0 || rec != nil {
 		t.Errorf("unwritten load = (%d, %v), want (0, nil)", v, rec)
 	}
@@ -110,7 +117,7 @@ func TestLoadOfUnwrittenAddressIsZero(t *testing.T) {
 
 func TestCLFlushCommitOrderAndClock(t *testing.T) {
 	r := &recorder{}
-	m := NewMachine(r)
+	m := NewMachine(r, nil)
 	m.EnqueueStore(0, 8, 8, 1, false, false)
 	m.EnqueueCLFlush(0, 8)
 	m.DrainSB(0)
@@ -122,33 +129,33 @@ func TestCLFlushCommitOrderAndClock(t *testing.T) {
 		t.Errorf("clflush seq = %d, want 2 (after the store)", cf.seq)
 	}
 	// The clflush clock must cover the earlier same-thread store.
-	if !m.ClockArena().Contains(cf.cv, 0, r.stores[0].Seq) {
-		t.Errorf("clflush CV %v does not cover the store (seq %d)", m.ClockArena().Materialize(cf.cv), r.stores[0].Seq)
+	if !m.clocks.Contains(cf.cv, 0, r.stores[0].Seq) {
+		t.Errorf("clflush CV %v does not cover the store (seq %d)", m.clocks.MaterializeInto(nil, cf.cv), r.stores[0].Seq)
 	}
 }
 
 func TestCLWBNeedsFence(t *testing.T) {
 	r := &recorder{}
-	m := NewMachine(r)
+	m := NewMachine(r, nil)
 	m.EnqueueStore(0, 8, 8, 1, false, false)
 	m.EnqueueCLWB(0, 8)
 	m.DrainSB(0)
 	if len(r.clwbBuf) != 1 || len(r.clwbPer) != 0 {
 		t.Fatalf("clwb buffered=%d persisted=%d, want 1/0 before fence", len(r.clwbBuf), len(r.clwbPer))
 	}
-	if m.FBLen(0) != 1 {
-		t.Fatalf("FBLen = %d, want 1", m.FBLen(0))
+	if len(m.fb[0]) != 1 {
+		t.Fatalf("flush buffer length = %d, want 1", len(m.fb[0]))
 	}
 	m.EnqueueSFence(0)
 	m.DrainSB(0)
 	if len(r.clwbPer) != 1 {
 		t.Fatalf("clwb persisted=%d after sfence, want 1", len(r.clwbPer))
 	}
-	if m.FBLen(0) != 0 {
-		t.Fatalf("FBLen = %d after sfence, want 0", m.FBLen(0))
+	if len(m.fb[0]) != 0 {
+		t.Fatalf("flush buffer length = %d after sfence, want 0", len(m.fb[0]))
 	}
 	p := r.clwbPer[0]
-	if !m.ClockArena().Contains(p.flush.CV, 0, r.stores[0].Seq) {
+	if !m.clocks.Contains(p.flush.CV, 0, r.stores[0].Seq) {
 		t.Errorf("persisted clwb CV does not cover the store")
 	}
 	if p.fenceSeq <= r.stores[0].Seq {
@@ -158,7 +165,7 @@ func TestCLWBNeedsFence(t *testing.T) {
 
 func TestSFenceOnlyFlushesOwnThread(t *testing.T) {
 	r := &recorder{}
-	m := NewMachine(r)
+	m := NewMachine(r, nil)
 	m.EnqueueCLWB(1, 8)
 	m.DrainSB(1)
 	m.EnqueueSFence(0)
@@ -166,18 +173,18 @@ func TestSFenceOnlyFlushesOwnThread(t *testing.T) {
 	if len(r.clwbPer) != 0 {
 		t.Fatal("thread 0's sfence persisted thread 1's clwb")
 	}
-	if m.FBLen(1) != 1 {
+	if len(m.fb[1]) != 1 {
 		t.Fatal("thread 1's flush buffer was disturbed")
 	}
 }
 
 func TestMFenceDrainsAndPersists(t *testing.T) {
 	r := &recorder{}
-	m := NewMachine(r)
+	m := NewMachine(r, nil)
 	m.EnqueueStore(0, 8, 8, 7, false, false)
 	m.EnqueueCLWB(0, 8)
 	m.MFence(0)
-	if m.SBLen(0) != 0 || m.FBLen(0) != 0 {
+	if m.SBLen(0) != 0 || len(m.fb[0]) != 0 {
 		t.Fatal("mfence left buffered operations")
 	}
 	if len(r.stores) != 1 || len(r.clwbPer) != 1 || len(r.fences) != 1 {
@@ -186,7 +193,7 @@ func TestMFenceDrainsAndPersists(t *testing.T) {
 }
 
 func TestReleaseAcquirePropagatesClock(t *testing.T) {
-	m := NewMachine(nil)
+	m := NewMachine(nil, nil)
 	// Thread 0: non-atomic store to x, release store to flag.
 	m.EnqueueStore(0, 8, 8, 42, false, false)
 	m.EnqueueStore(0, 16, 8, 1, true, true)
@@ -196,25 +203,25 @@ func TestReleaseAcquirePropagatesClock(t *testing.T) {
 	if v, _ := m.Load(1, 16, 8, true); v != 1 {
 		t.Fatalf("flag = %d", v)
 	}
-	if !m.ThreadCV(1).Contains(0, storeSeq) {
-		t.Errorf("acquire did not propagate clock: %v", m.ThreadCV(1))
+	if !m.threadCV(1).Contains(0, storeSeq) {
+		t.Errorf("acquire did not propagate clock: %v", m.threadCV(1))
 	}
 }
 
 func TestPlainLoadDoesNotAcquire(t *testing.T) {
-	m := NewMachine(nil)
+	m := NewMachine(nil, nil)
 	m.EnqueueStore(0, 8, 8, 42, false, false)
 	m.EnqueueStore(0, 16, 8, 1, true, true)
 	m.DrainSB(0)
 	m.Load(1, 16, 8, false) // non-acquire load
-	if m.ThreadCV(1).Contains(0, 1) {
+	if m.threadCV(1).Contains(0, 1) {
 		t.Error("plain load propagated the publisher's clock")
 	}
 }
 
 func TestRMWSemantics(t *testing.T) {
 	r := &recorder{}
-	m := NewMachine(r)
+	m := NewMachine(r, nil)
 	m.SeedMemory(8, 8, 5)
 	m.EnqueueStore(0, 16, 8, 9, false, false) // pending store to force a drain
 	old, wrote := m.RMW(0, 8, 8, func(cur uint64) (uint64, bool) {
@@ -238,7 +245,7 @@ func TestRMWSemantics(t *testing.T) {
 
 func TestRMWFailedCASDoesNotWrite(t *testing.T) {
 	r := &recorder{}
-	m := NewMachine(r)
+	m := NewMachine(r, nil)
 	m.SeedMemory(8, 8, 5)
 	old, wrote := m.RMW(0, 8, 8, func(cur uint64) (uint64, bool) {
 		return 0, false
@@ -255,7 +262,7 @@ func TestRMWFailedCASDoesNotWrite(t *testing.T) {
 }
 
 func TestTruncationBySize(t *testing.T) {
-	m := NewMachine(nil)
+	m := NewMachine(nil, nil)
 	m.EnqueueStore(0, 8, 8, 0x1122334455667788, false, false)
 	m.DrainSB(0)
 	for size, want := range map[int]uint64{
@@ -268,7 +275,7 @@ func TestTruncationBySize(t *testing.T) {
 }
 
 func TestSeededMemoryHasNoClock(t *testing.T) {
-	m := NewMachine(nil)
+	m := NewMachine(nil, nil)
 	m.SeedMemory(8, 8, 77)
 	v, rec := m.Load(0, 8, 8, false)
 	if v != 77 || rec == nil || rec.Seq != 0 {
@@ -277,7 +284,7 @@ func TestSeededMemoryHasNoClock(t *testing.T) {
 }
 
 func TestVolatileValueAndAddresses(t *testing.T) {
-	m := NewMachine(nil)
+	m := NewMachine(nil, nil)
 	m.EnqueueStore(0, 8, 8, 1, false, false)
 	m.EnqueueStore(0, 72, 8, 2, false, false)
 	m.DrainSB(0)
@@ -294,7 +301,7 @@ func TestVolatileValueAndAddresses(t *testing.T) {
 func TestSeqStrictlyIncreasingProperty(t *testing.T) {
 	f := func(script []uint8) bool {
 		r := &recorder{}
-		m := NewMachine(r)
+		m := NewMachine(r, nil)
 		for i, b := range script {
 			tid := vclock.TID(b % 3)
 			switch (b / 3) % 4 {
@@ -339,7 +346,7 @@ func TestSeqStrictlyIncreasingProperty(t *testing.T) {
 func TestPerThreadProgramOrderProperty(t *testing.T) {
 	f := func(vals []uint8) bool {
 		r := &recorder{}
-		m := NewMachine(r)
+		m := NewMachine(r, nil)
 		for i := range vals {
 			m.EnqueueStore(0, pmm.Addr(8*(i+1)), 8, uint64(i), false, false)
 		}
@@ -372,13 +379,13 @@ func TestPerThreadProgramOrderProperty(t *testing.T) {
 // average AllocsPerRun reports rounds to zero; a buffer that lost its array
 // on pops would allocate on every enqueue.
 func TestSteadyBufferLoopDoesNotAllocate(t *testing.T) {
-	m := NewMachine(nil)
+	m := NewMachine(nil, nil)
 	m.SpawnThreads(2)
 	for i := 0; i < 16; i++ {
 		m.EnqueueStore(1, pmm.Addr(8*i), 8, uint64(i), false, false)
 	}
 	Retire(m)
-	m = NewMachine(nil)
+	m = NewMachine(nil, nil)
 	m.SpawnThreads(2)
 	m.ReserveMemory(4096)
 	var a pmm.Addr

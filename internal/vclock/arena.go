@@ -309,15 +309,6 @@ func (a *Arena) Reintern(st Stamp) Stamp {
 	return Stamp{Base: a.Intern(a.buf), Self: st.Self}
 }
 
-// Get returns the component for t of the clock a stamp denotes.
-func (a *Arena) Get(st Stamp, t TID) Seq {
-	s := a.At(st.Base).Get(t)
-	if st.Self.TID() == t && st.Self.Seq() > s {
-		s = st.Self.Seq()
-	}
-	return s
-}
-
 // Contains reports whether operation (t, s) is included in the clock a
 // stamp denotes, consulting the self epoch before the snapshot.
 func (a *Arena) Contains(st Stamp, t TID, s Seq) bool {
@@ -359,11 +350,6 @@ func (a *Arena) MaterializeInto(buf VC, st Stamp) VC {
 		buf[st.Self.TID()] = s
 	}
 	return buf
-}
-
-// Materialize returns a freshly allocated full clock for a stamp.
-func (a *Arena) Materialize(st Stamp) VC {
-	return a.MaterializeInto(nil, st).Clone()
 }
 
 // JoinStamp joins the clock of stamp st into snapshot r and returns the

@@ -19,7 +19,7 @@ type naiveArena struct {
 // intern is the model's Intern: the empty clock is Ref 0, an interning
 // model returns the Ref of an equal clock, and anything else appends.
 func (m *naiveArena) intern(v VC) Ref {
-	w := canonical(v).Clone()
+	w := slices.Clone(canonical(v))
 	if len(w) == 0 {
 		return 0
 	}
@@ -95,7 +95,7 @@ func runArenaOps(data []byte) error {
 			if a.Owned() {
 				st.Self = NewEpoch(TID(in.next()%4), Seq(in.next()%8))
 			}
-			want := m.clocks[base].Clone()
+			want := slices.Clone(m.clocks[base])
 			if s := st.Self.Seq(); s != 0 {
 				self := make(VC, st.Self.TID()+1)
 				self[st.Self.TID()] = s

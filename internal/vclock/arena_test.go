@@ -96,8 +96,8 @@ func (s *arenaSim) check() error {
 	for t := TID(0); t < arenaTIDs; t++ {
 		st := Stamp{Base: s.base[t], Self: NewEpoch(t, s.self[t])}
 		for u := TID(0); u < arenaTIDs+1; u++ {
-			if got, want := s.a.Get(st, u), s.ref[t].Get(u); got != want {
-				return fmt.Errorf("thread %d clock Get(%d) = %d, oracle %d", t, u, got, want)
+			if got, want := s.a.MaterializeInto(nil, st).Get(u), s.ref[t].Get(u); got != want {
+				return fmt.Errorf("thread %d clock component %d = %d, oracle %d", t, u, got, want)
 			}
 			for _, q := range []Seq{0, 1, s.ref[t].Get(u), s.ref[t].Get(u) + 1} {
 				if got, want := s.a.Contains(st, u, q), s.ref[t].Contains(u, q); got != want {
@@ -107,7 +107,7 @@ func (s *arenaSim) check() error {
 		}
 	}
 	for i, st := range s.stamps {
-		m := s.a.Materialize(st)
+		m := s.a.MaterializeInto(nil, st)
 		for u := TID(0); u < arenaTIDs; u++ {
 			if m.Get(u) != s.srefs[i].Get(u) {
 				return fmt.Errorf("stamp %d materialized %v, oracle %v", i, m, s.srefs[i])

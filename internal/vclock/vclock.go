@@ -33,12 +33,9 @@ const maxTID = 1 << 16
 // happened". The zero value (nil) is an empty clock ready for use.
 //
 // Set and Join take pointer receivers because raising a component for a TID
-// past the current length grows the slice; Get, Contains, LeqAll, Max and
-// String work on values and accept nil.
+// past the current length grows the slice; Get, Contains and String work
+// on values and accept nil.
 type VC []Seq
-
-// New returns an empty vector clock.
-func New() VC { return nil }
 
 // Get returns the component for τ, zero if absent.
 func (v VC) Get(t TID) Seq {
@@ -98,16 +95,6 @@ func (v *VC) Join(other VC) {
 	}
 }
 
-// Clone returns an independent copy of v.
-func (v VC) Clone() VC {
-	if len(v) == 0 {
-		return nil
-	}
-	c := make(VC, len(v))
-	copy(c, v)
-	return c
-}
-
 // Contains reports whether the operation (t, s) is included in the prefix
 // described by v, i.e. s <= v[t]. An operation with Seq 0 never happened and
 // is trivially contained.
@@ -116,28 +103,6 @@ func (v VC) Contains(t TID, s Seq) bool {
 		return true
 	}
 	return s <= v.Get(t)
-}
-
-// LeqAll reports whether every component of v is <= the matching component of
-// other (v happens-before-or-equal other).
-func (v VC) LeqAll(other VC) bool {
-	for t, s := range v {
-		if s > other.Get(TID(t)) {
-			return false
-		}
-	}
-	return true
-}
-
-// Max returns the largest component in v (the newest operation it covers).
-func (v VC) Max() Seq {
-	var m Seq
-	for _, s := range v {
-		if s > m {
-			m = s
-		}
-	}
-	return m
 }
 
 // String renders the clock deterministically, for logs and tests. Zero

@@ -1,6 +1,7 @@
 package yashme_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestHeadline24Races(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep")
 	}
-	res := suite.Run(suite.Config{
+	res := suite.RunContext(context.Background(), suite.Config{
 		Tags:     []string{workload.TagTable3, workload.TagTable4},
 		Variants: []string{suite.VariantRaces},
 	})
@@ -68,12 +69,12 @@ func TestHeadline24Races(t *testing.T) {
 // (alloc_norace_test.go, alloc_race_test.go).
 func TestTable3AllocationGate(t *testing.T) {
 	cfg := suite.Config{Tags: []string{workload.TagTable3}, Variants: []string{suite.VariantRaces}}
-	suite.Run(cfg) // warm the pools
+	suite.RunContext(context.Background(), cfg) // warm the pools
 	const sweeps = 3
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < sweeps; i++ {
-		if races := suite.Run(cfg).TotalRaces(suite.RunRaces); races != 19 {
+		if races := suite.RunContext(context.Background(), cfg).TotalRaces(suite.RunRaces); races != 19 {
 			t.Fatalf("Table 3 sweep found %d races, paper reports 19", races)
 		}
 	}
@@ -92,12 +93,12 @@ func TestTable3AllocationGate(t *testing.T) {
 // modes; this one keeps random mode from silently regressing.
 func TestTable4AllocationGate(t *testing.T) {
 	cfg := suite.Config{Tags: []string{workload.TagTable4}, Variants: []string{suite.VariantRaces}}
-	suite.Run(cfg) // warm the pools
+	suite.RunContext(context.Background(), cfg) // warm the pools
 	const sweeps = 3
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < sweeps; i++ {
-		if races := suite.Run(cfg).TotalRaces(suite.RunRaces); races != 5 {
+		if races := suite.RunContext(context.Background(), cfg).TotalRaces(suite.RunRaces); races != 5 {
 			t.Fatalf("Table 4 sweep found %d races, paper reports 5", races)
 		}
 	}
