@@ -43,12 +43,11 @@
 //     and the trace recorder, each rewound to the point and copied;
 //   - the persisted image table (constant for the whole pre-crash
 //     execution: it is rebuilt only between executions), copied;
-//   - the scheduler rng: the point's raw-draw count and a frozen copy of
-//     the generator at or before it, which a resume skips forward (without
-//     the copy, when state mirroring is unavailable — see rngstate.go — it
-//     re-seeds and skips), plus the crash-unwind draw count, so a resume
-//     reproduces the exact rand.Rand state a from-scratch scenario holds
-//     after its crash unwinds the remaining threads;
+//   - the scheduler rng: the point's raw-draw count, the position a resume
+//     places its source at (a source fills its register only when it
+//     draws; see countingSource), plus the crash-unwind draw count, so a
+//     resume reproduces the exact rand.Rand state a from-scratch scenario
+//     holds after its crash unwinds the remaining threads;
 //   - the crash sequence number — NOT the TSO machine. A crash discards
 //     every buffered store and flush by definition, and the post-crash
 //     machine starts afresh over the image, so the machine's only
@@ -80,171 +79,68 @@ import (
 	"yashme/internal/vclock"
 )
 
-// countingSource is the scheduler's rand.Source64: a math/rand generator
-// whose stream position is both counted and copyable. When the rngState
-// mirror validates (see rngstate.go) the seeded state is extracted once and
-// stepped locally, so fork() can hand a snapshot an independent copy at the
-// current position — a resume then continues the stream with a struct copy
-// instead of re-seeding and replaying n draws. When the mirror is
-// unavailable the stdlib source is kept and resumes fall back to
-// seed-and-skip via the draw count; results are byte-identical either way.
+// countingSource is the scheduler's rand.Source64: the math/rand stream of
+// seed, at raw draw n. Its register (rngstate.go) is filled on the first
+// draw, seeded and then stepped n times, and it is owned: no other source
+// or snapshot reads it, and release recycles it. Placing a source (reset)
+// sets only the position, so a scenario that never draws, such as every
+// resume of a solo-threaded program under a deterministic persist policy,
+// never touches a register.
 type countingSource struct {
-	// state is the mirrored register, behind a pointer so copy-on-write
-	// forks allocate ~40 bytes instead of the ~5KB lagged-Fibonacci array.
-	// When cow is set, state points at a read-only donor (a snapshot's
-	// frozen rng) and the first mutation copies it; scenarios that never
-	// draw — every solo-threaded resume under a deterministic persist
-	// policy — skip the register copy entirely.
-	state    *rngState
-	cow      bool
-	mirrored bool
-	src      rand.Source   // fallback only
-	s64      rand.Source64 // nil if src lacks Uint64
-	n        uint64
+	seed int64
+	n    uint64
+	// state is the register at draw n, nil until the source draws.
+	state *rngState
 }
 
-// newCountingSource returns a source seeded at seed (see reset).
+// newCountingSource returns a source at the start of seed's stream.
 func newCountingSource(seed int64) *countingSource {
-	c := new(countingSource)
-	c.reset(seed)
-	return c
+	return &countingSource{seed: seed}
 }
 
-// reset is the engine's one way to seed a scheduler stream: it restarts c
-// at seed on a mirrored register when the mirror validated, on the stdlib
-// source otherwise. A recycled scenario shell resets its own source, so
-// the rand.Rand wrapping it stays valid.
-func (c *countingSource) reset(seed int64) {
-	if !rngMirrorOK {
-		*c = *newStdlibSource(seed)
-		return
-	}
-	st := getRngState()
-	seedRngState(seed, st)
-	*c = countingSource{state: st, mirrored: true}
+// reset is the engine's one way to place a scheduler stream: it puts c at
+// draw n of seed's stream and recycles the register c held. A recycled
+// scenario shell resets its own source, so the rand.Rand wrapping it stays
+// valid.
+func (c *countingSource) reset(seed int64, n uint64) {
+	c.release()
+	c.seed, c.n = seed, n
 }
 
-// newStdlibSource is the fallback behind newCountingSource: it keeps the
-// math/rand source itself, so fork returns nil and resumes seed-and-skip.
-func newStdlibSource(seed int64) *countingSource {
-	src := rand.NewSource(seed)
-	cs := &countingSource{src: src}
-	if s64, ok := src.(rand.Source64); ok {
-		cs.s64 = s64
-	}
-	return cs
-}
-
-// release hands a private register to the pool getRngState draws from. A
-// copy-on-write source still points at a frozen register and is never
-// recycled; nor are the frozen forks a probe's positions share. The source
-// must not draw again.
+// release hands c's register to the pool getRngState draws from; a source
+// that draws again fills a fresh one.
 func (c *countingSource) release() {
-	if c.mirrored && !c.cow && c.state != nil {
+	if c.state != nil {
 		rngStatePool.Put(c.state)
-	}
-	c.state = nil
-}
-
-// fork returns an independent eager copy positioned at the current stream
-// point, or nil when the state cannot be copied (nil source or mirror
-// unavailable).
-func (c *countingSource) fork() *countingSource {
-	if c == nil || !c.mirrored {
-		return nil
-	}
-	st := getRngState()
-	*st = *c.state
-	return &countingSource{state: st, mirrored: true, n: c.n}
-}
-
-// shareFrom makes c a copy-on-write fork of src positioned at src's
-// current stream point: the register copy is deferred to the first draw.
-// src must stay read-only for the fork's lifetime — it is only a frozen
-// fork a probe or recovery sink took on the way forward, which nothing
-// draws from. It reports false, and leaves c alone, when src is nil or
-// unmirrored.
-func (c *countingSource) shareFrom(src *countingSource) bool {
-	if src == nil || !src.mirrored {
-		return false
-	}
-	*c = countingSource{state: src.state, cow: true, mirrored: true, n: src.n}
-	return true
-}
-
-// materialize resolves a copy-on-write fork before its first mutation.
-func (c *countingSource) materialize() {
-	if c.cow {
-		st := getRngState()
-		*st = *c.state
-		c.state, c.cow = st, false
+		c.state = nil
 	}
 }
 
-func (c *countingSource) Int63() int64 {
-	c.n++
-	if c.mirrored {
-		c.materialize()
-		return c.state.Int63()
-	}
-	return c.src.Int63()
-}
+func (c *countingSource) Int63() int64 { return int64(c.Uint64() & rngMask) }
 
 func (c *countingSource) Uint64() uint64 {
-	if c.mirrored {
-		c.n++
-		c.materialize()
-		return c.state.Uint64()
-	}
-	if c.s64 != nil {
-		c.n++
-		return c.s64.Uint64()
-	}
-	// Compose from two Int63 draws exactly as rand.Rand does for sources
-	// without Uint64, so the draw count stays equal to the step count.
-	c.n += 2
-	return uint64(c.src.Int63())>>31 | uint64(c.src.Int63())<<32
-}
-
-func (c *countingSource) Seed(seed int64) {
-	if c.mirrored {
-		if c.cow {
-			c.state, c.cow = getRngState(), false
-		}
-		seedRngState(seed, c.state)
-	} else {
-		c.src.Seed(seed)
-	}
-	c.n = 0
-}
-
-// rewind steps a mirrored source back by n raw draws, the inverse of skip.
-func (c *countingSource) rewind(n uint64) {
-	c.materialize()
-	for i := uint64(0); i < n; i++ {
-		c.state.unstep()
-	}
-	c.n -= n
-}
-
-// skip advances the source by n raw draws (each Int63 call is one step for
-// every rand.NewSource implementation, with or without Source64). Skipping
-// nothing leaves a copy-on-write fork unmaterialized.
-func (c *countingSource) skip(n uint64) {
-	if n == 0 {
-		return
-	}
-	if c.mirrored {
-		c.materialize()
-	}
-	for i := uint64(0); i < n; i++ {
-		if c.mirrored {
+	if c.state == nil {
+		c.state = getRngState()
+		seedRngState(c.seed, c.state)
+		for i := uint64(0); i < c.n; i++ {
 			c.state.Uint64()
-		} else {
-			c.src.Int63()
 		}
 	}
-	c.n += n
+	c.n++
+	return c.state.Uint64()
+}
+
+func (c *countingSource) Seed(seed int64) { c.reset(seed, 0) }
+
+// rewind steps c back by k raw draws. A filled register undoes its steps;
+// an unfilled one has none to undo.
+func (c *countingSource) rewind(k uint64) {
+	if c.state != nil {
+		for i := uint64(0); i < k; i++ {
+			c.state.unstep()
+		}
+	}
+	c.n -= k
 }
 
 var _ rand.Source64 = (*countingSource)(nil)
@@ -264,19 +160,15 @@ type snapshot struct {
 	// crashSeq is the commit sequence at the point — what the crashed
 	// machine's CurSeq would report.
 	crashSeq vclock.Seq
-	// rngDraws is the stream position at the point; rng is a copy of the
-	// generator at or before it (nil when state mirroring is unavailable),
-	// from which a resume skips the rngDraws−rng.n remaining draws. Unless
-	// ownRng is set the copy is frozen and shared with the neighboring
-	// points, and resume forks it again. unwind is the number of still-live
-	// threads minus one, each of which costs the scheduler one bounded draw
-	// while the crash unwinds them.
-	rng      *countingSource
+	// rngDraws is the position of seed's scheduler stream at the point,
+	// where a resume places its source. rng, when set, is a random-mode
+	// probe's own register stepped back to rngDraws, which the one resume
+	// takes; otherwise the resume fills a register only if it draws.
+	// unwind is the number of still-live threads minus one, each of which
+	// costs the scheduler one bounded draw while the crash unwinds them.
+	rng      *rngState
 	rngDraws uint64
 	unwind   int
-	// ownRng marks a random-mode handover: rng is the probe's own register,
-	// rewound to the point, and the one resume takes it.
-	ownRng bool
 	// stats is the scenario's operation counts at the point, with the cost
 	// counters zeroed (Stats.ZeroCost): a resumed scenario inherits the
 	// prefix's per-kind counts but only counts the work it actually
@@ -318,8 +210,8 @@ func (snap *snapshot) release() {
 			p.Retire()
 		}
 	}
-	if snap.ownRng && snap.rng != nil {
-		snap.rng.release()
+	if snap.rng != nil {
+		rngStatePool.Put(snap.rng)
 	}
 	snap.rng, snap.heap, snap.extras, snap.rec = nil, nil, nil, nil
 }
@@ -353,11 +245,9 @@ type snapshotSink struct {
 	snaps map[int]*snapshot
 	// The persisted image is constant during the recovery execution (it is
 	// rebuilt only between executions), so the first capture clones it once
-	// for every snapshot; rng is the generator copy the snapshots since it
-	// share (see positionLog.keep).
+	// for every snapshot.
 	image      imageTable
 	imageTaken bool
-	rng        *countingSource
 }
 
 func newSnapshotSink(max int) *snapshotSink {
@@ -365,7 +255,7 @@ func newSnapshotSink(max int) *snapshotSink {
 }
 
 // observe captures the current flush/fence point (called from atCrashPoint):
-// the shell, a full detector clone, the sink's image and the rng copy.
+// the shell, a full detector clone and the sink's image.
 // Retained bytes are accounted into the capturing scenario's stats.
 func (k *snapshotSink) observe(sc *scenario) {
 	p := sc.crashPoints[sc.execIdx]
@@ -380,34 +270,13 @@ func (k *snapshotSink) observe(sc *scenario) {
 		sc.stats.SnapshotBytes += k.image.footprintBytes()
 	}
 	snap.image = k.image
-	k.rng = forkRng(sc, k.rng)
-	snap.rng = k.rng
 	snap.det = sc.det.Clone()
 	sc.stats.SnapshotBytes += snap.det.FootprintBytes() + snapshotOverheadBytes
 	k.snaps[p] = snap
 }
 
-// forkRng returns the frozen generator copy a capture at sc's current
-// point shares: last, or a fresh fork once the stream has moved rngLen
-// draws past it, so no resume's skip reaches a register length. A
-// solo-threaded execution never draws, so one copy serves every point.
-func forkRng(sc *scenario, last *countingSource) *countingSource {
-	if last != nil && sc.rngSrc.n-last.n < rngLen {
-		return last
-	}
-	f := sc.rngSrc.fork()
-	if f != nil {
-		sc.stats.SnapshotBytes += rngCopyBytes
-	}
-	return f
-}
-
-// rngCopyBytes is the accounted size of one forked countingSource (the
-// mirrored lagged-Fibonacci register dominates).
-const rngCopyBytes = 4880
-
 // newSnapshotShell captures the per-point state a recovery capture needs
-// beside the detector, image and rng: identity, rng position, stats prefix,
+// beside the detector and image: identity, rng position, stats prefix,
 // crash bookkeeping, the O(1) heap view, the extras and the trace log.
 func newSnapshotShell(sc *scenario, point int) *snapshot {
 	snap := &snapshot{
@@ -579,16 +448,9 @@ func resumeScenario(opts Options, snap *snapshot, p plan, persist PersistPolicy)
 			rec = rec.Clone()
 		}
 	}
-	switch {
-	case snap.ownRng && snap.rng != nil:
-		*sc.rngSrc = *snap.rng // the probe's own register, rewound
-		snap.rng = nil
-	case sc.rngSrc.shareFrom(snap.rng):
-		sc.rngSrc.skip(snap.rngDraws - sc.rngSrc.n)
-	default:
-		sc.rngSrc.reset(snap.seed)
-		sc.rngSrc.skip(snap.rngDraws)
-	}
+	// A handed-over register is already at the point's draw count.
+	sc.rngSrc.reset(snap.seed, snap.rngDraws)
+	sc.rngSrc.state, snap.rng = snap.rng, nil
 	sc.stack = &sc.stackVal
 	sc.stack.Rebuild(snap.analyses, sc.det, extras)
 	sc.stack.SetLabeler(sc.labelFor)

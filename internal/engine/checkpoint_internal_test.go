@@ -13,6 +13,8 @@ import (
 	"yashme/internal/fuzzprog"
 	"yashme/internal/pmm"
 	"yashme/internal/report"
+	"yashme/internal/workload"
+	_ "yashme/internal/workload/all"
 )
 
 // TestResumeTwiceAroundWarmRetire: a resumed scenario's detector, image,
@@ -163,5 +165,56 @@ func TestRecoverySnapshotsSurviveWarmRetire(t *testing.T) {
 	}
 	if followUps == 0 {
 		t.Fatal("no recovery snapshot resumed")
+	}
+}
+
+// TestSchedulerRegisterFilledOnFirstDraw: a scheduler source fills its
+// register only when it draws. CCEH's one worker never gives the scheduler
+// a choice, so model-checking it leaves the probe and every resumed
+// scenario without a register. P-CLHT's two workers make its probe draw;
+// its resumed scenarios draw only under PersistRandom, which picks each
+// line's persist point from the scheduler rng, and exactly the ones that
+// draw get a register.
+func TestSchedulerRegisterFilledOnFirstDraw(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		policies []PersistPolicy
+		solo     bool
+	}{
+		{"CCEH", nil, true},
+		{"P-CLHT", []PersistPolicy{PersistLatest, PersistMinimal, PersistRandom}, false},
+	} {
+		spec, ok := workload.Lookup(tc.name)
+		if !ok {
+			t.Fatalf("%s is not registered", tc.name)
+		}
+		opts := Options{Mode: ModelCheck, Prefix: true, PersistPolicies: tc.policies, Workers: 1}.withDefaults()
+		probe := newScenario(spec.Make, opts, plan{}, PersistLatest, opts.Seed)
+		probe.runPreCrash()
+		if filled := probe.rngSrc.state != nil; filled == tc.solo {
+			t.Fatalf("%s: probe at draw %d has a register: %v", tc.name, probe.rngSrc.n, filled)
+		}
+		probe.retire()
+		drew, idle := 0, 0
+		for c, snap := range probeSnapshots(spec.Make, opts) {
+			for _, pp := range opts.PersistPolicies {
+				sc := runPlanned(spec.Make, opts, snap, plan{0: c}, pp, opts.Seed, nil)
+				filled, moved := sc.rngSrc.state != nil, sc.rngSrc.n > snap.rngDraws
+				if filled != moved {
+					t.Fatalf("%s point %d policy %v: resumed at draw %d, now at %d, has a register: %v",
+						tc.name, c, pp, snap.rngDraws, sc.rngSrc.n, filled)
+				}
+				if moved {
+					drew++
+				} else {
+					idle++
+				}
+				sc.retire()
+			}
+			snap.release()
+		}
+		if tc.solo && drew > 0 || !tc.solo && (drew == 0 || idle == 0) {
+			t.Fatalf("%s: %d resumed scenarios drew, %d did not", tc.name, drew, idle)
+		}
 	}
 }

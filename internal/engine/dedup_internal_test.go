@@ -189,7 +189,7 @@ func probeWalk(mk func() pmm.Program, opts Options, memo bool, arm func(*positio
 	snaps, dups := make(map[int]*snapshot), make(map[int]int)
 	walkBackward(limit, func(c int) {
 		snaps[c] = log.copyAt(probe, c)
-		if rp := log.kept[c].dupOf; rp > 0 {
+		if rp := log.dupOf[c]; rp > 0 {
 			dups[c] = rp
 		}
 	})

@@ -106,12 +106,8 @@ type Options struct {
 	// ModelCheck: for every crash point, after the policy runs, one extra
 	// scenario is run per (cache line, candidate persist point) pair — the
 	// post-crash execution observes each value the line could have held.
-	// Capped at ReadChoiceCap extra scenarios per crash point.
+	// Capped at 24 extra scenarios per crash point (readChoiceCap).
 	ExploreReads bool
-	// ReadChoiceCap bounds the extra read-exploration scenarios per crash
-	// point (0 = DefaultReadChoiceCap). Big sweeps can raise it to chase
-	// deep value-dependent recovery paths, or lower it to bound cost.
-	ReadChoiceCap int
 	// Workers is the number of crash scenarios executed concurrently
 	// (0 = runtime.GOMAXPROCS(0); 1 = fully sequential). Results are
 	// byte-identical for every worker count: scenarios are isolated and
@@ -187,9 +183,6 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.ReadChoiceCap <= 0 {
-		o.ReadChoiceCap = DefaultReadChoiceCap
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -234,10 +227,11 @@ type Stats struct {
 	DirectOps int64 `json:"direct_ops"`
 	// SnapshotBytes estimates the bytes copied to put scenarios at crash
 	// points: each model-check point's private copies of the detector (its
-	// store records included), the extra passes and the image, frozen rng
-	// copies, and the full clones recovery sinks capture under
-	// RecoveryCrashes. A random-mode handover moves the probe's own state,
-	// so it counts nothing here.
+	// store records included), the extra passes and the image, and the
+	// full clones recovery sinks capture under RecoveryCrashes. The
+	// scheduler rng is never copied: a snapshot holds its position. A
+	// random-mode handover moves the probe's own state, so it counts
+	// nothing here.
 	SnapshotBytes int64 `json:"snapshot_bytes"`
 	// JournalOps counts the detector mutations model-check probes recorded
 	// into their undo journals, which their backward walks then undo.
@@ -404,7 +398,3 @@ func RunOne(makeProg func() pmm.Program, opts Options, crashPoint int, pp Persis
 	res.mergeSpec(r)
 	return res
 }
-
-// DefaultReadChoiceCap is the Options.ReadChoiceCap applied when the field
-// is zero: the bound on extra read-exploration scenarios per crash point.
-const DefaultReadChoiceCap = 24

@@ -470,7 +470,7 @@ func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Optio
 					spec.snap = log.copyAt(probe, c)
 					opts.Budget.Release()
 				}
-				if rp := log.kept[c].dupOf; rp > 0 {
+				if rp := log.dupOf[c]; rp > 0 {
 					spec.dedupOf = base + rp + 1
 					if repPoints == nil {
 						repPoints = make(map[int]bool)
@@ -687,7 +687,7 @@ func (out *specResult) runPolicy(ctx context.Context, makeProg func() pmm.Progra
 // runReadChoices re-runs a crash point once per (line, persist-point) pair,
 // pinning that line to that choice so the post-crash execution actually
 // observes every candidate value (Jaaru's constraint-based read
-// exploration, bounded by Options.ReadChoiceCap per crash point).
+// exploration, bounded by readChoiceCap per crash point).
 func runReadChoices(ctx context.Context, makeProg func() pmm.Program, opts Options, spec scenarioSpec,
 	lineChoices map[pmm.Line]vclockSeqs, out *specResult) {
 
@@ -697,7 +697,7 @@ func runReadChoices(ctx context.Context, makeProg func() pmm.Program, opts Optio
 		lines = append(lines, l)
 	}
 	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	budget := opts.ReadChoiceCap
+	budget := readChoiceCap
 	for _, line := range lines {
 		for _, choice := range lineChoices[line] {
 			if budget == 0 || ctx.Err() != nil {
@@ -714,6 +714,10 @@ func runReadChoices(ctx context.Context, makeProg func() pmm.Program, opts Optio
 		}
 	}
 }
+
+// readChoiceCap bounds the extra read-exploration scenarios per crash
+// point.
+const readChoiceCap = 24
 
 // specResultPool holds merged outcomes (specResult.release).
 var specResultPool sync.Pool

@@ -6,8 +6,7 @@
 // attached to its detector (core.Detector.AttachUndo) and to every extra
 // analysis pass (analysis.Pass.AttachUndo), and logs a compact position at
 // every crash point: the journal marks and the trace recorder's length
-// among it. A model-check probe also keeps a frozen rng copy per register
-// length of draws. After the run, the planner walks the points backwards
+// among it. After the run, the planner walks the points backwards
 // and at each rewinds the probe to the point — the detector, the extra
 // passes and the recorder together:
 //
@@ -17,10 +16,13 @@
 //   - A random execution's crash point c is drawn from the number of points
 //     its schedule reaches, so c is known only after the probe. It has
 //     exactly one consumer, so the probe's own detector, extra passes,
-//     recorder and image go into its snapshot uncopied, and its rng
-//     register, which has moved past c, is stepped back to c's draw count
-//     (every draw is one invertible generator step) and handed over too;
-//     only an unmirrored fallback source makes the resume seed and skip.
+//     recorder and image go into its snapshot uncopied. So does its rng
+//     register, if it drew: it has moved past c, and every draw is one
+//     invertible generator step, so it is stepped back to c's draw count.
+//
+// The scheduler rng needs no copy in either mode: a snapshot records the
+// point's draw count, and a resume places its source there
+// (countingSource), filling a register only if it draws.
 package engine
 
 import (
@@ -45,15 +47,6 @@ type probePoint struct {
 	live, allocs, inits, jMark           int
 }
 
-// keptPoint is what a model-check probe keeps beside a position, on the
-// way forward, for a point it will copy: the frozen rng copy, which no
-// journal can rewind. A duplicate point under crash-image memoization keeps
-// only its representative (dupOf; 0 = none).
-type keptPoint struct {
-	dupOf int
-	rng   *countingSource
-}
-
 // positionLog is the planner's record of one probe at a time: points[p]
 // is the position at crash point p, points[0] the completion. Every probe
 // reuses the slices, the journal and the signature buffer, and planners
@@ -69,13 +62,13 @@ type positionLog struct {
 	marks  []int
 	stride int
 	// copies marks a model-check probe, whose points each get a private
-	// copy, possibly resumed several times; kept runs parallel to points
-	// for it alone. max caps the points logged (0 = all), and rng is the
-	// latest frozen rng copy.
+	// copy, possibly resumed several times; dupOf runs parallel to points
+	// for it alone, holding each duplicate point's representative under
+	// crash-image memoization (0 = none). max caps the points logged
+	// (0 = all).
 	copies bool
-	kept   []keptPoint
+	dupOf  []int
 	max    int
-	rng    *countingSource
 	// recovery is the run's shared recovery program's recovery, which the
 	// probe's snapshots resume with.
 	recovery []func(*pmm.Thread)
@@ -108,10 +101,9 @@ func (pl *positionLog) watch(probe *scenario, opts Options, recovery []func(*pmm
 	pl.copies = opts.Mode == ModelCheck
 	pl.max = 0
 	if pl.copies {
-		pl.kept = append(pl.kept[:0], keptPoint{})
+		pl.dupOf = append(pl.dupOf[:0], 0)
 		pl.max = opts.MaxCrashPoints
 	}
-	pl.rng = nil
 	pl.dedup = dedupEnabled(opts)
 	if pl.dedup {
 		pl.seed = sigSeed
@@ -144,15 +136,10 @@ func (pl *positionLog) record(sc *scenario, p int) {
 		inits:    len(sc.heap.InitWrites()),
 		jMark:    pl.journal.Mark(),
 	}
-	var k keptPoint
-	if pl.copies {
-		k = pl.keep(sc, p)
-	}
 	if p == 0 {
+		// The completion is never classified: the walk emits it first, and
+		// it always runs.
 		pl.points[0] = pos
-		if pl.copies {
-			pl.kept[0] = k
-		}
 		// Overwrite the completion's placeholder marks in place.
 		pl.appendMarks(sc, pl.marks[:0])
 		pl.seal()
@@ -160,7 +147,11 @@ func (pl *positionLog) record(sc *scenario, p int) {
 	}
 	pl.points = append(pl.points, pos)
 	if pl.copies {
-		pl.kept = append(pl.kept, k)
+		dup := 0
+		if pl.dedup {
+			dup = pl.classify(sc, p)
+		}
+		pl.dupOf = append(pl.dupOf, dup)
 	}
 	pl.marks = pl.appendMarks(sc, pl.marks)
 }
@@ -175,21 +166,6 @@ func (pl *positionLog) appendMarks(sc *scenario, dst []int) []int {
 	return dst
 }
 
-// keep classifies model-check point p and, unless it is a duplicate,
-// shares or forks the frozen rng copy its snapshot will resume from. Point
-// 0, the completion, is never classified: the walk emits it first, and it
-// always runs.
-func (pl *positionLog) keep(sc *scenario, p int) (k keptPoint) {
-	if pl.dedup && p > 0 {
-		if k.dupOf = pl.classify(sc, p); k.dupOf > 0 {
-			return k
-		}
-	}
-	pl.rng = forkRng(sc, pl.rng)
-	k.rng = pl.rng
-	return k
-}
-
 // seal ends the classification window with the pre-crash execution: the
 // signature index is emptied for the next probe, keeping what it grew.
 func (pl *positionLog) seal() {
@@ -201,8 +177,7 @@ func (pl *positionLog) seal() {
 // the log back to its pool.
 func (pl *positionLog) release() {
 	pl.seal()
-	clear(pl.kept[:cap(pl.kept)])
-	pl.kept, pl.rng, pl.recovery = pl.kept[:0], nil, nil
+	pl.recovery = nil
 	positionLogPool.Put(pl)
 }
 
@@ -212,12 +187,10 @@ func (pl *positionLog) release() {
 // point's snapshot carries only its identity and operation counts. Points
 // are visited in descending order, completion (0) first.
 func (pl *positionLog) copyAt(probe *scenario, c int) *snapshot {
-	k := &pl.kept[c]
-	if k.dupOf > 0 {
+	if pl.dupOf[c] > 0 {
 		return pl.shell(probe, c)
 	}
 	snap := pl.rewind(probe, c)
-	snap.rng = k.rng
 	snap.det, snap.image = probe.det.Clone(), probe.image.clone()
 	snap.extras = analysis.CloneExtras(probe.stack.Extras())
 	if probe.recorder != nil {
@@ -229,8 +202,8 @@ func (pl *positionLog) copyAt(probe *scenario, c int) *snapshot {
 }
 
 // handover rewinds a random-mode probe to its drawn crash point c and
-// moves its own detector, extra passes, recorder, image and (when
-// mirrored) rng register into the snapshot its one crash scenario takes,
+// moves its own detector, extra passes, recorder, image and (if it drew)
+// rng register into the snapshot its one crash scenario takes,
 // which owns them from then on: the resume rebuilds its stack around the
 // detector and the passes and rewires the recorder to that stack and its
 // own heap (resumeScenario). The probe keeps none of them: its retire
@@ -240,12 +213,9 @@ func (pl *positionLog) handover(probe *scenario, c int) *snapshot {
 	snap.det, snap.image, snap.take = probe.det, probe.image, true
 	snap.extras, snap.rec = probe.stack.Extras(), probe.recorder
 	probe.det, probe.image, probe.recorder = nil, imageTable{}, nil
-	if src := probe.rngSrc; src.mirrored {
-		src.rewind(src.n - pl.points[c].rngDraws)
-		snap.rng = &countingSource{state: src.state, mirrored: true, n: src.n}
-		snap.ownRng = true
-		src.state = nil
-	}
+	src := probe.rngSrc
+	src.rewind(src.n - snap.rngDraws)
+	snap.rng, src.state = src.state, nil
 	return snap
 }
 

@@ -1,15 +1,17 @@
-// Copyable scheduler-rng state.
+// The scheduler rng's register.
 //
 // Every crash scenario owns a rand.Rand, and a checkpointed resume must hand
 // it the exact stream position a from-scratch run would hold. math/rand does
 // not expose its generator state, but the package is frozen under the Go 1
 // compatibility promise, so this file mirrors it: the state struct layout and
 // the step function of its additive lagged-Fibonacci generator
-// (math/rand/rng.go). A snapshot then carries a plain copy of the register,
-// and a resume is a 4.9KB memcpy — no re-seeding, no replay.
+// (math/rand/rng.go). A scheduler source is then a seed and a draw count,
+// and it fills a register of its own only when it first draws: seeded here,
+// then stepped to the count (countingSource). A random-mode probe's register
+// is stepped back instead (unstep) and handed to its one resume.
 //
-// Seeding is mirrored too, because random mode seeds a fresh register for
-// every scenario. The stdlib fills the 607-word register from 1,841 serial
+// The seeding follows the stdlib too, because random mode seeds a fresh
+// register for every scenario. The stdlib fills the 607-word register from 1,841 serial
 // steps of the LCG x <- 48271*x mod (2^31-1), XORed with a table of "cooked"
 // constants. The k-th LCG value is 48271^k * x0 mod (2^31-1), so
 // seedRngState takes the powers from a table built once and fills every word
@@ -20,17 +22,19 @@
 // The mirror is validated at init: the layout check compares field names,
 // types, offsets and total size by reflection, the fill check compares whole
 // registers against rand.NewSource for seeds other than the one the cooked
-// table came from, and the behavior check steps a mirrored copy alongside the
-// real source across the register's wrap point. If any fails (a future Go
-// release changing internals), mirroring is disabled and countingSource keeps
-// a stdlib source and resumes by seed-and-skip — slower, byte-identical
-// results.
+// table came from, and the behavior check steps a seeded register alongside
+// the real source across the register's wrap point. If any fails (a Go
+// release that changed math/rand's internals), init panics and names the Go
+// version: there is no second path.
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"unsafe"
 )
@@ -60,7 +64,7 @@ type rngState struct {
 }
 
 // Uint64 advances the generator one step — the stdlib step function
-// verbatim, so a mirrored copy continues the stream byte-identically.
+// verbatim, so a register continues the stdlib stream byte-identically.
 func (r *rngState) Uint64() uint64 {
 	r.tap--
 	if r.tap < 0 {
@@ -74,8 +78,6 @@ func (r *rngState) Uint64() uint64 {
 	r.vec[r.feed] = x
 	return uint64(x)
 }
-
-func (r *rngState) Int63() int64 { return int64(r.Uint64() & rngMask) }
 
 // unstep undoes one Uint64 step: the word the step overwrote was the sum of
 // its old value and the tap word, which the step left unchanged.
@@ -124,25 +126,29 @@ func lcgMod31(p uint64) uint64 {
 	return p&lcgMod + p>>31
 }
 
-// rngMirrorOK reports whether the running math/rand implementation matches
-// the mirror; computed once at init.
-var rngMirrorOK = validateRngMirror()
+func init() {
+	if err := validateRngMirror(); err != nil {
+		panic(fmt.Sprintf("engine: the scheduler rng mirror does not match math/rand of %s: %v", runtime.Version(), err))
+	}
+}
 
-func validateRngMirror() bool {
+// validateRngMirror checks the running math/rand implementation against
+// the mirror, and fills rngCooked on the way.
+func validateRngMirror() error {
 	src := rand.NewSource(1)
 	v := reflect.ValueOf(src)
 	if v.Kind() != reflect.Pointer {
-		return false
+		return errors.New("rand.NewSource returns no pointer")
 	}
 	t := v.Elem().Type()
 	mt := reflect.TypeOf(rngState{})
 	if t.Kind() != reflect.Struct || t.NumField() != mt.NumField() || t.Size() != mt.Size() {
-		return false
+		return fmt.Errorf("source type %v is not shaped like rngState", t)
 	}
 	for i := 0; i < mt.NumField(); i++ {
 		f, g := t.Field(i), mt.Field(i)
 		if f.Name != g.Name || f.Type != g.Type || f.Offset != g.Offset {
-			return false
+			return fmt.Errorf("source field %d is %s %v at offset %d, not %s %v at %d", i, f.Name, f.Type, f.Offset, g.Name, g.Type, g.Offset)
 		}
 	}
 	// With rngCooked still zero, seedRngState(1) fills in the bare LCG
@@ -156,21 +162,21 @@ func validateRngMirror() bool {
 	for _, seed := range []int64{0, -1, math.MinInt64, 20220326} {
 		seedRngState(seed, &st)
 		if st != *mirrorOf(rand.NewSource(seed)) {
-			return false
+			return fmt.Errorf("seed %d fills a different register", seed)
 		}
 	}
 	s64, ok := rand.NewSource(20220326).(rand.Source64)
 	if !ok {
-		return false
+		return errors.New("the source has no Uint64")
 	}
 	// st holds seed 20220326's register. Step far enough to wrap both
 	// register indices at least twice.
 	for i := 0; i < 2*rngLen; i++ {
 		if st.Uint64() != s64.Uint64() {
-			return false
+			return fmt.Errorf("step %d draws a different value", i)
 		}
 	}
-	return true
+	return nil
 }
 
 // mirrorOf views a stdlib source's state as an rngState. Only valid once
@@ -179,8 +185,9 @@ func mirrorOf(src rand.Source) *rngState {
 	return (*rngState)(unsafe.Pointer(reflect.ValueOf(src).Pointer()))
 }
 
-// rngStatePool holds the registers of dead scenarios' sources
-// (countingSource.release).
+// rngStatePool holds the registers of dead sources (countingSource.release)
+// and of spent random-mode snapshots (snapshot.release). Every register has
+// one owner, so every one comes back.
 var rngStatePool sync.Pool
 
 // getRngState returns a register to overwrite, recycled when one is free.
@@ -191,8 +198,8 @@ func getRngState() *rngState {
 	return new(rngState)
 }
 
-// seedRngState sets out to the state rand.NewSource(seed) starts in. Only
-// valid when rngMirrorOK: validation proved the fill equals the stdlib's.
+// seedRngState sets out to the state rand.NewSource(seed) starts in;
+// validation proved at init that the fill equals the stdlib's.
 func seedRngState(seed int64, out *rngState) {
 	// Normalize exactly as rngSource.Seed does.
 	seed %= lcgMod

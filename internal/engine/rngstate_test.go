@@ -6,17 +6,8 @@ import (
 	"testing"
 )
 
-// The mirror must validate on every supported Go release: if this fails,
-// math/rand internals changed and resumes silently take the slow
-// seed-and-skip path.
-func TestRngMirrorValidates(t *testing.T) {
-	if !rngMirrorOK {
-		t.Fatal("rngState mirror failed validation against this Go release's math/rand")
-	}
-}
-
-// A mirrored countingSource must produce the stdlib stream exactly, across
-// the 607-word register wrap.
+// A countingSource must produce the stdlib stream exactly, across the
+// 607-word register wrap.
 func TestCountingSourceMatchesStdlib(t *testing.T) {
 	for _, seed := range []int64{1, 7, 20220326, -5} {
 		cs := newCountingSource(seed)
@@ -26,38 +17,86 @@ func TestCountingSourceMatchesStdlib(t *testing.T) {
 				t.Fatalf("seed %d draw %d: got %#x, want %#x", seed, i, got, want)
 			}
 		}
+		cs.release()
 	}
 }
 
-// A fork must continue from the fork point and leave the original stream
-// untouched.
-func TestCountingSourceFork(t *testing.T) {
-	cs := newCountingSource(42)
-	cs.skip(700) // past one register wrap
-	fk := cs.fork()
-	if fk == nil {
-		t.Fatal("fork returned nil with mirroring available")
-	}
-	if fk.n != cs.n {
-		t.Fatalf("fork draw count %d != original %d", fk.n, cs.n)
-	}
-	ref := rand.NewSource(42).(rand.Source64)
-	for i := 0; i < 700; i++ {
+// streamAt returns rand.NewSource(seed) after n raw steps.
+func streamAt(seed int64, n uint64) rand.Source64 {
+	ref := rand.NewSource(seed).(rand.Source64)
+	for i := uint64(0); i < n; i++ {
 		ref.Uint64()
 	}
-	for i := 0; i < 2000; i++ {
-		if got, want := fk.Uint64(), ref.Uint64(); got != want {
-			t.Fatalf("forked draw %d: got %#x, want %#x", i, got, want)
+	return ref
+}
+
+// checkStreamAt requires cs, placed at draw n of seed's stream, to draw
+// what the stdlib source draws after n raw steps, through Int63, Uint64
+// and rand.Rand.Intn (whose rejection loop draws a varying number of
+// values), for twice the register length.
+func checkStreamAt(t *testing.T, what string, cs *countingSource, seed int64, n uint64) {
+	t.Helper()
+	if cs.seed != seed || cs.n != n {
+		t.Fatalf("%s: source at (%d, %d), want (%d, %d)", what, cs.seed, cs.n, seed, n)
+	}
+	ref := streamAt(seed, n)
+	for i := 0; i < 50; i++ {
+		if got, want := cs.Int63(), ref.Int63(); got != want {
+			t.Fatalf("%s: seed %d at %d, Int63 %d: got %#x, want %#x", what, seed, n, i, got, want)
+		}
+		if got, want := cs.Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("%s: seed %d at %d, Uint64 %d: got %#x, want %#x", what, seed, n, i, got, want)
 		}
 	}
-	// The fork's 2000 draws must not have advanced the original: its next
-	// draw is stream position 701.
-	ref = rand.NewSource(42).(rand.Source64)
-	for i := 0; i < 700; i++ {
-		ref.Uint64()
+	if cs.n != n+100 {
+		t.Fatalf("%s: seed %d at %d: 100 draws counted as %d", what, seed, n, cs.n-n)
 	}
-	if got, want := cs.Uint64(), ref.Uint64(); got != want {
-		t.Fatalf("original advanced by fork draws: got %#x, want %#x", got, want)
+	r, rr := rand.New(cs), rand.New(ref)
+	for i := 0; i < 2*rngLen; i++ {
+		k := 1 + i
+		if i%2 == 1 {
+			k = 3 << 61 // Int63n rejects about a quarter of the draws
+		}
+		if got, want := r.Intn(k), rr.Intn(k); got != want {
+			t.Fatalf("%s: seed %d at %d, Intn(%d) %d: got %d, want %d", what, seed, n, k, i, got, want)
+		}
+	}
+}
+
+// TestCountingSourcePositionMatchesStdlib: a source placed at (seed, n)
+// fills its register on its first draw and continues seed's stream from
+// draw n — on a fresh source, on a register drawn from the pool after a
+// release, and on a register handed over from a source that drew past n
+// and was stepped back to it, as a random-mode probe's is.
+func TestCountingSourcePositionMatchesStdlib(t *testing.T) {
+	for _, seed := range []int64{1, 7, 20220326, -5} {
+		for _, n := range []uint64{0, 1, 272, 606, 607, 1500} {
+			var cs countingSource
+			cs.reset(seed, n)
+			if cs.state != nil {
+				t.Fatal("placing a source filled a register")
+			}
+			checkStreamAt(t, "placed", &cs, seed, n)
+			cs.release()
+
+			// The pool now holds a register at some other position; the
+			// next placed source may fill it.
+			dirty := newCountingSource(seed + 1)
+			dirty.Uint64()
+			dirty.release()
+			cs.reset(seed, n)
+			checkStreamAt(t, "placed after a release", &cs, seed, n)
+
+			probe := newCountingSource(seed)
+			for i := uint64(0); i < n+rngLen+17; i++ {
+				probe.Uint64()
+			}
+			probe.rewind(rngLen + 17)
+			cs.reset(seed, n)
+			cs.state, probe.state = probe.state, nil
+			checkStreamAt(t, "handed over", &cs, seed, n)
+			cs.release()
+		}
 	}
 }
 
@@ -80,38 +119,6 @@ func TestPooledCountingSourceMatchesStdlib(t *testing.T) {
 				t.Fatalf("round %d reseed %d: got %#x, want %#x", round, seed+1, got, want)
 			}
 			cs.release()
-		}
-	}
-}
-
-// A copy-on-write fork shares its donor's frozen register until it draws;
-// releasing it must never hand that register to the pool, where a later
-// source would overwrite a snapshot's rng. A fork that drew owns a private
-// copy, and the donor stays frozen either way.
-func TestCopyOnWriteSourceNeverRecycled(t *testing.T) {
-	donor := newCountingSource(42)
-	donor.skip(700)
-	frozen := *donor.state
-	sharedFork(donor).release()
-	drawn := sharedFork(donor)
-	drawn.Uint64()
-	drawn.release()
-	for i := 0; i < 8; i++ {
-		cs := newCountingSource(int64(100 + i))
-		cs.Uint64()
-		cs.release()
-	}
-	if *donor.state != frozen {
-		t.Fatal("a released copy-on-write fork recycled its donor's register")
-	}
-	fk := sharedFork(donor)
-	ref := rand.NewSource(42).(rand.Source64)
-	for i := 0; i < 700; i++ {
-		ref.Uint64()
-	}
-	for i := 0; i < 10; i++ {
-		if got, want := fk.Uint64(), ref.Uint64(); got != want {
-			t.Fatalf("fork of the donor drifted at draw %d: got %#x, want %#x", i, got, want)
 		}
 	}
 }
@@ -145,9 +152,6 @@ func checkSeedRngState(t *testing.T, seed int64) {
 // the normalization edges (0, multiples of 2^31-1, negatives, the int64
 // extremes, the stand-in for zero) and a spread of arbitrary seeds.
 func TestSeedRngStateMatchesStdlib(t *testing.T) {
-	if !rngMirrorOK {
-		t.Skip("mirror unavailable on this Go release")
-	}
 	for _, seed := range []int64{
 		0, 1, -1, lcgMod, -lcgMod, 1 << 31, rngZeroSeed, 20220326,
 		math.MinInt64, math.MaxInt64,
@@ -161,64 +165,15 @@ func TestSeedRngStateMatchesStdlib(t *testing.T) {
 }
 
 func FuzzSeedRngState(f *testing.F) {
-	if !rngMirrorOK {
-		f.Skip("mirror unavailable on this Go release")
-	}
 	f.Fuzz(checkSeedRngState)
-}
-
-// The stdlib-backed fallback must give the mirrored source's stream draw
-// for draw, count draws the same way, and skip and reseed alike; it can
-// never fork.
-func TestStdlibSourceMatchesMirrored(t *testing.T) {
-	if !rngMirrorOK {
-		t.Skip("mirror unavailable on this Go release")
-	}
-	for _, seed := range []int64{0, 7, -5, 20220326} {
-		fb, cs := newStdlibSource(seed), newCountingSource(seed)
-		if fb.mirrored || fb.fork() != nil || sharedFork(fb) != nil {
-			t.Fatalf("seed %d: fallback source claims a copyable register", seed)
-		}
-		same := func(step string) {
-			t.Helper()
-			for i := 0; i < 50; i++ {
-				if got, want := fb.Int63(), cs.Int63(); got != want {
-					t.Fatalf("seed %d %s Int63 %d: got %#x, want %#x", seed, step, i, got, want)
-				}
-				if got, want := fb.Uint64(), cs.Uint64(); got != want {
-					t.Fatalf("seed %d %s Uint64 %d: got %#x, want %#x", seed, step, i, got, want)
-				}
-			}
-			if fb.n != cs.n {
-				t.Fatalf("seed %d %s: fallback counted %d draws, mirrored %d", seed, step, fb.n, cs.n)
-			}
-		}
-		same("start")
-		fb.skip(rngLen)
-		cs.skip(rngLen) // 100 draws + 607: past the register wrap
-		same("after skip")
-		fb.Seed(seed + 1)
-		cs.Seed(seed + 1)
-		same("after reseed")
-		cs.release()
-	}
-}
-
-// sharedFork returns a copy-on-write fork of src, nil when src cannot be
-// forked.
-func sharedFork(src *countingSource) *countingSource {
-	c := new(countingSource)
-	if !c.shareFrom(src) {
-		return nil
-	}
-	return c
 }
 
 // TestRngUnstepInvertsStep: k generator steps followed by k unsteps restore
 // the register exactly, from several starting offsets and for k up to
 // past twice the register length, so both indices wrap in each direction.
-// A rewound source then continues the stream a fresh source skipped to the
-// same draw count produces.
+// A rewound source then continues the stream a source placed at the same
+// draw count produces, and a source that never drew rewinds its position
+// alone.
 func TestRngUnstepInvertsStep(t *testing.T) {
 	var st rngState
 	seedRngState(20220326, &st)
@@ -239,19 +194,20 @@ func TestRngUnstepInvertsStep(t *testing.T) {
 			}
 		}
 	}
-	if !rngMirrorOK {
-		t.Skip("mirror unavailable on this Go release")
+	cs := newCountingSource(7)
+	for i := 0; i < 1500; i++ {
+		cs.Uint64()
 	}
-	cs, ref := newCountingSource(7), newCountingSource(7)
-	cs.skip(1500)
 	cs.rewind(1500 - 333)
-	ref.skip(333)
-	if cs.n != ref.n {
-		t.Fatalf("rewound draw count %d, want %d", cs.n, ref.n)
+	checkStreamAt(t, "rewound", cs, 7, 333)
+	cs.release()
+
+	idle := newCountingSource(7)
+	idle.n = 1500
+	idle.rewind(1500 - 333)
+	if idle.state != nil {
+		t.Fatal("rewinding a source that never drew filled a register")
 	}
-	for i := 0; i < 1000; i++ {
-		if got, want := cs.Uint64(), ref.Uint64(); got != want {
-			t.Fatalf("rewound source drifted at draw %d: got %#x, want %#x", i, got, want)
-		}
-	}
+	checkStreamAt(t, "rewound before drawing", idle, 7, 333)
+	idle.release()
 }

@@ -320,7 +320,7 @@ func newScenario(makeProg func() pmm.Program, opts Options, p plan, persist Pers
 	sc.heap = heap
 	sc.stack = stack
 	sc.det = stack.Model()
-	sc.rngSrc.reset(seed)
+	sc.rngSrc.reset(seed, 0)
 	sc.seed = seed
 	sc.persist = persist
 	sc.crashPlan = p
@@ -360,7 +360,7 @@ func getScenario() *scenario {
 // It is the one death point of every scenario, called once its reports and
 // stats have been harvested (specResult.absorb) or its probe summary taken;
 // the scenario must not be touched again. Snapshots taken from the
-// scenario hold clones, which own their copies, and forks. A random-mode
+// scenario hold clones, which own their copies. A random-mode
 // probe that handed its detector, extra passes, recorder, image and rng
 // register over (handover.go) no longer holds them.
 func (sc *scenario) retire() {
