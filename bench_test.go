@@ -21,10 +21,6 @@ import (
 	"yashme/internal/progs/cceh"
 	"yashme/internal/suite"
 	"yashme/internal/workload"
-
-	// Link the xfd analysis pass (the stacked suite mode and the
-	// related-work comparison select it via Options.Analyses).
-	_ "yashme/internal/analysis/all"
 )
 
 // mustSpec fetches a registered workload by name (the suite import links

@@ -25,9 +25,6 @@ import (
 	"yashme/internal/suite"
 	"yashme/internal/tables"
 	"yashme/internal/workload"
-
-	// Link the non-default analysis passes (-analyses, the xfd table).
-	_ "yashme/internal/analysis/all"
 )
 
 // main delegates to run so deferred profile writers fire before exit.

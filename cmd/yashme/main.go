@@ -29,9 +29,7 @@ import (
 	"yashme/internal/suite"
 	"yashme/internal/workload"
 
-	// Link every built-in benchmark's registration and every non-default
-	// analysis pass (-analyses).
-	_ "yashme/internal/analysis/all"
+	// Link every built-in benchmark's registration.
 	_ "yashme/internal/workload/all"
 )
 

@@ -21,8 +21,6 @@ import (
 	"yashme/internal/pmm"
 	"yashme/internal/pmtest"
 	"yashme/internal/progs/cceh"
-
-	_ "yashme/internal/analysis/all" // link the xfd pass
 )
 
 func main() {

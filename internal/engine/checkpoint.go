@@ -9,17 +9,16 @@
 // from its crash point's snapshot, simulating only the crash, the image
 // derivation and the post-crash recovery — O(n) + C·copy.
 //
-// The probe takes no snapshots while it runs. Its detector and its extra
-// analysis passes record undo journals, and at each crash point it logs a
-// compact position: the journal marks, the trace recorder's length and
-// the operation counts (handover.go's positionLog). Once it has run to
-// completion, the planner walks the points backwards — completion first,
-// then the last explored point down to the first — and at each rewinds the
-// probe's detector (core.Detector.Rewind) and passes
-// (analysis.Pass.Rewind) there, truncates its recorder, and clones them
-// into the point's snapshot. Random mode's probes work the same way, with
-// one consumer: the rewound detector, passes and recorder themselves are
-// handed over.
+// The probe takes no snapshots while it runs. Its detector and its xfd
+// detector, when selected, record undo journals, and at each crash point
+// it logs a compact position: the journal marks, the trace recorder's
+// length and the operation counts (handover.go's positionLog). Once it has
+// run to completion, the planner walks the points backwards — completion
+// first, then the last explored point down to the first — and at each
+// rewinds the probe's detectors (core.Detector.Rewind,
+// xfd.Detector.Rewind) there, truncates its recorder, and clones them into
+// the point's snapshot. Random mode's probes work the same way, with one
+// consumer: the rewound detectors and recorder themselves are handed over.
 //
 // On top of the positions sits crash-image memoization: at each probed
 // point the log serializes the image-determining state — heap shape, live
@@ -39,8 +38,8 @@
 // What a snapshot holds, and why:
 //
 //   - the persistent heap (an O(1) capped view; see pmm.Heap.SnapshotAt)
-//     and the detector with its report, the stack's extra analysis passes
-//     and the trace recorder, each rewound to the point and copied;
+//     and the detector with its report, the stack's xfd detector and the
+//     trace recorder, each rewound to the point and copied;
 //   - the persisted image table (constant for the whole pre-crash
 //     execution: it is rebuilt only between executions), copied;
 //   - the scheduler rng: the point's raw-draw count, the position a resume
@@ -60,11 +59,11 @@
 // of Options.Workers slots, so about that many copies are alive at once,
 // not one per crash point.
 //
-// The same mechanism, one level down, handles multiple crashes: a primary
-// scenario that expands recovery crashes captures full-clone snapshots of
-// its own recovery execution (execution index 1) for the follow-ups
-// (snapshotSink), and read-choice expansions resume from the first-crash
-// snapshot with a persist override.
+// Every scenario of a spec resumes from that one first-crash snapshot:
+// read-choice expansions add a persist override, and a recovery-crash
+// follow-up (Options.RecoveryCrashes) extends the plan to {0: c, 1: rc},
+// re-simulating the first recovery execution up to its crash point rc.
+// Snapshots therefore only ever hold a pre-crash execution's state.
 package engine
 
 import (
@@ -72,11 +71,11 @@ import (
 	"hash/maphash"
 	"math/rand"
 
-	"yashme/internal/analysis"
 	"yashme/internal/core"
 	"yashme/internal/pmm"
 	"yashme/internal/trace"
 	"yashme/internal/vclock"
+	"yashme/internal/xfd"
 )
 
 // countingSource is the scheduler's rand.Source64: the math/rand stream of
@@ -146,16 +145,17 @@ func (c *countingSource) rewind(k uint64) {
 var _ rand.Source64 = (*countingSource)(nil)
 
 // snapshotOverheadBytes is the accounted fixed cost of one snapshot shell
-// (the struct, the crash-point counts, the heap view headers) on top of the
-// detector and image copies it carries.
+// (the struct, the heap view headers) on top of the detector and image
+// copies it carries.
 const snapshotOverheadBytes = 256
 
-// snapshot is the state of a scenario at one crash point: everything a
-// resume needs to continue as if it had simulated the prefix itself.
+// snapshot is the state of a scenario at one crash point of its pre-crash
+// execution: everything a resume needs to continue as if it had simulated
+// the prefix itself.
 type snapshot struct {
-	seed    int64
-	execIdx int
-	// point is the 1-based flush/fence point captured (0 = completion).
+	seed int64
+	// point is the 1-based flush/fence point captured (0 = completion); a
+	// resume's crash-point counts are {0: point}.
 	point int
 	// crashSeq is the commit sequence at the point — what the crashed
 	// machine's CurSeq would report.
@@ -173,21 +173,18 @@ type snapshot struct {
 	// counters zeroed (Stats.ZeroCost): a resumed scenario inherits the
 	// prefix's per-kind counts but only counts the work it actually
 	// performs. A duplicate point's snapshot holds nothing else.
-	stats       Stats
-	crashPoints crashCounts
-	heap        *pmm.Heap
-	// det, image, extras and rec are the snapshot's own copies, or a
-	// random-mode probe's own state handed over (a recovery capture shares
-	// its image with the sink's other captures and is never taken or
-	// released). extras are the stack's extra analysis passes at the point,
-	// nil for a yashme-only stack; rec is the trace recorder, nil unless
-	// tracing. A resume clones them, unless take is set: then it takes
-	// them, and the snapshot is spent.
-	det    *core.Detector
-	image  imageTable
-	extras []analysis.Pass
-	rec    *trace.Recorder
-	take   bool
+	stats Stats
+	heap  *pmm.Heap
+	// det, image, xfd and rec are the snapshot's own copies, or a
+	// random-mode probe's own state handed over. xfd is the stack's xfd
+	// detector at the point, nil unless selected; rec is the trace
+	// recorder, nil unless tracing. A resume clones them, unless take is
+	// set: then it takes them, and the snapshot is spent.
+	det   *core.Detector
+	image imageTable
+	xfd   *xfd.Detector
+	rec   *trace.Recorder
+	take  bool
 	// recovery is the recovery a resume runs: the run's shared recovery
 	// program's (recoveryProgram). analyses is the validated pass selection
 	// of the stack the snapshot was taken from (analysis.Stack.Names),
@@ -205,15 +202,15 @@ func (snap *snapshot) release() {
 		snap.det.Retire()
 		snap.image.release()
 		snap.det = nil
-		for _, p := range snap.extras {
-			p.Report().Release()
-			p.Retire()
+		if snap.xfd != nil {
+			snap.xfd.Report().Release()
+			snap.xfd.Retire()
 		}
 	}
 	if snap.rng != nil {
 		rngStatePool.Put(snap.rng)
 	}
-	snap.rng, snap.heap, snap.extras, snap.rec = nil, nil, nil, nil
+	snap.rng, snap.heap, snap.xfd, snap.rec = nil, nil, nil, nil
 }
 
 // sigClass is one equivalence class of crash points under the state
@@ -231,75 +228,6 @@ type sigClass struct {
 type sigIndex struct {
 	slab    []byte
 	classes map[uint64][]sigClass
-}
-
-// snapshotSink collects full-clone snapshots of a primary scenario's first
-// recovery execution (execution index 1), keyed by crash point, for the
-// recovery-crash follow-ups (Options.RecoveryCrashes). The recovery run is
-// not journaled, so each point is cloned as it passes. All sink state is
-// touched only by the primary scenario's goroutine.
-type snapshotSink struct {
-	// max caps the points captured; mirrors RecoveryCrashes so unexplored
-	// points cost nothing.
-	max   int
-	snaps map[int]*snapshot
-	// The persisted image is constant during the recovery execution (it is
-	// rebuilt only between executions), so the first capture clones it once
-	// for every snapshot.
-	image      imageTable
-	imageTaken bool
-}
-
-func newSnapshotSink(max int) *snapshotSink {
-	return &snapshotSink{max: max, snaps: make(map[int]*snapshot)}
-}
-
-// observe captures the current flush/fence point (called from atCrashPoint):
-// the shell, a full detector clone and the sink's image.
-// Retained bytes are accounted into the capturing scenario's stats.
-func (k *snapshotSink) observe(sc *scenario) {
-	p := sc.crashPoints[sc.execIdx]
-	if p > k.max {
-		return
-	}
-	snap := newSnapshotShell(sc, p)
-	sc.stats.SnapshotBytes += analysis.ExtrasFootprintBytes(snap.extras)
-	if !k.imageTaken {
-		k.image = sc.image.clone()
-		k.imageTaken = true
-		sc.stats.SnapshotBytes += k.image.footprintBytes()
-	}
-	snap.image = k.image
-	snap.det = sc.det.Clone()
-	sc.stats.SnapshotBytes += snap.det.FootprintBytes() + snapshotOverheadBytes
-	k.snaps[p] = snap
-}
-
-// newSnapshotShell captures the per-point state a recovery capture needs
-// beside the detector and image: identity, rng position, stats prefix,
-// crash bookkeeping, the O(1) heap view, the extras and the trace log.
-func newSnapshotShell(sc *scenario, point int) *snapshot {
-	snap := &snapshot{
-		seed:        sc.seed,
-		execIdx:     sc.execIdx,
-		point:       point,
-		crashSeq:    sc.machine.CurSeq(),
-		rngDraws:    sc.rngSrc.n,
-		stats:       sc.stats,
-		crashPoints: sc.crashPoints,
-		heap:        sc.heap.Snapshot(),
-		recovery:    sc.recovery,
-		analyses:    sc.stack.Names(),
-	}
-	snap.stats.ZeroCost()
-	// A from-scratch crash at this point unwinds the remaining live
-	// threads; the scheduler draws Intn(j) for j = live-1 down to 2.
-	snap.unwind = sc.liveThreads - 1
-	snap.extras = analysis.CloneExtras(sc.stack.Extras())
-	if sc.recorder != nil {
-		snap.rec = sc.recorder.Clone()
-	}
-	return snap
 }
 
 // sigSeed is the per-process seed of the signature hash. A seed that
@@ -345,11 +273,11 @@ func (pl *positionLog) classify(sc *scenario, point int) int {
 	buf = sigU64(buf, uint64(sc.liveThreads))
 	buf = sigU64(buf, sc.rngSrc.n)
 	buf = sc.det.Current().AppendStateSignature(buf)
-	// Extra passes append their own decision-relevant state (nothing for a
-	// yashme-only stack, keeping the default signature bytes unchanged):
+	// The xfd detector appends its own decision-relevant state (nothing for
+	// a yashme-only stack, keeping the default signature bytes unchanged):
 	// two points only dedup when the WHOLE stack finds them
 	// indistinguishable.
-	buf = sc.stack.AppendExtrasSignature(buf)
+	buf = sc.stack.AppendXFDSignature(buf)
 	pl.sigBuf = buf
 	return pl.file(point, maphash.Bytes(pl.seed, buf), buf)
 }
@@ -437,13 +365,15 @@ func resumeScenario(opts Options, snap *snapshot, p plan, persist PersistPolicy)
 	sc := getScenario()
 	sc.view = *snap.heap.Snapshot()
 	sc.heap = &sc.view
-	extras, rec := snap.extras, snap.rec
+	x, rec := snap.xfd, snap.rec
 	if snap.take {
 		sc.det, sc.image = snap.det, snap.image
-		snap.det, snap.image, snap.extras, snap.rec = nil, imageTable{}, nil, nil
+		snap.det, snap.image, snap.xfd, snap.rec = nil, imageTable{}, nil, nil
 	} else {
 		sc.det, sc.image = snap.det.Clone(), snap.image.clone()
-		extras = analysis.CloneExtras(extras)
+		if x != nil {
+			x = x.Clone()
+		}
 		if rec != nil {
 			rec = rec.Clone()
 		}
@@ -452,17 +382,16 @@ func resumeScenario(opts Options, snap *snapshot, p plan, persist PersistPolicy)
 	sc.rngSrc.reset(snap.seed, snap.rngDraws)
 	sc.rngSrc.state, snap.rng = snap.rng, nil
 	sc.stack = &sc.stackVal
-	sc.stack.Rebuild(snap.analyses, sc.det, extras)
+	sc.stack.Rebuild(snap.analyses, sc.det, x)
 	sc.stack.SetLabeler(sc.labelFor)
 	sc.opts = opts
 	sc.recovery = snap.recovery
 	sc.seed = snap.seed
 	sc.persist = persist
 	sc.crashPlan = p
-	sc.execIdx = snap.execIdx
 	sc.stats = snap.stats
 	sc.setGates()
-	sc.crashPoints = snap.crashPoints
+	sc.crashPoints = crashCounts{0: snap.point}
 	if rec != nil {
 		rec.Inner, rec.Labeler = sc.stack.Listener(), sc.labelFor
 		sc.recorder = rec
@@ -481,7 +410,7 @@ func resumeScenario(opts Options, snap *snapshot, p plan, persist PersistPolicy)
 // when there is none (the Reference configuration, a probe whose Setup did
 // not fit the recovery program, a random run without handover).
 // configure, when non-nil, is applied to the scenario before any execution
-// — both paths — so read-choice overrides and recovery sinks attach
+// — both paths — so read-choice overrides and policy-twin marking attach
 // uniformly.
 func runPlanned(makeProg func() pmm.Program, opts Options, snap *snapshot, p plan, persist PersistPolicy, seed int64, configure func(*scenario)) *scenario {
 	if snap == nil {

@@ -1,12 +1,11 @@
 package engine
 
 // Internal tests for the checkpoint layer's ownership: crash-point copies
-// and recovery captures must survive the pools being reused around them.
+// must survive the pools being reused around them.
 
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -108,65 +107,6 @@ func recoveryWriter() pmm.Program {
 
 // RecoveryWriter exports recoveryWriter to the package's external tests.
 var RecoveryWriter = recoveryWriter
-
-// TestRecoverySnapshotsSurviveWarmRetire: under RecoveryCrashes a primary
-// scenario's recovery sink snapshots its recovery execution, copying its
-// store records, and its post-crash image, whose candidate lists live in
-// the primary's slab. The follow-ups resume from those snapshots after the
-// primary retired. The pools are dirtied in between, and each follow-up
-// must match its from-scratch twin: the same races, raw report count and
-// operation counts.
-func TestRecoverySnapshotsSurviveWarmRetire(t *testing.T) {
-	// Empty pools and one P keep them last-in first-out, so the dirtying
-	// run draws exactly what the primary retired.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
-	runtime.GC()
-	opts := Options{Mode: ModelCheck, Prefix: true, RecoveryCrashes: 3, Workers: 1}.withDefaults()
-	snaps := probeSnapshots(recoveryWriter, opts)
-	// summary renders the follow-up's reports, operation counts and every
-	// store record it can read, clocks aside (their arena refs are
-	// positional and differ between a resume and a scratch run).
-	summary := func(sc *scenario) string {
-		st := sc.stats
-		st.ZeroCost()
-		s := fmt.Sprintf("%s raw=%d %+v\n", sc.det.Report(), sc.det.Report().RawCount, st)
-		for _, e := range sc.det.Executions() {
-			for _, a := range e.AppendStoredAddrs(nil) {
-				for r := e.Latest(a); r != nil; r = e.ByRef(r.Prev()) {
-					s += fmt.Sprintf("%d:%d/%d=%d@%d.%d %v%v;", e.ID, r.Addr, r.Size, r.Val, r.TID, r.Seq, r.Atomic, r.Release)
-				}
-			}
-		}
-		sc.retire()
-		return s
-	}
-	followUps := 0
-	for c := 0; c < len(snaps); c++ {
-		recSink := newSnapshotSink(opts.RecoveryCrashes)
-		primary := runPlanned(recoveryWriter, opts, snaps[c], plan{0: c}, PersistLatest, opts.Seed, func(sc *scenario) {
-			sc.capture = recSink
-		})
-		m := min(primary.crashPoints[1], opts.RecoveryCrashes)
-		newSpecResult(scenarioSpec{}, opts).absorb(primary)
-		for rc := 1; rc <= m; rc++ {
-			// Another program, so what the pooled state is overwritten with
-			// differs from what the snapshots hold.
-			other, _ := fuzzprog.Generate(fuzzprog.Default(), int64(c+rc))
-			Run(other, Options{Mode: RandomMode, Prefix: true, Seed: int64(rc), Executions: 8, Workers: 1})
-			p := plan{0: c, 1: rc}
-			got := summary(runPlanned(recoveryWriter, opts, recSink.snaps[rc], p, PersistLatest, opts.Seed, nil))
-			want := summary(runPlanned(recoveryWriter, opts, nil, p, PersistLatest, opts.Seed, nil))
-			if got != want {
-				t.Fatalf("crash %d, recovery crash %d: resumed follow-up differs from scratch:\n%s\nvs\n%s", c, rc, got, want)
-			}
-			followUps++
-		}
-	}
-	if followUps == 0 {
-		t.Fatal("no recovery snapshot resumed")
-	}
-}
 
 // TestSchedulerRegisterFilledOnFirstDraw: a scheduler source fills its
 // register only when it draws. CCEH's one worker never gives the scheduler

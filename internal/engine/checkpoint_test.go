@@ -102,9 +102,11 @@ func TestCheckpointMatchesScratch(t *testing.T) {
 	}
 	// The backward walk's edges, each at one and four workers: a capped
 	// walk that starts below the last point, on every schedule; a truncated
-	// trace recorder (Trace turns memoization off) and a rewound extra
-	// pass, copied at each model-check point and handed over whole by each
-	// random-mode probe.
+	// trace recorder (Trace turns memoization off) and a rewound xfd
+	// detector, copied at each model-check point and handed over whole by
+	// each random-mode probe; and both under recovery crashes, whose
+	// follow-ups resume from the crash point's copies and run the first
+	// recovery again up to its own crash.
 	stacked := []string{"yashme", "xfd"}
 	for _, workers := range []int{1, 4} {
 		for _, v := range []struct {
@@ -114,6 +116,8 @@ func TestCheckpointMatchesScratch(t *testing.T) {
 			{"model-check/schedules-capped", engine.Options{Mode: engine.ModelCheck, Prefix: true, Schedules: 3, MaxCrashPoints: 4}},
 			{"model-check/trace", engine.Options{Mode: engine.ModelCheck, Prefix: true, Trace: true}},
 			{"model-check/stacked", engine.Options{Mode: engine.ModelCheck, Prefix: true, Analyses: stacked}},
+			{"model-check/recovery-crashes/stacked-trace", engine.Options{Mode: engine.ModelCheck, Prefix: true,
+				RecoveryCrashes: 3, Trace: true, Analyses: stacked}},
 			{"random/trace", engine.Options{Mode: engine.RandomMode, Prefix: true, Executions: 6, Trace: true}},
 			{"random/stacked", engine.Options{Mode: engine.RandomMode, Prefix: true, Executions: 6, Analyses: stacked}},
 		} {
@@ -130,6 +134,9 @@ func TestCheckpointMatchesScratch(t *testing.T) {
 			t.Parallel()
 			for seed := int64(1); seed <= 12; seed++ {
 				mk, _ := fuzzprog.Generate(fuzzprog.Default(), seed)
+				if v.opts.RecoveryCrashes > 0 {
+					mk = withRecoveryWrites(mk)
+				}
 				opts := v.opts
 				opts.Seed = seed
 				def, ref := runReference(t, fmt.Sprintf("seed %d", seed), mk, opts)

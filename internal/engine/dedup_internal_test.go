@@ -17,7 +17,6 @@ import (
 	"testing/quick"
 	"unsafe"
 
-	_ "yashme/internal/analysis/all"
 	"yashme/internal/fuzzprog"
 	"yashme/internal/pmm"
 	"yashme/internal/workload"

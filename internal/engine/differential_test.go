@@ -6,6 +6,7 @@ import (
 
 	"yashme/internal/engine"
 	"yashme/internal/fuzzprog"
+	"yashme/internal/pmm"
 	"yashme/internal/report"
 )
 
@@ -60,10 +61,42 @@ var fuzzPolicyOrders = [][]engine.PersistPolicy{
 	{engine.PersistRandom},
 }
 
+// withRecoveryWrites wraps a program so its recovery reaches crash points:
+// Setup allocates one more object, and the recovery, after the program's
+// own reads, increments its x field, flushes and fences it, then adds x's
+// old value to y and writes y back. A crash inside one recovery leaves x
+// or y for the next to read, so the recovery-crash follow-ups
+// (Options.RecoveryCrashes) have points to crash at and races to find:
+// a fuzzprog recovery only loads, and reaches none.
+func withRecoveryWrites(mk func() pmm.Program) func() pmm.Program {
+	return func() pmm.Program {
+		prog := mk()
+		var rec pmm.Struct
+		setup, post := prog.Setup, prog.PostCrash
+		prog.Setup = func(h *pmm.Heap) {
+			setup(h)
+			rec = h.AllocStruct("rec", pmm.Layout{{Name: "x", Size: 8}, {Name: "y", Size: 8}})
+		}
+		prog.PostCrash = func(t *pmm.Thread) {
+			post(t)
+			x, y := rec.F("x"), rec.F("y")
+			v := t.Load64(x)
+			t.Store64(x, v+1)
+			t.CLFlush(x)
+			t.SFence()
+			t.Store64(y, t.Load64(y)+v)
+			t.CLWB(y)
+			t.SFence()
+		}
+		return prog
+	}
+}
+
 // fuzzShape decodes a fuzz input's shape word into a program configuration
 // and run options: bits 0-1 objects-1, 2-3 workers-1, 4-7 ops per worker-1,
 // 8 AllAtomic, 9 NoAtomics, 10 random mode, 11-13 the policy order, 14-17
-// MaxCrashPoints (0 = all).
+// MaxCrashPoints (0 = all), 18-19 RecoveryCrashes. A run with recovery
+// crashes runs its program under withRecoveryWrites.
 func fuzzShape(seed int64, shape uint32) (fuzzprog.Config, engine.Options) {
 	cfg := fuzzprog.Config{
 		Objects:      1 + int(shape&3),
@@ -78,6 +111,7 @@ func fuzzShape(seed int64, shape uint32) (fuzzprog.Config, engine.Options) {
 		Seed:            seed,
 		PersistPolicies: fuzzPolicyOrders[shape>>11&7],
 		MaxCrashPoints:  int(shape >> 14 & 15),
+		RecoveryCrashes: int(shape >> 18 & 3),
 	}
 	if shape>>10&1 == 1 {
 		opts.Mode, opts.Executions = engine.RandomMode, 4
@@ -90,16 +124,22 @@ func fuzzShape(seed int64, shape uint32) (fuzzprog.Config, engine.Options) {
 // configuration, and the default run at one and four workers, the
 // reference run, and the stacked yashme,xfd run against each pass alone
 // must all tell the same story (canonical). The model-check walk, the
-// policy twins, the memoization and the random-mode handover are all on
-// the default side; none of them exists on the reference side.
+// policy twins, the memoization, the random-mode handover and the
+// recovery-crash follow-ups resumed from a crash point's snapshot are all
+// on the default side; none of them exists on the reference side.
 func FuzzDefaultMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint32(0))
 	f.Add(int64(7), uint32(3<<4|1<<2|2))
 	f.Add(int64(3), uint32(4<<11|5<<14))
 	f.Add(int64(11), uint32(1<<10|2<<2))
+	f.Add(int64(5), uint32(3<<18|1<<2|5<<4))
+	f.Add(int64(9), uint32(2<<18|1<<10|1<<2|3<<4))
 	f.Fuzz(func(t *testing.T, seed int64, shape uint32) {
 		cfg, opts := fuzzShape(seed, shape)
 		mk, _ := fuzzprog.Generate(cfg, seed)
+		if opts.RecoveryCrashes > 0 {
+			mk = withRecoveryWrites(mk)
+		}
 		opts.Workers = 1
 		solo := engine.Run(mk, opts)
 		want := canonical(t, solo, solo.Passes)

@@ -163,9 +163,9 @@ type Options struct {
 	// Suppress lists field labels whose races are annotated away (§7.5).
 	Suppress []string
 	// Analyses selects the analysis passes to run over the simulation, by
-	// registry name (internal/analysis), in order. Every pass observes the
-	// same event stream and crash scenarios; each gets its own report in
-	// Result.Passes. Empty selects the default, {"yashme"}. The first
+	// name ("yashme", "xfd"; internal/analysis), in order. Every pass
+	// observes the same event stream and crash scenarios; each gets its own
+	// report in Result.Passes. Empty selects the default, {"yashme"}. The first
 	// selected pass is the primary: Result.Report aliases its report.
 	Analyses []string
 }
@@ -227,11 +227,11 @@ type Stats struct {
 	DirectOps int64 `json:"direct_ops"`
 	// SnapshotBytes estimates the bytes copied to put scenarios at crash
 	// points: each model-check point's private copies of the detector (its
-	// store records included), the extra passes and the image, and the
-	// full clones recovery sinks capture under RecoveryCrashes. The
-	// scheduler rng is never copied: a snapshot holds its position. A
-	// random-mode handover moves the probe's own state, so it counts
-	// nothing here.
+	// store records included), the xfd detector and the image. Every
+	// scenario of a point resumes from that one copy, recovery-crash
+	// follow-ups included, so nothing else is counted. The scheduler rng is
+	// never copied: a snapshot holds its position. A random-mode handover
+	// moves the probe's own state, so it counts nothing here.
 	SnapshotBytes int64 `json:"snapshot_bytes"`
 	// JournalOps counts the detector mutations model-check probes recorded
 	// into their undo journals, which their backward walks then undo.
@@ -298,10 +298,10 @@ type PointStat struct {
 }
 
 // PassResult is one analysis pass's outcome within a Result: the pass's
-// registry name and its deduplicated race reports, merged across every
-// scenario of the run in spec order.
+// name and its deduplicated race reports, merged across every scenario of
+// the run in spec order.
 type PassResult struct {
-	// Name is the pass's registry name ("yashme", "xfd", ...).
+	// Name is the pass's name ("yashme" or "xfd").
 	Name string
 	// Report holds the pass's deduplicated races (and benign races).
 	Report *report.Set

@@ -574,9 +574,9 @@ var randomPolicies = []PersistPolicy{PersistRandom}
 // from it rather than re-simulating the pre-crash prefix — from a clone,
 // except the last policy's primary scenario when no expansion follows it,
 // which takes the snapshot's own copy — and the spec releases what is left
-// of it when it ends. Each primary scenario in turn checkpoints its own
-// recovery execution so the multi-crash follow-ups resume from the
-// recovery prefix — the same mechanism one level down the execution stack.
+// of it when it ends. A recovery-crash follow-up resumes from the same
+// crash point with the plan {0: c, 1: rc}: it re-simulates the first
+// recovery execution up to its crash point rc, then recovers again.
 //
 // Policy twins (DESIGN.md §4.4): wherever crash-image memoization is on,
 // the spec's first PersistLatest/PersistMinimal scenario marks the image
@@ -641,15 +641,10 @@ func runSpec(ctx context.Context, makeProg func() pmm.Program, opts Options, spe
 func (out *specResult) runPolicy(ctx context.Context, makeProg func() pmm.Program, opts Options, spec scenarioSpec,
 	pp PersistPolicy, exploreReads, mark bool) (twin *scenario) {
 
-	var recSink *snapshotSink
-	if spec.expandRecovery && !opts.Reference {
-		recSink = newSnapshotSink(opts.RecoveryCrashes)
-	}
 	sc := runPlanned(makeProg, opts, spec.snap, spec.plan, pp, spec.seed, func(sc *scenario) {
 		if exploreReads {
 			sc.lineChoices = make(map[pmm.Line]vclockSeqs)
 		}
-		sc.capture = recSink
 		sc.markTwins = mark
 	})
 	out.windowRaces = max(out.windowRaces, sc.stack.PrimaryReport().Count())
@@ -673,12 +668,7 @@ func (out *specResult) runPolicy(ctx context.Context, makeProg func() pmm.Progra
 			if ctx.Err() != nil {
 				break // checkpoint-resume boundary: stop expanding
 			}
-			var rsnap *snapshot
-			if recSink != nil {
-				rsnap = recSink.snaps[rc]
-			}
-			rsc := runPlanned(makeProg, opts, rsnap, plan{0: spec.crashPoint, 1: rc}, pp, spec.seed, nil)
-			out.absorb(rsc)
+			out.absorb(runPlanned(makeProg, opts, spec.snap, plan{0: spec.crashPoint, 1: rc}, pp, spec.seed, nil))
 		}
 	}
 	return twin

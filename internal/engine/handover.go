@@ -1,22 +1,22 @@
 // Probe position logs and the backward walk (DESIGN.md §4.1).
 //
 // Both modes put a scenario's analyses at a crash point the same way, for
-// every analysis stack and with or without a trace. A probe runs the
+// both analysis stacks and with or without a trace. A probe runs the
 // schedule's pre-crash execution to completion once, with undo journals
-// attached to its detector (core.Detector.AttachUndo) and to every extra
-// analysis pass (analysis.Pass.AttachUndo), and logs a compact position at
-// every crash point: the journal marks and the trace recorder's length
-// among it. After the run, the planner walks the points backwards
-// and at each rewinds the probe to the point — the detector, the extra
-// passes and the recorder together:
+// attached to its detector (core.Detector.AttachUndo) and to its xfd
+// detector when selected (xfd.Detector.AttachUndo), and logs a compact
+// position at every crash point: the journal marks and the trace
+// recorder's length among it. After the run, the planner walks the points
+// backwards and at each rewinds the probe to the point — the detectors and
+// the recorder together:
 //
 //   - Model checking explores every point, so each gets a private copy of
-//     the rewound detector, extra passes, recorder and image. A duplicate
-//     point under crash-image memoization gets only its operation counts.
+//     the rewound detectors, recorder and image. A duplicate point under
+//     crash-image memoization gets only its operation counts.
 //   - A random execution's crash point c is drawn from the number of points
 //     its schedule reaches, so c is known only after the probe. It has
-//     exactly one consumer, so the probe's own detector, extra passes,
-//     recorder and image go into its snapshot uncopied. So does its rng
+//     exactly one consumer, so the probe's own detectors, recorder and
+//     image go into its snapshot uncopied. So does its rng
 //     register, if it drew: it has moved past c, and every draw is one
 //     invertible generator step, so it is stepped back to c's draw count.
 //
@@ -29,14 +29,13 @@ import (
 	"hash/maphash"
 	"sync"
 
-	"yashme/internal/analysis"
 	"yashme/internal/core"
 	"yashme/internal/pmm"
 	"yashme/internal/vclock"
 )
 
 // probePoint is a probe's position at one crash point: what a scenario
-// crashing there holds beyond the rewound detector and the image.
+// crashing there holds beyond the rewound detectors and the image.
 type probePoint struct {
 	crashSeq vclock.Seq
 	rngDraws uint64
@@ -45,6 +44,9 @@ type probePoint struct {
 	stores, loads, flushes, fences, rmws int64
 	heapNext                             pmm.Addr
 	live, allocs, inits, jMark           int
+	// xMark is the xfd journal's mark (0 without xfd), recLen the trace
+	// recorder's length (0 untraced).
+	xMark, recLen int
 }
 
 // positionLog is the planner's record of one probe at a time: points[p]
@@ -55,12 +57,6 @@ type probePoint struct {
 type positionLog struct {
 	journal core.Journal
 	points  []probePoint
-	// marks holds stride entries per logged point, at marks[p*stride:]:
-	// each extra pass's journal mark in selection order, then the trace
-	// recorder's length when the probe is traced. A yashme-only untraced
-	// probe has stride 0 and logs nothing here.
-	marks  []int
-	stride int
 	// copies marks a model-check probe, whose points each get a private
 	// copy, possibly resumed several times; dupOf runs parallel to points
 	// for it alone, holding each duplicate point's representative under
@@ -93,11 +89,6 @@ func (pl *positionLog) watch(probe *scenario, opts Options, recovery []func(*pmm
 	probe.stack.AttachUndo()
 	pl.recovery = recovery
 	pl.points = append(pl.points[:0], probePoint{})
-	pl.stride = len(probe.stack.Extras())
-	if probe.recorder != nil {
-		pl.stride++
-	}
-	pl.marks = append(pl.marks[:0], make([]int, pl.stride)...)
 	pl.copies = opts.Mode == ModelCheck
 	pl.max = 0
 	if pl.copies {
@@ -135,13 +126,15 @@ func (pl *positionLog) record(sc *scenario, p int) {
 		allocs:   sc.heap.AllocCount(),
 		inits:    len(sc.heap.InitWrites()),
 		jMark:    pl.journal.Mark(),
+		xMark:    sc.stack.Mark(),
+	}
+	if sc.recorder != nil {
+		pos.recLen = sc.recorder.Len()
 	}
 	if p == 0 {
 		// The completion is never classified: the walk emits it first, and
 		// it always runs.
 		pl.points[0] = pos
-		// Overwrite the completion's placeholder marks in place.
-		pl.appendMarks(sc, pl.marks[:0])
 		pl.seal()
 		return
 	}
@@ -153,17 +146,6 @@ func (pl *positionLog) record(sc *scenario, p int) {
 		}
 		pl.dupOf = append(pl.dupOf, dup)
 	}
-	pl.marks = pl.appendMarks(sc, pl.marks)
-}
-
-// appendMarks appends the probe's current stride entries to dst: its
-// extra passes' journal marks, then its recorder's length.
-func (pl *positionLog) appendMarks(sc *scenario, dst []int) []int {
-	dst = sc.stack.AppendMarks(dst)
-	if sc.recorder != nil {
-		dst = append(dst, sc.recorder.Len())
-	}
-	return dst
 }
 
 // seal ends the classification window with the pre-crash execution: the
@@ -182,8 +164,8 @@ func (pl *positionLog) release() {
 }
 
 // copyAt rewinds a model-check probe to crash point c and returns c's
-// snapshot with private copies of the detector, extra passes, recorder
-// and image, whose bytes are accounted into the probe's stats. A duplicate
+// snapshot with private copies of the detectors, recorder and image,
+// whose bytes are accounted into the probe's stats. A duplicate
 // point's snapshot carries only its identity and operation counts. Points
 // are visited in descending order, completion (0) first.
 func (pl *positionLog) copyAt(probe *scenario, c int) *snapshot {
@@ -192,26 +174,27 @@ func (pl *positionLog) copyAt(probe *scenario, c int) *snapshot {
 	}
 	snap := pl.rewind(probe, c)
 	snap.det, snap.image = probe.det.Clone(), probe.image.clone()
-	snap.extras = analysis.CloneExtras(probe.stack.Extras())
+	probe.stats.SnapshotBytes += snap.det.FootprintBytes() + snap.image.footprintBytes() + snapshotOverheadBytes
+	if x := probe.stack.XFD(); x != nil {
+		snap.xfd = x.Clone()
+		probe.stats.SnapshotBytes += x.FootprintBytes()
+	}
 	if probe.recorder != nil {
 		snap.rec = probe.recorder.Clone()
 	}
-	probe.stats.SnapshotBytes += snap.det.FootprintBytes() + snap.image.footprintBytes() +
-		analysis.ExtrasFootprintBytes(snap.extras) + snapshotOverheadBytes
 	return snap
 }
 
 // handover rewinds a random-mode probe to its drawn crash point c and
-// moves its own detector, extra passes, recorder, image and (if it drew)
-// rng register into the snapshot its one crash scenario takes,
-// which owns them from then on: the resume rebuilds its stack around the
-// detector and the passes and rewires the recorder to that stack and its
-// own heap (resumeScenario). The probe keeps none of them: its retire
+// moves its own detectors, recorder, image and (if it drew) rng register
+// into the snapshot its one crash scenario takes, which owns them from
+// then on: the resume rebuilds its stack around the detectors and rewires
+// the recorder to that stack and its own heap (resumeScenario). The probe keeps none of them: its retire
 // releases only the machine and the shell.
 func (pl *positionLog) handover(probe *scenario, c int) *snapshot {
 	snap := pl.rewind(probe, c)
 	snap.det, snap.image, snap.take = probe.det, probe.image, true
-	snap.extras, snap.rec = probe.stack.Extras(), probe.recorder
+	snap.xfd, snap.rec = probe.stack.XFD(), probe.recorder
 	probe.det, probe.image, probe.recorder = nil, imageTable{}, nil
 	src := probe.rngSrc
 	src.rewind(src.n - snap.rngDraws)
@@ -225,18 +208,15 @@ func (pl *positionLog) handover(probe *scenario, c int) *snapshot {
 func (pl *positionLog) rewind(probe *scenario, c int) *snapshot {
 	pos := &pl.points[c]
 	probe.det.Rewind(&pl.journal, pos.jMark)
-	if pl.stride > 0 {
-		marks := pl.marks[c*pl.stride : (c+1)*pl.stride]
-		probe.stack.Rewind(marks)
-		if probe.recorder != nil {
-			probe.recorder.Truncate(marks[pl.stride-1])
-		}
+	probe.stack.Rewind(pos.xMark)
+	if probe.recorder != nil {
+		probe.recorder.Truncate(pos.recLen)
 	}
 	snap := pl.shell(probe, c)
-	snap.crashPoints = crashCounts{0: c}
 	snap.heap = probe.heap.SnapshotAt(pos.heapNext, pos.allocs, pos.inits)
 	if c > 0 {
-		// The crash unwinds the other live threads (see newSnapshotShell).
+		// A from-scratch crash at c unwinds the remaining live threads; the
+		// scheduler draws Intn(j) for j = live-1 down to 2.
 		snap.unwind = pos.live - 1
 	}
 	return snap

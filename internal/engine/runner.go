@@ -216,17 +216,17 @@ type scenario struct {
 	// shell once (getScenario), so each scenario's analyses label through
 	// it without a closure of their own.
 	labelFor func(pmm.Addr) string
-	// stack is the scenario's analysis-pass stack (internal/analysis); det
-	// is its always-present Yashme core model — the image derivation and
+	// stack is the scenario's analysis stack (internal/analysis); det is
+	// its always-present Yashme core model — the image derivation and
 	// candidate provenance are functions of its execution state regardless
 	// of which passes are selected. A resumed scenario's stack is stackVal,
-	// rebuilt in place around the snapshot's detector and passes.
+	// rebuilt in place around the snapshot's detectors.
 	stack    *analysis.Stack
 	stackVal analysis.Stack
 	det      *core.Detector
 	// yashmeChecks gates the model's candidate race checks (the "yashme"
-	// pass is selected and the detector is on); crashChecks gates the extra
-	// passes' post-crash read classification.
+	// pass is selected and the detector is on); crashChecks gates the xfd
+	// detector's post-crash read classification.
 	yashmeChecks bool
 	crashChecks  bool
 	machine      *tso.Machine
@@ -275,10 +275,6 @@ type scenario struct {
 	// (full-slice caps), so entries stay valid as the slab grows.
 	candSlab []provCand
 
-	// capture, when set, receives a full-clone snapshot at every flush/fence
-	// point of the first recovery execution (checkpoint.go): runSpec sets it
-	// on primary scenarios whose recovery crashes are expanded.
-	capture *snapshotSink
 	// positions, when set, logs the position of every crash point of the
 	// pre-crash execution: the planner sets it on its probes, which run only
 	// that execution and are then walked backwards (handover.go).
@@ -304,7 +300,7 @@ func newScenario(makeProg func() pmm.Program, opts Options, p plan, persist Pers
 		persist = PersistLatest
 	}
 	sc := getScenario()
-	stack, err := analysis.NewStack(opts.Analyses, analysis.Config{
+	stack, err := analysis.NewStack(opts.Analyses, core.Config{
 		Prefix:      opts.Prefix,
 		EADR:        opts.EADR,
 		Benchmark:   benchmark,
@@ -355,14 +351,15 @@ func getScenario() *scenario {
 
 // retire hands the dead scenario's private state to the pools the next
 // scenario on any worker draws from: its last machine, the detector's
-// executions, its extra passes' undo journals, its report sets, the
-// scheduler rng register, the image table and the scenario shell itself.
+// executions, the xfd detector's undo journal, its report sets, the
+// scheduler rng register, the image table, the candidate slab and the
+// scenario shell itself.
 // It is the one death point of every scenario, called once its reports and
 // stats have been harvested (specResult.absorb) or its probe summary taken;
 // the scenario must not be touched again. Snapshots taken from the
 // scenario hold clones, which own their copies. A random-mode
-// probe that handed its detector, extra passes, recorder, image and rng
-// register over (handover.go) no longer holds them.
+// probe that handed its detectors, recorder, image and rng register over
+// (handover.go) no longer holds them.
 func (sc *scenario) retire() {
 	tso.Retire(sc.machine)
 	sc.rngSrc.release()
@@ -381,12 +378,7 @@ func (sc *scenario) retire() {
 		sched:         sc.sched,
 		addrScratch:   sc.addrScratch[:0],
 		choiceScratch: sc.choiceScratch[:0],
-	}
-	// A recovery sink's snapshots share the image this scenario built after
-	// its first crash, and that image's candidate lists are carved from the
-	// slab; only a scenario that captured no such image keeps its slab.
-	if sc.capture == nil {
-		shell.candSlab = sc.candSlab[:0]
+		candSlab:      sc.candSlab[:0],
 	}
 	*sc = shell
 	scenarioPool.Put(sc)
@@ -397,7 +389,7 @@ func (sc *scenario) retire() {
 // "Jaaru time" comparison meaningful for any stack).
 func (sc *scenario) setGates() {
 	sc.yashmeChecks = sc.stack.YashmeSelected() && !sc.opts.DetectorOff
-	sc.crashChecks = len(sc.stack.Extras()) > 0 && !sc.opts.DetectorOff
+	sc.crashChecks = sc.stack.XFD() != nil && !sc.opts.DetectorOff
 }
 
 // run executes the full scenario: pre-crash workload, then recovery runs
@@ -436,7 +428,10 @@ func (sc *scenario) finish(crashSeq vclock.Seq) {
 		}
 		sc.buildImage()
 		sc.execIdx++
-		sc.stack.EndExecution(crashSeq)
+		// Only the model splits executions: the xfd FSM survives a crash
+		// unchanged, as XFDetector resumes on the real PM image and the
+		// FSM — not the values — decides raciness.
+		sc.det.EndExecution(crashSeq)
 		sc.startMachine()
 		crashedHere := sc.runExecution(sc.recovery)
 		if !crashedHere {
@@ -716,14 +711,9 @@ func (sc *scenario) crashNow() {
 // atCrashPoint counts a flush/fence point and reports whether the plan says
 // to crash before it. A probe logs its position here — after the count,
 // before the operation takes effect — which is exactly the state a
-// from-scratch scenario holds when its plan fires the crash at this point;
-// a recovery sink captures the first recovery execution's points at the
-// same instant.
+// from-scratch scenario holds when its plan fires the crash at this point.
 func (sc *scenario) atCrashPoint() bool {
 	sc.crashPoints[sc.execIdx]++
-	if sc.capture != nil && sc.execIdx == 1 {
-		sc.capture.observe(sc)
-	}
 	if sc.positions != nil {
 		sc.positions.record(sc, sc.crashPoints[0])
 	}
@@ -1015,8 +1005,8 @@ func (t *threadOps) Load(a pmm.Addr, size int, atomic, acquire bool) uint64 {
 	t.sync()
 	t.sc.stats.Loads++
 	val, rec, fromSB := t.sc.machine.LoadDetail(t.tid, a, size, acquire)
-	// Extra passes classify every post-crash load — including loads of
-	// values the recovery itself produced (their FSMs track the address's
+	// The xfd detector classifies every post-crash load — including loads
+	// of values the recovery itself produced (its FSM tracks the address's
 	// whole history, as XFDetector's does) — so the hook fires before the
 	// current-execution short-circuit below.
 	if t.sc.execIdx > 0 && t.sc.crashChecks {

@@ -1,15 +1,15 @@
 package engine_test
 
-// Differential tests for the analysis-pass stack (internal/analysis):
-// running several passes over one simulation must be observationally
-// equivalent, per pass, to running each pass alone. The fan-out listener
-// consumes no randomness and the extra passes never influence scheduling,
-// image derivation or the model detector, so a stacked run's per-pass
-// reports — and every workload-behavior counter — must be byte-identical to
-// the single-pass runs, across random programs, in the default and the
-// reference configuration. (The cost counters legitimately differ:
-// extra passes participate in the crash-image memoization signature, so a
-// stacked run may dedup fewer scenarios.)
+// Differential tests for the analysis stack (internal/analysis): running
+// both passes over one simulation must be observationally equivalent, per
+// pass, to running each pass alone. The fan-out listener consumes no
+// randomness and the xfd detector never influences scheduling, image
+// derivation or the model detector, so a stacked run's per-pass reports —
+// and every workload-behavior counter — must be byte-identical to the
+// single-pass runs, across random programs, in the default and the
+// reference configuration. (The cost counters legitimately differ: the
+// xfd detector participates in the crash-image memoization signature, so
+// a stacked run may dedup fewer scenarios.)
 
 import (
 	"encoding/json"
@@ -19,8 +19,6 @@ import (
 	"yashme/internal/engine"
 	"yashme/internal/fuzzprog"
 	"yashme/internal/report"
-
-	_ "yashme/internal/analysis/all"
 )
 
 // passJSON is the canonical byte representation a pass's report is compared

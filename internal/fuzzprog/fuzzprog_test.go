@@ -5,8 +5,6 @@ import (
 
 	"yashme/internal/engine"
 	"yashme/internal/report"
-
-	_ "yashme/internal/analysis/all"
 )
 
 const fuzzSeeds = 60

@@ -33,9 +33,6 @@ import (
 	"yashme/internal/engine"
 	"yashme/internal/suite"
 	"yashme/internal/workload"
-
-	// Link the non-default analysis passes so requests may select them.
-	_ "yashme/internal/analysis/all"
 )
 
 // Sentinel errors the HTTP layer maps to status codes.
@@ -531,17 +528,8 @@ func normalize(req Request) (Request, error) {
 		req.Variants = ordered
 	}
 
-	if len(req.Analyses) > 0 {
-		registered := analysis.Names()
-		for _, a := range req.Analyses {
-			ok := false
-			for _, r := range registered {
-				ok = ok || a == r
-			}
-			if !ok {
-				return req, fmt.Errorf("%w: unknown analysis %q (have %v)", ErrBadRequest, a, registered)
-			}
-		}
+	if err := analysis.Check(req.Analyses); err != nil {
+		return req, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 
 	if req.Seed < 0 {

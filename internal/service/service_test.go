@@ -3,12 +3,15 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"yashme/internal/analysis"
+	"yashme/internal/core"
 	"yashme/internal/engine"
 	"yashme/internal/pmm"
 	"yashme/internal/suite"
@@ -361,6 +364,42 @@ func TestSubmitValidation(t *testing.T) {
 	} {
 		if _, err := m.Submit(req); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// A pass selection is checked in one place: the service's normalize and
+// the engine's analysis.NewStack reject an unknown pass and a repeated one
+// with the same message, and accept every selection of known passes in
+// either order.
+func TestAnalysisSelectionValidation(t *testing.T) {
+	for _, tc := range []struct {
+		analyses []string
+		want     string // "" = accepted
+	}{
+		{nil, ""},
+		{[]string{"yashme"}, ""},
+		{[]string{"xfd"}, ""},
+		{[]string{"yashme", "xfd"}, ""},
+		{[]string{"xfd", "yashme"}, ""},
+		{[]string{"nope"}, `unknown pass "nope" (have [xfd yashme])`},
+		{[]string{"yashme", "nope"}, `unknown pass "nope" (have [xfd yashme])`},
+		{[]string{"yashme", "yashme"}, `pass "yashme" selected twice`},
+		{[]string{"xfd", "yashme", "xfd"}, `pass "xfd" selected twice`},
+	} {
+		_, nerr := normalize(Request{Names: []string{"svc-probe"}, Analyses: tc.analyses})
+		_, serr := analysis.NewStack(tc.analyses, core.Config{})
+		if tc.want == "" {
+			if nerr != nil || serr != nil {
+				t.Errorf("%v rejected: normalize %v, NewStack %v", tc.analyses, nerr, serr)
+			}
+			continue
+		}
+		if nerr == nil || !errors.Is(nerr, ErrBadRequest) || nerr.Error() != ErrBadRequest.Error()+": "+tc.want {
+			t.Errorf("%v: normalize error %v, want a bad request: %s", tc.analyses, nerr, tc.want)
+		}
+		if serr == nil || serr.Error() != "analysis: "+tc.want {
+			t.Errorf("%v: NewStack error %v, want analysis: %s", tc.analyses, serr, tc.want)
 		}
 	}
 }

@@ -16,9 +16,9 @@ import (
 // detector and image to its crash scenario, whose retire then recycles
 // them; a model-check probe is walked backwards and each crash point's
 // copy is released when its spec ends. A model check whose scenarios
-// resume one copy several times — recovery-crash follow-ups resumed from
-// recovery snapshots, read-choice expansions resumed from the first-crash
-// copy — runs right after a Table 4 run has filled the pools, at one and
+// resume one copy several times — recovery-crash follow-ups and
+// read-choice expansions, all resumed from the first-crash copy — runs
+// right after a Table 4 run has filled the pools, at one and
 // four workers, and its canonical result must equal the reference
 // configuration's.
 func TestProbeStopOwnership(t *testing.T) {

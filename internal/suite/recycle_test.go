@@ -7,9 +7,6 @@ import (
 	"testing"
 
 	"yashme/internal/workload"
-
-	// Link the xfd pass for the stacked run that dirties the pools.
-	_ "yashme/internal/analysis/all"
 )
 
 // TestWarmPoolsByteIdentical searches for ownership bugs in scenario-state

@@ -115,8 +115,7 @@ type Config struct {
 	// the engine default, yashme alone). The first selected pass is primary:
 	// each RunResult's top-level Races/RaceCount are its report, and when
 	// more than one pass runs, RunResult.Analyses carries the per-pass
-	// breakdown. Non-default passes must be linked into the binary
-	// (blank-import yashme/internal/analysis/all).
+	// breakdown.
 	Analyses []string
 	// Sequential runs benchmarks one at a time instead of concurrently.
 	// Results are identical (the determinism tests prove it); wall-clock

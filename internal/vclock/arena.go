@@ -106,7 +106,7 @@ type Arena struct {
 	// fresh arena, whose own run starts with the canonical empty clock).
 	// It is shared read-only with every other arena that inherits the same
 	// prefix. own holds the arena's appends, indexed in interning mode.
-	// frozen is the last prefix Freeze handed out over the arena's own
+	// frozen is the last prefix Freeze handed out over a fresh arena's own
 	// appends.
 	base   *Frozen
 	own    run
@@ -410,38 +410,31 @@ func (a *Arena) Clone() *Arena {
 }
 
 // Freeze returns the arena's current snapshots as a Frozen prefix, for a
-// clone. An arena that has not appended since it inherited its prefix — a
-// crash point's copy — returns that prefix, and one that has not appended
-// since its last Freeze returns that one, so every clone taken between two
-// appends shares one index: a probe's whole backward walk, whose rewinds
-// intern nothing, builds it at most once. A fresh arena's prefix is a
-// capped view of its own run, which its later appends never write into. A
-// clone that appended — a recovery capture's source — flattens its
-// inherited prefix and its own run into one, so At resolves any ref in at
-// most two runs. Only the arena's owner appends, so only the owner's
-// Freeze writes a, and a copy may be cloned concurrently.
+// clone. A clone that has not appended since it inherited its prefix — a
+// crash point's copy — returns that prefix. A fresh arena returns a capped
+// view of its own run, which its later appends never write into, and one
+// that has not appended since its last Freeze returns that one, so every
+// clone taken between two appends shares one index: a probe's whole
+// backward walk, whose rewinds intern nothing, builds it at most once. A
+// clone that appended is never cloned again (the engine copies probes and
+// crash-point copies only), and Freeze panics on one. Only the arena's
+// owner appends, so only the owner's Freeze writes a, and a copy may be
+// cloned concurrently.
 func (a *Arena) Freeze() *Frozen {
-	if a.base != nil && len(a.own.spans) == 0 {
+	if a.base != nil {
+		if len(a.own.spans) > 0 {
+			panic("vclock: Freeze of a clone that appended")
+		}
 		return a.base
 	}
-	if a.frozen != nil && a.frozen.len() == a.Len() {
-		return a.frozen
+	if a.frozen == nil || a.frozen.len() != a.Len() {
+		u := a.own
+		a.frozen = &Frozen{run: run{
+			words: u.words[:len(u.words):len(u.words)],
+			spans: u.spans[:len(u.spans):len(u.spans)],
+		}}
 	}
-	u := a.own
-	f := &Frozen{run: run{
-		words: u.words[:len(u.words):len(u.words)],
-		spans: u.spans[:len(u.spans):len(u.spans)],
-	}}
-	if b := a.base; b != nil {
-		off := uint32(len(b.words))
-		f.words = append(b.words[:off:off], u.words...)
-		f.spans = append(make([]span, 0, a.Len()), b.spans...)
-		for _, s := range u.spans {
-			f.spans = append(f.spans, span{s.off + off, s.end + off})
-		}
-	}
-	a.frozen = f
-	return f
+	return a.frozen
 }
 
 // TakeCounters returns the interned/epoch-hit/epoch-miss counts

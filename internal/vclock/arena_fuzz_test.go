@@ -67,7 +67,8 @@ func checkArena(a *Arena, m *naiveArena) error {
 // runArenaOps drives arenas and their models through the operations the
 // input encodes — Intern, JoinStamp, Clone, Freeze, each on any arena
 // alive so far, clones included — and checks every returned Ref and every
-// snapshot against the model.
+// snapshot against the model. A clone that appended is never cloned (the
+// engine never clones one), and freezing it must panic.
 func runArenaOps(data []byte) error {
 	in := fuzzBytes(data)
 	owned := in.next()%2 == 1
@@ -106,10 +107,16 @@ func runArenaOps(data []byte) error {
 				return fmt.Errorf("step %d: arena %d joined %v into %d as %d, model %d", step, i, want, r, got, wantRef)
 			}
 		case 2: // Clone
-			if len(arenas) < 8 {
+			if len(arenas) < 8 && !appendedClone(a) {
 				arenas, models = append(arenas, a.Clone()), append(models, m.clone())
 			}
 		case 3: // Freeze
+			if appendedClone(a) {
+				if !freezePanics(a) {
+					return fmt.Errorf("step %d: arena %d froze after appending to its inherited prefix", step, i)
+				}
+				break
+			}
 			f := a.Freeze()
 			if f.len() != len(m.clocks) {
 				return fmt.Errorf("step %d: arena %d froze %d snapshots, model %d", step, i, f.len(), len(m.clocks))
@@ -130,6 +137,17 @@ func runArenaOps(data []byte) error {
 		}
 	}
 	return nil
+}
+
+// appendedClone reports whether a is a clone that appended since it was
+// cloned: the one arena Freeze refuses.
+func appendedClone(a *Arena) bool { return a.base != nil && len(a.own.spans) > 0 }
+
+// freezePanics reports whether a.Freeze panics.
+func freezePanics(a *Arena) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	a.Freeze()
+	return false
 }
 
 // FuzzArenaMatchesNaive checks the arena's layered storage and hashed

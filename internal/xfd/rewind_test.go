@@ -38,15 +38,16 @@ func applyRewindEvent(d *Detector, b byte, seq vclock.Seq) {
 }
 
 // rewindState renders what FuzzJournalRewind compares: the state
-// signature, the footprint, and the CrashRead verdict on every touched
-// address (classifying a read adds its race to the report, so this runs
-// last).
+// signature, the footprint, and the races CrashRead reports on every
+// touched address (classifying a read adds its race to the report, so this
+// runs last).
 func rewindState(d *Detector) []byte {
 	buf := fmt.Appendf(nil, "sig %x\nfootprint %d\n", d.AppendStateSignature(nil), d.FootprintBytes())
 	for _, a := range rewindAddrs {
-		if r := d.CrashRead(a, false); r != nil {
-			buf = fmt.Appendf(buf, "%#x: %+v\n", uint64(a), *r)
-		}
+		d.CrashRead(a, false)
+	}
+	for _, r := range d.Report().Races() {
+		buf = fmt.Appendf(buf, "%+v\n", r)
 	}
 	return buf
 }
@@ -71,7 +72,7 @@ func checkJournalRewind(t *testing.T, prog []byte, mark uint16) {
 	for i := 0; i <= len(prog); i++ {
 		for k := range at {
 			if at[k].op == i {
-				at[k].clone, at[k].jMark = d.Clone().(*Detector), d.Mark()
+				at[k].clone, at[k].jMark = d.Clone(), d.Mark()
 			}
 		}
 		if i < len(prog) {
@@ -83,7 +84,7 @@ func checkJournalRewind(t *testing.T, prog []byte, mark uint16) {
 		if d.Mark() != p.jMark {
 			t.Fatalf("journal holds %d ops after rewinding to %d", d.Mark(), p.jMark)
 		}
-		got, want := rewindState(d.Clone().(*Detector)), rewindState(p.clone)
+		got, want := rewindState(d.Clone()), rewindState(p.clone)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("rewind to op %d (journal %d) != clone at that op:\nrewound:\n%s\nclone:\n%s", p.op, p.jMark, got, want)
 		}

@@ -20,8 +20,8 @@
 // matter how the compiler might tear it — which is exactly the blind spot
 // persistency races live in.
 //
-// The detector is an analysis.Pass: it registers itself as "xfd" and runs
-// through the engine's analysis stack (-analyses=yashme,xfd), riding the
+// The detector is the optional member of the engine's analysis stack
+// (internal/analysis, selected as "xfd": -analyses=yashme,xfd), riding the
 // same workers, solo-run leases, checkpoints and crash-image memoization
 // as the Yashme detector. Like the original XFDetector it only
 // ever classifies reads of THE GIVEN execution — no prefix derivation, no
@@ -32,18 +32,11 @@ import (
 	"sort"
 	"sync"
 
-	"yashme/internal/analysis"
 	"yashme/internal/pmm"
 	"yashme/internal/report"
 	"yashme/internal/tso"
 	"yashme/internal/vclock"
 )
-
-func init() {
-	analysis.Register("xfd", func(cfg analysis.Config) analysis.Pass {
-		return New(cfg.Benchmark, cfg.Labeler)
-	})
-}
 
 // persistState is the per-store commit/persist FSM XFDetector tracks
 // ("a finite state machine to track the consistency and persistency of
@@ -89,7 +82,7 @@ type Detector struct {
 	journaling bool
 }
 
-// journal is a pass's undo log: ops in mutation order, and wbs, oldest
+// journal is the detector's undo log: ops in mutation order, and wbs, oldest
 // first, the pending lists its undoWB ops replaced. Retired journals are
 // pooled: a random-mode run arms one per execution's probe.
 type journal struct {
@@ -128,9 +121,6 @@ func New(benchmark string, labeler func(pmm.Addr) string) *Detector {
 	}
 }
 
-// Name implements analysis.Pass.
-func (d *Detector) Name() string { return "xfd" }
-
 // Report returns the accumulated cross-failure race reports.
 func (d *Detector) Report() *report.Set { return d.report }
 
@@ -162,8 +152,10 @@ func (d *Detector) setWB(tid vclock.TID, wb []pmm.Addr) {
 	d.pendingWB[tid] = wb
 }
 
-// AttachUndo implements analysis.Pass: it empties the journal, drawn from
-// the pool on first use, and arms it.
+// AttachUndo empties the undo journal, drawn from the pool on first use,
+// and arms it: every state mutation from now on is recorded until the next
+// Rewind. The engine arms it for a probe's pre-crash run only; post-crash
+// state (CrashRead's report) is never journaled.
 func (d *Detector) AttachUndo() {
 	if d.undo == nil {
 		d.undo = journalPool.Get().(*journal)
@@ -172,11 +164,12 @@ func (d *Detector) AttachUndo() {
 	d.journaling = true
 }
 
-// Mark implements analysis.Pass.
+// Mark returns the journal's current position.
 func (d *Detector) Mark() int { return len(d.undo.ops) }
 
-// Retire implements analysis.Pass: the journal goes back to the pool,
-// holding no pending list.
+// Retire hands the undo journal back to the pool, holding no pending list,
+// once the scenario or probe owning the detector is dead (never for a
+// detector it handed over). The detector must not be used again.
 func (d *Detector) Retire() {
 	if d.undo != nil {
 		clear(d.undo.wbs)
@@ -185,8 +178,10 @@ func (d *Detector) Retire() {
 	}
 }
 
-// Rewind implements analysis.Pass: it undoes ops [mark, Mark()) newest
-// first, then truncates the journal to mark and disarms it. A fresh
+// Rewind undoes ops [mark, Mark()) newest first, then truncates the
+// journal to mark and disarms it. Afterwards the detector equals a Clone
+// taken when the journal stood at mark, and a later Rewind to an earlier
+// mark still works: a probe walks its crash points backwards. A fresh
 // address was the last one on its line's list when it was registered, so
 // undoing registrations newest first pops them in order. A pending list
 // gets back the header it had: later appends wrote only past its length.
@@ -216,16 +211,11 @@ func (d *Detector) Rewind(mark int) {
 	d.journaling = false
 }
 
-// SeedPersisted implements analysis.Pass: Setup-time initial values are
-// durable by definition.
+// SeedPersisted marks a Setup-time initial write durable before the first
+// execution starts: initial values are persisted by definition.
 func (d *Detector) SeedPersisted(addr pmm.Addr) {
 	d.set(addr, storeInfo{state: statePersisted})
 }
-
-// EndExecution implements analysis.Pass. The FSM survives the crash
-// unchanged: XFDetector resumes on the real PM image, and the FSM — not the
-// values — decides raciness.
-func (d *Detector) EndExecution(vclock.Seq) {}
 
 // StoreCommitted implements tso.Listener: the address regresses to
 // Modified. Note the FSM is per ADDRESS, not per byte — stores are modelled
@@ -282,41 +272,35 @@ func (d *Detector) FenceCommitted(tid vclock.TID, _ vclock.Seq, _ vclock.Stamp) 
 	}
 }
 
-var (
-	_ tso.Listener  = (*Detector)(nil)
-	_ analysis.Pass = (*Detector)(nil)
-)
+var _ tso.Listener = (*Detector)(nil)
 
-// CrashRead implements analysis.Pass: a cross-failure race is reported iff
-// the last store to the address was NOT persisted at the read. Guarded
-// (checksum-validation) reads are skipped, like Yashme's benign
-// classification. Persisted stores are always clean — atomic or not, torn
+// CrashRead classifies a post-crash load of addr: a cross-failure race is
+// added to the report iff the last store to the address was NOT persisted
+// at the read. Guarded (checksum-validation) reads are skipped, like
+// Yashme's benign classification. Persisted stores are always clean — atomic or not, torn
 // or not — which is why this detector is structurally unable to report a
 // persistency race on a flushed store.
-func (d *Detector) CrashRead(addr pmm.Addr, guarded bool) *report.Race {
+func (d *Detector) CrashRead(addr pmm.Addr, guarded bool) {
 	if guarded {
-		return nil
+		return
 	}
 	s, ok := d.stores[addr]
 	if !ok || s.state == statePersisted {
-		return nil
+		return
 	}
-	label := d.labeler(addr)
-	r := report.Race{
+	d.report.Add(report.Race{
 		Benchmark: d.benchmark,
-		Field:     label,
+		Field:     d.labeler(addr),
 		Addr:      uint64(addr),
 		StoreSeq:  uint64(s.seq),
 		StoreTID:  int(s.tid),
-	}
-	d.report.Add(r)
-	return &r
+	})
 }
 
-// Clone implements analysis.Pass: an independent deep copy with no journal
-// attached. A model-check probe clones its rewound pass into each crash
-// point's snapshot, and every resume but a snapshot's last clones again.
-func (d *Detector) Clone() analysis.Pass {
+// Clone returns an independent deep copy with no journal attached. A
+// model-check probe clones its rewound detector into each crash point's
+// snapshot, and every resume but a snapshot's last clones again.
+func (d *Detector) Clone() *Detector {
 	c := &Detector{
 		benchmark: d.benchmark,
 		labeler:   d.labeler,
@@ -339,10 +323,10 @@ func (d *Detector) Clone() analysis.Pass {
 	return c
 }
 
-// SetLabeler implements analysis.Pass.
+// SetLabeler rebinds the report labeler to a resumed scenario's own heap.
 func (d *Detector) SetLabeler(l func(pmm.Addr) string) { d.labeler = l }
 
-// AppendStateSignature implements analysis.Pass: the FSM serialized in
+// AppendStateSignature serializes, for crash-image memoization, the FSM in
 // ascending address order plus the pending write-backs per thread — exactly
 // the state CrashRead verdicts are a function of. Two crash points with
 // equal signatures are indistinguishable to this detector.
@@ -390,7 +374,8 @@ func sigU64(buf []byte, v uint64) []byte {
 // overhead included, fixed for platform stability).
 const storeInfoBytes = 48
 
-// FootprintBytes implements analysis.Pass.
+// FootprintBytes estimates the retained size of one clone, for
+// Stats.SnapshotBytes accounting.
 func (d *Detector) FootprintBytes() int64 {
 	n := int64(len(d.stores)) * storeInfoBytes
 	for _, addrs := range d.lines {

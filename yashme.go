@@ -73,8 +73,7 @@ type (
 	// Result is a detection run's outcome.
 	Result = engine.Result
 	// PassResult is one analysis pass's report within a Result (see
-	// Options.Analyses; blank-import yashme/internal/analysis/all to link
-	// the built-in non-default passes).
+	// Options.Analyses).
 	PassResult = engine.PassResult
 	// Mode selects model checking or random execution.
 	Mode = engine.Mode
